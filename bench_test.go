@@ -7,6 +7,7 @@ package mineassess
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -411,21 +412,21 @@ func BenchmarkEngineParallelSessions(b *testing.B) {
 				for pb.Next() {
 					if sess == nil || qi == len(sess.Order) {
 						if sess != nil {
-							if _, err := eng.Finish(sess.ID); err != nil {
+							if _, err := eng.Finish(context.Background(), sess.ID); err != nil {
 								b.Error(err)
 								return
 							}
 						}
 						n := students.Add(1)
 						var err error
-						sess, err = eng.Start(examID, fmt.Sprintf("s%06d", n), n)
+						sess, err = eng.Start(context.Background(), examID, fmt.Sprintf("s%06d", n), n)
 						if err != nil {
 							b.Error(err)
 							return
 						}
 						qi = 0
 					}
-					if err := eng.Answer(sess.ID, sess.Order[qi], "A"); err != nil {
+					if err := eng.Answer(context.Background(), sess.ID, sess.Order[qi], "A"); err != nil {
 						b.Error(err)
 						return
 					}

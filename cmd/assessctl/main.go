@@ -420,14 +420,10 @@ func cmdSeed(args []string) error {
 	bankPath := fs.String("bank", "bank.json", "bank file to write")
 	nProblems := fs.Int("problems", 60, "number of problems to author")
 	nConcepts := fs.Int("concepts", 5, "number of concepts")
-	backend := fs.String("backend", "memory", "storage backend to author into: memory or sharded")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	store, err := bank.NewBackend(*backend, 0)
-	if err != nil {
-		return err
-	}
+	store := bank.New()
 	examID, err := SeedBank(store, *nProblems, *nConcepts)
 	if err != nil {
 		return err

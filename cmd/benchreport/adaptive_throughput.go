@@ -16,6 +16,7 @@ package main
 //      of the subsystem.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -57,7 +58,7 @@ func adaptiveBank(store bank.Storage, examID string, n int, a, spread float64) e
 // and returns the number of items administered.
 func driveAdaptive(eng *catdelivery.Engine, params map[string]simulate.IRTParams,
 	examID, student string, truth float64, cfg catdelivery.Config, seed int64) (int, error) {
-	s, view, err := eng.Start(examID, student, cfg, seed)
+	s, view, err := eng.Start(context.Background(), examID, student, cfg, seed)
 	if err != nil {
 		return 0, err
 	}
@@ -67,7 +68,7 @@ func driveAdaptive(eng *catdelivery.Engine, params map[string]simulate.IRTParams
 		if rng.Float64() < params[view.ProblemID].ProbCorrect(truth) {
 			response = "A"
 		}
-		prog, err := eng.SubmitResponse(s.ID, view.ProblemID, response)
+		prog, err := eng.SubmitResponse(context.Background(), s.ID, view.ProblemID, response)
 		if err != nil {
 			return 0, err
 		}

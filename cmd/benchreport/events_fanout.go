@@ -12,6 +12,7 @@ package main
 //     is the design contract, and this measures it.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -105,18 +106,18 @@ func measureEmitterOverhead(name string, workers int, attach func(*delivery.Engi
 			defer wg.Done()
 			for sitting := 0; sitting < sessions; sitting++ {
 				student := fmt.Sprintf("w%02d-s%03d", w, sitting)
-				sess, err := eng.Start(examID, student, int64(w*1000+sitting))
+				sess, err := eng.Start(context.Background(), examID, student, int64(w*1000+sitting))
 				if err != nil {
 					errs <- err
 					return
 				}
 				for _, pid := range sess.Order {
-					if err := eng.Answer(sess.ID, pid, "A"); err != nil {
+					if err := eng.Answer(context.Background(), sess.ID, pid, "A"); err != nil {
 						errs <- err
 						return
 					}
 				}
-				if _, err := eng.Finish(sess.ID); err != nil {
+				if _, err := eng.Finish(context.Background(), sess.ID); err != nil {
 					errs <- err
 					return
 				}

@@ -13,6 +13,7 @@ package main
 // journal's commit latency almost one-to-one.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -248,7 +249,7 @@ func measureCATPersistLatency(policy bank.SyncPolicy, workers, sessionsPerWorker
 			for sitting := 0; sitting < sessionsPerWorker; sitting++ {
 				student := fmt.Sprintf("w%02d-s%03d", wk, sitting)
 				truth := rng.NormFloat64()
-				s, view, err := eng.Start("cat", student, cfg, int64(wk*1000+sitting))
+				s, view, err := eng.Start(context.Background(), "cat", student, cfg, int64(wk*1000+sitting))
 				if err != nil {
 					errs <- err
 					return
@@ -259,7 +260,7 @@ func measureCATPersistLatency(policy bank.SyncPolicy, workers, sessionsPerWorker
 						response = "A"
 					}
 					t0 := time.Now()
-					prog, err := eng.SubmitResponse(s.ID, view.ProblemID, response)
+					prog, err := eng.SubmitResponse(context.Background(), s.ID, view.ProblemID, response)
 					if err != nil {
 						errs <- err
 						return

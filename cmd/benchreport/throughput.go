@@ -9,6 +9,7 @@ package main
 // over PR in BENCH_BASELINE.json.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -59,7 +60,7 @@ type engineConfig struct {
 
 func throughputConfigs() []engineConfig {
 	return []engineConfig{
-		{"reference-store/1-shard-engine", func() bank.Storage { return bank.New() }, 1},
+		{"1-shard-store/1-shard-engine", func() bank.Storage { return bank.New() }, 1},
 		{"sharded-store/sharded-engine", func() bank.Storage { return bank.NewSharded(0) }, delivery.DefaultSessionShards},
 	}
 }
@@ -93,18 +94,18 @@ func measureThroughput(cfg engineConfig, workers, sessionsPerWorker, questions i
 			defer wg.Done()
 			for sitting := 0; sitting < sessionsPerWorker; sitting++ {
 				student := fmt.Sprintf("w%02d-s%03d", w, sitting)
-				sess, err := eng.Start(examID, student, int64(w*1000+sitting))
+				sess, err := eng.Start(context.Background(), examID, student, int64(w*1000+sitting))
 				if err != nil {
 					errs <- err
 					return
 				}
 				for _, pid := range sess.Order {
-					if err := eng.Answer(sess.ID, pid, "A"); err != nil {
+					if err := eng.Answer(context.Background(), sess.ID, pid, "A"); err != nil {
 						errs <- err
 						return
 					}
 				}
-				if _, err := eng.Finish(sess.ID); err != nil {
+				if _, err := eng.Finish(context.Background(), sess.ID); err != nil {
 					errs <- err
 					return
 				}

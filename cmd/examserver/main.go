@@ -11,7 +11,7 @@
 // Usage:
 //
 //	examserver -bank bank.json -addr :8080 [-monitor 64]
-//	           [-backend sharded] [-shards 32] [-journal DIR] [-fsync group]
+//	           [-shards 32] [-journal DIR] [-fsync group]
 //	           [-wal-codec json|binary] [-session-shards 32] [-drain 30s]
 //	           [-rate 50 -burst 100] [-quiet] [-log-format text|json]
 //	           [-slow-request 250ms] [-ops 127.0.0.1:6060]
@@ -50,10 +50,7 @@
 // gateway that already rate-limits.
 //
 // Access logs are structured (log/slog): -log-format picks text (default)
-// or json records, -quiet suppresses them, and -slow-request D logs any
-// request taking at least D at Warn ("slow request") while arming matching
-// slow-op logs in the delivery engines and the WAL — the shared request_id
-// attribute ties the layers' lines together.
+// or json records and -quiet suppresses them.
 //
 // -trace turns on request-scoped distributed tracing: every request opens a
 // root span (honoring an inbound W3C traceparent header and echoing one on
@@ -61,14 +58,18 @@
 // batch-wait / fsync phases), bus publishes and SSE frame writes become
 // child spans, and completed traces are tail-sampled — traces that were
 // slow (≥ -slow-request), errored, or suffered an SSE stream.gap are always
-// retained, plus one in -trace-sample of the rest. The newest -trace-retain
-// retained traces (and a ring of recent ones) are browsable at
-// GET /debug/traces on the ops listener (list, or ?id= for one span tree;
-// same JSON the `assessctl traces` tree view renders), and p99 buckets of
-// the latency histograms carry exemplar trace IDs linking /metrics numbers
-// to concrete traces. -ops exposes the operations
-// listener on a SEPARATE address (bind it to localhost; the main -addr
-// listener never serves it): net/http/pprof profiling handlers under
+// retained, plus one in -trace-sample of the rest. -slow-request D also
+// turns tracing on: each request whose root span ran for at least D logs
+// one Warn "slow request" line (unless -quiet) carrying its request_id,
+// trace_id, retention reason, status, duration and the exclusive
+// milliseconds per layer (HTTP edge, engine, WAL commit and its phases,
+// bus publish, SSE). The newest -trace-retain retained traces (and a ring
+// of recent ones) are browsable at GET /debug/traces on the ops listener
+// (list, or ?id= for one span tree; same JSON the `assessctl traces` tree
+// view renders), and p99 buckets of the latency histograms carry exemplar
+// trace IDs linking /metrics numbers to concrete traces. -ops exposes the
+// operations listener on a SEPARATE address (bind it to localhost; the
+// main -addr listener never serves it): net/http/pprof profiling handlers under
 // /debug/pprof/ plus the process metrics registry as Prometheus text
 // exposition at /metrics (journal commit/fsync/compaction, event-bus
 // fan-out, live-stats lag, per-route HTTP latency histograms). -pprof is a
@@ -117,8 +118,7 @@ func run(args []string) error {
 	contentExam := fs.String("content", "", "exam ID to package and serve under /package/ (empty = first exam)")
 	readTimeout := fs.Duration("read-timeout", 10*time.Second, "HTTP read timeout")
 	writeTimeout := fs.Duration("write-timeout", 10*time.Second, "HTTP write timeout")
-	backend := fs.String("backend", "sharded", "storage backend: memory or sharded")
-	shards := fs.Int("shards", bank.DefaultShards, "bank shard count (sharded backend)")
+	shards := fs.Int("shards", bank.DefaultShards, "bank shard count")
 	journalDir := fs.String("journal", "", "write-ahead-log directory (empty disables journaling)")
 	fsync := fs.String("fsync", string(bank.SyncGroup), "WAL sync policy: always, group or none (with -journal)")
 	sessionShards := fs.Int("session-shards", delivery.DefaultSessionShards, "session registry shard count")
@@ -134,7 +134,7 @@ func run(args []string) error {
 	opsAddr := fs.String("ops", "", "serve the ops listener (pprof + Prometheus /metrics) on this separate address (e.g. 127.0.0.1:6060; empty disables)")
 	pprofAddr := fs.String("pprof", "", "deprecated alias for -ops")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
-	slowReq := fs.Duration("slow-request", 0, "log requests taking at least this long at Warn, correlated across layers by request ID (0 disables)")
+	slowReq := fs.Duration("slow-request", 0, "trace requests and log each taking at least this long at Warn with its per-layer breakdown (0 disables)")
 	traceOn := fs.Bool("trace", false, "request-scoped distributed tracing with tail sampling (browse at /debug/traces on the ops listener)")
 	traceSample := fs.Int("trace-sample", 64, "with -trace, uniformly retain one in N traces that were not slow/errored/gapped")
 	traceRetain := fs.Int("trace-retain", 256, "with -trace, retained-trace ring capacity")
@@ -172,7 +172,6 @@ func run(args []string) error {
 		"Live goroutine count.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	store, err := bank.Open(*bankPath, bank.Options{
-		Backend: *backend,
 		Shards:  *shards,
 		Journal: *journalDir,
 		Sync:    syncPolicy,
@@ -243,18 +242,13 @@ func run(args []string) error {
 	if *quiet {
 		accessLog = nil
 	}
-	// -slow-request arms the WAL layer too: a slow HTTP line, the engine's
-	// slow-op line (same request ID) and the journal's slow-commit line
-	// together attribute where the time went.
-	if j, ok := store.(*bank.Journal); ok {
-		j.SetSlowOpLog(accessLog, *slowReq)
-	}
-	// The tracer's slow threshold follows -slow-request, so the tail
-	// sampler retains exactly the traces the slow-request log warns about.
+	// The tracer is the slow-request log: it retains the traces it warns
+	// about, so each logged trace_id resolves at /debug/traces.
 	var tracer *trace.Tracer
-	if *traceOn {
+	if *traceOn || *slowReq > 0 {
 		tracer = trace.New(trace.Options{
 			Slow:        *slowReq,
+			Logger:      accessLog,
 			SampleEvery: *traceSample,
 			Retain:      *traceRetain,
 			Obs:         reg,
@@ -262,15 +256,14 @@ func run(args []string) error {
 		log.Printf("examserver: tracing enabled (slow=%s sample=1/%d retain=%d)", *slowReq, *traceSample, *traceRetain)
 	}
 	handler := httpapi.NewServer(engine, store, httpapi.Options{
-		Logger:      accessLog,
-		SlowRequest: *slowReq,
-		Obs:         reg,
-		RatePerSec:  *rate,
-		Burst:       *burst,
-		Adaptive:    cat,
-		Events:      bus,
-		LiveStats:   live,
-		Tracer:      tracer,
+		Logger:     accessLog,
+		Obs:        reg,
+		RatePerSec: *rate,
+		Burst:      *burst,
+		Adaptive:   cat,
+		Events:     bus,
+		LiveStats:  live,
+		Tracer:     tracer,
 	})
 	if *rate > 0 {
 		log.Printf("examserver: per-learner rate limiting at %.1f req/s (burst %d)", *rate, *burst)
@@ -329,8 +322,8 @@ func run(args []string) error {
 		ReadTimeout:  *readTimeout,
 		WriteTimeout: *writeTimeout,
 	}
-	log.Printf("examserver: serving %d problem(s), exams %v on %s (%s backend)",
-		store.ProblemCount(), exams, *addr, *backend)
+	log.Printf("examserver: serving %d problem(s), exams %v on %s",
+		store.ProblemCount(), exams, *addr)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()

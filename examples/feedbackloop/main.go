@@ -23,8 +23,8 @@ func main() {
 }
 
 func run() error {
-	// The fix-the-question loop (update + revision history) works the same
-	// over the sharded backend as over the reference store.
+	// The fix-the-question loop (update + revision history) runs over the
+	// sharded backend.
 	pipe := core.NewWith(bank.NewSharded(0))
 	concepts := cognition.NumberedConcepts(3)
 

@@ -23,7 +23,7 @@ func main() {
 
 func run() error {
 	// Any bank.Storage backend plugs into the pipeline; the sharded store
-	// is the production choice (core.New() gives the reference store).
+	// is the production choice (core.New() gives a single-shard one).
 	pipe := core.NewWith(bank.NewSharded(0))
 
 	// 1. Author problems: a spread of styles, concepts and Bloom levels.

@@ -39,8 +39,7 @@ import (
 
 // authorCourse builds a bank with 8 problems over 2 concepts and one exam.
 // It authors over the sharded backend so every integration path below runs
-// on the production storage arrangement (the reference Store is covered by
-// the bank package's conformance suite).
+// on the production storage arrangement.
 func authorCourse(t *testing.T) (bank.Storage, string) {
 	t.Helper()
 	return authorCourseInto(t, bank.NewSharded(8))
@@ -297,29 +296,29 @@ func TestExchangeRoundTrip(t *testing.T) {
 func TestResultPersistenceAcrossPipeline(t *testing.T) {
 	store, examID := authorCourse(t)
 	engine := delivery.NewEngine(store, nil, 0)
-	sess, err := engine.Start(examID, "solo", 1)
+	sess, err := engine.Start(context.Background(), examID, "solo", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pid := range sess.Order {
-		if err := engine.Answer(sess.ID, pid, "A"); err != nil {
+		if err := engine.Answer(context.Background(), sess.ID, pid, "A"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := engine.Finish(sess.ID); err != nil {
+	if _, err := engine.Finish(context.Background(), sess.ID); err != nil {
 		t.Fatal(err)
 	}
 	// A single student cannot be split; add a weaker second sitting.
-	sess2, err := engine.Start(examID, "second", 1)
+	sess2, err := engine.Start(context.Background(), examID, "second", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pid := range sess2.Order {
-		if err := engine.Answer(sess2.ID, pid, "B"); err != nil {
+		if err := engine.Answer(context.Background(), sess2.ID, pid, "B"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := engine.Finish(sess2.ID); err != nil {
+	if _, err := engine.Finish(context.Background(), sess2.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -376,7 +375,7 @@ func TestJournaledDeliveryAcrossRestart(t *testing.T) {
 
 	engine := delivery.NewEngine(reopened, nil, 0)
 	for s := 0; s < 2; s++ {
-		sess, err := engine.Start(examID, fmt.Sprintf("r%d", s), int64(s))
+		sess, err := engine.Start(context.Background(), examID, fmt.Sprintf("r%d", s), int64(s))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,11 +384,11 @@ func TestJournaledDeliveryAcrossRestart(t *testing.T) {
 			if qi <= s*4 {
 				opt = "A"
 			}
-			if err := engine.Answer(sess.ID, pid, opt); err != nil {
+			if err := engine.Answer(context.Background(), sess.ID, pid, opt); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := engine.Finish(sess.ID); err != nil {
+		if _, err := engine.Finish(context.Background(), sess.ID); err != nil {
 			t.Fatal(err)
 		}
 	}

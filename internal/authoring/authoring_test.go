@@ -15,7 +15,7 @@ import (
 
 // bankWith builds a store holding `perCell` problems for every concept in
 // conceptIDs at every given level.
-func bankWith(t *testing.T, conceptIDs []string, levels []cognition.Level, perCell int) *bank.Store {
+func bankWith(t *testing.T, conceptIDs []string, levels []cognition.Level, perCell int) *bank.Sharded {
 	t.Helper()
 	s := bank.New()
 	n := 0

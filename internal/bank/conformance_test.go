@@ -1,9 +1,9 @@
 package bank
 
-// Shared conformance suite: every Storage backend — the reference Store, the
-// sharded store, and a Journal over either — must expose identical
-// behaviour. New backends plug into storageBackends and inherit the whole
-// suite.
+// Shared conformance suite: every Storage backend — New's single-shard
+// store ("reference"), the sharded store, and a Journal over either — must
+// expose identical behaviour. New backends plug into storageBackends and
+// inherit the whole suite.
 
 import (
 	"errors"

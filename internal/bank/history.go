@@ -1,10 +1,6 @@
 package bank
 
-import (
-	"fmt"
-
-	"mineassess/internal/item"
-)
+import "mineassess/internal/item"
 
 // Revision history: the paper's cycle has instructors fixing problematic
 // questions after each analysis ("Teachers can see the analysis of test
@@ -16,51 +12,4 @@ type Revision struct {
 	// Version counts from 1 (the original).
 	Version int
 	Problem *item.Problem
-}
-
-// historyStore augments Store with version tracking. It is embedded in the
-// Store itself to keep one lock discipline.
-
-// History returns a problem's superseded versions, oldest first, as deep
-// copies. A problem that was never updated has no history.
-func (s *Store) History(id string) []Revision {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	revs := s.history[id]
-	out := make([]Revision, len(revs))
-	for i, r := range revs {
-		out[i] = Revision{Version: r.Version, Problem: r.Problem.Clone()}
-	}
-	return out
-}
-
-// Rollback restores the most recent superseded version of a problem,
-// pushing the current version onto the history (so rollback itself can be
-// rolled back). It fails when there is no history.
-func (s *Store) Rollback(id string) (*item.Problem, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur, ok := s.problems[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrProblemNotFound, id)
-	}
-	revs := s.history[id]
-	if len(revs) == 0 {
-		return nil, fmt.Errorf("bank: problem %s has no history to roll back", id)
-	}
-	last := revs[len(revs)-1]
-	s.history[id] = append(revs[:len(revs)-1], Revision{
-		Version: last.Version + 1,
-		Problem: cur,
-	})
-	s.problems[id] = last.Problem
-	return last.Problem.Clone(), nil
-}
-
-// Version returns the problem's current version number (1 for never
-// updated).
-func (s *Store) Version(id string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.history[id]) + 1
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"runtime"
 	"sync"
@@ -67,9 +66,9 @@ type walSink interface {
 }
 
 // Journal adds write-ahead durability to any Storage backend. Instead of
-// rewriting the whole bank file on every change (the reference Store's Save
-// is O(bank)), each mutation appends one JSON line to a WAL; reopening the
-// journal replays snapshot + WAL to rebuild the backend. Once CompactEvery
+// rewriting the whole bank file on every change (Save is O(bank)), each
+// mutation appends one JSON line to a WAL; reopening the journal replays
+// snapshot + WAL to rebuild the backend. Once CompactEvery
 // mutations accumulate, the journal folds the WAL into a fresh snapshot and
 // truncates it, bounding both recovery time and log growth.
 //
@@ -158,21 +157,6 @@ type Journal struct {
 	mWALBytes   *obs.Counter   // bytes appended to the WAL
 	mCompacts   *obs.Counter   // compaction passes
 	mCompactDur *obs.Histogram // compaction pass duration
-
-	// slowOps warns about commits that exceed the configured threshold
-	// (see SetSlowOpLog); the zero value is disabled.
-	slowOps obs.SlowOpLog
-}
-
-// SetSlowOpLog arms the journal's slow-commit log: mutations whose
-// apply-to-durable-ack latency reaches threshold emit a Warn record
-// through logger, tagged layer=wal with the WAL op name. The journal has
-// no request context, so the line carries no request ID — correlate with
-// the engine layer's slow-op line (which does) by timestamp; the engine
-// line's duration includes this commit. A nil logger or non-positive
-// threshold disables it.
-func (j *Journal) SetSlowOpLog(logger *slog.Logger, threshold time.Duration) {
-	j.slowOps.Configure(logger, "wal", threshold)
 }
 
 // The epoch counts compactions. Every WAL record carries the epoch it was
@@ -497,19 +481,15 @@ func ignoreRedo(err, redo error) error {
 // the apply result — goes through this one function, so the protocol
 // (closed check, apply, enqueue, commit wait) cannot drift between
 // operations. apply returns the record to journal.
-func (j *Journal) mutate(apply func() (walRecord, error)) error {
-	return j.mutateCtx(context.Background(), apply)
-}
-
-// mutateCtx is mutate with a request context. When ctx carries a trace
-// span, the commit records a "wal.commit" child annotated with the WAL op,
-// sync policy and the batch size the committer coalesced it into, plus
-// retroactive enqueue-wait / batch-wait / fsync phase children rebuilt from
-// the timestamps the committer stamped on the ack — the committer goroutine
-// itself never touches the trace, so the single-writer WAL pipeline stays
-// trace-free. Untraced calls take the exact pre-trace path: one nil check.
-func (j *Journal) mutateCtx(ctx context.Context, apply func() (walRecord, error)) error {
-	slowT := j.slowOps.Begin()
+//
+// When ctx carries a trace span, the commit records a "wal.commit" child
+// annotated with the WAL op, sync policy and the batch size the committer
+// coalesced it into, plus retroactive enqueue-wait / batch-wait / fsync
+// phase children rebuilt from the timestamps the committer stamped on the
+// ack — the committer goroutine itself never touches the trace, so the
+// single-writer WAL pipeline stays trace-free. Untraced calls take the
+// exact pre-trace path: one nil check.
+func (j *Journal) mutate(ctx context.Context, apply func() (walRecord, error)) error {
 	span := trace.FromContext(ctx).Child("wal.commit")
 	var start time.Time
 	if j.mCommit != nil {
@@ -576,7 +556,6 @@ func (j *Journal) mutateCtx(ctx context.Context, apply func() (walRecord, error)
 		}
 	}
 	span.End()
-	j.slowOps.Done(ctx, rec.Op, rec.ID, slowT)
 	return p.err
 }
 
@@ -979,7 +958,7 @@ func (j *Journal) AddProblem(p *item.Problem) error {
 // AddProblemCtx is AddProblem carrying a request context so a traced
 // request's span tree gains the wal.commit span and its phase children.
 func (j *Journal) AddProblemCtx(ctx context.Context, p *item.Problem) error {
-	return j.mutateCtx(ctx, func() (walRecord, error) {
+	return j.mutate(ctx, func() (walRecord, error) {
 		if err := j.backend.AddProblem(p); err != nil {
 			return walRecord{}, err
 		}
@@ -989,7 +968,7 @@ func (j *Journal) AddProblemCtx(ctx context.Context, p *item.Problem) error {
 
 // UpdateProblem replaces the stored problem and journals the change.
 func (j *Journal) UpdateProblem(p *item.Problem) error {
-	return j.mutate(func() (walRecord, error) {
+	return j.mutate(context.Background(), func() (walRecord, error) {
 		if err := j.backend.UpdateProblem(p); err != nil {
 			return walRecord{}, err
 		}
@@ -999,7 +978,7 @@ func (j *Journal) UpdateProblem(p *item.Problem) error {
 
 // DeleteProblem removes the problem and journals the deletion.
 func (j *Journal) DeleteProblem(id string) error {
-	return j.mutate(func() (walRecord, error) {
+	return j.mutate(context.Background(), func() (walRecord, error) {
 		if err := j.backend.DeleteProblem(id); err != nil {
 			return walRecord{}, err
 		}
@@ -1009,7 +988,7 @@ func (j *Journal) DeleteProblem(id string) error {
 
 // AddExam stores the exam and journals it.
 func (j *Journal) AddExam(e *ExamRecord) error {
-	return j.mutate(func() (walRecord, error) {
+	return j.mutate(context.Background(), func() (walRecord, error) {
 		if err := j.backend.AddExam(e); err != nil {
 			return walRecord{}, err
 		}
@@ -1024,7 +1003,7 @@ func (j *Journal) putExamUnchecked(e *ExamRecord) error {
 	if !ok {
 		return j.AddExam(e)
 	}
-	return j.mutate(func() (walRecord, error) {
+	return j.mutate(context.Background(), func() (walRecord, error) {
 		if err := putter.putExamUnchecked(e); err != nil {
 			return walRecord{}, err
 		}
@@ -1034,7 +1013,7 @@ func (j *Journal) putExamUnchecked(e *ExamRecord) error {
 
 // UpdateExam replaces the stored exam record and journals the change.
 func (j *Journal) UpdateExam(e *ExamRecord) error {
-	return j.mutate(func() (walRecord, error) {
+	return j.mutate(context.Background(), func() (walRecord, error) {
 		if err := j.backend.UpdateExam(e); err != nil {
 			return walRecord{}, err
 		}
@@ -1044,7 +1023,7 @@ func (j *Journal) UpdateExam(e *ExamRecord) error {
 
 // DeleteExam removes the exam and journals the deletion.
 func (j *Journal) DeleteExam(id string) error {
-	return j.mutate(func() (walRecord, error) {
+	return j.mutate(context.Background(), func() (walRecord, error) {
 		if err := j.backend.DeleteExam(id); err != nil {
 			return walRecord{}, err
 		}
@@ -1061,7 +1040,7 @@ func (j *Journal) PutAdaptiveSession(rec *AdaptiveSessionRecord) error {
 // the CAT engine's persist step uses it (via an interface probe) so the
 // WAL commit parents under the respond/finish span.
 func (j *Journal) PutAdaptiveSessionCtx(ctx context.Context, rec *AdaptiveSessionRecord) error {
-	return j.mutateCtx(ctx, func() (walRecord, error) {
+	return j.mutate(ctx, func() (walRecord, error) {
 		if err := j.backend.PutAdaptiveSession(rec); err != nil {
 			return walRecord{}, err
 		}
@@ -1071,7 +1050,7 @@ func (j *Journal) PutAdaptiveSessionCtx(ctx context.Context, rec *AdaptiveSessio
 
 // DeleteAdaptiveSession removes the record and journals the deletion.
 func (j *Journal) DeleteAdaptiveSession(id string) error {
-	return j.mutate(func() (walRecord, error) {
+	return j.mutate(context.Background(), func() (walRecord, error) {
 		if err := j.backend.DeleteAdaptiveSession(id); err != nil {
 			return walRecord{}, err
 		}
@@ -1084,7 +1063,7 @@ func (j *Journal) DeleteAdaptiveSession(id string) error {
 // even when an intervening compaction folded the history away.
 func (j *Journal) Rollback(id string) (*item.Problem, error) {
 	var p *item.Problem
-	err := j.mutate(func() (walRecord, error) {
+	err := j.mutate(context.Background(), func() (walRecord, error) {
 		var rerr error
 		p, rerr = j.backend.Rollback(id)
 		if rerr != nil {

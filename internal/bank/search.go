@@ -1,7 +1,6 @@
 package bank
 
 import (
-	"sort"
 	"strings"
 
 	"mineassess/internal/cognition"
@@ -31,23 +30,6 @@ type Query struct {
 	MinDiscrimination float64
 	// Limit caps the result count; 0 means no cap.
 	Limit int
-}
-
-// Search returns copies of matching problems ordered by ID for determinism.
-func (s *Store) Search(q Query) []*item.Problem {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []*item.Problem
-	for _, id := range s.problemIDsLocked() {
-		p := s.problems[id]
-		if q.matches(p) {
-			out = append(out, p.Clone())
-			if q.Limit > 0 && len(out) >= q.Limit {
-				break
-			}
-		}
-	}
-	return out
 }
 
 func (q Query) matches(p *item.Problem) bool {
@@ -100,33 +82,4 @@ func keywordMatch(p *item.Problem, kw string) bool {
 		}
 	}
 	return false
-}
-
-// Subjects returns the distinct subjects present in the bank, sorted.
-func (s *Store) Subjects() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seen := make(map[string]struct{})
-	for _, p := range s.problems {
-		if p.Subject != "" {
-			seen[p.Subject] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for subj := range seen {
-		out = append(out, subj)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CountByStyle tallies stored problems per style.
-func (s *Store) CountByStyle() map[item.Style]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[item.Style]int)
-	for _, p := range s.problems {
-		out[p.Style]++
-	}
-	return out
 }

@@ -14,7 +14,7 @@ func writeFile(path, content string) error {
 
 // seededStore builds a bank with a spread of subjects, styles, levels and
 // measured indices.
-func seededStore(t *testing.T) *Store {
+func seededStore(t *testing.T) *Sharded {
 	t.Helper()
 	s := New()
 	add := func(p *item.Problem) {

@@ -8,24 +8,26 @@ import (
 	"sync"
 
 	"mineassess/internal/item"
+	"mineassess/internal/shardmap"
 )
 
 // DefaultShards is the shard count NewSharded uses when given n <= 0.
 const DefaultShards = 32
 
-// Sharded is the high-concurrency bank backend: records are spread over N
-// shards keyed by FNV-1a hash of their ID, each shard guarded by its own
-// RWMutex, so writers to unrelated IDs never contend and readers proceed in
-// parallel with each other. Cross-shard views (ProblemIDs, Search, Save)
-// lock one shard at a time — there is no stop-the-world lock anywhere.
+// Sharded is the in-memory bank backend: records are spread over N shards
+// keyed by FNV-1a hash of their ID (shardmap.Index), each shard guarded by
+// its own RWMutex, so writers to unrelated IDs never contend and readers
+// proceed in parallel with each other. Cross-shard views (ProblemIDs,
+// Search, Save) lock one shard at a time — there is no stop-the-world lock
+// anywhere.
 //
-// Consistency note: operations touching a single ID are as atomic as on the
-// reference Store. AddExam's referenced-problem validation spans shards and
-// is checked without a global lock, so a problem deleted concurrently with
-// AddExam may leave a dangling reference — the same window LMS replicas
-// have in any distributed deployment. A dangling exam persists and reloads
-// but is not servable: delivery.Engine.Start errors on the missing problem
-// until it is restored or the exam record is replaced.
+// Consistency note: operations touching a single ID are atomic. AddExam's
+// referenced-problem validation spans shards and is checked without a
+// global lock, so a problem deleted concurrently with AddExam may leave a
+// dangling reference — the same window LMS replicas have in any
+// distributed deployment. A dangling exam persists and reloads but is not
+// servable: delivery.Engine.Start errors on the missing problem until it
+// is restored or the exam record is replaced.
 type Sharded struct {
 	shards []bankShard
 }
@@ -58,7 +60,7 @@ func NewSharded(n int) *Sharded {
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
 func (s *Sharded) shard(id string) *bankShard {
-	return &s.shards[shardIndex(id, len(s.shards))]
+	return &s.shards[shardmap.Index(id, len(s.shards))]
 }
 
 // AddProblem validates and stores a copy of the problem.
@@ -202,9 +204,9 @@ func (s *Sharded) putExamUnchecked(e *ExamRecord) error {
 
 // UpdateExam replaces an existing exam record after the same cross-shard
 // reference validation as AddExam (and with the same concurrent-delete
-// window; see the type comment). Preconditions are checked in the same
-// order as Store.UpdateExam — exam existence before problem references —
-// so every backend reports the same sentinel for the same bad input.
+// window; see the type comment). Exam existence is checked before problem
+// references, so an unknown exam reports ErrExamNotFound whatever it
+// references.
 func (s *Sharded) UpdateExam(e *ExamRecord) error {
 	sh := s.shard(e.ID)
 	sh.mu.RLock()

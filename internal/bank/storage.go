@@ -12,9 +12,9 @@ import (
 )
 
 // Storage is the problem & exam database contract. The engine, the authoring
-// tools and the CLIs program against this interface; *Store is the reference
-// implementation and *Sharded the high-concurrency one. A *Journal wraps
-// either with write-ahead durability.
+// tools and the CLIs program against this interface; *Sharded is the
+// in-memory implementation (New gives the single-shard profile) and a
+// *Journal wraps it with write-ahead durability.
 //
 // All implementations copy on the way in and on the way out: callers never
 // share memory with the store, so a returned problem can be mutated freely.
@@ -58,26 +58,12 @@ type Storage interface {
 
 // Compile-time conformance of the built-in backends.
 var (
-	_ Storage = (*Store)(nil)
 	_ Storage = (*Sharded)(nil)
 	_ Storage = (*Journal)(nil)
 )
 
-// shardIndex maps an ID onto one of n shards with FNV-1a, inlined so the
-// hot path allocates nothing. The delivery engine's session registry uses
-// the same scheme (its own copy — packages don't share unexported helpers)
-// so hot-key behaviour is predictable across layers.
-func shardIndex(id string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return int(h % uint32(n))
-}
-
 // WriteSnapshot exports any Storage as a bank JSON file (the same format
-// Store.Save writes and Load reads). The write goes through a temp file +
+// Save writes and Load reads). The write goes through a temp file +
 // rename so readers never observe a torn snapshot. The scan takes no
 // scan-wide lock on any backend, so concurrent mutations interleave: a
 // record deleted between the ID listing and the fetch is omitted, and the
@@ -257,23 +243,10 @@ func loadSnapshot(snap *snapshot, dst Storage) error {
 	return nil
 }
 
-// NewBackend constructs an in-memory backend by name: "memory" (or empty)
-// for the reference Store, "sharded" for the sharded store. The single
-// registry of backend names — CLIs resolve their -backend flags here.
-func NewBackend(name string, shards int) (Storage, error) {
-	switch name {
-	case "", "memory":
-		return New(), nil
-	case "sharded":
-		return NewSharded(shards), nil
-	default:
-		return nil, fmt.Errorf("bank: unknown backend %q (memory or sharded)", name)
-	}
-}
-
 // Options selects a storage backend for Open.
 type Options struct {
-	// Backend is "memory" (the reference Store, default) or "sharded".
+	// Backend names the in-memory backend; "" and "sharded" both select
+	// the sharded store, the only one there is.
 	Backend string
 	// Shards is the sharded backend's shard count; 0 means DefaultShards.
 	Shards int
@@ -302,10 +275,10 @@ type Options struct {
 // seed. Without a journal, the bank file is loaded directly (a missing path
 // errors, matching Load).
 func Open(path string, o Options) (Storage, error) {
-	backend, err := NewBackend(o.Backend, o.Shards)
-	if err != nil {
-		return nil, err
+	if o.Backend != "" && o.Backend != "sharded" {
+		return nil, fmt.Errorf("bank: unknown backend %q (want sharded)", o.Backend)
 	}
+	backend := NewSharded(o.Shards)
 	if o.Journal == "" {
 		if err := LoadInto(path, backend); err != nil {
 			return nil, err

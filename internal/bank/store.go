@@ -7,10 +7,6 @@ package bank
 
 import (
 	"errors"
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"mineassess/internal/item"
 	"mineassess/internal/simulate"
@@ -66,204 +62,10 @@ type ExamGroup struct {
 	ProblemIDs []string `json:"problemIds"`
 }
 
-// Store is the in-memory database. The zero value is not usable; call New.
-type Store struct {
-	mu       sync.RWMutex
-	problems map[string]*item.Problem
-	exams    map[string]*ExamRecord
-	// history keeps superseded problem versions, oldest first (see
-	// history.go).
-	history map[string][]Revision
-	// adaptive holds live and finished adaptive-session records keyed by
-	// session ID (see adaptive_record.go).
-	adaptive map[string]*AdaptiveSessionRecord
-}
-
-// New returns an empty store.
-func New() *Store {
-	return &Store{
-		problems: make(map[string]*item.Problem),
-		exams:    make(map[string]*ExamRecord),
-		history:  make(map[string][]Revision),
-		adaptive: make(map[string]*AdaptiveSessionRecord),
-	}
-}
-
-// AddProblem validates and stores a copy of the problem.
-func (s *Store) AddProblem(p *item.Problem) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.problems[p.ID]; dup {
-		return fmt.Errorf("%w: %s", ErrProblemExists, p.ID)
-	}
-	s.problems[p.ID] = p.Clone()
-	return nil
-}
-
-// UpdateProblem replaces an existing problem ("fix problematic questions").
-func (s *Store) UpdateProblem(p *item.Problem) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old, ok := s.problems[p.ID]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrProblemNotFound, p.ID)
-	}
-	s.history[p.ID] = append(s.history[p.ID], Revision{
-		Version: len(s.history[p.ID]) + 1,
-		Problem: old,
-	})
-	s.problems[p.ID] = p.Clone()
-	return nil
-}
-
-// Problem returns a copy of the stored problem.
-func (s *Store) Problem(id string) (*item.Problem, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	p, ok := s.problems[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrProblemNotFound, id)
-	}
-	return p.Clone(), nil
-}
-
-// DeleteProblem removes a problem ("eliminate" advice of Table 3).
-func (s *Store) DeleteProblem(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.problems[id]; !ok {
-		return fmt.Errorf("%w: %s", ErrProblemNotFound, id)
-	}
-	delete(s.problems, id)
-	delete(s.history, id)
-	return nil
-}
-
-// ProblemCount returns the number of stored problems.
-func (s *Store) ProblemCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.problems)
-}
-
-// ProblemIDs returns all problem IDs, sorted.
-func (s *Store) ProblemIDs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]string, 0, len(s.problems))
-	for id := range s.problems {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Problems returns copies of the identified problems, erroring on the first
-// missing ID.
-func (s *Store) Problems(ids []string) ([]*item.Problem, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]*item.Problem, 0, len(ids))
-	for _, id := range ids {
-		p, ok := s.problems[id]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrProblemNotFound, id)
-		}
-		out = append(out, p.Clone())
-	}
-	return out, nil
-}
-
-// AddExam stores a copy of the exam record after checking that every
-// referenced problem exists.
-func (s *Store) AddExam(e *ExamRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, pid := range e.ProblemIDs {
-		if _, ok := s.problems[pid]; !ok {
-			return fmt.Errorf("bank: exam %s references %w: %s", e.ID, ErrProblemNotFound, pid)
-		}
-	}
-	return s.putExamLocked(e)
-}
-
-// putExamUnchecked stores the exam without reference validation — snapshot
-// loading only (see loadSnapshot).
-func (s *Store) putExamUnchecked(e *ExamRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.putExamLocked(e)
-}
-
-// putExamLocked is the shared insert core. Callers hold s.mu.
-func (s *Store) putExamLocked(e *ExamRecord) error {
-	if strings.TrimSpace(e.ID) == "" {
-		return errors.New("bank: exam ID must not be empty")
-	}
-	if _, dup := s.exams[e.ID]; dup {
-		return fmt.Errorf("%w: %s", ErrExamExists, e.ID)
-	}
-	s.exams[e.ID] = cloneExam(e)
-	return nil
-}
-
-// UpdateExam replaces an existing exam record after checking that every
-// referenced problem exists (recalibration passes rewrite ItemParams this
-// way).
-func (s *Store) UpdateExam(e *ExamRecord) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.exams[e.ID]; !ok {
-		return fmt.Errorf("%w: %s", ErrExamNotFound, e.ID)
-	}
-	for _, pid := range e.ProblemIDs {
-		if _, ok := s.problems[pid]; !ok {
-			return fmt.Errorf("bank: exam %s references %w: %s", e.ID, ErrProblemNotFound, pid)
-		}
-	}
-	s.exams[e.ID] = cloneExam(e)
-	return nil
-}
-
-// Exam returns a copy of the stored exam record.
-func (s *Store) Exam(id string) (*ExamRecord, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.exams[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrExamNotFound, id)
-	}
-	return cloneExam(e), nil
-}
-
-// DeleteExam removes an exam record.
-func (s *Store) DeleteExam(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.exams[id]; !ok {
-		return fmt.Errorf("%w: %s", ErrExamNotFound, id)
-	}
-	delete(s.exams, id)
-	return nil
-}
-
-// ExamIDs returns all exam IDs, sorted.
-func (s *Store) ExamIDs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]string, 0, len(s.exams))
-	for id := range s.exams {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
+// New returns an empty single-shard store: one lock over the whole bank,
+// the simplest profile (and the contention baseline E18 measures). Use
+// NewSharded for a high-concurrency bank.
+func New() *Sharded { return NewSharded(1) }
 
 func cloneExam(e *ExamRecord) *ExamRecord {
 	cp := *e
@@ -284,53 +86,6 @@ func cloneExam(e *ExamRecord) *ExamRecord {
 	return &cp
 }
 
-// PutAdaptiveSession stores (or replaces) an adaptive-session record.
-// Upsert semantics: the catdelivery engine persists the session after every
-// mutation, and replays may legitimately land on an existing record.
-func (s *Store) PutAdaptiveSession(rec *AdaptiveSessionRecord) error {
-	if err := rec.validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.adaptive[rec.ID] = cloneAdaptive(rec)
-	return nil
-}
-
-// AdaptiveSession returns a copy of the stored adaptive-session record.
-func (s *Store) AdaptiveSession(id string) (*AdaptiveSessionRecord, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rec, ok := s.adaptive[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrAdaptiveSessionNotFound, id)
-	}
-	return cloneAdaptive(rec), nil
-}
-
-// DeleteAdaptiveSession removes an adaptive-session record.
-func (s *Store) DeleteAdaptiveSession(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.adaptive[id]; !ok {
-		return fmt.Errorf("%w: %s", ErrAdaptiveSessionNotFound, id)
-	}
-	delete(s.adaptive, id)
-	return nil
-}
-
-// AdaptiveSessionIDs returns all adaptive-session IDs, sorted.
-func (s *Store) AdaptiveSessionIDs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]string, 0, len(s.adaptive))
-	for id := range s.adaptive {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // snapshot is the JSON persistence format.
 type snapshot struct {
 	Problems []*item.Problem `json:"problems"`
@@ -343,48 +98,9 @@ type snapshot struct {
 	WalEpoch int64 `json:"walEpoch,omitempty"`
 }
 
-// Save writes the whole store to path as JSON. The scan holds the store
-// lock, so the snapshot is a point-in-time serialization; the write itself
-// is atomic (temp file + fsync + rename).
-func (s *Store) Save(path string) error {
-	s.mu.RLock()
-	snap := snapshot{}
-	for _, id := range s.problemIDsLocked() {
-		snap.Problems = append(snap.Problems, s.problems[id])
-	}
-	examIDs := make([]string, 0, len(s.exams))
-	for id := range s.exams {
-		examIDs = append(examIDs, id)
-	}
-	sort.Strings(examIDs)
-	for _, id := range examIDs {
-		snap.Exams = append(snap.Exams, s.exams[id])
-	}
-	sessIDs := make([]string, 0, len(s.adaptive))
-	for id := range s.adaptive {
-		sessIDs = append(sessIDs, id)
-	}
-	sort.Strings(sessIDs)
-	for _, id := range sessIDs {
-		snap.AdaptiveSessions = append(snap.AdaptiveSessions, s.adaptive[id])
-	}
-	s.mu.RUnlock()
-	_, err := writeSnapshotFile(&snap, path)
-	return err
-}
-
-func (s *Store) problemIDsLocked() []string {
-	ids := make([]string, 0, len(s.problems))
-	for id := range s.problems {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // Load reads a store previously written by Save. Every problem is
 // re-validated on the way in.
-func Load(path string) (*Store, error) {
+func Load(path string) (*Sharded, error) {
 	s := New()
 	if err := LoadInto(path, s); err != nil {
 		return nil, err

@@ -8,12 +8,13 @@
 // max items administered, or pool exhausted).
 //
 // Architecture mirrors internal/delivery: sessions live in a sharded
-// registry with per-session locks, captures flow into a delivery.Monitor,
-// and unrelated learners never contend. Unlike fixed-form sessions, every
-// adaptive session is persisted to the bank.Storage after each mutation
-// (bank.AdaptiveSessionRecord), so with a journaled bank a mid-test crash
-// resumes exactly where the learner stopped: the response stream re-derives
-// theta/SE and item selection is re-seeded deterministically.
+// registry (internal/shardmap) with per-session locks, captures flow into
+// a delivery.Monitor, and unrelated learners never contend. Unlike
+// fixed-form sessions, every adaptive session is persisted to the
+// bank.Storage after each mutation (bank.AdaptiveSessionRecord), so with
+// a journaled bank a mid-test crash resumes exactly where the learner
+// stopped: the response stream re-derives theta/SE and item selection is
+// re-seeded deterministically.
 //
 // Finished sessions drain into a ResponseLog — the calibration feedback
 // loop's collection point. Recalibrate folds the logged responses back into
@@ -27,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,7 +39,7 @@ import (
 	"mineassess/internal/delivery"
 	"mineassess/internal/events"
 	"mineassess/internal/item"
-	"mineassess/internal/obs"
+	"mineassess/internal/shardmap"
 	"mineassess/internal/simulate"
 	"mineassess/internal/trace"
 )
@@ -214,73 +214,6 @@ const (
 	StopByCaller      = "finished-by-caller"
 )
 
-// registry is the sharded session index — the same pattern as
-// internal/delivery: shard locks guard only the maps, per-session state is
-// guarded by each session's own mutex.
-const registryShards = 32
-
-type registry struct {
-	shards []regShard
-}
-
-type regShard struct {
-	mu       sync.RWMutex
-	sessions map[string]*Session
-}
-
-func newRegistry() *registry {
-	r := &registry{shards: make([]regShard, registryShards)}
-	for i := range r.shards {
-		r.shards[i].sessions = make(map[string]*Session)
-	}
-	return r
-}
-
-func fnvShard(id string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return int(h % uint32(n))
-}
-
-func (r *registry) get(id string) (*Session, error) {
-	sh := &r.shards[fnvShard(id, len(r.shards))]
-	sh.mu.RLock()
-	s, ok := sh.sessions[id]
-	sh.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrSessionNotFound, id)
-	}
-	return s, nil
-}
-
-func (r *registry) put(s *Session) {
-	sh := &r.shards[fnvShard(s.ID, len(r.shards))]
-	sh.mu.Lock()
-	sh.sessions[s.ID] = s
-	sh.mu.Unlock()
-}
-
-func (r *registry) delete(id string) {
-	sh := &r.shards[fnvShard(id, len(r.shards))]
-	sh.mu.Lock()
-	delete(sh.sessions, id)
-	sh.mu.Unlock()
-}
-
-func (r *registry) count() int {
-	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		n += len(sh.sessions)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
 // examExposure tracks per-exam administration counts for exposure control.
 type examExposure struct {
 	starts int
@@ -292,7 +225,7 @@ type examExposure struct {
 // NewEngine), so a restarted server carries live CAT sittings forward.
 type Engine struct {
 	store    bank.Storage
-	registry *registry
+	sessions *shardmap.Map[*Session]
 	monitor  *delivery.Monitor
 	now      func() time.Time
 	nextID   atomic.Int64
@@ -317,10 +250,6 @@ type Engine struct {
 	recalMu sync.Mutex
 
 	restoreSkipped int // sessions NewEngine could not rehydrate
-
-	// slowOps logs engine operations that exceed the configured threshold
-	// (see SetSlowOpLog); disabled it costs one atomic load per Ctx call.
-	slowOps obs.SlowOpLog
 }
 
 // NewEngine builds an adaptive engine over the storage and restores every
@@ -335,7 +264,7 @@ func NewEngine(store bank.Storage, now func() time.Time, monitorCapacity int) (*
 	}
 	e := &Engine{
 		store:    store,
-		registry: newRegistry(),
+		sessions: shardmap.New[*Session](delivery.DefaultSessionShards),
 		monitor:  delivery.NewMonitor(monitorCapacity),
 		now:      now,
 		log:      NewResponseLog(),
@@ -380,12 +309,12 @@ func (e *Engine) Monitor() *delivery.Monitor { return e.monitor }
 func (e *Engine) ResponseLog() *ResponseLog { return e.log }
 
 // SessionCount returns the number of registered sessions (any state).
-func (e *Engine) SessionCount() int { return e.registry.count() }
+func (e *Engine) SessionCount() int { return e.sessions.Len() }
 
 // HasSession reports whether a session ID is registered.
 func (e *Engine) HasSession(id string) bool {
-	_, err := e.registry.get(id)
-	return err == nil
+	_, ok := e.sessions.Get(id)
+	return ok
 }
 
 // autoGradable reports whether a style can be scored without an instructor
@@ -426,12 +355,13 @@ func (e *Engine) loadPool(rec *bank.ExamRecord) ([]adaptive.PoolItem, map[string
 
 // Start opens a live adaptive session on a calibrated exam and hands out
 // the first item. seed drives item selection for the randomized selectors
-// (and tie-breaking determinism on restart).
-func (e *Engine) Start(examID, studentID string, cfg Config, seed int64) (*Session, *ItemView, error) {
-	return e.startCtx(context.Background(), examID, studentID, cfg, seed)
-}
-
-func (e *Engine) startCtx(ctx context.Context, examID, studentID string, cfg Config, seed int64) (*Session, *ItemView, error) {
+// (and tie-breaking determinism on restart). A traced ctx gains a cat.start
+// child span whose subtree includes the session persist (wal.commit) and
+// the adaptive.started bus publish; ctx does not cancel the operation.
+func (e *Engine) Start(ctx context.Context, examID, studentID string, cfg Config, seed int64) (_ *Session, _ *ItemView, err error) {
+	ctx, sp := trace.StartSpan(ctx, "cat.start")
+	sp.SetStr("exam.id", examID)
+	defer sp.EndErr(&err)
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -489,7 +419,7 @@ func (e *Engine) startCtx(ctx context.Context, examID, studentID string, cfg Con
 	if err := e.persistSession(ctx, rec); err != nil {
 		return nil, nil, err
 	}
-	e.registry.put(s)
+	e.sessions.Put(s.ID, s)
 	e.monitor.Capture(s.ID, e.now())
 	e.bus.PublishCtx(trace.Detach(ctx), events.Event{
 		Type: events.AdaptiveStarted, ExamID: examID, SessionID: s.ID,
@@ -705,9 +635,9 @@ func (s *Session) itemView(p *item.Problem) *ItemView {
 
 // lock looks up the session and returns it locked. The caller must Unlock.
 func (e *Engine) lock(id string) (*Session, error) {
-	s, err := e.registry.get(id)
-	if err != nil {
-		return nil, err
+	s, ok := e.sessions.Get(id)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrSessionNotFound, id)
 	}
 	s.mu.Lock()
 	return s, nil
@@ -730,12 +660,12 @@ func (e *Engine) NextItem(sessionID string) (*ItemView, error) {
 // SubmitResponse grades the learner's answer to the pending item,
 // re-estimates ability, applies the stopping rules, and either hands out
 // the next item or finishes the session. Every submission persists the
-// session record and triggers a monitor capture.
-func (e *Engine) SubmitResponse(sessionID, problemID, response string) (*Progress, error) {
-	return e.submitResponseCtx(context.Background(), sessionID, problemID, response)
-}
-
-func (e *Engine) submitResponseCtx(ctx context.Context, sessionID, problemID, response string) (*Progress, error) {
+// session record and triggers a monitor capture. A traced ctx gains a
+// cat.respond span.
+func (e *Engine) SubmitResponse(ctx context.Context, sessionID, problemID, response string) (_ *Progress, err error) {
+	ctx, sp := trace.StartSpan(ctx, "cat.respond")
+	sp.SetStr("problem.id", problemID)
+	defer sp.EndErr(&err)
 	s, err := e.lock(sessionID)
 	if err != nil {
 		return nil, err
@@ -862,12 +792,11 @@ func (s *Session) finishLocked(reason string) {
 }
 
 // Finish closes an adaptive session early (learner walked away) and returns
-// its outcome; finishing a finished session is idempotent.
-func (e *Engine) Finish(sessionID string) (*Outcome, error) {
-	return e.finishCtx(context.Background(), sessionID)
-}
-
-func (e *Engine) finishCtx(ctx context.Context, sessionID string) (*Outcome, error) {
+// its outcome; finishing a finished session is idempotent. A traced ctx
+// gains a cat.finish span.
+func (e *Engine) Finish(ctx context.Context, sessionID string) (_ *Outcome, err error) {
+	ctx, sp := trace.StartSpan(ctx, "cat.finish")
+	defer sp.EndErr(&err)
 	s, err := e.lock(sessionID)
 	if err != nil {
 		return nil, err
@@ -1031,7 +960,7 @@ func (e *Engine) restore(rec *bank.AdaptiveSessionRecord) error {
 			}
 		}
 	}
-	e.registry.put(s)
+	e.sessions.Put(s.ID, s)
 	return nil
 }
 
@@ -1063,8 +992,8 @@ func (e *Engine) PurgeFinished() (int, error) {
 	purged := 0
 	var errs []error
 	for _, id := range e.SessionIDs() {
-		s, err := e.registry.get(id)
-		if err != nil {
+		s, ok := e.sessions.Get(id)
+		if !ok {
 			continue // already purged concurrently
 		}
 		s.mu.Lock()
@@ -1075,7 +1004,7 @@ func (e *Engine) PurgeFinished() (int, error) {
 				s.mu.Unlock()
 				continue
 			}
-			e.registry.delete(id)
+			e.sessions.Delete(id)
 			e.monitor.Forget(id)
 			purged++
 		}
@@ -1086,16 +1015,4 @@ func (e *Engine) PurgeFinished() (int, error) {
 
 // SessionIDs returns every registered session ID, sorted (admin views and
 // tests).
-func (e *Engine) SessionIDs() []string {
-	var ids []string
-	for i := range e.registry.shards {
-		sh := &e.registry.shards[i]
-		sh.mu.RLock()
-		for id := range sh.sessions {
-			ids = append(ids, id)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(ids)
-	return ids
-}
+func (e *Engine) SessionIDs() []string { return e.sessions.Keys() }

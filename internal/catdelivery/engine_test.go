@@ -1,6 +1,7 @@
 package catdelivery
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -51,7 +52,7 @@ func calibratedExam(t *testing.T, store bank.Storage, examID string, n int, a, s
 // given true ability: correct answers submit "A", wrong ones "B".
 func answerAs(t *testing.T, e *Engine, examID, student string, truth float64, cfg Config, seed int64) *Outcome {
 	t.Helper()
-	s, first, err := e.Start(examID, student, cfg, seed)
+	s, first, err := e.Start(context.Background(), examID, student, cfg, seed)
 	if err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -67,7 +68,7 @@ func answerAs(t *testing.T, e *Engine, examID, student string, truth float64, cf
 		if rng.Float64() < params.ProbCorrect(truth) {
 			response = "A"
 		}
-		prog, err := e.SubmitResponse(s.ID, view.ProblemID, response)
+		prog, err := e.SubmitResponse(context.Background(), s.ID, view.ProblemID, response)
 		if err != nil {
 			t.Fatalf("submit %s: %v", view.ProblemID, err)
 		}
@@ -185,12 +186,12 @@ func TestAllCorrectAllIncorrectStreams(t *testing.T) {
 	}
 	for name, response := range map[string]string{"all-correct": "A", "all-incorrect": "B"} {
 		t.Run(name, func(t *testing.T) {
-			s, view, err := e.Start("pool", name, Config{MaxItems: 15}, 9)
+			s, view, err := e.Start(context.Background(), "pool", name, Config{MaxItems: 15}, 9)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for {
-				prog, err := e.SubmitResponse(s.ID, view.ProblemID, response)
+				prog, err := e.SubmitResponse(context.Background(), s.ID, view.ProblemID, response)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -226,41 +227,41 @@ func TestSubmitErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Start("ghost", "x", Config{}, 1); !errors.Is(err, bank.ErrExamNotFound) {
+	if _, _, err := e.Start(context.Background(), "ghost", "x", Config{}, 1); !errors.Is(err, bank.ErrExamNotFound) {
 		t.Errorf("unknown exam = %v", err)
 	}
-	if _, _, err := e.Start("pool", "x", Config{MaxItems: -1}, 1); !errors.Is(err, adaptive.ErrInvalidConfig) {
+	if _, _, err := e.Start(context.Background(), "pool", "x", Config{MaxItems: -1}, 1); !errors.Is(err, adaptive.ErrInvalidConfig) {
 		t.Errorf("bad config = %v", err)
 	}
-	if _, err := e.SubmitResponse("cat-999999", "q", "A"); !errors.Is(err, ErrSessionNotFound) {
+	if _, err := e.SubmitResponse(context.Background(), "cat-999999", "q", "A"); !errors.Is(err, ErrSessionNotFound) {
 		t.Errorf("unknown session = %v", err)
 	}
-	s, view, err := e.Start("pool", "erin", Config{MaxItems: 2}, 1)
+	s, view, err := e.Start(context.Background(), "pool", "erin", Config{MaxItems: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SubmitResponse(s.ID, "not-the-pending-item", "A"); !errors.Is(err, ErrItemNotPending) {
+	if _, err := e.SubmitResponse(context.Background(), s.ID, "not-the-pending-item", "A"); !errors.Is(err, ErrItemNotPending) {
 		t.Errorf("wrong item = %v", err)
 	}
-	prog, err := e.SubmitResponse(s.ID, view.ProblemID, "A")
+	prog, err := e.SubmitResponse(context.Background(), s.ID, view.ProblemID, "A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SubmitResponse(s.ID, view.ProblemID, "A"); !errors.Is(err, ErrItemNotPending) {
+	if _, err := e.SubmitResponse(context.Background(), s.ID, view.ProblemID, "A"); !errors.Is(err, ErrItemNotPending) {
 		t.Errorf("stale item = %v", err)
 	}
-	if _, err := e.SubmitResponse(s.ID, prog.Next.ProblemID, "A"); err != nil {
+	if _, err := e.SubmitResponse(context.Background(), s.ID, prog.Next.ProblemID, "A"); err != nil {
 		t.Fatal(err)
 	}
 	// Session is now finished (max-items 2).
-	if _, err := e.SubmitResponse(s.ID, "anything", "A"); !errors.Is(err, ErrSessionFinished) {
+	if _, err := e.SubmitResponse(context.Background(), s.ID, "anything", "A"); !errors.Is(err, ErrSessionFinished) {
 		t.Errorf("finished submit = %v", err)
 	}
 	if _, err := e.NextItem(s.ID); !errors.Is(err, ErrSessionFinished) {
 		t.Errorf("finished next = %v", err)
 	}
 	// Finish is idempotent and reports the recorded stop reason.
-	out, err := e.Finish(s.ID)
+	out, err := e.Finish(context.Background(), s.ID)
 	if err != nil || out.StopReason != StopMaxItems {
 		t.Errorf("finish after stop = %+v, %v", out, err)
 	}
@@ -282,7 +283,7 @@ func TestUncalibratedExamRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Start("plain", "x", Config{}, 1); !errors.Is(err, ErrNotCalibrated) {
+	if _, _, err := e.Start(context.Background(), "plain", "x", Config{}, 1); !errors.Is(err, ErrNotCalibrated) {
 		t.Errorf("uncalibrated start = %v, want ErrNotCalibrated", err)
 	}
 }
@@ -306,7 +307,7 @@ func TestExposureCapSpreadsItems(t *testing.T) {
 	for i := 0; i < sessions; i++ {
 		student := fmt.Sprintf("s%02d", i)
 		answerAs(t, e, "pool", student, 0, Config{MaxItems: 5, MaxExposure: 0.3}, int64(i))
-		_, first, err := uncapped.Start("pool", student, Config{MaxItems: 5}, int64(i))
+		_, first, err := uncapped.Start(context.Background(), "pool", student, Config{MaxItems: 5}, int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,15 +351,15 @@ func TestRestartRestoresActiveSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, view, err := e1.Start("pool", "frank", Config{MaxItems: 6, TargetSE: 0.1}, 21)
+	s, view, err := e1.Start(context.Background(), "pool", "frank", Config{MaxItems: 6, TargetSE: 0.1}, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := e1.SubmitResponse(s.ID, view.ProblemID, "A")
+	prog, err := e1.SubmitResponse(context.Background(), s.ID, view.ProblemID, "A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err = e1.SubmitResponse(s.ID, prog.Next.ProblemID, "B")
+	prog, err = e1.SubmitResponse(context.Background(), s.ID, prog.Next.ProblemID, "B")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestRestartRestoresActiveSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		prog, err := e2.SubmitResponse(s.ID, next.ProblemID, "A")
+		prog, err := e2.SubmitResponse(context.Background(), s.ID, next.ProblemID, "A")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +408,7 @@ func TestRestartRestoresActiveSession(t *testing.T) {
 		next = prog.Next
 	}
 	// New sessions on the restarted engine must not reuse restored IDs.
-	s2, _, err := e2.Start("pool", "grace", Config{MaxItems: 2}, 1)
+	s2, _, err := e2.Start(context.Background(), "pool", "grace", Config{MaxItems: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,12 +433,12 @@ func TestRecalibrateFeedbackLoop(t *testing.T) {
 	// Learners of middling true ability answer everything correctly: the
 	// pool is easier than authored, so calibration must lower difficulty.
 	for i := 0; i < 6; i++ {
-		s, view, err := e.Start("pool", fmt.Sprintf("h%d", i), Config{MaxItems: 8}, int64(i))
+		s, view, err := e.Start(context.Background(), "pool", fmt.Sprintf("h%d", i), Config{MaxItems: 8}, int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for {
-			prog, err := e.SubmitResponse(s.ID, view.ProblemID, "A")
+			prog, err := e.SubmitResponse(context.Background(), s.ID, view.ProblemID, "A")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -506,7 +507,7 @@ func TestConcurrentAdaptiveSessions(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			s, view, err := e.Start("pool", fmt.Sprintf("racer-%02d", w),
+			s, view, err := e.Start(context.Background(), "pool", fmt.Sprintf("racer-%02d", w),
 				Config{MaxItems: 10, TargetSE: 0.3, MaxExposure: 0.5, Selector: SelectorRandomesque}, int64(w))
 			if err != nil {
 				errs <- err
@@ -517,7 +518,7 @@ func TestConcurrentAdaptiveSessions(t *testing.T) {
 				if rng.Float64() < 0.6 {
 					response = "A"
 				}
-				prog, err := e.SubmitResponse(s.ID, view.ProblemID, response)
+				prog, err := e.SubmitResponse(context.Background(), s.ID, view.ProblemID, response)
 				if err != nil {
 					errs <- err
 					return
@@ -557,7 +558,7 @@ func TestRestoreTolerance(t *testing.T) {
 	}
 	// One finished, one active session.
 	answerAs(t, e1, "pool", "fin", 0, Config{MaxItems: 2}, 1)
-	s, _, err := e1.Start("pool", "act", Config{MaxItems: 6}, 2)
+	s, _, err := e1.Start(context.Background(), "pool", "act", Config{MaxItems: 6}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +595,7 @@ func TestPurgeFinished(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		answerAs(t, e, "pool", fmt.Sprintf("done%d", i), 0, Config{MaxItems: 2}, int64(i))
 	}
-	active, view, err := e.Start("pool", "live", Config{MaxItems: 8}, 9)
+	active, view, err := e.Start(context.Background(), "pool", "live", Config{MaxItems: 8}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +614,7 @@ func TestPurgeFinished(t *testing.T) {
 		t.Errorf("log after purge = %d, want 3", got)
 	}
 	// The active session is untouched and still answers.
-	if _, err := e.SubmitResponse(active.ID, view.ProblemID, "A"); err != nil {
+	if _, err := e.SubmitResponse(context.Background(), active.ID, view.ProblemID, "A"); err != nil {
 		t.Errorf("active session broken by purge: %v", err)
 	}
 	// Idempotent.
@@ -702,12 +703,12 @@ func TestSubmitRollsBackOnPersistFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, view, err := e.Start("pool", "rb", Config{MaxItems: 2}, 4)
+	s, view, err := e.Start(context.Background(), "pool", "rb", Config{MaxItems: 2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store.failPuts = true
-	if _, err := e.SubmitResponse(s.ID, view.ProblemID, "A"); err == nil {
+	if _, err := e.SubmitResponse(context.Background(), s.ID, view.ProblemID, "A"); err == nil {
 		t.Fatal("submit should surface the persist failure")
 	}
 	st, err := e.Status(s.ID)
@@ -719,7 +720,7 @@ func TestSubmitRollsBackOnPersistFailure(t *testing.T) {
 	}
 	// The retry of the SAME item succeeds once the store recovers.
 	store.failPuts = false
-	prog, err := e.SubmitResponse(s.ID, view.ProblemID, "A")
+	prog, err := e.SubmitResponse(context.Background(), s.ID, view.ProblemID, "A")
 	if err != nil {
 		t.Fatalf("retry: %v", err)
 	}
@@ -728,14 +729,14 @@ func TestSubmitRollsBackOnPersistFailure(t *testing.T) {
 	}
 	// A rolled-back finish leaves no phantom log entry and stays active.
 	store.failPuts = true
-	if _, err := e.SubmitResponse(s.ID, prog.Next.ProblemID, "A"); err == nil {
+	if _, err := e.SubmitResponse(context.Background(), s.ID, prog.Next.ProblemID, "A"); err == nil {
 		t.Fatal("finishing submit should surface the persist failure")
 	}
 	if e.ResponseLog().Len() != 0 {
 		t.Error("rolled-back finish leaked a response-log entry")
 	}
 	store.failPuts = false
-	final, err := e.SubmitResponse(s.ID, prog.Next.ProblemID, "A")
+	final, err := e.SubmitResponse(context.Background(), s.ID, prog.Next.ProblemID, "A")
 	if err != nil || !final.Done {
 		t.Fatalf("final retry = %+v, %v", final, err)
 	}
@@ -754,13 +755,13 @@ func TestMinItemsAboveMaxRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Start("pool", "x", Config{MaxItems: 3, MinItems: 4, TargetSE: 0.4}, 1); !errors.Is(err, adaptive.ErrInvalidConfig) {
+	if _, _, err := e.Start(context.Background(), "pool", "x", Config{MaxItems: 3, MinItems: 4, TargetSE: 0.4}, 1); !errors.Is(err, adaptive.ErrInvalidConfig) {
 		t.Errorf("MinItems > MaxItems = %v, want ErrInvalidConfig", err)
 	}
-	if _, _, err := e.Start("pool", "x", Config{MinItems: 6, TargetSE: 0.4}, 1); !errors.Is(err, adaptive.ErrInvalidConfig) {
+	if _, _, err := e.Start(context.Background(), "pool", "x", Config{MinItems: 6, TargetSE: 0.4}, 1); !errors.Is(err, adaptive.ErrInvalidConfig) {
 		t.Errorf("MinItems > pool size = %v, want ErrInvalidConfig", err)
 	}
-	if _, _, err := e.Start("pool", "x", Config{MaxItems: 3, MinItems: 3}, 1); err != nil {
+	if _, _, err := e.Start(context.Background(), "pool", "x", Config{MaxItems: 3, MinItems: 3}, 1); err != nil {
 		t.Errorf("MinItems == MaxItems should be legal: %v", err)
 	}
 }
@@ -800,11 +801,11 @@ func TestInfoGridCacheSharedAndInvalidated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _, err := e.Start("gx", "stu1", Config{MaxItems: 3}, 1)
+	s1, _, err := e.Start(context.Background(), "gx", "stu1", Config{MaxItems: 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _, err := e.Start("gx", "stu2", Config{MaxItems: 3}, 2)
+	s2, _, err := e.Start(context.Background(), "gx", "stu2", Config{MaxItems: 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,13 +31,13 @@ type Pipeline struct {
 	templates *item.TemplateRegistry
 }
 
-// New builds a pipeline around an empty reference bank.
+// New builds a pipeline around an empty single-shard bank (bank.New).
 func New() *Pipeline {
 	return NewWith(bank.New())
 }
 
-// NewWith builds a pipeline around any storage backend — the reference
-// store, a sharded store, or a journaled one.
+// NewWith builds a pipeline around any storage backend — an in-memory
+// sharded store or a journaled one.
 func NewWith(store bank.Storage) *Pipeline {
 	return &Pipeline{
 		store:     store,

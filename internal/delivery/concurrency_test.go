@@ -1,6 +1,7 @@
 package delivery
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -28,7 +29,7 @@ func TestEngineConcurrentSessions(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			sid := fmt.Sprintf("stu%02d", n)
-			sess, err := eng.Start(examID, sid, int64(n))
+			sess, err := eng.Start(context.Background(), examID, sid, int64(n))
 			if err != nil {
 				errs <- err
 				return
@@ -38,7 +39,7 @@ func TestEngineConcurrentSessions(t *testing.T) {
 				if (n+q)%3 == 0 {
 					opt = "B"
 				}
-				if err := eng.Answer(sess.ID, fmt.Sprintf("q%d", q), opt); err != nil {
+				if err := eng.Answer(context.Background(), sess.ID, fmt.Sprintf("q%d", q), opt); err != nil {
 					errs <- err
 					return
 				}
@@ -48,7 +49,7 @@ func TestEngineConcurrentSessions(t *testing.T) {
 				}
 				_ = eng.Monitor().Snapshots(sess.ID)
 			}
-			if _, err := eng.Finish(sess.ID); err != nil {
+			if _, err := eng.Finish(context.Background(), sess.ID); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -86,14 +87,14 @@ func TestEngineConcurrentGradingAndSummaries(t *testing.T) {
 	const n = 12
 	sessIDs := make([]string, n)
 	for i := 0; i < n; i++ {
-		sess, err := eng.Start(examID, fmt.Sprintf("w%02d", i), int64(i))
+		sess, err := eng.Start(context.Background(), examID, fmt.Sprintf("w%02d", i), int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Answer(sess.ID, "essay1", "an essay"); err != nil {
+		if err := eng.Answer(context.Background(), sess.ID, "essay1", "an essay"); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Answer(sess.ID, "mc1", "A"); err != nil {
+		if err := eng.Answer(context.Background(), sess.ID, "mc1", "A"); err != nil {
 			t.Fatal(err)
 		}
 		sessIDs[i] = sess.ID
@@ -108,7 +109,7 @@ func TestEngineConcurrentGradingAndSummaries(t *testing.T) {
 			}
 			_ = eng.SessionSummaries(examID)
 			_ = eng.PendingGrades(examID)
-			if _, err := eng.Finish(sessIDs[idx]); err != nil {
+			if _, err := eng.Finish(context.Background(), sessIDs[idx]); err != nil {
 				t.Errorf("finish %d: %v", idx, err)
 			}
 		}(i)
@@ -207,12 +208,12 @@ func TestEngineStressAcrossShards(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for sitting := 0; sitting < sittings; sitting++ {
-				sess, err := eng.Start(examID, fmt.Sprintf("stu%03d", w), int64(w))
+				sess, err := eng.Start(context.Background(), examID, fmt.Sprintf("stu%03d", w), int64(w))
 				if err != nil {
 					errs <- err
 					return
 				}
-				if err := eng.Answer(sess.ID, "q1", "A"); err != nil {
+				if err := eng.Answer(context.Background(), sess.ID, "q1", "A"); err != nil {
 					errs <- err
 					return
 				}
@@ -233,12 +234,12 @@ func TestEngineStressAcrossShards(t *testing.T) {
 					if (w+q)%3 == 0 {
 						opt = "B"
 					}
-					if err := eng.Answer(sess.ID, fmt.Sprintf("q%d", q), opt); err != nil {
+					if err := eng.Answer(context.Background(), sess.ID, fmt.Sprintf("q%d", q), opt); err != nil {
 						errs <- err
 						return
 					}
 				}
-				if _, err := eng.Finish(sess.ID); err != nil {
+				if _, err := eng.Finish(context.Background(), sess.ID); err != nil {
 					errs <- err
 					return
 				}
@@ -297,7 +298,7 @@ func TestEngineStressAcrossShards(t *testing.T) {
 func TestRTEConcurrentWithAnswers(t *testing.T) {
 	store, examID := shardedExamFixture(t)
 	eng := NewEngine(store, nil, 0)
-	sess, err := eng.Start(examID, "sco-learner", 1)
+	sess, err := eng.Start(context.Background(), examID, "sco-learner", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +307,11 @@ func TestRTEConcurrentWithAnswers(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for q := 1; q <= 4; q++ {
-			if err := eng.Answer(sess.ID, fmt.Sprintf("q%d", q), "A"); err != nil {
+			if err := eng.Answer(context.Background(), sess.ID, fmt.Sprintf("q%d", q), "A"); err != nil {
 				t.Errorf("answer q%d: %v", q, err)
 			}
 		}
-		if _, err := eng.Finish(sess.ID); err != nil {
+		if _, err := eng.Finish(context.Background(), sess.ID); err != nil {
 			t.Errorf("finish: %v", err)
 		}
 	}()

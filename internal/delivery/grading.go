@@ -31,7 +31,7 @@ type PendingGrade struct {
 // are locked one at a time; the worklist never freezes active learners.
 func (e *Engine) PendingGrades(examID string) []PendingGrade {
 	var out []PendingGrade
-	for _, s := range e.registry.all() {
+	for _, s := range e.all() {
 		if s.ExamID != examID {
 			continue
 		}
@@ -83,7 +83,7 @@ func (e *Engine) AssignGrade(sessionID, problemID string, credit float64) error 
 func (e *Engine) SessionSummaries(examID string) []Status {
 	now := e.now()
 	var out []Status
-	for _, s := range e.registry.all() {
+	for _, s := range e.all() {
 		if s.ExamID != examID {
 			continue
 		}

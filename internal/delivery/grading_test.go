@@ -1,6 +1,7 @@
 package delivery
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 )
 
 // essayExamFixture: one essay + one MC problem.
-func essayExamFixture(t *testing.T) (*bank.Store, string) {
+func essayExamFixture(t *testing.T) (*bank.Sharded, string) {
 	t.Helper()
 	s := bank.New()
 	essay := &item.Problem{ID: "essay1", Style: item.Essay,
@@ -38,15 +39,15 @@ func TestManualGradingWorkflow(t *testing.T) {
 	store, examID := essayExamFixture(t)
 	clock := newFakeClock()
 	eng := NewEngine(store, clock.Now, 0)
-	sess, err := eng.Start(examID, "alice", 1)
+	sess, err := eng.Start(context.Background(), examID, "alice", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(time.Minute)
-	if err := eng.Answer(sess.ID, "essay1", "Metadata lets systems exchange assessments."); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, "essay1", "Metadata lets systems exchange assessments."); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Answer(sess.ID, "mc1", "A"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, "mc1", "A"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,7 +62,7 @@ func TestManualGradingWorkflow(t *testing.T) {
 	if err := eng.AssignGrade(sess.ID, "essay1", 0.75); err != nil {
 		t.Fatalf("AssignGrade: %v", err)
 	}
-	res, err := eng.Finish(sess.ID)
+	res, err := eng.Finish(context.Background(), sess.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestManualGradingWorkflow(t *testing.T) {
 	if err := eng.AssignGrade(sess.ID, "essay1", 1); err != nil {
 		t.Fatalf("re-grade: %v", err)
 	}
-	res2, err := eng.Finish(sess.ID)
+	res2, err := eng.Finish(context.Background(), sess.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestManualGradingWorkflow(t *testing.T) {
 func TestAssignGradeErrors(t *testing.T) {
 	store, examID := essayExamFixture(t)
 	eng := NewEngine(store, newFakeClock().Now, 0)
-	sess, err := eng.Start(examID, "bob", 1)
+	sess, err := eng.Start(context.Background(), examID, "bob", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestAssignGradeErrors(t *testing.T) {
 	if err := eng.AssignGrade(sess.ID, "essay1", 0.5); !errors.Is(err, ErrNotAnswered) {
 		t.Errorf("unanswered = %v", err)
 	}
-	if err := eng.Answer(sess.ID, "mc1", "A"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, "mc1", "A"); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.AssignGrade(sess.ID, "mc1", 0.5); !errors.Is(err, ErrAutoGraded) {
@@ -111,17 +112,17 @@ func TestSessionSummaries(t *testing.T) {
 	store, examID := examFixture(t, false)
 	clock := newFakeClock()
 	eng := NewEngine(store, clock.Now, 0)
-	s1, err := eng.Start(examID, "alice", 1)
+	s1, err := eng.Start(context.Background(), examID, "alice", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Start(examID, "bob", 1); err != nil {
+	if _, err := eng.Start(context.Background(), examID, "bob", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Answer(s1.ID, "q1", "A"); err != nil {
+	if err := eng.Answer(context.Background(), s1.ID, "q1", "A"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Finish(s1.ID); err != nil {
+	if _, err := eng.Finish(context.Background(), s1.ID); err != nil {
 		t.Fatal(err)
 	}
 	sums := eng.SessionSummaries(examID)

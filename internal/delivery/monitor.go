@@ -4,6 +4,8 @@ import (
 	"hash/fnv"
 	"sync"
 	"time"
+
+	"mineassess/internal/shardmap"
 )
 
 // Snapshot is one captured "client picture" event. The paper's monitor
@@ -58,7 +60,7 @@ func (m *Monitor) Enabled() bool {
 }
 
 func (m *Monitor) shard(sessionID string) *monitorShard {
-	return &m.shards[fnvShard(sessionID, len(m.shards))]
+	return &m.shards[shardmap.Index(sessionID, len(m.shards))]
 }
 
 // Capture records one snapshot for the session; oldest entries fall off the

@@ -1,6 +1,7 @@
 package delivery
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -68,11 +69,11 @@ func TestEngineCapturesOnStartAndAnswer(t *testing.T) {
 	store, examID := examFixture(t, false)
 	clock := newFakeClock()
 	eng := NewEngine(store, clock.Now, 8)
-	sess, err := eng.Start(examID, "alice", 1)
+	sess, err := eng.Start(context.Background(), examID, "alice", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Answer(sess.ID, "q1", "A"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, "q1", "A"); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.Monitor().Captured(sess.ID); got != 2 {

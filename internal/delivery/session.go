@@ -6,7 +6,7 @@
 // authoring CRUD) lives in internal/httpapi.
 //
 // Concurrency model: the engine keeps sessions in a sharded registry
-// (registry.go); each Session carries its own mutex. A per-learner operation
+// (internal/shardmap); each Session carries its own mutex. A per-learner operation
 // — Answer, Status, Pause, Resume, Finish, AssignGrade — takes one shard
 // read-lock for the lookup and then only that session's lock, so unrelated
 // learners never contend and a slow grade computation stalls nobody else.
@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,10 +28,16 @@ import (
 	"mineassess/internal/bank"
 	"mineassess/internal/events"
 	"mineassess/internal/item"
-	"mineassess/internal/obs"
 	"mineassess/internal/scorm"
+	"mineassess/internal/shardmap"
 	"mineassess/internal/trace"
 )
+
+// DefaultSessionShards is the engine's session-registry shard count when not
+// overridden. One shard reproduces the old global-map behaviour (useful as a
+// benchmark baseline); production engines want enough shards that unrelated
+// learners rarely hash together.
+const DefaultSessionShards = 32
 
 // SessionState is a session's lifecycle state.
 type SessionState int
@@ -155,7 +162,7 @@ type Status struct {
 // synchronize only on the session itself (see the package comment).
 type Engine struct {
 	store    bank.Storage
-	registry *registry
+	sessions *shardmap.Map[*Session]
 	now      func() time.Time
 	monitor  *Monitor
 	nextID   atomic.Int64
@@ -164,9 +171,6 @@ type Engine struct {
 	// unconditional). Emission is fire-and-forget and never blocks, so it
 	// adds only memory-op cost to the learner's request.
 	bus *events.Bus
-	// slowOps logs engine operations that exceed the configured threshold
-	// (see SetSlowOpLog); disabled it costs one atomic load per Ctx call.
-	slowOps obs.SlowOpLog
 }
 
 // SetEventBus attaches a live event bus; engine operations publish
@@ -190,9 +194,12 @@ func NewShardedEngine(store bank.Storage, now func() time.Time, monitorCapacity,
 	if now == nil {
 		now = time.Now
 	}
+	if shards <= 0 {
+		shards = DefaultSessionShards
+	}
 	return &Engine{
 		store:    store,
-		registry: newRegistry(shards),
+		sessions: shardmap.New[*Session](shards),
 		now:      now,
 		monitor:  NewMonitor(monitorCapacity),
 	}
@@ -206,26 +213,44 @@ func (e *Engine) Monitor() *Monitor {
 // SessionCount returns the number of sessions the engine has registered
 // (any state).
 func (e *Engine) SessionCount() int {
-	return e.registry.count()
+	return e.sessions.Len()
 }
 
 // HasSession reports whether a session ID is registered, in any state. The
 // HTTP layer uses it to distinguish "no such session" (404) from "a session
 // with no data yet" before reading monitor rings.
 func (e *Engine) HasSession(sessionID string) bool {
-	_, err := e.registry.get(sessionID)
-	return err == nil
+	_, ok := e.sessions.Get(sessionID)
+	return ok
+}
+
+// session returns the registered session without locking it.
+func (e *Engine) session(id string) (*Session, error) {
+	s, ok := e.sessions.Get(id)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrSessionNotFound, id)
+	}
+	return s, nil
+}
+
+// all returns every registered session sorted by ID (see shardmap.Map.Values
+// for the scan guarantee).
+func (e *Engine) all() []*Session {
+	out := e.sessions.Values()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // Start opens a session for the student on the exam, computing the
 // presentation order with the given seed (used only for RandomOrder exams).
 // All assembly work happens before the session is published, so Start holds
-// no lock while reading the bank or shuffling options.
-func (e *Engine) Start(examID, studentID string, seed int64) (*Session, error) {
-	return e.startCtx(context.Background(), examID, studentID, seed)
-}
-
-func (e *Engine) startCtx(ctx context.Context, examID, studentID string, seed int64) (*Session, error) {
+// no lock while reading the bank or shuffling options. A traced ctx gains an
+// engine.start child span whose subtree includes the session.started bus
+// publish; ctx does not cancel the operation.
+func (e *Engine) Start(ctx context.Context, examID, studentID string, seed int64) (_ *Session, err error) {
+	ctx, sp := trace.StartSpan(ctx, "engine.start")
+	sp.SetStr("exam.id", examID)
+	defer sp.EndErr(&err)
 	rec, err := e.store.Exam(examID)
 	if err != nil {
 		return nil, err
@@ -274,7 +299,7 @@ func (e *Engine) startCtx(ctx context.Context, examID, studentID string, seed in
 	if got := s.api.LMSInitialize(""); got != "true" {
 		return nil, fmt.Errorf("delivery: RTE initialize failed (%s)", s.api.LMSGetLastError())
 	}
-	e.registry.put(s)
+	e.sessions.Put(s.ID, s)
 	e.monitor.Capture(s.ID, now)
 	// Publishes detach from the request context: the event outlives the
 	// request (cancelation must not reach subscribers) but keeps the trace
@@ -288,7 +313,7 @@ func (e *Engine) startCtx(ctx context.Context, examID, studentID string, seed in
 
 // lock looks up the session and returns it locked. The caller must Unlock.
 func (e *Engine) lock(sessionID string) (*Session, error) {
-	s, err := e.registry.get(sessionID)
+	s, err := e.session(sessionID)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +325,7 @@ func (e *Engine) lock(sessionID string) (*Session, error) {
 // inclusive (>=) so the status contract stays exact: a running session
 // always has remaining time and reports RemainingSeconds >= 1, and 0
 // appears only together with the expired state. ctx scopes the expiry
-// event's publish (see startCtx). Callers hold s.mu.
+// event's publish (see Start). Callers hold s.mu.
 func (e *Engine) checkTime(ctx context.Context, s *Session, now time.Time) error {
 	if s.limit > 0 && s.state == StateRunning && s.elapsedActive(now) >= s.limit {
 		s.activeSpent = s.limit
@@ -320,12 +345,12 @@ func (e *Engine) checkTime(ctx context.Context, s *Session, now time.Time) error
 // Answer records the learner's response to a problem and grades it. Every
 // answer triggers a monitor capture ("monitor function captures the client
 // picture", §5). Only this learner's session is locked; grading a slow
-// problem never delays other sessions.
-func (e *Engine) Answer(sessionID, problemID, response string) error {
-	return e.answerCtx(context.Background(), sessionID, problemID, response)
-}
-
-func (e *Engine) answerCtx(ctx context.Context, sessionID, problemID, response string) error {
+// problem never delays other sessions. A traced ctx gains an engine.answer
+// span.
+func (e *Engine) Answer(ctx context.Context, sessionID, problemID, response string) (err error) {
+	ctx, sp := trace.StartSpan(ctx, "engine.answer")
+	sp.SetStr("problem.id", problemID)
+	defer sp.EndErr(&err)
 	s, err := e.lock(sessionID)
 	if err != nil {
 		return err
@@ -407,12 +432,10 @@ func (e *Engine) Resume(sessionID string) error {
 }
 
 // Finish closes the session, grades it, and writes score and status into
-// the CMI data model.
-func (e *Engine) Finish(sessionID string) (*analysis.StudentResult, error) {
-	return e.finishCtx(context.Background(), sessionID)
-}
-
-func (e *Engine) finishCtx(ctx context.Context, sessionID string) (*analysis.StudentResult, error) {
+// the CMI data model. A traced ctx gains an engine.finish span.
+func (e *Engine) Finish(ctx context.Context, sessionID string) (_ *analysis.StudentResult, err error) {
+	ctx, sp := trace.StartSpan(ctx, "engine.finish")
+	defer sp.EndErr(&err)
 	s, err := e.lock(sessionID)
 	if err != nil {
 		return nil, err
@@ -532,7 +555,7 @@ func (e *Engine) Status(sessionID string) (Status, error) {
 // (Answer/Pause/Finish) that write the same CMI data model. This is the only
 // safe way to touch a live session's API concurrently.
 func (e *Engine) RTEExec(sessionID string, fn func(api *scorm.API)) error {
-	s, err := e.registry.get(sessionID)
+	s, err := e.session(sessionID)
 	if err != nil {
 		return err
 	}
@@ -548,7 +571,7 @@ func (e *Engine) RTEExec(sessionID string, fn func(api *scorm.API)) error {
 // for this session — single-threaded harnesses and tests only. Concurrent
 // callers (the HTTP bridge) use RTEExec.
 func (e *Engine) RTE(sessionID string) (*scorm.API, error) {
-	s, err := e.registry.get(sessionID)
+	s, err := e.session(sessionID)
 	if err != nil {
 		return nil, err
 	}
@@ -574,7 +597,7 @@ func (e *Engine) CollectResults(examID string) (*analysis.ExamResult, error) {
 		Problems: problems,
 		TestTime: time.Duration(rec.TestTimeSeconds) * time.Second,
 	}
-	for _, s := range e.registry.all() {
+	for _, s := range e.all() {
 		if s.ExamID != examID {
 			continue
 		}

@@ -1,6 +1,7 @@
 package delivery
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -25,7 +26,7 @@ func (c *fakeClock) Now() time.Time          { return c.t }
 func (c *fakeClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // examFixture stores 4 MC problems and an exam with a 10-minute limit.
-func examFixture(t *testing.T, resumable bool) (*bank.Store, string) {
+func examFixture(t *testing.T, resumable bool) (*bank.Sharded, string) {
 	t.Helper()
 	s := bank.New()
 	var ids []string
@@ -55,7 +56,7 @@ func TestSessionLifecycle(t *testing.T) {
 	clock := newFakeClock()
 	eng := NewEngine(store, clock.Now, 16)
 
-	sess, err := eng.Start(examID, "alice", 1)
+	sess, err := eng.Start(context.Background(), examID, "alice", 1)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -64,17 +65,17 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	clock.Advance(time.Minute)
-	if err := eng.Answer(sess.ID, "q1", "A"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, "q1", "A"); err != nil {
 		t.Fatalf("Answer q1: %v", err)
 	}
 	clock.Advance(2 * time.Minute)
-	if err := eng.Answer(sess.ID, "q2", "B"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, "q2", "B"); err != nil {
 		t.Fatalf("Answer q2: %v", err)
 	}
-	if err := eng.Answer(sess.ID, "q2", "C"); !errors.Is(err, ErrAlreadyAnswered) {
+	if err := eng.Answer(context.Background(), sess.ID, "q2", "C"); !errors.Is(err, ErrAlreadyAnswered) {
 		t.Errorf("re-answer = %v, want ErrAlreadyAnswered", err)
 	}
-	if err := eng.Answer(sess.ID, "ghost", "A"); !errors.Is(err, ErrUnknownProblem) {
+	if err := eng.Answer(context.Background(), sess.ID, "ghost", "A"); !errors.Is(err, ErrUnknownProblem) {
 		t.Errorf("unknown problem = %v, want ErrUnknownProblem", err)
 	}
 
@@ -89,7 +90,7 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Errorf("remaining = %d, want 420", st.RemainingSeconds)
 	}
 
-	res, err := eng.Finish(sess.ID)
+	res, err := eng.Finish(context.Background(), sess.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Error("q3 should be unanswered")
 	}
 	// Finishing again is idempotent.
-	res2, err := eng.Finish(sess.ID)
+	res2, err := eng.Finish(context.Background(), sess.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestStatusRemainingSecondsRoundsUp(t *testing.T) {
 	store, examID := examFixture(t, false)
 	clock := newFakeClock()
 	eng := NewEngine(store, clock.Now, 0)
-	sess, err := eng.Start(examID, "alice", 1)
+	sess, err := eng.Start(context.Background(), examID, "alice", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestStatusRemainingSecondsRoundsUp(t *testing.T) {
 		t.Errorf("RemainingSeconds = %d, want 1 (400ms left rounds up)", st.RemainingSeconds)
 	}
 	// The session genuinely is still live: an answer lands.
-	if err := eng.Answer(sess.ID, "q1", "A"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, "q1", "A"); err != nil {
 		t.Fatalf("answer with time on the clock: %v", err)
 	}
 	// Once the limit passes, 0 appears together with the expired state.
@@ -158,7 +159,7 @@ func TestStatusRemainingSecondsRoundsUp(t *testing.T) {
 
 	// The boundary itself is exhausted time: a session at exactly its
 	// limit is expired, never "running with 0 seconds left".
-	sess2, err := eng.Start(examID, "brinkman", 2)
+	sess2, err := eng.Start(context.Background(), examID, "brinkman", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,15 +178,15 @@ func TestSessionTimeExpiry(t *testing.T) {
 	store, examID := examFixture(t, false)
 	clock := newFakeClock()
 	eng := NewEngine(store, clock.Now, 0)
-	sess, err := eng.Start(examID, "bob", 1)
+	sess, err := eng.Start(context.Background(), examID, "bob", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Answer(sess.ID, "q1", "A"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, "q1", "A"); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(11 * time.Minute) // past the 10-minute limit
-	if err := eng.Answer(sess.ID, "q2", "A"); !errors.Is(err, ErrTimeExpired) {
+	if err := eng.Answer(context.Background(), sess.ID, "q2", "A"); !errors.Is(err, ErrTimeExpired) {
 		t.Fatalf("late answer = %v, want ErrTimeExpired", err)
 	}
 	st, err := eng.Status(sess.ID)
@@ -196,7 +197,7 @@ func TestSessionTimeExpiry(t *testing.T) {
 		t.Errorf("state = %v, want expired", st.State)
 	}
 	// An expired session still yields a result with what was answered.
-	res, err := eng.Finish(sess.ID)
+	res, err := eng.Finish(context.Background(), sess.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestPauseResumeExcludesPausedTime(t *testing.T) {
 	store, examID := examFixture(t, true)
 	clock := newFakeClock()
 	eng := NewEngine(store, clock.Now, 0)
-	sess, err := eng.Start(examID, "carol", 1)
+	sess, err := eng.Start(context.Background(), examID, "carol", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestPauseResumeExcludesPausedTime(t *testing.T) {
 	if err := eng.Pause(sess.ID); err != nil {
 		t.Fatalf("Pause: %v", err)
 	}
-	if err := eng.Answer(sess.ID, "q1", "A"); !errors.Is(err, ErrSessionNotActive) {
+	if err := eng.Answer(context.Background(), sess.ID, "q1", "A"); !errors.Is(err, ErrSessionNotActive) {
 		t.Errorf("answer while paused = %v, want ErrSessionNotActive", err)
 	}
 	if err := eng.Pause(sess.ID); !errors.Is(err, ErrSessionNotActive) {
@@ -236,7 +237,7 @@ func TestPauseResumeExcludesPausedTime(t *testing.T) {
 		t.Errorf("double resume = %v", err)
 	}
 	// Only 2 active minutes have passed: the session must still be alive.
-	if err := eng.Answer(sess.ID, "q1", "A"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, "q1", "A"); err != nil {
 		t.Fatalf("answer after resume: %v", err)
 	}
 	st, err := eng.Status(sess.ID)
@@ -254,7 +255,7 @@ func TestPauseResumeExcludesPausedTime(t *testing.T) {
 func TestPauseRequiresResumableProblems(t *testing.T) {
 	store, examID := examFixture(t, false)
 	eng := NewEngine(store, newFakeClock().Now, 0)
-	sess, err := eng.Start(examID, "dan", 1)
+	sess, err := eng.Start(context.Background(), examID, "dan", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,22 +268,22 @@ func TestFinishWritesCMI(t *testing.T) {
 	store, examID := examFixture(t, false)
 	clock := newFakeClock()
 	eng := NewEngine(store, clock.Now, 0)
-	sess, err := eng.Start(examID, "eve", 1)
+	sess, err := eng.Start(context.Background(), examID, "eve", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 3 of 4 correct = 75% -> passed.
 	for _, q := range []string{"q1", "q2", "q3"} {
 		clock.Advance(time.Minute)
-		if err := eng.Answer(sess.ID, q, "A"); err != nil {
+		if err := eng.Answer(context.Background(), sess.ID, q, "A"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	clock.Advance(time.Minute)
-	if err := eng.Answer(sess.ID, "q4", "B"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, "q4", "B"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Finish(sess.ID); err != nil {
+	if _, err := eng.Finish(context.Background(), sess.ID); err != nil {
 		t.Fatal(err)
 	}
 	api, err := eng.RTE(sess.ID)
@@ -304,7 +305,7 @@ func TestCollectResultsFeedsAnalysis(t *testing.T) {
 	// 8 students of descending skill: student i answers i questions
 	// correctly.
 	for i := 0; i < 8; i++ {
-		sess, err := eng.Start(examID, fmt.Sprintf("s%d", i), 1)
+		sess, err := eng.Start(context.Background(), examID, fmt.Sprintf("s%d", i), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,11 +315,11 @@ func TestCollectResultsFeedsAnalysis(t *testing.T) {
 				opt = "A"
 			}
 			clock.Advance(30 * time.Second)
-			if err := eng.Answer(sess.ID, fmt.Sprintf("q%d", q+1), opt); err != nil {
+			if err := eng.Answer(context.Background(), sess.ID, fmt.Sprintf("q%d", q+1), opt); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := eng.Finish(sess.ID); err != nil {
+		if _, err := eng.Finish(context.Background(), sess.ID); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -343,7 +344,7 @@ func TestCollectResultsFeedsAnalysis(t *testing.T) {
 func TestCollectResultsSkipsOpenSessions(t *testing.T) {
 	store, examID := examFixture(t, false)
 	eng := NewEngine(store, newFakeClock().Now, 0)
-	if _, err := eng.Start(examID, "open", 1); err != nil {
+	if _, err := eng.Start(context.Background(), examID, "open", 1); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.CollectResults(examID)
@@ -358,13 +359,13 @@ func TestCollectResultsSkipsOpenSessions(t *testing.T) {
 func TestStartErrors(t *testing.T) {
 	store, _ := examFixture(t, false)
 	eng := NewEngine(store, nil, 0)
-	if _, err := eng.Start("ghost", "x", 1); !errors.Is(err, bank.ErrExamNotFound) {
+	if _, err := eng.Start(context.Background(), "ghost", "x", 1); !errors.Is(err, bank.ErrExamNotFound) {
 		t.Errorf("unknown exam = %v", err)
 	}
 	if _, err := eng.Status("nope"); !errors.Is(err, ErrSessionNotFound) {
 		t.Errorf("unknown session = %v", err)
 	}
-	if _, err := eng.Finish("nope"); !errors.Is(err, ErrSessionNotFound) {
+	if _, err := eng.Finish(context.Background(), "nope"); !errors.Is(err, ErrSessionNotFound) {
 		t.Errorf("finish unknown = %v", err)
 	}
 	if err := eng.Resume("nope"); !errors.Is(err, ErrSessionNotFound) {
@@ -387,7 +388,7 @@ func TestRandomOrderShufflesOptions(t *testing.T) {
 	// Find a seed where q1's options actually moved (A no longer correct).
 	var sess *Session
 	for seed := int64(1); seed < 50; seed++ {
-		s, err := eng.Start("rand", fmt.Sprintf("stu%d", seed), seed)
+		s, err := eng.Start(context.Background(), "rand", fmt.Sprintf("stu%d", seed), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,10 +402,10 @@ func TestRandomOrderShufflesOptions(t *testing.T) {
 	}
 	shuffledKey := sess.problems["q1"].Answer
 	// Answer q1 with the shuffled correct key: full credit.
-	if err := eng.Answer(sess.ID, "q1", shuffledKey); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, "q1", shuffledKey); err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Finish(sess.ID)
+	res, err := eng.Finish(context.Background(), sess.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +426,7 @@ func TestRandomOrderShufflesOptions(t *testing.T) {
 func TestFixedOrderDoesNotShuffleOptions(t *testing.T) {
 	store, examID := examFixture(t, false)
 	eng := NewEngine(store, newFakeClock().Now, 0)
-	sess, err := eng.Start(examID, "plain", 77)
+	sess, err := eng.Start(context.Background(), examID, "plain", 77)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func (s *Server) handleAdaptiveRoot(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "missing exam ID")
 		return
 	}
-	sess, first, err := s.cat.StartCtx(r.Context(), req.ExamID, req.StudentID, req.AdaptiveConfig, req.Seed)
+	sess, first, err := s.cat.Start(r.Context(), req.ExamID, req.StudentID, req.AdaptiveConfig, req.Seed)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -153,14 +153,14 @@ func (s *Server) adaptiveAction(w http.ResponseWriter, r *http.Request, id, verb
 		if !decodeBody(w, r, &req) {
 			return
 		}
-		prog, err := s.cat.SubmitResponseCtx(r.Context(), id, req.ProblemID, req.Response)
+		prog, err := s.cat.SubmitResponse(r.Context(), id, req.ProblemID, req.Response)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, prog)
 	case "finish":
-		out, err := s.cat.FinishCtx(r.Context(), id)
+		out, err := s.cat.Finish(r.Context(), id)
 		if err != nil {
 			writeError(w, err)
 			return

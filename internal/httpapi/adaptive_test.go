@@ -20,7 +20,7 @@ import (
 
 // calibratedFixture stores n auto-gradable MC problems (answer "A") with
 // IRT parameters as exam "cat1".
-func calibratedFixture(t *testing.T, n int) *bank.Store {
+func calibratedFixture(t *testing.T, n int) *bank.Sharded {
 	t.Helper()
 	s := bank.New()
 	params := make(map[string]simulate.IRTParams, n)

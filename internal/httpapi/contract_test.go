@@ -34,7 +34,7 @@ func (c *fakeClock) Now() time.Time          { return c.t }
 func (c *fakeClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
 // examFixture stores 4 MC problems and an exam with a 10-minute limit.
-func examFixture(t *testing.T, resumable bool) (*bank.Store, string) {
+func examFixture(t *testing.T, resumable bool) (*bank.Sharded, string) {
 	t.Helper()
 	s := bank.New()
 	var ids []string
@@ -61,7 +61,7 @@ func examFixture(t *testing.T, resumable bool) (*bank.Store, string) {
 }
 
 // essayExamFixture: one essay + one MC problem, no time limit.
-func essayExamFixture(t *testing.T) (*bank.Store, string) {
+func essayExamFixture(t *testing.T) (*bank.Sharded, string) {
 	t.Helper()
 	s := bank.New()
 	essay := &item.Problem{ID: "essay1", Style: item.Essay,

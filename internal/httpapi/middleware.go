@@ -137,12 +137,11 @@ func (sr *statusRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 	return nil, nil, http.ErrNotSupported
 }
 
-// AccessLog emits one structured record per request: who asked for what,
-// what came back, and how long it took. Requests that run for slow or
-// longer (when slow > 0) are logged at Warn as "slow request" so they
-// stand out and correlate — via request_id — with the engine- and
-// WAL-layer slow-op lines. A nil logger disables logging.
-func AccessLog(logger *slog.Logger, slow time.Duration) Middleware {
+// AccessLog emits one Info record per request: who asked for what, what
+// came back, and how long it took. Its request_id matches the tracer's
+// "slow request" line for the same request. A nil logger disables
+// logging.
+func AccessLog(logger *slog.Logger) Middleware {
 	return func(next http.Handler) http.Handler {
 		if logger == nil {
 			return next
@@ -155,11 +154,7 @@ func AccessLog(logger *slog.Logger, slow time.Duration) Middleware {
 				sr.status = http.StatusOK
 			}
 			d := time.Since(start)
-			level, msg := slog.LevelInfo, "request"
-			if slow > 0 && d >= slow {
-				level, msg = slog.LevelWarn, "slow request"
-			}
-			logger.LogAttrs(r.Context(), level, msg,
+			logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 				slog.String(obs.LogKeyRequestID, RequestIDFrom(r.Context())),
 				slog.String(obs.LogKeyMethod, r.Method),
 				slog.String(obs.LogKeyPath, r.URL.Path),

@@ -63,7 +63,7 @@ func TestRequestID(t *testing.T) {
 func TestAccessLogLine(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
-	h := Chain(RequestID(), AccessLog(logger, 0))(http.HandlerFunc(
+	h := Chain(RequestID(), AccessLog(logger))(http.HandlerFunc(
 		func(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusTeapot)
 			_, _ = w.Write([]byte("short and stout"))
@@ -268,7 +268,7 @@ func TestRecoverLogsRequestID(t *testing.T) {
 func TestStreamingThroughMiddleware(t *testing.T) {
 	m := NewMetrics()
 	flushed := 0
-	h := Chain(RequestID(), AccessLog(slog.New(slog.NewTextHandler(io.Discard, nil)), 0), Recover(nil, nil))(
+	h := Chain(RequestID(), AccessLog(slog.New(slog.NewTextHandler(io.Discard, nil))), Recover(nil, nil))(
 		m.instrument("/v1/stream", http.HandlerFunc(
 			func(w http.ResponseWriter, r *http.Request) {
 				f, ok := w.(http.Flusher)
@@ -294,7 +294,7 @@ func TestStreamingThroughMiddleware(t *testing.T) {
 // recorder's Unwrap chain.
 func TestResponseControllerThroughMiddleware(t *testing.T) {
 	m := NewMetrics()
-	h := Chain(AccessLog(slog.New(slog.NewTextHandler(io.Discard, nil)), 0))(
+	h := Chain(AccessLog(slog.New(slog.NewTextHandler(io.Discard, nil))))(
 		m.instrument("/v1/stream", http.HandlerFunc(
 			func(w http.ResponseWriter, r *http.Request) {
 				_, _ = w.Write([]byte("x"))
@@ -324,7 +324,7 @@ func (h *hijackProbe) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 // underlying writer supports it and reports http.ErrNotSupported when not.
 func TestHijackThroughMiddleware(t *testing.T) {
 	probe := &hijackProbe{ResponseWriter: httptest.NewRecorder()}
-	h := AccessLog(slog.New(slog.NewTextHandler(io.Discard, nil)), 0)(http.HandlerFunc(
+	h := AccessLog(slog.New(slog.NewTextHandler(io.Discard, nil)))(http.HandlerFunc(
 		func(w http.ResponseWriter, r *http.Request) {
 			hj, ok := w.(http.Hijacker)
 			if !ok {
@@ -340,7 +340,7 @@ func TestHijackThroughMiddleware(t *testing.T) {
 	}
 
 	// A plain recorder cannot hijack: the wrapper must say so, not panic.
-	h = AccessLog(slog.New(slog.NewTextHandler(io.Discard, nil)), 0)(http.HandlerFunc(
+	h = AccessLog(slog.New(slog.NewTextHandler(io.Discard, nil)))(http.HandlerFunc(
 		func(w http.ResponseWriter, r *http.Request) {
 			if _, _, err := w.(http.Hijacker).Hijack(); !errors.Is(err, http.ErrNotSupported) {
 				t.Errorf("Hijack on non-hijacker = %v, want http.ErrNotSupported", err)

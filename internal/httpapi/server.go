@@ -70,12 +70,8 @@ import (
 // Options configures the server's middleware stack and optional subsystems.
 type Options struct {
 	// Logger receives structured access-log and panic records; nil
-	// disables logging.
+	// disables logging. Slow requests are logged by the Tracer.
 	Logger *slog.Logger
-	// SlowRequest, when > 0 with Logger set, logs requests that take at
-	// least this long at Warn ("slow request") and arms the delivery and
-	// adaptive engines' slow-op logs so the layers correlate by request ID.
-	SlowRequest time.Duration
 	// Obs, when set, publishes the per-route latency histograms and
 	// process counters through the shared registry (Prometheus exposition
 	// on the ops listener) and appends every subsystem sample to the
@@ -102,9 +98,9 @@ type Options struct {
 	// StreamHeartbeat is the SSE keep-alive comment interval; 0 means 15s.
 	StreamHeartbeat time.Duration
 	// Tracer, when set, opens a root span per request (W3C traceparent
-	// ingestion/emission), threads it through the engine *Ctx calls, and
-	// tail-samples completed traces (see internal/trace). Nil disables
-	// tracing with zero per-request cost.
+	// ingestion/emission), threads it through the engine calls, tail-samples
+	// completed traces and logs the slow ones (see internal/trace). Nil
+	// disables tracing with zero per-request cost.
 	Tracer *trace.Tracer
 }
 
@@ -141,17 +137,6 @@ func NewServer(engine *delivery.Engine, store bank.Storage, o Options) *Server {
 		mux:       http.NewServeMux(),
 	}
 	s.routes()
-	// Slow requests at the HTTP layer arm matching slow-op logs in the
-	// engines, so one request ID ties the access-log line to the engine
-	// call that made it slow.
-	if o.Logger != nil && o.SlowRequest > 0 {
-		if engine != nil {
-			engine.SetSlowOpLog(o.Logger, o.SlowRequest)
-		}
-		if o.Adaptive != nil {
-			o.Adaptive.SetSlowOpLog(o.Logger, o.SlowRequest)
-		}
-	}
 	// The per-learner bucket shapes individual traffic; the per-IP bucket
 	// (ipAggregateFactor times the learner rate) caps what any one address
 	// can push regardless of the client-controlled X-Learner-ID header. The
@@ -170,7 +155,7 @@ func NewServer(engine *delivery.Engine, store bank.Storage, o Options) *Server {
 	s.handler = Chain(
 		RequestID(),
 		Trace(o.Tracer),
-		AccessLog(o.Logger, o.SlowRequest),
+		AccessLog(o.Logger),
 		Recover(o.Logger, func() { s.metrics.panics.Inc() }),
 		RateLimit(perLearner, perIP, func() { s.metrics.rateLimited.Inc() }),
 	)(s.mux)
@@ -303,7 +288,7 @@ func (s *Server) sessionAction(w http.ResponseWriter, r *http.Request, id, verb 
 		if !decodeBody(w, r, &req) {
 			return
 		}
-		if err := s.engine.AnswerCtx(r.Context(), id, req.ProblemID, req.Response); err != nil {
+		if err := s.engine.Answer(r.Context(), id, req.ProblemID, req.Response); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -321,7 +306,7 @@ func (s *Server) sessionAction(w http.ResponseWriter, r *http.Request, id, verb 
 		}
 		writeJSON(w, http.StatusOK, ActionResponse{Status: "running"})
 	case "finish":
-		res, err := s.engine.FinishCtx(r.Context(), id)
+		res, err := s.engine.Finish(r.Context(), id)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -348,7 +333,7 @@ func (s *Server) startSession(w http.ResponseWriter, r *http.Request, examID str
 		badRequest(w, "missing exam ID")
 		return
 	}
-	sess, err := s.engine.StartCtx(r.Context(), examID, req.StudentID, req.Seed)
+	sess, err := s.engine.Start(r.Context(), examID, req.StudentID, req.Seed)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -149,17 +149,17 @@ func TestExamLiveStreamDeliversEventsInOrder(t *testing.T) {
 	srv, eng, examID, _ := streamFixture(t)
 	conn := openSSE(t, srv.URL, "/v1/exams/"+examID+"/live", "")
 
-	sess, err := eng.Start(examID, "alice", 1)
+	sess, err := eng.Start(context.Background(), examID, "alice", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Answer(sess.ID, sess.Order[0], "A"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, sess.Order[0], "A"); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Answer(sess.ID, sess.Order[1], "w"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, sess.Order[1], "w"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Finish(sess.ID); err != nil {
+	if _, err := eng.Finish(context.Background(), sess.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -218,12 +218,12 @@ func TestExamLiveStreamDeliversEventsInOrder(t *testing.T) {
 func TestExamLiveLastEventIDResume(t *testing.T) {
 	srv, eng, examID, bus := streamFixture(t)
 
-	sess, err := eng.Start(examID, "bob", 1)
+	sess, err := eng.Start(context.Background(), examID, "bob", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pid := range sess.Order[:2] {
-		if err := eng.Answer(sess.ID, pid, "A"); err != nil {
+		if err := eng.Answer(context.Background(), sess.ID, pid, "A"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,7 +231,7 @@ func TestExamLiveLastEventIDResume(t *testing.T) {
 	// First connection sees the backlog is NOT replayed without a token:
 	// a fresh subscription is live-only.
 	conn := openSSE(t, srv.URL, "/v1/exams/"+examID+"/live", "")
-	if err := eng.Answer(sess.ID, sess.Order[2], "A"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, sess.Order[2], "A"); err != nil {
 		t.Fatal(err)
 	}
 	f := conn.nextEvent(t)
@@ -243,10 +243,10 @@ func TestExamLiveLastEventIDResume(t *testing.T) {
 	conn.close()
 
 	// More happens while disconnected.
-	if err := eng.Answer(sess.ID, sess.Order[3], "A"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, sess.Order[3], "A"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Finish(sess.ID); err != nil {
+	if _, err := eng.Finish(context.Background(), sess.ID); err != nil {
 		t.Fatal(err)
 	}
 	head := bus.Seq(examID)
@@ -270,7 +270,7 @@ func TestFirehoseStreamSpansExams(t *testing.T) {
 	srv, eng, examID, _ := streamFixture(t)
 	conn := openSSE(t, srv.URL, "/v1/events:stream", "")
 
-	if _, err := eng.Start(examID, "carol", 1); err != nil {
+	if _, err := eng.Start(context.Background(), examID, "carol", 1); err != nil {
 		t.Fatal(err)
 	}
 	f := conn.nextEvent(t)
@@ -284,7 +284,7 @@ func TestFirehoseStreamSpansExams(t *testing.T) {
 	}
 
 	// Resume by global sequence.
-	if _, err := eng.Start(examID, "dave", 2); err != nil {
+	if _, err := eng.Start(context.Background(), examID, "dave", 2); err != nil {
 		t.Fatal(err)
 	}
 	conn2 := openSSE(t, srv.URL, "/v1/events:stream", f.id)
@@ -356,7 +356,7 @@ func assertEnvelope(t *testing.T, resp *http.Response, status int, code Code) {
 func TestStreamClientDisconnectReleasesSubscription(t *testing.T) {
 	srv, eng, examID, bus := streamFixture(t)
 	conn := openSSE(t, srv.URL, "/v1/exams/"+examID+"/live", "")
-	if _, err := eng.Start(examID, "erin", 1); err != nil {
+	if _, err := eng.Start(context.Background(), examID, "erin", 1); err != nil {
 		t.Fatal(err)
 	}
 	conn.nextEvent(t)
@@ -382,14 +382,14 @@ func TestStatsArriveOnQuietExam(t *testing.T) {
 	srv, eng, examID, bus := streamFixture(t)
 
 	// A full sitting happens with nobody watching.
-	sess, err := eng.Start(examID, "frank", 1)
+	sess, err := eng.Start(context.Background(), examID, "frank", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Answer(sess.ID, sess.Order[0], "A"); err != nil {
+	if err := eng.Answer(context.Background(), sess.ID, sess.Order[0], "A"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Finish(sess.ID); err != nil {
+	if _, err := eng.Finish(context.Background(), sess.ID); err != nil {
 		t.Fatal(err)
 	}
 	head := bus.Seq(examID)

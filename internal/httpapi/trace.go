@@ -28,7 +28,7 @@ func Trace(t *trace.Tracer) Middleware {
 			if sr.status == 0 {
 				sr.status = http.StatusOK
 			}
-			sp.SetInt("http.status", int64(sr.status))
+			sp.SetInt(trace.AttrHTTPStatus, int64(sr.status))
 			if sr.status >= http.StatusInternalServerError {
 				sp.SetError()
 			}

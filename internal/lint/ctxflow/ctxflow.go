@@ -3,9 +3,9 @@
 //
 // The tracing layer (PR 10) propagates the active span through
 // context.Context: the HTTP middleware roots a span in the request
-// context, the engines' *Ctx methods open children under it, and the
-// journal reconstructs commit phases from it. A context.Background() (or
-// TODO()) inside an HTTP handler or a *Ctx engine method silently severs
+// context, the engine methods open children under it, and the journal
+// reconstructs commit phases from it. A context.Background() (or TODO())
+// inside an HTTP handler or any function handed a context silently severs
 // that chain — the code still works, but the trace tree ends there and
 // the tail sampler never sees the downstream latency. Sites that must
 // outlive the request (post-persist event publishes) detach with
@@ -16,7 +16,6 @@ package ctxflow
 
 import (
 	"go/ast"
-	"strings"
 
 	"mineassess/internal/lint/analysis"
 )
@@ -27,11 +26,11 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `forbid minting fresh contexts inside request-scoped functions
 
 HTTP handlers (any function taking http.ResponseWriter and *http.Request)
-and context-threading engine methods (name ending in "Ctx" with a
-context.Context parameter) receive the request context; calling
-context.Background() or context.TODO() there severs trace propagation and
-cancelation. Thread the incoming ctx, or use trace.Detach(ctx) for work
-that must outlive the request without losing trace linkage.`,
+and any function taking a context.Context receive the request context;
+calling context.Background() or context.TODO() there severs trace
+propagation and cancelation. Thread the incoming ctx, or use
+trace.Detach(ctx) for work that must outlive the request without losing
+trace linkage.`,
 	Run: run,
 }
 
@@ -63,14 +62,13 @@ func run(pass *analysis.Pass) error {
 }
 
 // requestScoped reports whether fd is an HTTP handler (has both an
-// http.ResponseWriter and a *http.Request parameter) or a
-// context-threading engine method (name ends in "Ctx" and takes a
-// context.Context).
+// http.ResponseWriter and a *http.Request parameter) or takes a
+// context.Context.
 func requestScoped(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	if fd.Type.Params == nil {
 		return false
 	}
-	var hasWriter, hasRequest, hasCtx bool
+	var hasWriter, hasRequest bool
 	for _, field := range fd.Type.Params.List {
 		tv, ok := pass.TypesInfo.Types[field.Type]
 		if !ok {
@@ -82,11 +80,8 @@ func requestScoped(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 		case analysis.IsNamed(tv.Type, "http", "Request"):
 			hasRequest = true
 		case analysis.IsNamed(tv.Type, "context", "Context"):
-			hasCtx = true
+			return true
 		}
 	}
-	if hasWriter && hasRequest {
-		return true
-	}
-	return hasCtx && strings.HasSuffix(fd.Name.Name, "Ctx")
+	return hasWriter && hasRequest
 }

@@ -29,6 +29,11 @@ func (e *engine) FinishCtx(ctx context.Context, id string) error {
 	return e.work(context.Background()) // want `context.Background\(\) inside request-scoped FinishCtx`
 }
 
+// Any function handed a context is in scope, whatever its name: flagged.
+func (e *engine) Answer(ctx context.Context, id string) error {
+	return e.work(context.TODO()) // want `context.TODO\(\) inside request-scoped Answer`
+}
+
 // Background inside a goroutine launched by a handler is still a severed
 // chain: flagged (detach with trace.Detach instead).
 func handleAsync(w http.ResponseWriter, r *http.Request) {
@@ -44,8 +49,8 @@ func handleGood(w http.ResponseWriter, r *http.Request) {
 	_ = e.work(r.Context())
 }
 
-// A *Ctx method threading its ctx: fine.
-func (e *engine) StartCtx(ctx context.Context, id string) error {
+// An engine method threading its ctx: fine.
+func (e *engine) Start(ctx context.Context, id string) error {
 	return e.work(ctx)
 }
 

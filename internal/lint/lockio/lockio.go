@@ -1,6 +1,6 @@
 // Package lockio defines the lockio analyzer: no I/O, fsync, marshal /
 // codec encode, or blocking channel operation may run inside a critical
-// section of the bank, delivery or catdelivery packages.
+// section of the bank, delivery, catdelivery or shardmap packages.
 //
 // This is the group-commit and sharded-registry invariant from PR 1/PR 4:
 // the ordering lock (bank.Journal.mu), the registry shard locks and the
@@ -35,11 +35,13 @@ under its own lock on a dedicated writer goroutine.`,
 	Run: run,
 }
 
-// scoped reports whether the analyzer polices pkg at all.
+// scoped reports whether the analyzer polices pkg at all. shardmap holds
+// the session registries' shard locks.
 func scoped(pkg *types.Package) bool {
 	return analysis.PkgPathTail(pkg, "bank") ||
 		analysis.PkgPathTail(pkg, "delivery") ||
-		analysis.PkgPathTail(pkg, "catdelivery")
+		analysis.PkgPathTail(pkg, "catdelivery") ||
+		analysis.PkgPathTail(pkg, "shardmap")
 }
 
 // ioFuncs are package-level functions that marshal or touch the

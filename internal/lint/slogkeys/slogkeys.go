@@ -2,8 +2,8 @@
 // compile-time snake_case string constants.
 //
 // Slow-request correlation (PR 8) greps one key — request_id — across the
-// HTTP access log, the engine slow-op lines and the WAL layer. That only
-// works while every layer spells its keys identically, which is why the
+// HTTP access log and the tracer's slow-request line. That only works
+// while every call site spells its keys identically, which is why the
 // shared constant set lives in internal/obs (LogKeyRequestID etc.) and
 // why a key built at runtime (fmt.Sprintf, concatenation) is a finding:
 // it cannot be audited, indexed or grepped. Named constants and literals

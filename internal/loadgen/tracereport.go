@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"text/tabwriter"
 
 	"mineassess/internal/trace"
@@ -39,56 +38,37 @@ type TraceReport struct {
 	Phases   []PhaseStat `json:"phases"`
 }
 
-// phaseOrder fixes the table's row order top-down along the request path.
-var phaseOrder = []struct {
-	key string
-	sub bool
-}{
-	{"http.edge", false},
-	{"engine", false},
-	{"wal.commit", false},
-	{"wal.enqueue-wait", true},
-	{"wal.batch-wait", true},
-	{"wal.fsync", true},
-	{"bus.publish", false},
-	{"sse.stream", false},
-	{"sse.frame", true},
-}
-
 // BuildTraceReport folds retained and recent trace trees (as returned by
-// trace.Tracer.Retained/Recent) into per-phase latency statistics. Traces
-// appearing in both sinks count once.
+// trace.Tracer.Retained/Recent) into per-phase latency statistics with
+// trace.Fold's exclusive accounting. Traces appearing in both sinks count
+// once.
 func BuildTraceReport(retained, recent []*trace.TraceData) *TraceReport {
-	samples := make(map[string][]float64, len(phaseOrder))
+	var samples [trace.NumLayers][]float64
+	add := func(l trace.Layer, ms float64) { samples[l] = append(samples[l], ms) }
 	seen := make(map[string]bool, len(retained)+len(recent))
-	n := 0
-	for _, td := range retained {
-		if td.Root == nil || seen[td.TraceID] {
-			continue
+	rep := &TraceReport{}
+	for i, sink := range [][]*trace.TraceData{retained, recent} {
+		for _, td := range sink {
+			if td.Root == nil || seen[td.TraceID] {
+				continue
+			}
+			seen[td.TraceID] = true
+			rep.Traces++
+			trace.Fold(td.Root, add)
 		}
-		seen[td.TraceID] = true
-		n++
-		foldTrace(td, samples)
-	}
-	retainedN := n
-	for _, td := range recent {
-		if td.Root == nil || seen[td.TraceID] {
-			continue
+		if i == 0 {
+			rep.Retained = rep.Traces
 		}
-		seen[td.TraceID] = true
-		n++
-		foldTrace(td, samples)
 	}
-	rep := &TraceReport{Traces: n, Retained: retainedN}
-	for _, ph := range phaseOrder {
-		vals := samples[ph.key]
+	for l := trace.Layer(0); l < trace.NumLayers; l++ {
+		vals := samples[l]
 		if len(vals) == 0 {
 			continue
 		}
 		sort.Float64s(vals)
 		rep.Phases = append(rep.Phases, PhaseStat{
-			Phase: ph.key,
-			Sub:   ph.sub,
+			Phase: l.String(),
+			Sub:   l.Sub(),
 			Count: len(vals),
 			P50Ms: quantileMs(vals, 0.50),
 			P99Ms: quantileMs(vals, 0.99),
@@ -96,71 +76,6 @@ func BuildTraceReport(retained, recent []*trace.TraceData) *TraceReport {
 		})
 	}
 	return rep
-}
-
-// foldTrace attributes one trace's time to phases. Exclusive accounting on
-// the containers: the HTTP edge sample is root minus its engine children,
-// and each engine sample is the engine span minus the WAL and bus time
-// nested inside it, so a phase's milliseconds are claimed exactly once.
-func foldTrace(td *trace.TraceData, samples map[string][]float64) {
-	root := td.Root
-	engineMs, streaming := 0.0, false
-	for _, c := range root.Children {
-		if isEngineSpan(c.Name) {
-			engineMs += c.DurationMS
-			inner := foldSpan(c, samples)
-			samples["engine"] = append(samples["engine"], max0(c.DurationMS-inner))
-			continue
-		}
-		if c.Name == "sse.frame" {
-			streaming = true
-		}
-		foldSpan(c, samples)
-	}
-	// An SSE stream's root span lasts as long as the watcher stays
-	// subscribed — that duration is subscription length, not edge latency,
-	// so streaming roots get their own row instead of skewing http.edge.
-	if streaming {
-		samples["sse.stream"] = append(samples["sse.stream"], root.DurationMS)
-		return
-	}
-	samples["http.edge"] = append(samples["http.edge"], max0(root.DurationMS-engineMs))
-}
-
-// foldSpan walks a subtree recording WAL/bus/SSE leaf phases; it returns
-// the milliseconds it attributed, so callers can subtract nested phases
-// from their own exclusive time.
-func foldSpan(sd *trace.SpanData, samples map[string][]float64) float64 {
-	switch sd.Name {
-	case "wal.commit":
-		samples["wal.commit"] = append(samples["wal.commit"], sd.DurationMS)
-		for _, c := range sd.Children {
-			if strings.HasPrefix(c.Name, "wal.") {
-				samples[c.Name] = append(samples[c.Name], c.DurationMS)
-			}
-		}
-		return sd.DurationMS
-	case "bus.publish", "sse.frame":
-		samples[sd.Name] = append(samples[sd.Name], sd.DurationMS)
-		return sd.DurationMS
-	}
-	claimed := 0.0
-	for _, c := range sd.Children {
-		claimed += foldSpan(c, samples)
-	}
-	return claimed
-}
-
-// isEngineSpan recognizes the delivery/catdelivery engine call spans.
-func isEngineSpan(name string) bool {
-	return strings.HasPrefix(name, "engine.") || strings.HasPrefix(name, "cat.")
-}
-
-func max0(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // quantileMs reads quantile q from an ascending-sorted sample slice

@@ -2,11 +2,11 @@ package obs
 
 import "context"
 
-// The request ID travels by context from the HTTP middleware down through
-// the delivery engines to the WAL-adjacent persist paths, so one slow
-// request correlates across every layer's structured log lines. The key
-// lives here — the lowest common import — so engines need not depend on
-// the HTTP package to read it.
+// The request ID travels by context from the HTTP middleware to everything
+// the request reaches: the access log, the tracer's slow-request line and
+// trace.Detach'd event publishes all read it. The key lives here — the
+// lowest common import — so those layers need not depend on the HTTP
+// package to read it.
 
 type requestIDKey struct{}
 

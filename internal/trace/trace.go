@@ -22,7 +22,7 @@
 //     through a sync.Pool once both sinks have let go of them.
 //
 // Propagation rule: the current span travels in the context under this
-// package's key. Handlers and engine *Ctx methods must pass their request
+// package's key. Handlers and engine methods must pass their request
 // context down (the ctxflow analyzer enforces it); code that outlives or
 // detaches from the request — post-persist event publishes — uses Detach,
 // which drops cancellation but keeps the span link and request ID.
@@ -32,6 +32,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,6 +47,9 @@ const MaxSpans = 48
 
 // maxAttrs is the per-span typed-attribute capacity.
 const maxAttrs = 4
+
+// AttrHTTPStatus is the root span's HTTP response status attribute.
+const AttrHTTPStatus = "http.status"
 
 // TraceID identifies one trace (16 bytes, W3C trace-id).
 type TraceID [16]byte
@@ -99,17 +103,18 @@ const (
 // with an atomic cursor. It recycles through the tracer's pool once every
 // sink holding it lets go.
 type buf struct {
-	tracer  *Tracer
-	id      TraceID
-	idHex   string
-	reason  string // retention reason, set at finalize
-	next    atomic.Int32
-	open    atomic.Int32
-	dropped atomic.Int32
-	flags   atomic.Uint32
-	rootEnd atomic.Bool
-	refs    atomic.Int32
-	spans   [MaxSpans]SpanRecord
+	tracer    *Tracer
+	id        TraceID
+	idHex     string
+	requestID string // the root context's request ID, for the slow log
+	reason    string // retention reason, set at finalize
+	next      atomic.Int32
+	open      atomic.Int32
+	dropped   atomic.Int32
+	flags     atomic.Uint32
+	rootEnd   atomic.Bool
+	refs      atomic.Int32
+	spans     [MaxSpans]SpanRecord
 }
 
 // setFlag ORs a condition flag in (atomic.Uint32.Or postdates the CI
@@ -137,6 +142,7 @@ func (b *buf) reset() {
 	b.rootEnd.Store(false)
 	b.refs.Store(0)
 	b.idHex = ""
+	b.requestID = ""
 	b.reason = ""
 }
 
@@ -265,6 +271,19 @@ func (s Span) End() {
 	s.EndAt(time.Now())
 }
 
+// EndErr completes the span now, marking it failed when *err is non-nil.
+// Methods whose span covers every return path defer it on their named
+// error result.
+func (s Span) EndErr(err *error) {
+	if s.b == nil {
+		return
+	}
+	if *err != nil {
+		s.SetError()
+	}
+	s.End()
+}
+
 // EndAt completes the span at an explicit end time. Ending the last open
 // span of a trace whose root has ended finalizes the trace into the sinks.
 // A second End on the same span is ignored.
@@ -305,9 +324,14 @@ const (
 // Options configures a Tracer. Zero values take the noted defaults.
 type Options struct {
 	// Slow is the root-duration threshold above which a trace is always
-	// retained (wire it to the server's -slow-request). 0 disables the
-	// slowness rule.
+	// retained and, with Logger set, logged (wire it to the server's
+	// -slow-request). 0 disables the slowness rule.
 	Slow time.Duration
+	// Logger receives one Warn "slow request" record per trace whose root
+	// ran for at least Slow, whatever its retention reason: request and
+	// trace IDs, reason, root name, HTTP status, duration and the
+	// exclusive milliseconds per layer (see Fold). Nil logs nothing.
+	Logger *slog.Logger
 	// Policy is the retention policy for unremarkable traces.
 	Policy Policy
 	// SampleEvery keeps 1 in N unremarkable traces under PolicySampled
@@ -327,6 +351,7 @@ type Options struct {
 // zero span.
 type Tracer struct {
 	slow        time.Duration
+	log         *slog.Logger
 	policy      Policy
 	sampleEvery uint64
 	sampleCtr   atomic.Uint64
@@ -365,6 +390,7 @@ func New(o Options) *Tracer {
 	}
 	t := &Tracer{
 		slow:        o.Slow,
+		log:         o.Logger,
 		policy:      o.Policy,
 		sampleEvery: uint64(o.SampleEvery),
 		idHi:        randUint64(),
@@ -418,7 +444,8 @@ func (t *Tracer) StartRoot(ctx context.Context, name string) (context.Context, S
 
 // StartRootLinked is StartRoot continuing an inbound W3C trace: the trace
 // adopts tid and the root span parents under remote (both may be zero for
-// a fresh trace).
+// a fresh trace). The request ID on ctx, if any, rides along for the slow
+// log.
 func (t *Tracer) StartRootLinked(ctx context.Context, name string, tid TraceID, remote SpanID) (context.Context, Span) {
 	if t == nil {
 		return ctx, Span{}
@@ -430,6 +457,7 @@ func (t *Tracer) StartRootLinked(ctx context.Context, name string, tid TraceID, 
 	}
 	b.id = tid
 	b.idHex = tid.String()
+	b.requestID = obs.RequestIDFrom(ctx)
 	b.next.Store(1)
 	b.open.Store(1)
 	r := &b.spans[0]
@@ -474,6 +502,9 @@ func (b *buf) finalize() {
 		b.reason = "sample"
 	default:
 		keep = false
+	}
+	if t.log != nil && t.slow > 0 && root.Duration >= t.slow {
+		t.logSlow(b)
 	}
 	t.sink(b, keep)
 }
@@ -549,16 +580,12 @@ func StartSpan(ctx context.Context, name string) (context.Context, Span) {
 // Post-persist event publishes use it so their spans parent correctly
 // instead of orphaning (or carrying a context that may already be dead).
 func Detach(ctx context.Context) context.Context {
-	sp := FromContext(ctx)
-	rid := obs.RequestIDFrom(ctx)
-	if !sp.Valid() && rid == "" {
-		return context.Background()
-	}
+	//assess:allow ctxflow: detaching from the request lifetime is the point
 	out := context.Background()
-	if rid != "" {
+	if rid := obs.RequestIDFrom(ctx); rid != "" {
 		out = obs.WithRequestID(out, rid)
 	}
-	if sp.Valid() {
+	if sp := FromContext(ctx); sp.Valid() {
 		out = ContextWithSpan(out, sp)
 	}
 	return out

@@ -14,8 +14,8 @@ import (
 	"mineassess/internal/item"
 )
 
-// newLMS spins up a full /v1 server over an empty reference store.
-func newLMS(t *testing.T) (*Client, *bank.Store) {
+// newLMS spins up a full /v1 server over an empty single-shard store.
+func newLMS(t *testing.T) (*Client, *bank.Sharded) {
 	t.Helper()
 	store := bank.New()
 	engine := delivery.NewEngine(store, nil, 4)
