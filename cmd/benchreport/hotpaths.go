@@ -37,6 +37,7 @@ import (
 	"mineassess/internal/item"
 	"mineassess/internal/obs"
 	"mineassess/internal/simulate"
+	"mineassess/internal/wal"
 )
 
 // HotpathResult is one measured hot path: time and allocations per
@@ -62,9 +63,9 @@ type HotpathsSection struct {
 
 // openCodecJournal builds a measureJournalWrites opener for one codec under
 // the group-commit journal.
-func openCodecJournal(codec bank.Codec, policy bank.SyncPolicy) func(dir string) (journalWriter, error) {
+func openCodecJournal(codec wal.Codec, policy wal.SyncPolicy) func(dir string) (journalWriter, error) {
 	return func(dir string) (journalWriter, error) {
-		return bank.OpenJournalWith(dir, bank.NewSharded(0), bank.JournalOptions{
+		return bank.OpenJournal(dir, bank.NewSharded(0), bank.JournalOptions{
 			CompactEvery: 1_000_000,
 			Sync:         policy,
 			Codec:        codec,
@@ -92,15 +93,15 @@ func nextBenchProblems(n int) ([]*item.Problem, error) {
 
 // measureJournalCommitAllocs reports time and allocations per committed
 // record under SyncNone (no fsync, so the encode + submit path dominates).
-func measureJournalCommitAllocs(codec bank.Codec) (HotpathResult, error) {
+func measureJournalCommitAllocs(codec wal.Codec) (HotpathResult, error) {
 	dir, err := os.MkdirTemp("", "benchalloc")
 	if err != nil {
 		return HotpathResult{}, err
 	}
 	defer os.RemoveAll(dir)
-	j, err := bank.OpenJournalWith(dir, bank.NewSharded(0), bank.JournalOptions{
+	j, err := bank.OpenJournal(dir, bank.NewSharded(0), bank.JournalOptions{
 		CompactEvery: 10_000_000,
-		Sync:         bank.SyncNone,
+		Sync:         wal.SyncNone,
 		Codec:        codec,
 	})
 	if err != nil {
@@ -263,16 +264,16 @@ func measureNextItem(poolSize int) (exact, grid HotpathResult, err error) {
 func measureHotpathsSuite() (*HotpathsSection, error) {
 	sec := &HotpathsSection{}
 	for _, workers := range []int{journalBenchWorkers, 128} {
-		for _, codec := range []bank.Codec{bank.CodecJSON, bank.CodecBinary} {
+		for _, codec := range []wal.Codec{wal.CodecJSON, wal.CodecBinary} {
 			name := fmt.Sprintf("group-commit/group/%s/%dw", codec, workers)
-			res, err := measureJournalWrites(name, openCodecJournal(codec, bank.SyncGroup), workers, 48)
+			res, err := measureJournalWrites(name, openCodecJournal(codec, wal.SyncGroup), workers, 48)
 			if err != nil {
 				return nil, err
 			}
 			sec.Journal = append(sec.Journal, res)
 		}
 	}
-	for _, codec := range []bank.Codec{bank.CodecJSON, bank.CodecBinary} {
+	for _, codec := range []wal.Codec{wal.CodecJSON, wal.CodecBinary} {
 		res, err := measureJournalCommitAllocs(codec)
 		if err != nil {
 			return nil, err
@@ -308,8 +309,8 @@ func runE23(int64) error {
 	// (group-commit/group at 32 writers, historically JSON): binary framing
 	// plus 128 coalescing writers is the same durability contract, measured
 	// on the same machine in the same run.
-	e21 := byName[fmt.Sprintf("group-commit/group/%s/%dw", bank.CodecJSON, journalBenchWorkers)]
-	best := byName[fmt.Sprintf("group-commit/group/%s/128w", bank.CodecBinary)]
+	e21 := byName[fmt.Sprintf("group-commit/group/%s/%dw", wal.CodecJSON, journalBenchWorkers)]
+	best := byName[fmt.Sprintf("group-commit/group/%s/128w", wal.CodecBinary)]
 	if e21.OpsPerSec > 0 {
 		fmt.Printf("  binary@128w vs json@%dw (E21 config): %.2fx\n",
 			journalBenchWorkers, best.OpsPerSec/e21.OpsPerSec)
@@ -392,7 +393,7 @@ func checkAllocs(path string) error {
 		base[r.Name] = r.AllocsPerOp
 	}
 	var current []HotpathResult
-	for _, codec := range []bank.Codec{bank.CodecJSON, bank.CodecBinary} {
+	for _, codec := range []wal.Codec{wal.CodecJSON, wal.CodecBinary} {
 		res, err := measureJournalCommitAllocs(codec)
 		if err != nil {
 			return err

@@ -25,6 +25,7 @@ import (
 	"mineassess/internal/bank"
 	"mineassess/internal/catdelivery"
 	"mineassess/internal/item"
+	"mineassess/internal/wal"
 )
 
 // journalBenchWorkers is the concurrency the acceptance target is defined
@@ -58,10 +59,10 @@ type serialWAL struct {
 	mu      sync.Mutex
 	backend bank.Storage
 	f       *os.File
-	policy  bank.SyncPolicy
+	policy  wal.SyncPolicy
 }
 
-func newSerialWAL(dir string, policy bank.SyncPolicy) (*serialWAL, error) {
+func newSerialWAL(dir string, policy wal.SyncPolicy) (*serialWAL, error) {
 	f, err := os.OpenFile(dir+"/wal.log", os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -86,7 +87,7 @@ func (s *serialWAL) AddProblem(p *item.Problem) error {
 	if _, err := s.f.Write(raw); err != nil {
 		return err
 	}
-	if s.policy != bank.SyncNone {
+	if s.policy != wal.SyncNone {
 		return s.f.Sync()
 	}
 	return nil
@@ -191,7 +192,7 @@ type journalConfig struct {
 // baseline and the group-commit journal, each under every sync policy.
 func journalConfigs() []journalConfig {
 	var cfgs []journalConfig
-	for _, policy := range []bank.SyncPolicy{bank.SyncAlways, bank.SyncGroup, bank.SyncNone} {
+	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncGroup, wal.SyncNone} {
 		policy := policy
 		cfgs = append(cfgs,
 			journalConfig{
@@ -201,7 +202,7 @@ func journalConfigs() []journalConfig {
 			journalConfig{
 				name: "group-commit/" + string(policy),
 				open: func(dir string) (journalWriter, error) {
-					return bank.OpenJournalSync(dir, bank.NewSharded(0), 1_000_000, policy)
+					return bank.OpenJournal(dir, bank.NewSharded(0), bank.JournalOptions{CompactEvery: 1_000_000, Sync: policy})
 				},
 			},
 		)
@@ -213,13 +214,13 @@ func journalConfigs() []journalConfig {
 // journaled bank and samples SubmitResponse latency — the per-answer
 // persist is on this path, so this is the end-to-end cost a learner pays
 // per CAT answer once real durability is on.
-func measureCATPersistLatency(policy bank.SyncPolicy, workers, sessionsPerWorker int) (JournalResult, error) {
+func measureCATPersistLatency(policy wal.SyncPolicy, workers, sessionsPerWorker int) (JournalResult, error) {
 	dir, err := os.MkdirTemp("", "benchcatwal")
 	if err != nil {
 		return JournalResult{}, err
 	}
 	defer os.RemoveAll(dir)
-	store, err := bank.OpenJournalSync(dir, bank.NewSharded(0), 1_000_000, policy)
+	store, err := bank.OpenJournal(dir, bank.NewSharded(0), bank.JournalOptions{CompactEvery: 1_000_000, Sync: policy})
 	if err != nil {
 		return JournalResult{}, err
 	}
@@ -305,7 +306,7 @@ func measureJournalSuite(perWorker int) ([]JournalResult, error) {
 		}
 		results = append(results, res)
 	}
-	cat, err := measureCATPersistLatency(bank.SyncGroup, 8, 2)
+	cat, err := measureCATPersistLatency(wal.SyncGroup, 8, 2)
 	if err != nil {
 		return nil, err
 	}

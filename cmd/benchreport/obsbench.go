@@ -18,6 +18,7 @@ import (
 
 	"mineassess/internal/bank"
 	"mineassess/internal/obs"
+	"mineassess/internal/wal"
 )
 
 // ObsSection is the "obs" block of BENCH_BASELINE.json.
@@ -68,11 +69,11 @@ func measureObsSuite() (*ObsSection, error) {
 	for _, instrumented := range []bool{false, true} {
 		instrumented := instrumented
 		open := func(dir string) (journalWriter, error) {
-			opts := bank.JournalOptions{CompactEvery: 1_000_000, Sync: bank.SyncGroup}
+			opts := bank.JournalOptions{CompactEvery: 1_000_000, Sync: wal.SyncGroup}
 			if instrumented {
 				opts.Obs = obs.NewRegistry()
 			}
-			return bank.OpenJournalWith(dir, bank.NewSharded(0), opts)
+			return bank.OpenJournal(dir, bank.NewSharded(0), opts)
 		}
 		name := fmt.Sprintf("journal/group/%dw/obs-%s", journalBenchWorkers, onOff(instrumented))
 		res, err := measureJournalWrites(name, open, journalBenchWorkers, 48)

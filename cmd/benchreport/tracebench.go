@@ -23,6 +23,7 @@ import (
 	"mineassess/internal/loadgen"
 	"mineassess/internal/obs"
 	"mineassess/internal/trace"
+	"mineassess/internal/wal"
 )
 
 // TraceSection is the "trace" block of BENCH_BASELINE.json.
@@ -96,8 +97,8 @@ func (w *tracedJournal) Close() error { return w.j.Close() }
 // benchmark at one tracing level.
 func measureTraceJournal(m traceMode) (JournalResult, error) {
 	open := func(dir string) (journalWriter, error) {
-		j, err := bank.OpenJournalWith(dir, bank.NewSharded(0),
-			bank.JournalOptions{CompactEvery: 1_000_000, Sync: bank.SyncGroup, Obs: obs.NewRegistry()})
+		j, err := bank.OpenJournal(dir, bank.NewSharded(0),
+			bank.JournalOptions{CompactEvery: 1_000_000, Sync: wal.SyncGroup, Obs: obs.NewRegistry()})
 		if err != nil {
 			return nil, err
 		}

@@ -102,6 +102,7 @@ import (
 	"mineassess/internal/obs"
 	"mineassess/internal/scorm"
 	"mineassess/internal/trace"
+	"mineassess/internal/wal"
 )
 
 func main() {
@@ -120,7 +121,7 @@ func run(args []string) error {
 	writeTimeout := fs.Duration("write-timeout", 10*time.Second, "HTTP write timeout")
 	shards := fs.Int("shards", bank.DefaultShards, "bank shard count")
 	journalDir := fs.String("journal", "", "write-ahead-log directory (empty disables journaling)")
-	fsync := fs.String("fsync", string(bank.SyncGroup), "WAL sync policy: always, group or none (with -journal)")
+	fsync := fs.String("fsync", string(wal.SyncGroup), "WAL sync policy: always, group or none (with -journal)")
 	sessionShards := fs.Int("session-shards", delivery.DefaultSessionShards, "session registry shard count")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	rate := fs.Float64("rate", 0, "per-learner rate limit in requests/second (0 explicitly disables the limiter)")
@@ -153,11 +154,11 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown -log-format %q (want text or json)", *logFormat)
 	}
-	syncPolicy, err := bank.ParseSyncPolicy(*fsync)
+	syncPolicy, err := wal.ParseSyncPolicy(*fsync)
 	if err != nil {
 		return err
 	}
-	codec, err := bank.ParseCodec(*walCodec)
+	codec, err := wal.ParseCodec(*walCodec)
 	if err != nil {
 		return err
 	}
@@ -219,7 +220,7 @@ func run(args []string) error {
 		if *eventLog != "" {
 			// The event log shares the WAL's fsync policy and record codec —
 			// one durability/format story for both append-only logs.
-			evlog, err = events.OpenLogWith(*eventLog, events.LogOptions{
+			evlog, err = events.OpenLog(*eventLog, events.LogOptions{
 				Sync:     syncPolicy,
 				Codec:    codec,
 				MaxBytes: *eventLogMax,
@@ -236,6 +237,13 @@ func run(args []string) error {
 		defer func() {
 			bus.Close() // flushes the durable log, ends every subscription
 			live.Close()
+			// A failed event log stops persisting but keeps the live bus
+			// running, so its failure is only visible here.
+			if evlog != nil {
+				if err := evlog.Err(); err != nil {
+					log.Printf("examserver: WARNING: durable event log stopped persisting: %v", err)
+				}
+			}
 		}()
 	}
 	accessLog := slog.New(logHandler)

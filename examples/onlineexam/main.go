@@ -39,7 +39,7 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	store, err := bank.OpenJournal(dir, bank.NewSharded(0), 0)
+	store, err := bank.OpenJournal(dir, bank.NewSharded(0), bank.JournalOptions{})
 	if err != nil {
 		return err
 	}

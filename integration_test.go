@@ -355,7 +355,7 @@ func TestResultPersistenceAcrossPipeline(t *testing.T) {
 // crash-safe delivery path.
 func TestJournaledDeliveryAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	j, err := bank.OpenJournal(dir, bank.NewSharded(4), 1000)
+	j, err := bank.OpenJournal(dir, bank.NewSharded(4), bank.JournalOptions{CompactEvery: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestJournaledDeliveryAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := bank.OpenJournal(dir, bank.NewSharded(4), 1000)
+	reopened, err := bank.OpenJournal(dir, bank.NewSharded(4), bank.JournalOptions{CompactEvery: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

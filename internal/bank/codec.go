@@ -1,9 +1,10 @@
 package bank
 
 // Binary WAL codec: a positional encoding of walRecord inside a
-// walcodec frame, selected by Options.Codec / JournalOptions.Codec. The
-// JSON codec (the default, and the only format before the codec option
-// existed) writes one JSON object per line; the binary codec writes compact
+// walcodec frame, selected by wal.CodecBinary in Options.Codec /
+// JournalOptions.Codec. The JSON codec (the default, and the only format
+// before the codec option existed) writes one JSON object per line; the
+// binary codec writes compact
 // frames that skip the per-mutation json.Marshal on the commit path. Replay
 // detects the format per record (a frame can never start with '{'), so a
 // JSON-era WAL reopened under the binary codec — or the reverse — replays
@@ -24,31 +25,6 @@ import (
 	"mineassess/internal/simulate"
 	"mineassess/internal/walcodec"
 )
-
-// Codec names a WAL record encoding.
-type Codec string
-
-// WAL codecs.
-const (
-	// CodecJSON writes one JSON object per record — the historical format,
-	// and the default.
-	CodecJSON Codec = "json"
-	// CodecBinary writes length-prefixed binary frames with a CRC per
-	// record. Identical durability semantics, a fraction of the encode cost.
-	CodecBinary Codec = "binary"
-)
-
-// ParseCodec resolves a -wal-codec style flag value; empty means CodecJSON.
-func ParseCodec(s string) (Codec, error) {
-	switch Codec(s) {
-	case "":
-		return CodecJSON, nil
-	case CodecJSON, CodecBinary:
-		return Codec(s), nil
-	default:
-		return "", fmt.Errorf("bank: unknown wal codec %q (json or binary)", s)
-	}
-}
 
 // Binary op codes, fixed for the life of frame version 1.
 var opCodes = map[string]byte{

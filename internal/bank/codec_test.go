@@ -14,6 +14,7 @@ import (
 	"mineassess/internal/cognition"
 	"mineassess/internal/item"
 	"mineassess/internal/simulate"
+	"mineassess/internal/wal"
 	"mineassess/internal/walcodec"
 )
 
@@ -120,14 +121,14 @@ func TestWALCodecRoundTrip(t *testing.T) {
 }
 
 func TestParseCodec(t *testing.T) {
-	if c, err := ParseCodec(""); err != nil || c != CodecJSON {
-		t.Errorf("ParseCodec(\"\") = %v, %v; want json", c, err)
+	if c, err := wal.ParseCodec(""); err != nil || c != wal.CodecJSON {
+		t.Errorf("wal.ParseCodec(\"\") = %v, %v; want json", c, err)
 	}
-	if c, err := ParseCodec("binary"); err != nil || c != CodecBinary {
-		t.Errorf("ParseCodec(binary) = %v, %v", c, err)
+	if c, err := wal.ParseCodec("binary"); err != nil || c != wal.CodecBinary {
+		t.Errorf("wal.ParseCodec(binary) = %v, %v", c, err)
 	}
-	if _, err := ParseCodec("protobuf"); err == nil {
-		t.Error("ParseCodec accepted an unknown codec")
+	if _, err := wal.ParseCodec("protobuf"); err == nil {
+		t.Error("wal.ParseCodec accepted an unknown codec")
 	}
 }
 
@@ -137,16 +138,16 @@ func TestParseCodec(t *testing.T) {
 // under either setting — replays the full mixed log.
 func TestJournalMixedFormatReplay(t *testing.T) {
 	dir := t.TempDir()
-	open := func(codec Codec) *Journal {
+	open := func(codec wal.Codec) *Journal {
 		t.Helper()
-		j, err := OpenJournalWith(dir, NewSharded(4),
-			JournalOptions{CompactEvery: 1_000_000, Sync: SyncNone, Codec: codec})
+		j, err := OpenJournal(dir, NewSharded(4),
+			JournalOptions{CompactEvery: 1_000_000, Sync: wal.SyncNone, Codec: codec})
 		if err != nil {
 			t.Fatalf("open %s: %v", codec, err)
 		}
 		return j
 	}
-	j := open(CodecJSON)
+	j := open(wal.CodecJSON)
 	for _, id := range []string{"j0", "j1"} {
 		if err := j.AddProblem(confMC(t, id)); err != nil {
 			t.Fatal(err)
@@ -157,7 +158,7 @@ func TestJournalMixedFormatReplay(t *testing.T) {
 	}
 	crashStop(j)
 
-	j = open(CodecBinary)
+	j = open(wal.CodecBinary)
 	for _, id := range []string{"j0", "j1"} {
 		if _, err := j.Problem(id); err != nil {
 			t.Fatalf("JSON-era record %s lost under binary codec: %v", id, err)
@@ -182,7 +183,7 @@ func TestJournalMixedFormatReplay(t *testing.T) {
 		t.Fatal("WAL does not contain both JSON lines and binary frames")
 	}
 
-	j = open(CodecJSON)
+	j = open(wal.CodecJSON)
 	defer func() { _ = j.Close() }()
 	for _, id := range []string{"j0", "j1", "b0", "b1"} {
 		if _, err := j.Problem(id); err != nil {
@@ -205,8 +206,8 @@ func TestJournalMixedFormatReplay(t *testing.T) {
 // record: replay must fail the boot with a CRC error, never silently skip.
 func TestJournalBinaryCorruptRecord(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournalWith(dir, NewSharded(4),
-		JournalOptions{CompactEvery: 1_000_000, Sync: SyncNone, Codec: CodecBinary})
+	j, err := OpenJournal(dir, NewSharded(4),
+		JournalOptions{CompactEvery: 1_000_000, Sync: wal.SyncNone, Codec: wal.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestJournalBinaryCorruptRecord(t *testing.T) {
 	if err := os.WriteFile(j.walPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenJournal(dir, NewSharded(4), 0); err == nil {
+	if _, err := OpenJournal(dir, NewSharded(4), JournalOptions{}); err == nil {
 		t.Fatal("reopen over corrupt mid-log record succeeded")
 	}
 }
@@ -235,8 +236,8 @@ func TestJournalBinaryCorruptRecord(t *testing.T) {
 // a brief writer stall) instead of spinning until the writers stop.
 func TestCompactProgressesUnderSaturatedWriters(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournalWith(dir, NewSharded(8),
-		JournalOptions{CompactEvery: 1_000_000, Sync: SyncGroup, Codec: CodecBinary})
+	j, err := OpenJournal(dir, NewSharded(8),
+		JournalOptions{CompactEvery: 1_000_000, Sync: wal.SyncGroup, Codec: wal.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"mineassess/internal/cognition"
 	"mineassess/internal/item"
 	"mineassess/internal/simulate"
+	"mineassess/internal/wal"
 )
 
 // storageBackends enumerates every backend under conformance test. The
@@ -27,7 +28,7 @@ func storageBackends(t *testing.T) map[string]func(t *testing.T) Storage {
 		"sharded":   func(t *testing.T) Storage { return NewSharded(8) },
 		"sharded1":  func(t *testing.T) Storage { return NewSharded(1) },
 		"journal/reference": func(t *testing.T) Storage {
-			j, err := OpenJournal(t.TempDir(), New(), 0)
+			j, err := OpenJournal(t.TempDir(), New(), JournalOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +38,7 @@ func storageBackends(t *testing.T) map[string]func(t *testing.T) Storage {
 		"journal/sharded": func(t *testing.T) Storage {
 			// Tiny compactEvery forces compaction mid-suite, proving reads
 			// and further writes survive it.
-			j, err := OpenJournal(t.TempDir(), NewSharded(4), 3)
+			j, err := OpenJournal(t.TempDir(), NewSharded(4), JournalOptions{CompactEvery: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +48,7 @@ func storageBackends(t *testing.T) map[string]func(t *testing.T) Storage {
 		// The non-default sync policies must not change any observable
 		// semantics — only what survives a power failure.
 		"journal/always": func(t *testing.T) Storage {
-			j, err := OpenJournalSync(t.TempDir(), NewSharded(4), 3, SyncAlways)
+			j, err := OpenJournal(t.TempDir(), NewSharded(4), JournalOptions{CompactEvery: 3, Sync: wal.SyncAlways})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +56,7 @@ func storageBackends(t *testing.T) map[string]func(t *testing.T) Storage {
 			return j
 		},
 		"journal/none": func(t *testing.T) Storage {
-			j, err := OpenJournalSync(t.TempDir(), NewSharded(4), 3, SyncNone)
+			j, err := OpenJournal(t.TempDir(), NewSharded(4), JournalOptions{CompactEvery: 3, Sync: wal.SyncNone})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,8 +66,8 @@ func storageBackends(t *testing.T) map[string]func(t *testing.T) Storage {
 		// The binary WAL codec must be observably identical to JSON — only
 		// the bytes on disk differ.
 		"journal/binary": func(t *testing.T) Storage {
-			j, err := OpenJournalWith(t.TempDir(), NewSharded(4),
-				JournalOptions{CompactEvery: 3, Codec: CodecBinary})
+			j, err := OpenJournal(t.TempDir(), NewSharded(4),
+				JournalOptions{CompactEvery: 3, Codec: wal.CodecBinary})
 			if err != nil {
 				t.Fatal(err)
 			}

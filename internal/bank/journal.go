@@ -1,12 +1,10 @@
 package bank
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -15,55 +13,12 @@ import (
 	"mineassess/internal/item"
 	"mineassess/internal/obs"
 	"mineassess/internal/trace"
-	"mineassess/internal/walcodec"
+	"mineassess/internal/wal"
 )
-
-// SyncPolicy selects when acknowledged WAL appends are forced to stable
-// storage. It trades write latency against what survives a power failure;
-// see the Journal type comment for the guarantee each policy carries.
-type SyncPolicy string
-
-// Sync policies.
-const (
-	// SyncAlways fsyncs every record individually before acknowledging it.
-	// No acknowledged mutation is lost on power failure. Slowest: one
-	// fsync per mutation, with no coalescing.
-	SyncAlways SyncPolicy = "always"
-	// SyncGroup (the default) coalesces concurrently submitted records
-	// into one batched write plus one fsync, and acknowledges the whole
-	// batch only after that fsync returns. Same power-failure guarantee as
-	// SyncAlways for acknowledged writes — the fsync cost is amortized
-	// over the batch instead of paid per record.
-	SyncGroup SyncPolicy = "group"
-	// SyncNone appends through the OS page cache and never fsyncs the WAL
-	// (snapshots are still fsynced). Process-crash-safe only: a power
-	// failure can lose recently acknowledged mutations.
-	SyncNone SyncPolicy = "none"
-)
-
-// ParseSyncPolicy resolves a -fsync style flag value; empty means SyncGroup.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch SyncPolicy(s) {
-	case "":
-		return SyncGroup, nil
-	case SyncAlways, SyncGroup, SyncNone:
-		return SyncPolicy(s), nil
-	default:
-		return "", fmt.Errorf("bank: unknown sync policy %q (always, group or none)", s)
-	}
-}
 
 // errJournalClosed is returned by every operation on a closed or poisoned
 // journal.
 var errJournalClosed = errors.New("bank: journal is closed")
-
-// walSink is the journal's append target — *os.File in production, wrapped
-// by tests to inject write failures and simulated power cuts.
-type walSink interface {
-	io.Writer
-	Sync() error
-	Close() error
-}
 
 // Journal adds write-ahead durability to any Storage backend. Instead of
 // rewriting the whole bank file on every change (Save is O(bank)), each
@@ -84,12 +39,13 @@ type walSink interface {
 // the backend and take no journal lock at all, so the backend's concurrency
 // (per-shard locks for *Sharded) is preserved.
 //
-// Durability is governed by SyncPolicy:
+// Durability is governed by wal.SyncPolicy, and the WAL file itself is a
+// wal.File:
 //
-//   - SyncAlways / SyncGroup: an acknowledged mutation has been fsynced and
+//   - always / group: an acknowledged mutation has been fsynced and
 //     survives OS crash and power failure. Group merely amortizes the fsync
 //     across the batch; the per-write guarantee is identical.
-//   - SyncNone: appends ride the OS page cache. Process-crash-safe (the
+//   - none: appends ride the OS page cache. Process-crash-safe (the
 //     kernel completes the write), but a power failure can lose the most
 //     recent acknowledged mutations.
 //
@@ -104,7 +60,7 @@ type walSink interface {
 // path: the backend scan takes the ordering lock (memory-speed, writers
 // briefly quiesced — this is what makes the snapshot a consistent cut),
 // the epoch advances with the scan, and the snapshot file I/O, rename and
-// WAL rotation happen with no lock held. Mutations submitted during the
+// WAL truncation happen with no lock held. Mutations submitted during the
 // file I/O queue up and commit in the next batch.
 //
 // Revision history follows the bank file's long-standing semantics: Save
@@ -113,7 +69,7 @@ type walSink interface {
 // exactly (update and rollback records re-execute).
 type Journal struct {
 	backend Storage
-	policy  SyncPolicy
+	policy  wal.SyncPolicy
 
 	dir          string
 	snapshotPath string
@@ -122,7 +78,7 @@ type Journal struct {
 
 	// codec selects the WAL record encoding for appends; replay always
 	// auto-detects per record, so it never constrains what can be read.
-	codec Codec
+	codec wal.Codec
 
 	// mu is the ordering lock: it serializes backend apply + queue append
 	// (so WAL order always matches apply order) and guards the lifecycle
@@ -136,11 +92,13 @@ type Journal struct {
 	epoch      int64 // counts compactions; see the epoch comment below
 	compactErr error // last automatic-compaction failure (see CompactError)
 
-	// Committer-goroutine state: the WAL handle and the mutation count
-	// since the last compaction are touched only on the committer (and by
-	// Open/Close while no committer runs), never under mu.
-	wal   walSink
+	// Committer-goroutine state: the WAL file, the mutation count since the
+	// last compaction and the reused batch buffer are touched only on the
+	// committer (and by Open/Close while no committer runs), never under mu.
+	wal   *wal.File
 	dirty int
+	buf   []byte
+	ends  []int
 
 	kick          chan struct{}   // wakes the committer; cap 1
 	compactReqs   chan chan error // explicit Compact runs on the committer
@@ -219,41 +177,29 @@ const (
 	opDeleteAdaptive = "delete_adaptive_session"
 )
 
-// OpenJournal opens (or creates) the journal in dir over the given backend
-// with the default SyncGroup policy, replaying any existing snapshot and
-// WAL into it. The backend must be empty. compactEvery <= 0 means
-// DefaultCompactEvery.
-func OpenJournal(dir string, backend Storage, compactEvery int) (*Journal, error) {
-	return OpenJournalSync(dir, backend, compactEvery, SyncGroup)
-}
-
-// OpenJournalSync is OpenJournal with an explicit SyncPolicy (empty means
-// SyncGroup).
-func OpenJournalSync(dir string, backend Storage, compactEvery int, policy SyncPolicy) (*Journal, error) {
-	return OpenJournalWith(dir, backend, JournalOptions{CompactEvery: compactEvery, Sync: policy})
-}
-
-// JournalOptions configures OpenJournalWith; zero values mean the defaults
-// (DefaultCompactEvery, SyncGroup, CodecJSON, no metrics).
+// JournalOptions configures OpenJournal; zero values mean the defaults
+// (DefaultCompactEvery, wal.SyncGroup, wal.CodecJSON, no metrics).
 type JournalOptions struct {
 	CompactEvery int
-	Sync         SyncPolicy
-	Codec        Codec
+	Sync         wal.SyncPolicy
+	Codec        wal.Codec
 	// Obs, when non-nil, receives the journal's metrics (commit latency per
 	// sync policy, batch-size distribution, fsync count, WAL bytes,
 	// compaction passes/duration). Nil leaves the hot paths uninstrumented.
 	Obs *obs.Registry
 }
 
-// OpenJournalWith is OpenJournal with explicit sync and codec options. The
-// codec governs appended records only: replay detects JSON lines and binary
-// frames per record, so a WAL written under either codec reopens under any.
-func OpenJournalWith(dir string, backend Storage, opts JournalOptions) (*Journal, error) {
-	policy, err := ParseSyncPolicy(string(opts.Sync))
+// OpenJournal opens (or creates) the journal in dir over the given backend,
+// replaying any existing snapshot and WAL into it. The backend must be
+// empty; a nil backend means New(). The codec governs appended records
+// only: replay detects JSON lines and binary frames per record, so a WAL
+// written under either codec reopens under any.
+func OpenJournal(dir string, backend Storage, opts JournalOptions) (*Journal, error) {
+	policy, err := wal.ParseSyncPolicy(string(opts.Sync))
 	if err != nil {
 		return nil, err
 	}
-	codec, err := ParseCodec(string(opts.Codec))
+	codec, err := wal.ParseCodec(string(opts.Codec))
 	if err != nil {
 		return nil, err
 	}
@@ -309,34 +255,13 @@ func OpenJournalWith(dir string, backend Storage, opts JournalOptions) (*Journal
 		}
 		j.epoch = snap.WalEpoch
 	}
-	replayed, validBytes, err := j.replayWAL()
-	if err != nil {
-		return nil, err
+	// wal.Open also fsyncs the directory of a WAL it creates: without that
+	// a fresh journal could come back with no wal.log at all — losing
+	// acknowledged writes even under always, since no snapshot (whose
+	// publish path fsyncs the directory) exists until the first compaction.
+	if j.wal, err = wal.Open(walPath, policy, j.replayRecord); err != nil {
+		return nil, fmt.Errorf("bank: replay wal: %w", err)
 	}
-	j.dirty = replayed
-	// Cut off a torn final record before appending: without the truncate,
-	// the next append would concatenate onto the torn bytes and corrupt the
-	// WAL for every later reopen.
-	if validBytes >= 0 {
-		if err := os.Truncate(walPath, validBytes); err != nil {
-			return nil, fmt.Errorf("bank: truncate torn wal: %w", err)
-		}
-	}
-	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("bank: open wal: %w", err)
-	}
-	// The WAL (and possibly the journal directory itself) may have just
-	// been created: fsync the directory so the dentry survives power loss.
-	// Without this, a fresh journal could come back with no wal.log at all
-	// — losing acknowledged writes even under SyncAlways, since no
-	// snapshot (whose publish path fsyncs the directory) exists until the
-	// first compaction.
-	if err := syncDir(dir); err != nil {
-		f.Close()
-		return nil, err
-	}
-	j.wal = f
 	go j.committer()
 	if j.dirty >= j.compactEvery {
 		// A long replayed WAL is compacted in the background rather than
@@ -346,54 +271,29 @@ func OpenJournalWith(dir string, backend Storage, opts JournalOptions) (*Journal
 	return j, nil
 }
 
-// replayWAL applies every complete record in the WAL to the backend. The
-// format is detected per record (JSON line or binary frame), so the replay
-// is independent of the journal's configured codec. A truncated trailing
-// record (torn write on crash) ends the replay without error; everything
-// before it is recovered. It returns the record count and the byte offset of
-// the end of the last complete record (-1 when the WAL does not exist) so
-// the caller can truncate a torn tail.
-func (j *Journal) replayWAL() (records int, validBytes int64, err error) {
-	f, err := os.Open(j.walPath)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, -1, nil
+// replayRecord applies one replayed WAL record to the backend and counts it
+// toward the next compaction. The format is detected per record (JSON line
+// or binary frame), so the replay is independent of the journal's
+// configured codec.
+func (j *Journal) replayRecord(raw []byte, isJSON bool) error {
+	var rec walRecord
+	var err error
+	if isJSON {
+		err = json.Unmarshal(raw, &rec)
+	} else {
+		rec, err = decodeWALBinary(raw)
 	}
 	if err != nil {
-		return 0, -1, fmt.Errorf("bank: open wal: %w", err)
+		return err
 	}
-	defer f.Close()
-	n := 0
-	var offset int64
-	r := bufio.NewReader(f)
-	for {
-		raw, isJSON, size, err := walcodec.NextRecord(r)
-		if errors.Is(err, io.EOF) || errors.Is(err, walcodec.ErrTorn) {
-			return n, offset, nil // torn final record: drop it
-		}
-		if err != nil {
-			return n, offset, fmt.Errorf("bank: read wal record %d: %w", n+1, err)
-		}
-		var rec walRecord
-		if isJSON {
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return n, offset, fmt.Errorf("bank: wal record %d: %w", n+1, err)
-			}
-		} else {
-			if rec, err = decodeWALBinary(raw); err != nil {
-				return n, offset, fmt.Errorf("bank: wal record %d: %w", n+1, err)
-			}
-		}
-		// A record from an older epoch is already folded into the snapshot
-		// (crash between snapshot rename and WAL truncation): skip it
-		// rather than re-apply it.
-		if rec.Epoch >= j.epoch {
-			if err := j.apply(rec); err != nil {
-				return n, offset, fmt.Errorf("bank: replay wal record %d: %w", n+1, err)
-			}
-		}
-		offset += size
-		n++
+	j.dirty++
+	// A record from an older epoch is already folded into the snapshot
+	// (crash between snapshot rename and WAL truncation): skip it rather
+	// than re-apply it.
+	if rec.Epoch < j.epoch {
+		return nil
 	}
+	return j.apply(rec)
 }
 
 // apply replays one record against the backend. Replay is idempotent: a
@@ -524,7 +424,7 @@ func (j *Journal) mutate(ctx context.Context, apply func() (walRecord, error)) e
 	j.mu.Unlock()
 
 	j.kickCommitter()
-	if j.codec == CodecBinary {
+	if j.codec == wal.CodecBinary {
 		p.payload, p.marshalErr = encodeWALBinary(nil, &rec)
 	} else {
 		raw, merr := json.Marshal(rec)
@@ -548,8 +448,9 @@ func (j *Journal) mutate(ctx context.Context, apply func() (walRecord, error)) e
 		} else if !p.batchStart.IsZero() {
 			// Phase children, reconstructed from the committer's stamps:
 			// enqueue-wait is submit → batch pickup, batch-wait is pickup →
-			// WAL write returned, fsync is write → durable (zero-length
-			// under SyncNone, where syncDone == writeDone).
+			// this record's WAL write returned, fsync is that write →
+			// durable (zero-length under none, where syncDone ==
+			// writeDone).
 			span.ChildAt("wal.enqueue-wait", p.enqueuedAt).EndAt(p.batchStart)
 			span.ChildAt("wal.batch-wait", p.batchStart).EndAt(p.writeDone)
 			span.ChildAt("wal.fsync", p.writeDone).EndAt(p.syncDone)
@@ -619,118 +520,59 @@ func (j *Journal) drainQueue() {
 	}
 }
 
-// commitBatch writes one batch to the WAL and acknowledges its waiters.
-// Under SyncGroup/SyncNone the records coalesce into a single write (plus
-// one fsync for group); under SyncAlways each record is written and
-// fsynced individually before its waiter wakes. A write or sync failure
-// poisons the journal — the backend now holds mutations the WAL does not,
-// so rather than let memory and disk diverge further, every waiter in the
-// batch errors and every subsequent mutation errors until the process
-// restarts and replays the WAL (which drops the unjournaled mutations).
+// commitBatch writes one batch to the WAL and acknowledges its waiters as
+// their records become durable (see wal.File.Commit for what each policy
+// writes and syncs). Records commit up to the first one that failed to
+// marshal. A write or sync failure poisons the journal — the backend now
+// holds mutations the WAL does not, so rather than let memory and disk
+// diverge further, every unacknowledged waiter in the batch errors and
+// every subsequent mutation errors until the process restarts and replays
+// the WAL (which drops the unjournaled mutations).
 func (j *Journal) commitBatch(batch []*pendingCommit) {
 	j.mBatch.ObserveValue(int64(len(batch)))
-	if j.policy == SyncAlways {
-		for i, p := range batch {
-			<-p.ready
-			if p.marshalErr != nil {
-				j.poisonBatch(batch[i:], fmt.Errorf("bank: marshal wal record (journal now closed): %w", p.marshalErr))
-				return
-			}
-			// Traced waiters (enqueuedAt set) get per-record phase stamps;
-			// under always-sync every record has its own write+fsync, so the
-			// clock reads only bracket syscalls it already pays for.
-			traced := !p.enqueuedAt.IsZero()
-			if traced {
-				p.batchStart = time.Now()
-				p.batchSize = int32(len(batch))
-			}
-			if _, err := j.wal.Write(p.payload); err != nil {
-				j.poisonBatch(batch[i:], fmt.Errorf("bank: append wal (journal now closed): %w", err))
-				return
-			}
-			if traced {
-				p.writeDone = time.Now()
-			}
-			if err := j.wal.Sync(); err != nil {
-				j.poisonBatch(batch[i:], fmt.Errorf("bank: sync wal (journal now closed): %w", err))
-				return
-			}
-			if traced {
-				p.syncDone = time.Now()
-			}
-			j.mWALBytes.Add(int64(len(p.payload)))
-			j.mFsync.Inc()
-			j.dirty++
-			close(p.done)
-		}
-		return
-	}
-
-	// Group/none: coalesce the longest marshalable prefix into one write.
 	batchStart := time.Now()
-	good := batch
-	var bad []*pendingCommit
+	buf, ends := j.buf[:0], j.ends[:0]
 	var marshalErr error
-	size := 0
-	for i, p := range batch {
+	for _, p := range batch {
 		<-p.ready
 		if p.marshalErr != nil {
-			good, bad, marshalErr = batch[:i], batch[i:], p.marshalErr
+			marshalErr = p.marshalErr
 			break
 		}
-		size += len(p.payload)
+		buf = append(buf, p.payload...)
+		ends = append(ends, len(buf))
 	}
-	if len(good) > 0 {
-		buf := make([]byte, 0, size)
-		for _, p := range good {
-			buf = append(buf, p.payload...)
+	j.buf, j.ends = buf, ends
+	acked := 0
+	err := j.wal.Commit(buf, ends, func(i int, written, synced time.Time) {
+		p := batch[i]
+		if !p.enqueuedAt.IsZero() { // phase stamps for traced waiters only
+			p.batchStart, p.writeDone, p.syncDone = batchStart, written, synced
+			p.batchSize = int32(len(ends))
 		}
-		if _, err := j.wal.Write(buf); err != nil {
-			j.poisonBatch(batch, fmt.Errorf("bank: append wal (journal now closed): %w", err))
-			return
-		}
-		writeDone := time.Now()
-		if j.policy != SyncNone {
-			if err := j.wal.Sync(); err != nil {
-				j.poisonBatch(batch, fmt.Errorf("bank: sync wal (journal now closed): %w", err))
-				return
-			}
+		if j.policy == wal.SyncAlways {
+			// Each record has its own write and fsync, so the next
+			// record's batch-wait starts when this one is durable.
+			batchStart = synced
 			j.mFsync.Inc()
 		}
-		syncDone := time.Now()
-		j.mWALBytes.Add(int64(size))
-		j.dirty += len(good)
-		for _, p := range good {
-			// Phase stamps for traced waiters: the whole batch shares one
-			// write and (at most) one fsync, so the batch-level timestamps
-			// are each record's timestamps. Under SyncNone the fsync phase
-			// collapses to writeDone..syncDone ≈ 0, which is the truth.
-			if !p.enqueuedAt.IsZero() {
-				p.batchStart = batchStart
-				p.writeDone = writeDone
-				p.syncDone = syncDone
-				p.batchSize = int32(len(good))
-			}
-			close(p.done)
+		close(p.done)
+		acked++
+	})
+	if acked > 0 {
+		j.mWALBytes.Add(int64(ends[acked-1]))
+		j.dirty += acked
+		if j.policy == wal.SyncGroup {
+			j.mFsync.Inc()
 		}
 	}
-	if bad != nil {
-		j.poisonBatch(bad, fmt.Errorf("bank: marshal wal record (journal now closed): %w", marshalErr))
+	if err == nil && marshalErr != nil {
+		err = fmt.Errorf("marshal wal record: %w", marshalErr)
 	}
-}
-
-// poisonBatch marks the journal unusable, closes the WAL handle, and fails
-// every still-waiting commit in batch with err.
-func (j *Journal) poisonBatch(batch []*pendingCommit, err error) {
-	j.mu.Lock()
-	already := j.poisoned
-	j.poisoned = true
-	j.pauseCond.Broadcast()
-	j.mu.Unlock()
-	if !already {
-		_ = j.wal.Close()
+	if err != nil {
+		j.markPoisoned()
+		failBatch(batch[acked:], fmt.Errorf("bank: %w (journal now closed)", err))
 	}
-	failBatch(batch, err)
 }
 
 // failBatch wakes waiters with an error without writing anything.
@@ -794,12 +636,12 @@ func (j *Journal) Compact() error {
 	}
 }
 
-// compactCommitter writes the snapshot, syncs it, and rotates the WAL. It
+// compactCommitter writes the snapshot, syncs it, and empties the WAL. It
 // runs only on the committer goroutine (or after the committer has exited,
 // in Close), which owns the WAL handle — so no record can land in the WAL
-// between the backend scan and the rotation, and every rotated-away record
+// between the backend scan and the truncation, and every truncated record
 // is provably folded into the published snapshot. A snapshot failure leaves
-// the WAL fully intact (retryable); a failure rotating the WAL after the
+// the WAL fully intact (retryable); a failure truncating the WAL after the
 // snapshot poisons the journal, since the append handle can no longer be
 // trusted.
 func (j *Journal) compactCommitter() error {
@@ -867,16 +709,10 @@ func (j *Journal) compactCommitter() error {
 	if _, err := writeSnapshotFile(snap, j.snapshotPath); err != nil {
 		return err
 	}
-	if err := j.wal.Close(); err != nil {
+	if err := j.wal.Truncate(); err != nil {
 		j.markPoisoned()
-		return fmt.Errorf("bank: close wal (journal now closed): %w", err)
+		return fmt.Errorf("bank: %w (journal now closed)", err)
 	}
-	f, err := os.OpenFile(j.walPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		j.markPoisoned()
-		return fmt.Errorf("bank: truncate wal (journal now closed): %w", err)
-	}
-	j.wal = f
 	j.dirty = 0
 	j.mu.Lock()
 	j.compactErr = nil
@@ -896,8 +732,7 @@ func (j *Journal) unpauseLocked() {
 	}
 }
 
-// markPoisoned flags the journal unusable without touching the WAL handle
-// (rotation failures have already lost it).
+// markPoisoned flags the journal unusable; the WAL stays open until Close.
 func (j *Journal) markPoisoned() {
 	j.mu.Lock()
 	j.poisoned = true
@@ -928,7 +763,7 @@ func (j *Journal) Close() error {
 	poisoned := j.poisoned
 	j.mu.Unlock()
 	if poisoned {
-		_ = j.wal.Close() // usually already closed by the poisoning batch
+		_ = j.wal.Close() // the poisoning error was returned to its writers
 		return nil
 	}
 	err := j.compactCommitter()
@@ -942,10 +777,10 @@ func (j *Journal) Close() error {
 func (j *Journal) Dir() string { return j.dir }
 
 // Sync reports the journal's sync policy.
-func (j *Journal) Sync() SyncPolicy { return j.policy }
+func (j *Journal) Sync() wal.SyncPolicy { return j.policy }
 
 // Codec reports the journal's append codec.
-func (j *Journal) Codec() Codec { return j.codec }
+func (j *Journal) Codec() wal.Codec { return j.codec }
 
 // Mutations: backend apply + commit-queue submit under the ordering lock,
 // durable acknowledgment via the committer (see mutate).

@@ -18,7 +18,7 @@ func reopen(t *testing.T, j *Journal) *Journal {
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	back, err := OpenJournal(j.Dir(), NewSharded(4), 0)
+	back, err := OpenJournal(j.Dir(), NewSharded(4), JournalOptions{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -42,7 +42,7 @@ func crashStop(j *Journal) {
 func crashReopen(t *testing.T, j *Journal) *Journal {
 	t.Helper()
 	crashStop(j)
-	back, err := OpenJournal(j.Dir(), NewSharded(4), 0)
+	back, err := OpenJournal(j.Dir(), NewSharded(4), JournalOptions{})
 	if err != nil {
 		t.Fatalf("crash reopen: %v", err)
 	}
@@ -52,7 +52,7 @@ func crashReopen(t *testing.T, j *Journal) *Journal {
 
 func TestJournalReplayAfterReopen(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, NewSharded(4), 1000)
+	j, err := OpenJournal(dir, NewSharded(4), JournalOptions{CompactEvery: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestJournalReplayAfterReopen(t *testing.T) {
 // snapshot stay absent until compaction while the WAL grows linearly.
 func TestJournalWALAppendOnly(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, New(), 1_000_000)
+	j, err := OpenJournal(dir, New(), JournalOptions{CompactEvery: 1_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestJournalWALAppendOnly(t *testing.T) {
 
 func TestJournalCompactionTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, NewSharded(2), 5)
+	j, err := OpenJournal(dir, NewSharded(2), JournalOptions{CompactEvery: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 // line; reopen must recover everything before it and keep working.
 func TestJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, New(), 1000)
+	j, err := OpenJournal(dir, New(), JournalOptions{CompactEvery: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	back, err := OpenJournal(dir, New(), 1000)
+	back, err := OpenJournal(dir, New(), JournalOptions{CompactEvery: 1000})
 	if err != nil {
 		t.Fatalf("reopen over torn wal: %v", err)
 	}
@@ -292,7 +292,7 @@ func TestOpenBackendSelection(t *testing.T) {
 // TestJournalConcurrentWriters: appends serialize correctly under parallel
 // mutation; run with -race.
 func TestJournalConcurrentWriters(t *testing.T) {
-	j, err := OpenJournal(t.TempDir(), NewSharded(8), 7)
+	j, err := OpenJournal(t.TempDir(), NewSharded(8), JournalOptions{CompactEvery: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestJournalConcurrentWriters(t *testing.T) {
 // recovered backend has no history to pop.
 func TestJournalRollbackAfterCompactionCrash(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, NewSharded(2), 1000)
+	j, err := OpenJournal(dir, NewSharded(2), JournalOptions{CompactEvery: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestJournalRollbackAfterCompactionCrash(t *testing.T) {
 // the journal.
 func TestJournalDanglingExamSurvivesCompaction(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, NewSharded(2), 1000)
+	j, err := OpenJournal(dir, NewSharded(2), JournalOptions{CompactEvery: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestJournalCompactionCrashOverlap(t *testing.T) {
 	for _, mode := range []string{"epoch-stamped", "legacy"} {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
-			j, err := OpenJournal(dir, NewSharded(2), 1000)
+			j, err := OpenJournal(dir, NewSharded(2), JournalOptions{CompactEvery: 1000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -474,7 +474,7 @@ func TestJournalCompactionCrashOverlap(t *testing.T) {
 // journaled and replayed across reopen — the crash-safe live-CAT path.
 func TestJournalAdaptiveSessionReplay(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir, New(), 0)
+	j, err := OpenJournal(dir, New(), JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestJournalAdaptiveSessionReplay(t *testing.T) {
 	}
 	// Close WITHOUT compacting would be ideal; Close compacts, so reopen
 	// twice: once from the WAL (no close), once from the snapshot.
-	reopened, err := OpenJournal(dir, New(), 0)
+	reopened, err := OpenJournal(dir, New(), JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestJournalAdaptiveSessionReplay(t *testing.T) {
 	if err := reopened.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fromSnapshot, err := OpenJournal(dir, New(), 0)
+	fromSnapshot, err := OpenJournal(dir, New(), JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

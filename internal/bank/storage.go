@@ -9,6 +9,7 @@ import (
 
 	"mineassess/internal/item"
 	"mineassess/internal/obs"
+	"mineassess/internal/wal"
 )
 
 // Storage is the problem & exam database contract. The engine, the authoring
@@ -153,33 +154,10 @@ func writeSnapshotFile(snap *snapshot, path string) (published bool, err error) 
 	// take dependent actions — compaction truncates the WAL next, and a
 	// power failure must not revert to the old snapshot beside an
 	// already-empty WAL.
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := wal.SyncDir(filepath.Dir(path)); err != nil {
 		return true, err
 	}
 	return true, nil
-}
-
-// syncDir fsyncs a directory so recently created or renamed entries survive
-// power loss — a file fsync persists the file's bytes, not the dentry that
-// makes it reachable.
-func syncDir(dir string) error { return SyncDir(dir) }
-
-// SyncDir fsyncs a directory so freshly created or renamed entries survive
-// power loss — the dentry-durability half of the journal machinery,
-// exported for sibling append-only logs (the event log) to reuse.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("bank: open dir %s: %w", dir, err)
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return fmt.Errorf("bank: sync dir %s: %w", dir, err)
-	}
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("bank: close dir %s: %w", dir, err)
-	}
-	return nil
 }
 
 // LoadInto reads a bank file written by Save/WriteSnapshot into an existing
@@ -255,14 +233,13 @@ type Options struct {
 	Journal string
 	// CompactEvery bounds WAL growth (see OpenJournal); 0 means the default.
 	CompactEvery int
-	// Sync selects the journal's WAL sync policy (SyncAlways, SyncGroup or
-	// SyncNone); empty means SyncGroup. Ignored without a journal.
-	Sync SyncPolicy
-	// Codec selects the journal's WAL record encoding (CodecJSON or
-	// CodecBinary); empty means CodecJSON. Replay auto-detects the format
-	// per record, so an existing WAL opens under either setting. Ignored
-	// without a journal.
-	Codec Codec
+	// Sync selects the journal's WAL sync policy; empty means
+	// wal.SyncGroup. Ignored without a journal.
+	Sync wal.SyncPolicy
+	// Codec selects the journal's WAL record encoding; empty means
+	// wal.CodecJSON. Replay auto-detects the format per record, so an
+	// existing WAL opens under either setting. Ignored without a journal.
+	Codec wal.Codec
 	// Obs, when non-nil, receives the journal's metrics (see
 	// JournalOptions.Obs). Ignored without a journal.
 	Obs *obs.Registry
@@ -322,7 +299,7 @@ func Open(path string, o Options) (Storage, error) {
 			return nil, err
 		}
 	}
-	return OpenJournalWith(o.Journal, backend, JournalOptions{
+	return OpenJournal(o.Journal, backend, JournalOptions{
 		CompactEvery: o.CompactEvery,
 		Sync:         o.Sync,
 		Codec:        o.Codec,

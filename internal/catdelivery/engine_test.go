@@ -342,7 +342,7 @@ func TestExposureCapSpreadsItems(t *testing.T) {
 // journaled bank continues after an engine restart with identical state.
 func TestRestartRestoresActiveSession(t *testing.T) {
 	dir := t.TempDir()
-	j, err := bank.OpenJournal(dir, bank.NewSharded(4), 0)
+	j, err := bank.OpenJournal(dir, bank.NewSharded(4), bank.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestRestartRestoresActiveSession(t *testing.T) {
 	}
 
 	// Restart: reopen the journal and build a fresh engine over it.
-	j2, err := bank.OpenJournal(dir, bank.NewSharded(4), 0)
+	j2, err := bank.OpenJournal(dir, bank.NewSharded(4), bank.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

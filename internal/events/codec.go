@@ -15,6 +15,7 @@ import (
 )
 
 // encodeEventBinary appends e as one framed binary record to dst.
+//
 //assess:hotpath
 func encodeEventBinary(dst []byte, e *Event) []byte {
 	start := len(dst)

@@ -19,7 +19,7 @@
 //     made explicit by a TypeGap marker event carrying the dropped count,
 //     delivered in-stream before the first event after the gap.
 //   - With Options.Log set, every published event is also appended to a
-//     durable JSONL log (fsync policy reused from the bank WAL machinery),
+//     durable log (an internal/wal file, like the bank journal's WAL),
 //     so Subscribe can replay events from an offset that predates the
 //     in-memory replay ring — including across process restarts, since the
 //     log restores the sequence counters on open.

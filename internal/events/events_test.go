@@ -1,14 +1,28 @@
 package events
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
 	"testing"
 	"time"
 
-	"mineassess/internal/bank"
+	"mineassess/internal/wal"
 )
+
+// failingSink fails every append, as a full disk would.
+type failingSink struct{ wal.Sink }
+
+var errInjected = errors.New("injected write failure")
+
+func (failingSink) Write([]byte) (int, error) { return 0, errInjected }
+
+// failWrites makes every later append to l fail. Call it before l's writer
+// has seen an event (the writer owns the file once it has).
+func failWrites(l *Log) {
+	l.file.WrapSink(func(s wal.Sink) wal.Sink { return failingSink{s} })
+}
 
 func readFile(t *testing.T, path string) []byte {
 	t.Helper()
@@ -295,7 +309,7 @@ func TestPublishOnNilAndClosedBus(t *testing.T) {
 // missed events from disk even though the new bus's ring never saw them.
 func TestDurableLogReplayAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	log1, err := OpenLog(dir, bank.SyncGroup)
+	log1, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +319,7 @@ func TestDurableLogReplayAcrossRestart(t *testing.T) {
 	}
 	bus1.Close() // flushes and closes the log
 
-	log2, err := OpenLog(dir, bank.SyncGroup)
+	log2, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +352,7 @@ func TestDurableLogReplayAcrossRestart(t *testing.T) {
 // is truncated on reopen and the intact prefix replays.
 func TestLogTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	log1, err := OpenLog(dir, bank.SyncAlways)
+	log1, err := OpenLog(dir, LogOptions{Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +366,7 @@ func TestLogTornTailRecovery(t *testing.T) {
 	raw := readFile(t, path)
 	writeFile(t, path, raw[:len(raw)-7])
 
-	log2, err := OpenLog(dir, bank.SyncAlways)
+	log2, err := OpenLog(dir, LogOptions{Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatalf("reopen after torn tail: %v", err)
 	}
@@ -372,7 +386,7 @@ func TestLogTornTailRecovery(t *testing.T) {
 // not vanish.
 func TestReplaySeamBetweenLogAndRingAnnouncesGap(t *testing.T) {
 	dir := t.TempDir()
-	log1, err := OpenLog(dir, bank.SyncGroup)
+	log1, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +395,7 @@ func TestReplaySeamBetweenLogAndRingAnnouncesGap(t *testing.T) {
 	bus1.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 2
 	bus1.Close()
 
-	log2, err := OpenLog(dir, bank.SyncGroup)
+	log2, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,9 +403,7 @@ func TestReplaySeamBetweenLogAndRingAnnouncesGap(t *testing.T) {
 	defer bus2.Close()
 	// Stall the log writer so events 3..6 reach the ring but never the
 	// file: the tiny ring then holds only [5,6] while the log ends at 2.
-	log2.mu.Lock()
-	log2.err = fmt.Errorf("stalled for test")
-	log2.mu.Unlock()
+	failWrites(log2)
 	for i := 0; i < 4; i++ {
 		bus2.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // 3..6
 	}
@@ -448,7 +460,7 @@ func TestDetachSubscribersKeepsPublishing(t *testing.T) {
 // silently.
 func TestReplayRingDisabledAnnouncesUnflushedTail(t *testing.T) {
 	dir := t.TempDir()
-	log1, err := OpenLog(dir, bank.SyncGroup)
+	log1, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,15 +469,13 @@ func TestReplayRingDisabledAnnouncesUnflushedTail(t *testing.T) {
 	bus1.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 2
 	bus1.Close()
 
-	log2, err := OpenLog(dir, bank.SyncGroup)
+	log2, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bus2 := NewBus(Options{Ring: -1, Log: log2})
 	defer bus2.Close()
-	log2.mu.Lock()
-	log2.err = fmt.Errorf("stalled for test")
-	log2.mu.Unlock()
+	failWrites(log2)
 	bus2.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 3, never flushed
 
 	sub := bus2.Subscribe(SubscribeOptions{ExamID: "x", Replay: true, AfterSeq: 0})
@@ -482,5 +492,60 @@ func TestReplayRingDisabledAnnouncesUnflushedTail(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatalf("no gap marker for the unflushed tail (gaps so far %+v)", gaps)
+	}
+}
+
+// TestLogWriteFailureIsReported: the first failed append latches Err, the
+// events after it count in Dropped, live subscribers still get every event,
+// and Close returns the failure. A clean Close leaves Err nil.
+func TestLogWriteFailureIsReported(t *testing.T) {
+	log, err := OpenLog(t.TempDir(), LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := NewBus(Options{Log: log})
+	sub := bus.Subscribe(SubscribeOptions{ExamID: "x"})
+	defer sub.Close()
+	failWrites(log)
+	bus.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 1: its append fails
+	deadline := time.Now().Add(2 * time.Second)
+	for log.Err() == nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if !errors.Is(log.Err(), errInjected) {
+		t.Fatalf("Err() = %v after a failed append, want the write failure", log.Err())
+	}
+	for i := 0; i < 3; i++ {
+		bus.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // 2..4
+	}
+	evs, gaps := collect(t, sub, 4, 2*time.Second)
+	if len(gaps) != 0 || evs[0].Seq != 1 || evs[3].Seq != 4 {
+		t.Fatalf("live delivery after log failure: evs=%+v gaps=%+v", evs, gaps)
+	}
+	bus.Close() // drains the writer
+	if got := log.Dropped(); got != 3 {
+		t.Errorf("Dropped() = %d, want 3 (the events after the failure)", got)
+	}
+	if !errors.Is(log.Err(), errInjected) {
+		t.Errorf("Err() = %v after Close, want the write failure", log.Err())
+	}
+
+	failed, err := OpenLog(t.TempDir(), LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failWrites(failed)
+	failed.enqueue(Event{Type: SessionStarted, ExamID: "x", Seq: 1, GlobalSeq: 1})
+	if err := failed.Close(); !errors.Is(err, errInjected) {
+		t.Errorf("Close() = %v, want the write failure", err)
+	}
+
+	clean, err := OpenLog(t.TempDir(), LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean.enqueue(Event{Type: SessionStarted, ExamID: "x", Seq: 1, GlobalSeq: 1})
+	if err := clean.Close(); err != nil || clean.Err() != nil {
+		t.Errorf("clean Close() = %v, Err() = %v; want nil, nil", err, clean.Err())
 	}
 }

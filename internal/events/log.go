@@ -1,30 +1,25 @@
 package events
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
-	"mineassess/internal/bank"
-	"mineassess/internal/walcodec"
+	"mineassess/internal/wal"
 )
 
 // Log is the optional durable side of the bus: an append-only log of every
 // published event, written off the publish path by a dedicated writer
-// goroutine. It reuses the bank WAL's durability machinery — the same
-// bank.SyncPolicy vocabulary (always / group / none), group-commit batching
-// of concurrent appends into one write plus one fsync, and torn-tail
-// truncation on open — so an event acknowledged into the log under
-// always/group survives power loss exactly like a journaled bank mutation.
-// Records are JSON lines by default or framed binary records under
-// LogOptions.Codec; replay auto-detects the format per record, so a log may
-// freely mix both across codec changes.
+// goroutine through a wal.File, as the bank journal writes its WAL. It
+// shares the journal's durability: the wal.SyncPolicy vocabulary (always /
+// group / none), one write plus one fsync per batch of concurrent appends,
+// and torn-tail truncation on open, so an event acknowledged into the log
+// under always/group survives power loss exactly like a journaled bank
+// mutation. Records are JSON lines by default or framed binary records
+// under LogOptions.Codec; replay auto-detects the format per record, so a
+// log may freely mix both across codec changes.
 //
 // The log exists for replay: a subscriber reconnecting with a Last-Event-ID
 // older than the in-memory replay ring reads the missed events back from
@@ -39,11 +34,9 @@ import (
 // retained tail is announced by the bus as a stream.gap, never silently
 // skipped.
 type Log struct {
-	dir    string
-	path   string
-	policy bank.SyncPolicy
-	codec  bank.Codec
-	max    int64 // rotation threshold; 0 = unbounded
+	path  string
+	codec wal.Codec
+	max   int64 // rotation threshold; 0 = unbounded
 
 	// Restored on Open; read by NewBus to seed the counters.
 	examSeqs  map[string]uint64
@@ -53,10 +46,9 @@ type Log struct {
 	done    chan struct{}
 	dropped atomic.Int64
 
-	mu   sync.Mutex
-	file *os.File
-	size int64 // bytes in the active segment
-	err  error // first write/sync failure; the log stops appending after it
+	// Owned by the writer goroutine (and Open/Close while none runs). It
+	// latches the first failure; the log stops appending after it.
+	file *wal.File
 }
 
 // logQueueCap bounds the publish-to-writer handoff. A full queue means the
@@ -65,35 +57,28 @@ type Log struct {
 // durable log only — live subscribers still receive them.
 const logQueueCap = 8192
 
-// LogOptions configures OpenLogWith.
+// LogOptions configures OpenLog.
 type LogOptions struct {
-	// Sync is the fsync policy (bank vocabulary); empty means SyncGroup's
-	// parse default via bank.ParseSyncPolicy.
-	Sync bank.SyncPolicy
+	// Sync is the fsync policy; empty means wal.SyncGroup.
+	Sync wal.SyncPolicy
 	// Codec selects the on-disk record format for new appends; empty means
-	// bank.CodecJSON. Replay auto-detects per record either way.
-	Codec bank.Codec
+	// wal.CodecJSON. Replay auto-detects per record either way.
+	Codec wal.Codec
 	// MaxBytes bounds the active segment; past it the segment rotates to a
 	// ".1" predecessor (replacing the previous one). 0 means unbounded.
 	MaxBytes int64
 }
 
-// OpenLog opens (or creates) the event log in dir with the JSON codec and no
-// size bound. See OpenLogWith.
-func OpenLog(dir string, policy bank.SyncPolicy) (*Log, error) {
-	return OpenLogWith(dir, LogOptions{Sync: policy})
-}
-
-// OpenLogWith opens (or creates) the event log in dir. Existing events —
+// OpenLog opens (or creates) the event log in dir. Existing events —
 // predecessor segment first, then the active one — are scanned to restore
 // the sequence counters; a torn final record (crash during append) on the
 // active segment is truncated away so later appends cannot corrupt the file.
-func OpenLogWith(dir string, opts LogOptions) (*Log, error) {
-	policy, err := bank.ParseSyncPolicy(string(opts.Sync))
+func OpenLog(dir string, opts LogOptions) (*Log, error) {
+	policy, err := wal.ParseSyncPolicy(string(opts.Sync))
 	if err != nil {
 		return nil, err
 	}
-	codec, err := bank.ParseCodec(string(opts.Codec))
+	codec, err := wal.ParseCodec(string(opts.Codec))
 	if err != nil {
 		return nil, err
 	}
@@ -101,9 +86,7 @@ func OpenLogWith(dir string, opts LogOptions) (*Log, error) {
 		return nil, fmt.Errorf("events: log dir %s: %w", dir, err)
 	}
 	l := &Log{
-		dir:      dir,
 		path:     filepath.Join(dir, "events.log"),
-		policy:   policy,
 		codec:    codec,
 		max:      opts.MaxBytes,
 		examSeqs: make(map[string]uint64),
@@ -112,85 +95,42 @@ func OpenLogWith(dir string, opts LogOptions) (*Log, error) {
 	}
 	// The predecessor segment is immutable history: scan it for counters
 	// only (a torn tail there, while unexpected, just ends its scan).
-	if _, err := l.scanFile(l.prevPath()); err != nil {
-		return nil, err
+	if _, err := wal.Scan(l.prevPath(), l.restore); err != nil {
+		return nil, fmt.Errorf("events: %w", err)
 	}
-	validBytes, err := l.scanFile(l.path)
-	if err != nil {
-		return nil, err
+	if l.file, err = wal.Open(l.path, policy, l.restore); err != nil {
+		return nil, fmt.Errorf("events: %w", err)
 	}
-	if validBytes >= 0 {
-		if err := os.Truncate(l.path, validBytes); err != nil {
-			return nil, fmt.Errorf("events: truncate torn log: %w", err)
-		}
-		l.size = validBytes
-	}
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("events: open log: %w", err)
-	}
-	// Fsync the directory so a freshly created log file survives power loss
-	// (the same dentry-durability step the bank journal takes).
-	if err := bank.SyncDir(dir); err != nil {
-		f.Close()
-		return nil, err
-	}
-	l.file = f
 	go l.writer()
 	return l, nil
 }
 
 func (l *Log) prevPath() string { return l.path + ".1" }
 
-// scanFile restores sequence counters from one log segment and returns the
-// byte offset of the last complete record (-1 when the file does not exist).
-// A torn final record ends the scan cleanly; a corrupt record mid-file
-// (CRC mismatch, bad frame, bad JSON) fails the open.
-func (l *Log) scanFile(path string) (int64, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return -1, nil
-	}
+// restore advances the sequence counters past one logged event.
+func (l *Log) restore(payload []byte, isJSON bool) error {
+	e, err := decodeEvent(payload, isJSON)
 	if err != nil {
-		return -1, fmt.Errorf("events: open log: %w", err)
+		return err
 	}
-	defer f.Close()
-	var offset int64
-	r := bufio.NewReader(f)
-	for {
-		e, size, err := nextEvent(r)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, walcodec.ErrTorn) {
-				return offset, nil
-			}
-			return offset, fmt.Errorf("events: log record at byte %d of %s: %w", offset, path, err)
-		}
-		if e.Seq > l.examSeqs[e.ExamID] {
-			l.examSeqs[e.ExamID] = e.Seq
-		}
-		if e.GlobalSeq > l.globalSeq {
-			l.globalSeq = e.GlobalSeq
-		}
-		offset += size
+	if e.Seq > l.examSeqs[e.ExamID] {
+		l.examSeqs[e.ExamID] = e.Seq
 	}
+	if e.GlobalSeq > l.globalSeq {
+		l.globalSeq = e.GlobalSeq
+	}
+	return nil
 }
 
-// nextEvent reads one record in either format — JSON line or binary frame —
-// from r, returning the decoded event and the record's on-disk size.
-func nextEvent(r *bufio.Reader) (Event, int64, error) {
-	payload, isJSON, size, err := walcodec.NextRecord(r)
-	if err != nil {
-		return Event{}, 0, err
+// decodeEvent decodes one record in either format — JSON line or binary
+// frame payload.
+func decodeEvent(payload []byte, isJSON bool) (Event, error) {
+	if !isJSON {
+		return decodeEventBinary(payload)
 	}
 	var e Event
-	if isJSON {
-		if err := json.Unmarshal(payload, &e); err != nil {
-			return Event{}, 0, err
-		}
-		return e, size, nil
-	}
-	e, err = decodeEventBinary(payload)
-	return e, size, err
+	err := json.Unmarshal(payload, &e)
+	return e, err
 }
 
 // enqueue hands an event to the writer without blocking. Called by the bus
@@ -208,12 +148,8 @@ func (l *Log) enqueue(e Event) {
 func (l *Log) Dropped() int64 { return l.dropped.Load() }
 
 // Err reports the first append failure, if any; the log stops writing after
-// one (the live bus keeps running).
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
+// one (the live bus keeps running). It stays nil across a clean Close.
+func (l *Log) Err() error { return l.file.Err() }
 
 // writer is the single goroutine owning the file. It coalesces everything
 // queued since its last pass into one write (plus one fsync under the group
@@ -239,93 +175,41 @@ func (l *Log) writer() {
 	}
 }
 
+// writeBatch encodes one batch and commits it under the log's policy, then
+// rotates the segment once it has outgrown MaxBytes. After the file's first
+// failure every event is dropped.
 func (l *Log) writeBatch(batch []Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
+	if l.file.Err() != nil {
 		l.dropped.Add(int64(len(batch)))
 		return
 	}
 	var buf []byte
+	ends := make([]int, 0, len(batch))
 	for i := range batch {
-		if l.codec == bank.CodecBinary {
+		if l.codec == wal.CodecBinary {
 			buf = encodeEventBinary(buf, &batch[i])
 		} else {
 			var err error
 			// Shares the publish-time encoding with the SSE fan-out.
 			buf, err = batch[i].AppendJSON(buf)
 			if err != nil {
-				l.err = fmt.Errorf("events: marshal event: %w", err)
+				l.file.Fail(fmt.Errorf("events: marshal event: %w", err))
 				return
 			}
 			buf = append(buf, '\n')
 		}
-		if l.policy == bank.SyncAlways {
-			if l.err = l.flush(buf); l.err != nil {
-				return
-			}
-			buf = buf[:0]
-		}
+		ends = append(ends, len(buf))
 	}
-	if len(buf) > 0 {
-		l.err = l.flush(buf)
+	if l.file.Commit(buf, ends, nil) == nil && l.max > 0 && l.file.Size() >= l.max {
+		_ = l.file.Rotate() // a failure is latched and reported by Err
 	}
-	if l.err == nil && l.max > 0 && l.size >= l.max {
-		l.err = l.rotate()
-	}
-}
-
-// flush writes one chunk and fsyncs it per policy. Callers hold l.mu.
-func (l *Log) flush(buf []byte) error {
-	n, err := l.file.Write(buf)
-	l.size += int64(n)
-	if err != nil {
-		return fmt.Errorf("events: append log: %w", err)
-	}
-	if l.policy != bank.SyncNone {
-		if err := l.file.Sync(); err != nil {
-			return fmt.Errorf("events: sync log: %w", err)
-		}
-	}
-	return nil
-}
-
-// rotate retires the active segment to the ".1" predecessor (dropping the
-// previous predecessor, which bounds the log to at most two segments) and
-// starts a fresh one. Runs between batches, never mid-record; callers hold
-// l.mu, so concurrent ReadSince opens either the old or the new layout,
-// both of which are complete.
-func (l *Log) rotate() error {
-	if l.policy == bank.SyncNone {
-		// Under always/group the batch flush above already synced; make the
-		// segment's bytes durable before the rename retires it.
-		if err := l.file.Sync(); err != nil {
-			return fmt.Errorf("events: sync before rotate: %w", err)
-		}
-	}
-	if err := l.file.Close(); err != nil {
-		return fmt.Errorf("events: close before rotate: %w", err)
-	}
-	if err := os.Rename(l.path, l.prevPath()); err != nil {
-		return fmt.Errorf("events: rotate log: %w", err)
-	}
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("events: open rotated log: %w", err)
-	}
-	if err := bank.SyncDir(l.dir); err != nil {
-		f.Close()
-		return err
-	}
-	l.file = f
-	l.size = 0
-	return nil
 }
 
 // ReadSince returns logged events newer than afterSeq, oldest first —
 // filtered to one exam's Seq when examID is set, by GlobalSeq otherwise.
 // It reads private handles (predecessor segment, then the active one), so it
-// is safe concurrently with appends; a torn final record ends the read.
+// is safe concurrently with appends; a torn or corrupt record ends the read
+// of its segment.
 // Events still queued for the writer are not visible here — the bus's replay
 // ring covers them, and when the ring is disabled or too small, Subscribe
 // announces the shortfall as a gap. Likewise events rotated out of retention
@@ -333,15 +217,10 @@ func (l *Log) rotate() error {
 func (l *Log) ReadSince(examID string, afterSeq uint64) []Event {
 	var out []Event
 	for _, path := range []string{l.prevPath(), l.path} {
-		f, err := os.Open(path)
-		if err != nil {
-			continue
-		}
-		r := bufio.NewReader(f)
-		for {
-			e, _, err := nextEvent(r)
+		_, _ = wal.Scan(path, func(payload []byte, isJSON bool) error {
+			e, err := decodeEvent(payload, isJSON)
 			if err != nil {
-				break
+				return err
 			}
 			if examID != "" {
 				if e.ExamID == examID && e.Seq > afterSeq {
@@ -350,22 +229,17 @@ func (l *Log) ReadSince(examID string, afterSeq uint64) []Event {
 			} else if e.GlobalSeq > afterSeq {
 				out = append(out, e)
 			}
-		}
-		f.Close()
+			return nil
+		})
 	}
 	return out
 }
 
-// Close flushes queued events and releases the file. The caller must
-// guarantee no concurrent enqueue (the bus closes itself first).
+// Close flushes queued events and releases the file. It returns the first
+// append failure, if any. The caller must guarantee no concurrent enqueue
+// (the bus closes itself first).
 func (l *Log) Close() error {
 	close(l.ch)
 	<-l.done
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	err := l.err
-	if cerr := l.file.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return l.file.Close()
 }

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"mineassess/internal/bank"
+	"mineassess/internal/wal"
 	"mineassess/internal/walcodec"
 )
 
@@ -58,9 +58,9 @@ func TestEventBinaryRoundTrip(t *testing.T) {
 // either codec restores counters and replays the full mixed history.
 func TestLogMixedCodecReplay(t *testing.T) {
 	dir := t.TempDir()
-	run := func(codec bank.Codec, n int) {
+	run := func(codec wal.Codec, n int) {
 		t.Helper()
-		l, err := OpenLogWith(dir, LogOptions{Sync: bank.SyncAlways, Codec: codec})
+		l, err := OpenLog(dir, LogOptions{Sync: wal.SyncAlways, Codec: codec})
 		if err != nil {
 			t.Fatalf("open %s: %v", codec, err)
 		}
@@ -70,15 +70,15 @@ func TestLogMixedCodecReplay(t *testing.T) {
 		}
 		bus.Close()
 	}
-	run(bank.CodecJSON, 3)
-	run(bank.CodecBinary, 3)
+	run(wal.CodecJSON, 3)
+	run(wal.CodecBinary, 3)
 
 	raw := readFile(t, filepath.Join(dir, "events.log"))
 	if raw[0] != '{' || bytes.IndexByte(raw, walcodec.Magic) < 0 {
 		t.Fatal("log does not contain both JSON lines and binary frames")
 	}
 
-	l, err := OpenLogWith(dir, LogOptions{Sync: bank.SyncAlways, Codec: bank.CodecJSON})
+	l, err := OpenLog(dir, LogOptions{Sync: wal.SyncAlways, Codec: wal.CodecJSON})
 	if err != nil {
 		t.Fatalf("reopen over mixed log: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestLogMixedCodecReplay(t *testing.T) {
 // intact prefix replays.
 func TestLogTornTailBinaryRecovery(t *testing.T) {
 	dir := t.TempDir()
-	l1, err := OpenLogWith(dir, LogOptions{Sync: bank.SyncAlways, Codec: bank.CodecBinary})
+	l1, err := OpenLog(dir, LogOptions{Sync: wal.SyncAlways, Codec: wal.CodecBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestLogTornTailBinaryRecovery(t *testing.T) {
 	raw := readFile(t, path)
 	writeFile(t, path, raw[:len(raw)-7])
 
-	l2, err := OpenLogWith(dir, LogOptions{Sync: bank.SyncAlways, Codec: bank.CodecBinary})
+	l2, err := OpenLog(dir, LogOptions{Sync: wal.SyncAlways, Codec: wal.CodecBinary})
 	if err != nil {
 		t.Fatalf("reopen after torn binary tail: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestLogTornTailBinaryRecovery(t *testing.T) {
 // silently skipping the rotated-away history.
 func TestLogRotationRetainsRecentAndAnnouncesGap(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLogWith(dir, LogOptions{Sync: bank.SyncGroup, Codec: bank.CodecBinary, MaxBytes: 1})
+	l, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup, Codec: wal.CodecBinary, MaxBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestLogRotationRetainsRecentAndAnnouncesGap(t *testing.T) {
 		t.Fatal("no predecessor segment after rotation")
 	}
 
-	l2, err := OpenLogWith(dir, LogOptions{Sync: bank.SyncGroup, Codec: bank.CodecBinary, MaxBytes: 1})
+	l2, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup, Codec: wal.CodecBinary, MaxBytes: 1})
 	if err != nil {
 		t.Fatalf("reopen rotated log: %v", err)
 	}

@@ -14,8 +14,8 @@ import (
 func FuzzLastEventID(f *testing.F) {
 	f.Add("", "")
 	f.Add("0", "")
-	f.Add("18446744073709551615", "")  // MaxUint64
-	f.Add("18446744073709551616", "")  // MaxUint64+1: must error
+	f.Add("18446744073709551615", "") // MaxUint64
+	f.Add("18446744073709551616", "") // MaxUint64+1: must error
 	f.Add("-1", "")
 	f.Add("7extra", "")
 	f.Add("", "42")

@@ -20,14 +20,15 @@ import (
 	"mineassess/internal/delivery"
 	"mineassess/internal/events"
 	"mineassess/internal/trace"
+	"mineassess/internal/wal"
 )
 
 // tracedStack boots the production composition (journal-backed store,
 // event bus, both engines, always-retain tracer) behind httptest.
 func tracedStack(t *testing.T) (*httptest.Server, *trace.Tracer) {
 	t.Helper()
-	j, err := bank.OpenJournalWith(t.TempDir(), bank.NewSharded(0),
-		bank.JournalOptions{Sync: bank.SyncGroup})
+	j, err := bank.OpenJournal(t.TempDir(), bank.NewSharded(0),
+		bank.JournalOptions{Sync: wal.SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,15 +144,15 @@ func TestTraceTreeAcrossWriteOverHTTP(t *testing.T) {
 
 	// The WAL commit span hangs off the tree with its reconstructed
 	// phases: enqueue-wait, batch-wait, fsync.
-	wal := findSpan(td.Root, "wal.commit")
-	if wal == nil {
+	commit := findSpan(td.Root, "wal.commit")
+	if commit == nil {
 		t.Fatalf("no wal.commit span in tree: %s", dumpTree(t, td))
 	}
-	if wal.Attrs["wal.op"] == "" || wal.Attrs["wal.policy"] != string(bank.SyncGroup) {
-		t.Errorf("wal.commit attrs = %v", wal.Attrs)
+	if commit.Attrs["wal.op"] == "" || commit.Attrs["wal.policy"] != string(wal.SyncGroup) {
+		t.Errorf("wal.commit attrs = %v", commit.Attrs)
 	}
 	for _, phase := range []string{"wal.enqueue-wait", "wal.batch-wait", "wal.fsync"} {
-		if findSpan(wal, phase) == nil {
+		if findSpan(commit, phase) == nil {
 			t.Errorf("missing %s under wal.commit: %s", phase, dumpTree(t, td))
 		}
 	}

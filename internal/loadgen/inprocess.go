@@ -14,6 +14,7 @@ import (
 	"mineassess/internal/livestats"
 	"mineassess/internal/obs"
 	"mineassess/internal/trace"
+	"mineassess/internal/wal"
 )
 
 // InProcessConfig shapes the hermetic target server. The defaults match a
@@ -27,8 +28,8 @@ type InProcessConfig struct {
 	// the bare sharded store instead.
 	JournalDir string
 	NoJournal  bool
-	// Sync is the WAL fsync policy (default bank.SyncGroup).
-	Sync bank.SyncPolicy
+	// Sync is the WAL fsync policy (default wal.SyncGroup).
+	Sync wal.SyncPolicy
 	// NoEvents disables the bus + SSE endpoints (watch mixes then 404).
 	NoEvents bool
 	// EventRing overrides the replay-ring size (0 = events.DefaultRing).
@@ -69,7 +70,7 @@ func StartInProcess(cfg InProcessConfig) (*InProcess, error) {
 	ip := &InProcess{Obs: obs.NewRegistry()}
 	sync := cfg.Sync
 	if sync == "" {
-		sync = bank.SyncGroup
+		sync = wal.SyncGroup
 	}
 	if cfg.NoJournal {
 		ip.store = bank.NewSharded(0)
@@ -83,7 +84,7 @@ func StartInProcess(cfg InProcessConfig) (*InProcess, error) {
 			ip.tempDir = tmp
 			dir = tmp
 		}
-		j, err := bank.OpenJournalWith(dir, bank.NewSharded(0), bank.JournalOptions{Sync: sync, Obs: ip.Obs})
+		j, err := bank.OpenJournal(dir, bank.NewSharded(0), bank.JournalOptions{Sync: sync, Obs: ip.Obs})
 		if err != nil {
 			ip.cleanup()
 			return nil, fmt.Errorf("loadgen: open journal: %w", err)
