@@ -1,12 +1,11 @@
 package main
 
-// Hot-path codec and allocation benchmarks (experiment E23, the -hotpaths
-// baseline section, and the -check-allocs CI guard):
+// Hot-path throughput and allocation benchmarks (experiment E23, the
+// -hotpaths baseline section, and the -check-allocs CI guard):
 //
-//  1. Journal commit throughput, JSON vs binary WAL codec, under the
-//     group-commit committer at the E21 worker count and again at 128
-//     writers where coalescing amortizes the fsync — the codec win shows up
-//     once the disk stops being the bottleneck.
+//  1. Journal commit throughput under the group-commit committer at the
+//     E21 worker count and again at 128 writers, where coalescing
+//     amortizes the fsync further.
 //  2. Allocations per operation on the three paths the zero-allocation work
 //     targeted: journal commit (encode + batch submit), bus publish with
 //     fan-out to 1/16/64 subscribers (per-delivery figure — marshal-once
@@ -51,7 +50,7 @@ type HotpathResult struct {
 
 // HotpathsSection is the "hotpaths" block of BENCH_BASELINE.json.
 type HotpathsSection struct {
-	// Journal compares WAL codecs under group-commit at two writer counts.
+	// Journal measures group-commit throughput at two writer counts.
 	Journal []JournalResult `json:"journal"`
 	// Allocs holds the journal-commit and fan-out allocation probes that
 	// -check-allocs guards.
@@ -61,16 +60,13 @@ type HotpathsSection struct {
 	NextItem []HotpathResult `json:"nextItem"`
 }
 
-// openCodecJournal builds a measureJournalWrites opener for one codec under
-// the group-commit journal.
-func openCodecJournal(codec wal.Codec, policy wal.SyncPolicy) func(dir string) (journalWriter, error) {
-	return func(dir string) (journalWriter, error) {
-		return bank.OpenJournal(dir, bank.NewSharded(0), bank.JournalOptions{
-			CompactEvery: 1_000_000,
-			Sync:         policy,
-			Codec:        codec,
-		})
-	}
+// openGroupJournal is the measureJournalWrites opener for the group-commit
+// journal.
+func openGroupJournal(dir string) (journalWriter, error) {
+	return bank.OpenJournal(dir, bank.NewSharded(0), bank.JournalOptions{
+		CompactEvery: 1_000_000,
+		Sync:         wal.SyncGroup,
+	})
 }
 
 // benchProblemSeq hands out globally unique problems across testing.Benchmark
@@ -93,7 +89,7 @@ func nextBenchProblems(n int) ([]*item.Problem, error) {
 
 // measureJournalCommitAllocs reports time and allocations per committed
 // record under SyncNone (no fsync, so the encode + submit path dominates).
-func measureJournalCommitAllocs(codec wal.Codec) (HotpathResult, error) {
+func measureJournalCommitAllocs() (HotpathResult, error) {
 	dir, err := os.MkdirTemp("", "benchalloc")
 	if err != nil {
 		return HotpathResult{}, err
@@ -102,7 +98,6 @@ func measureJournalCommitAllocs(codec wal.Codec) (HotpathResult, error) {
 	j, err := bank.OpenJournal(dir, bank.NewSharded(0), bank.JournalOptions{
 		CompactEvery: 10_000_000,
 		Sync:         wal.SyncNone,
-		Codec:        codec,
 	})
 	if err != nil {
 		return HotpathResult{}, err
@@ -130,7 +125,7 @@ func measureJournalCommitAllocs(codec wal.Codec) (HotpathResult, error) {
 		return HotpathResult{}, benchErr
 	}
 	return HotpathResult{
-		Name:        "journal-commit/" + string(codec),
+		Name:        "journal-commit/json",
 		NsPerOp:     float64(r.NsPerOp()),
 		AllocsPerOp: float64(r.AllocsPerOp()),
 	}, nil
@@ -264,22 +259,18 @@ func measureNextItem(poolSize int) (exact, grid HotpathResult, err error) {
 func measureHotpathsSuite() (*HotpathsSection, error) {
 	sec := &HotpathsSection{}
 	for _, workers := range []int{journalBenchWorkers, 128} {
-		for _, codec := range []wal.Codec{wal.CodecJSON, wal.CodecBinary} {
-			name := fmt.Sprintf("group-commit/group/%s/%dw", codec, workers)
-			res, err := measureJournalWrites(name, openCodecJournal(codec, wal.SyncGroup), workers, 48)
-			if err != nil {
-				return nil, err
-			}
-			sec.Journal = append(sec.Journal, res)
-		}
-	}
-	for _, codec := range []wal.Codec{wal.CodecJSON, wal.CodecBinary} {
-		res, err := measureJournalCommitAllocs(codec)
+		name := fmt.Sprintf("group-commit/group/json/%dw", workers)
+		res, err := measureJournalWrites(name, openGroupJournal, workers, 48)
 		if err != nil {
 			return nil, err
 		}
-		sec.Allocs = append(sec.Allocs, res)
+		sec.Journal = append(sec.Journal, res)
 	}
+	res, err := measureJournalCommitAllocs()
+	if err != nil {
+		return nil, err
+	}
+	sec.Allocs = append(sec.Allocs, res)
 	for _, subs := range []int{1, 16, 64} {
 		sec.Allocs = append(sec.Allocs, measureFanOutAllocs(subs, 50000, nil))
 	}
@@ -299,21 +290,9 @@ func runE23(int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("journal write throughput, group-commit fsync policy, JSON vs binary codec:")
-	byName := map[string]JournalResult{}
+	fmt.Println("journal write throughput, group-commit fsync policy:")
 	for _, r := range sec.Journal {
-		byName[r.Name] = r
 		fmt.Printf("  %-36s %9.0f ops/s (p50 %.3fms p99 %.3fms)\n", r.Name, r.OpsPerSec, r.P50Ms, r.P99Ms)
-	}
-	// The acceptance comparison is against the E21 configuration
-	// (group-commit/group at 32 writers, historically JSON): binary framing
-	// plus 128 coalescing writers is the same durability contract, measured
-	// on the same machine in the same run.
-	e21 := byName[fmt.Sprintf("group-commit/group/%s/%dw", wal.CodecJSON, journalBenchWorkers)]
-	best := byName[fmt.Sprintf("group-commit/group/%s/128w", wal.CodecBinary)]
-	if e21.OpsPerSec > 0 {
-		fmt.Printf("  binary@128w vs json@%dw (E21 config): %.2fx\n",
-			journalBenchWorkers, best.OpsPerSec/e21.OpsPerSec)
 	}
 	fmt.Println("allocations per operation (fan-out rows are per delivery):")
 	for _, r := range sec.Allocs {
@@ -325,7 +304,7 @@ func runE23(int64) error {
 		fmt.Printf("  %-24s %9.0f ns/op  vs  %-22s %8.0f ns/op (%.1fx)\n",
 			exact.Name, exact.NsPerOp, grid.Name, grid.NsPerOp, exact.NsPerOp/math.Max(grid.NsPerOp, 1))
 	}
-	fmt.Println("expected shape: binary codec beats JSON once fsync amortizes (128 writers); fan-out stays under 1 alloc per delivery at 64 subscribers; the grid is >=5x exact at the 10k pool")
+	fmt.Println("expected shape: 128 writers beat 32 once fsync amortizes; fan-out stays under 1 alloc per delivery at 64 subscribers; the grid is >=5x exact at the 10k pool")
 	return nil
 }
 
@@ -392,14 +371,11 @@ func checkAllocs(path string) error {
 	for _, r := range doc.Hotpaths.Allocs {
 		base[r.Name] = r.AllocsPerOp
 	}
-	var current []HotpathResult
-	for _, codec := range []wal.Codec{wal.CodecJSON, wal.CodecBinary} {
-		res, err := measureJournalCommitAllocs(codec)
-		if err != nil {
-			return err
-		}
-		current = append(current, res)
+	res, err := measureJournalCommitAllocs()
+	if err != nil {
+		return err
 	}
+	current := []HotpathResult{res}
 	for _, subs := range []int{1, 16, 64} {
 		current = append(current, measureFanOutAllocs(subs, 20000, nil))
 	}

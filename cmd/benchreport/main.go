@@ -96,7 +96,7 @@ func run(args []string) error {
 		{"E20", "live adaptive (CAT) delivery vs fixed form", runE20},
 		{"E21", "group-commit WAL: journaled write throughput and commit latency", runE21},
 		{"E22", "event bus: fan-out throughput and emitter overhead", runE22},
-		{"E23", "zero-allocation hot paths: WAL codec, pooled fan-out, CAT info grid", runE23},
+		{"E23", "zero-allocation hot paths: journal commit, pooled fan-out, CAT info grid", runE23},
 		{"E24", "open-loop load harness: mixed learners over the composed /v1 stack", runE24},
 		{"E25", "observability overhead: journal + fan-out with the metrics registry off vs on", runE25},
 		{"E26", "tracing overhead: journal + load harness with tracing off vs sampled vs always-on", runE26},

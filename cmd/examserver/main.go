@@ -12,7 +12,7 @@
 //
 //	examserver -bank bank.json -addr :8080 [-monitor 64]
 //	           [-shards 32] [-journal DIR] [-fsync group]
-//	           [-wal-codec json|binary] [-session-shards 32] [-drain 30s]
+//	           [-session-shards 32] [-drain 30s]
 //	           [-rate 50 -burst 100] [-quiet] [-log-format text|json]
 //	           [-slow-request 250ms] [-ops 127.0.0.1:6060]
 //	           [-events] [-event-log DIR] [-event-ring 1024]
@@ -32,15 +32,12 @@
 // -fsync picks the WAL sync policy: "group" (default) batches concurrent
 // writes into one fsync before acknowledging them, "always" fsyncs every
 // record individually, and "none" trusts the OS page cache (process-crash
-// safe, but a power failure can lose recent acknowledged writes).
-// -wal-codec selects the record format for both the WAL and the durable
-// event log: "json" (default, one object per line) or "binary"
-// (length-prefixed CRC-checked frames — smaller records, cheaper encode).
-// Replay auto-detects the format per record, so either codec reopens logs
-// written by the other and mixed-format logs are fine; switching back and
-// forth needs no migration. -event-log-max-bytes bounds the durable event
-// log by rotating the active segment at the threshold (one rotated segment
-// is retained; resumes that fall off the retained tail get a stream.gap
+// safe, but a power failure can lose recent acknowledged writes). Both
+// the WAL and the durable event log hold one JSON object per line; a log
+// holding frames of the binary record format that earlier builds offered
+// fails to open. -event-log-max-bytes bounds the durable event log by
+// rotating the active segment at the threshold (one rotated segment is
+// retained; resumes that fall off the retained tail get a stream.gap
 // marker instead of silently missing events).
 // -rate enables per-learner token-bucket rate limiting (requests/second)
 // with -burst capacity. -rate 0 — the default — explicitly disables the
@@ -72,10 +69,10 @@
 // main -addr listener never serves it): net/http/pprof profiling handlers under
 // /debug/pprof/ plus the process metrics registry as Prometheus text
 // exposition at /metrics (journal commit/fsync/compaction, event-bus
-// fan-out, live-stats lag, per-route HTTP latency histograms). -pprof is a
-// deprecated alias for -ops. On SIGINT/SIGTERM the server stops accepting
-// connections and drains in-flight requests for up to -drain before
-// exiting, so learners mid-answer are not dropped on redeploy.
+// fan-out, live-stats lag, per-route HTTP latency histograms). On
+// SIGINT/SIGTERM the server stops accepting connections and drains
+// in-flight requests for up to -drain before exiting, so learners
+// mid-answer are not dropped on redeploy.
 package main
 
 import (
@@ -130,10 +127,8 @@ func run(args []string) error {
 	eventsOn := fs.Bool("events", true, "live event bus + SSE streaming endpoints")
 	eventLog := fs.String("event-log", "", "durable event-log directory (empty = in-memory replay ring only; fsync policy follows -fsync)")
 	eventRing := fs.Int("event-ring", events.DefaultRing, "per-exam event replay-ring size (Last-Event-ID resume window)")
-	walCodec := fs.String("wal-codec", "", "WAL and event-log record format: json (default) or binary; either codec replays logs written by the other")
 	eventLogMax := fs.Int64("event-log-max-bytes", 0, "rotate the durable event log when the active segment reaches this size (0 = unbounded; one rotated segment is retained)")
 	opsAddr := fs.String("ops", "", "serve the ops listener (pprof + Prometheus /metrics) on this separate address (e.g. 127.0.0.1:6060; empty disables)")
-	pprofAddr := fs.String("pprof", "", "deprecated alias for -ops")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")
 	slowReq := fs.Duration("slow-request", 0, "trace requests and log each taking at least this long at Warn with its per-layer breakdown (0 disables)")
 	traceOn := fs.Bool("trace", false, "request-scoped distributed tracing with tail sampling (browse at /debug/traces on the ops listener)")
@@ -141,9 +136,6 @@ func run(args []string) error {
 	traceRetain := fs.Int("trace-retain", 256, "with -trace, retained-trace ring capacity")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *opsAddr == "" {
-		*opsAddr = *pprofAddr
 	}
 	var logHandler slog.Handler
 	switch *logFormat {
@@ -155,10 +147,6 @@ func run(args []string) error {
 		return fmt.Errorf("unknown -log-format %q (want text or json)", *logFormat)
 	}
 	syncPolicy, err := wal.ParseSyncPolicy(*fsync)
-	if err != nil {
-		return err
-	}
-	codec, err := wal.ParseCodec(*walCodec)
 	if err != nil {
 		return err
 	}
@@ -176,7 +164,6 @@ func run(args []string) error {
 		Shards:  *shards,
 		Journal: *journalDir,
 		Sync:    syncPolicy,
-		Codec:   codec,
 		Obs:     reg,
 	})
 	if err != nil {
@@ -191,7 +178,7 @@ func run(args []string) error {
 				log.Printf("examserver: journal close: %v", cerr)
 			}
 		}()
-		log.Printf("examserver: journaling mutations under %s (fsync=%s codec=%s)", j.Dir(), j.Sync(), j.Codec())
+		log.Printf("examserver: journaling mutations under %s (fsync=%s)", j.Dir(), j.Sync())
 	}
 	exams := store.ExamIDs()
 	if len(exams) == 0 {
@@ -218,17 +205,16 @@ func run(args []string) error {
 	if *eventsOn {
 		var evlog *events.Log
 		if *eventLog != "" {
-			// The event log shares the WAL's fsync policy and record codec —
-			// one durability/format story for both append-only logs.
+			// The event log shares the WAL's fsync policy — one durability
+			// story for both append-only logs.
 			evlog, err = events.OpenLog(*eventLog, events.LogOptions{
 				Sync:     syncPolicy,
-				Codec:    codec,
 				MaxBytes: *eventLogMax,
 			})
 			if err != nil {
 				return err
 			}
-			log.Printf("examserver: durable event log under %s (fsync=%s codec=%s)", *eventLog, syncPolicy, codec)
+			log.Printf("examserver: durable event log under %s (fsync=%s)", *eventLog, syncPolicy)
 		}
 		bus = events.NewBus(events.Options{Ring: *eventRing, Log: evlog, Obs: reg})
 		live = livestats.NewWith(bus, reg)

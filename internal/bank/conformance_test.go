@@ -63,17 +63,6 @@ func storageBackends(t *testing.T) map[string]func(t *testing.T) Storage {
 			t.Cleanup(func() { _ = j.Close() })
 			return j
 		},
-		// The binary WAL codec must be observably identical to JSON — only
-		// the bytes on disk differ.
-		"journal/binary": func(t *testing.T) Storage {
-			j, err := OpenJournal(t.TempDir(), NewSharded(4),
-				JournalOptions{CompactEvery: 3, Codec: wal.CodecBinary})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = j.Close() })
-			return j
-		},
 	}
 }
 

@@ -76,10 +76,6 @@ type Journal struct {
 	walPath      string
 	compactEvery int
 
-	// codec selects the WAL record encoding for appends; replay always
-	// auto-detects per record, so it never constrains what can be read.
-	codec wal.Codec
-
 	// mu is the ordering lock: it serializes backend apply + queue append
 	// (so WAL order always matches apply order) and guards the lifecycle
 	// flags and epoch. It is never held across file I/O.
@@ -178,11 +174,10 @@ const (
 )
 
 // JournalOptions configures OpenJournal; zero values mean the defaults
-// (DefaultCompactEvery, wal.SyncGroup, wal.CodecJSON, no metrics).
+// (DefaultCompactEvery, wal.SyncGroup, no metrics).
 type JournalOptions struct {
 	CompactEvery int
 	Sync         wal.SyncPolicy
-	Codec        wal.Codec
 	// Obs, when non-nil, receives the journal's metrics (commit latency per
 	// sync policy, batch-size distribution, fsync count, WAL bytes,
 	// compaction passes/duration). Nil leaves the hot paths uninstrumented.
@@ -191,15 +186,9 @@ type JournalOptions struct {
 
 // OpenJournal opens (or creates) the journal in dir over the given backend,
 // replaying any existing snapshot and WAL into it. The backend must be
-// empty; a nil backend means New(). The codec governs appended records
-// only: replay detects JSON lines and binary frames per record, so a WAL
-// written under either codec reopens under any.
+// empty; a nil backend means New().
 func OpenJournal(dir string, backend Storage, opts JournalOptions) (*Journal, error) {
 	policy, err := wal.ParseSyncPolicy(string(opts.Sync))
-	if err != nil {
-		return nil, err
-	}
-	codec, err := wal.ParseCodec(string(opts.Codec))
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +210,6 @@ func OpenJournal(dir string, backend Storage, opts JournalOptions) (*Journal, er
 	j := &Journal{
 		backend:       backend,
 		policy:        policy,
-		codec:         codec,
 		dir:           dir,
 		snapshotPath:  snapshotPath,
 		walPath:       walPath,
@@ -272,18 +260,10 @@ func OpenJournal(dir string, backend Storage, opts JournalOptions) (*Journal, er
 }
 
 // replayRecord applies one replayed WAL record to the backend and counts it
-// toward the next compaction. The format is detected per record (JSON line
-// or binary frame), so the replay is independent of the journal's
-// configured codec.
-func (j *Journal) replayRecord(raw []byte, isJSON bool) error {
+// toward the next compaction.
+func (j *Journal) replayRecord(line []byte) error {
 	var rec walRecord
-	var err error
-	if isJSON {
-		err = json.Unmarshal(raw, &rec)
-	} else {
-		rec, err = decodeWALBinary(raw)
-	}
-	if err != nil {
+	if err := json.Unmarshal(line, &rec); err != nil {
 		return err
 	}
 	j.dirty++
@@ -424,15 +404,11 @@ func (j *Journal) mutate(ctx context.Context, apply func() (walRecord, error)) e
 	j.mu.Unlock()
 
 	j.kickCommitter()
-	if j.codec == wal.CodecBinary {
-		p.payload, p.marshalErr = encodeWALBinary(nil, &rec)
+	raw, merr := json.Marshal(rec)
+	if merr != nil {
+		p.marshalErr = merr
 	} else {
-		raw, merr := json.Marshal(rec)
-		if merr != nil {
-			p.marshalErr = merr
-		} else {
-			p.payload = append(raw, '\n')
-		}
+		p.payload = append(raw, '\n')
 	}
 	close(p.ready)
 	<-p.done
@@ -778,9 +754,6 @@ func (j *Journal) Dir() string { return j.dir }
 
 // Sync reports the journal's sync policy.
 func (j *Journal) Sync() wal.SyncPolicy { return j.policy }
-
-// Codec reports the journal's append codec.
-func (j *Journal) Codec() wal.Codec { return j.codec }
 
 // Mutations: backend apply + commit-queue submit under the ordering lock,
 // durable acknowledgment via the committer (see mutate).

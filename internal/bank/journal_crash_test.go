@@ -101,88 +101,86 @@ func (w *powerCutWAL) Cut(t *testing.T, path string) {
 //     write-through-page-cache); the journal must still reopen cleanly and
 //     recover only mutations that were in fact written.
 func TestJournalCrashSimulation(t *testing.T) {
-	for _, codec := range []wal.Codec{wal.CodecJSON, wal.CodecBinary} {
-		for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncGroup, wal.SyncNone} {
-			t.Run(string(codec)+"/"+string(policy), func(t *testing.T) {
-				dir := t.TempDir()
-				j, err := OpenJournal(dir, NewSharded(8),
-					JournalOptions{CompactEvery: 1_000_000, Sync: policy, Codec: codec})
-				if err != nil {
-					t.Fatal(err)
-				}
-				pw := newPowerCutWAL(t, j)
+	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncGroup, wal.SyncNone} {
+		t.Run(string(policy), func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := OpenJournal(dir, NewSharded(8),
+				JournalOptions{CompactEvery: 1_000_000, Sync: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pw := newPowerCutWAL(t, j)
 
-				// Two concurrent waves with the write failure armed between
-				// them: wave one must fully acknowledge, wave two hits the
-				// failing WAL (the first batch write dies, poisoning the
-				// journal, and every later mutation errors).
-				const writers = 32
-				acked := make([]bool, writers)
-				failed := make([]bool, writers)
-				wave := func(from, to int) {
-					var wg sync.WaitGroup
-					for i := from; i < to; i++ {
-						wg.Add(1)
-						go func(i int) {
-							defer wg.Done()
-							err := j.AddProblem(confMC(t, fmt.Sprintf("q%02d", i)))
-							if err == nil {
-								acked[i] = true
-							} else {
-								failed[i] = true
-							}
-						}(i)
-					}
-					wg.Wait()
+			// Two concurrent waves with the write failure armed between
+			// them: wave one must fully acknowledge, wave two hits the
+			// failing WAL (the first batch write dies, poisoning the
+			// journal, and every later mutation errors).
+			const writers = 32
+			acked := make([]bool, writers)
+			failed := make([]bool, writers)
+			wave := func(from, to int) {
+				var wg sync.WaitGroup
+				for i := from; i < to; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						err := j.AddProblem(confMC(t, fmt.Sprintf("q%02d", i)))
+						if err == nil {
+							acked[i] = true
+						} else {
+							failed[i] = true
+						}
+					}(i)
 				}
-				wave(0, writers/2)
-				pw.FailNextWrite()
-				wave(writers/2, writers)
-				crashStop(j)
-				pw.Cut(t, j.walPath)
+				wg.Wait()
+			}
+			wave(0, writers/2)
+			pw.FailNextWrite()
+			wave(writers/2, writers)
+			crashStop(j)
+			pw.Cut(t, j.walPath)
 
-				back, err := OpenJournal(dir, NewSharded(8), JournalOptions{})
-				if err != nil {
-					t.Fatalf("reopen after crash: %v", err)
-				}
-				defer back.Close()
+			back, err := OpenJournal(dir, NewSharded(8), JournalOptions{})
+			if err != nil {
+				t.Fatalf("reopen after crash: %v", err)
+			}
+			defer back.Close()
 
-				lost, phantom := 0, 0
-				for i := 0; i < writers; i++ {
-					id := fmt.Sprintf("q%02d", i)
-					_, err := back.Problem(id)
-					present := err == nil
-					if acked[i] && !present {
-						lost++
-					}
-					if failed[i] && present {
-						phantom++
-					}
+			lost, phantom := 0, 0
+			for i := 0; i < writers; i++ {
+				id := fmt.Sprintf("q%02d", i)
+				_, err := back.Problem(id)
+				present := err == nil
+				if acked[i] && !present {
+					lost++
 				}
-				if policy == wal.SyncNone {
-					// Weaker contract: no phantom errored writes may reappear,
-					// but acknowledged ones are allowed to vanish with the
-					// page cache.
-					if phantom != 0 {
-						t.Errorf("policy none: %d errored mutations resurrected", phantom)
-					}
-					return
+				if failed[i] && present {
+					phantom++
 				}
-				if lost != 0 {
-					t.Errorf("policy %s: %d acknowledged mutations lost after power cut", policy, lost)
-				}
+			}
+			if policy == wal.SyncNone {
+				// Weaker contract: no phantom errored writes may reappear,
+				// but acknowledged ones are allowed to vanish with the
+				// page cache.
 				if phantom != 0 {
-					t.Errorf("policy %s: %d errored mutations resurrected", policy, phantom)
+					t.Errorf("policy none: %d errored mutations resurrected", phantom)
 				}
-				// The run must actually have exercised both outcomes.
-				if n := count(acked); n == 0 {
-					t.Error("no mutation was acknowledged before the failure")
-				}
-				if n := count(failed); n == 0 {
-					t.Error("no mutation failed; the injected write failure never fired")
-				}
-			})
-		}
+				return
+			}
+			if lost != 0 {
+				t.Errorf("policy %s: %d acknowledged mutations lost after power cut", policy, lost)
+			}
+			if phantom != 0 {
+				t.Errorf("policy %s: %d errored mutations resurrected", policy, phantom)
+			}
+			// The run must actually have exercised both outcomes.
+			if n := count(acked); n == 0 {
+				t.Error("no mutation was acknowledged before the failure")
+			}
+			if n := count(failed); n == 0 {
+				t.Error("no mutation failed; the injected write failure never fired")
+			}
+		})
 	}
 }
 
@@ -191,45 +189,43 @@ func TestJournalCrashSimulation(t *testing.T) {
 // torn tail is dropped while every complete record replays — the
 // process-crash guarantee shared by all policies.
 func TestJournalCrashTornBatch(t *testing.T) {
-	for _, codec := range []wal.Codec{wal.CodecJSON, wal.CodecBinary} {
-		for _, policy := range []wal.SyncPolicy{wal.SyncGroup, wal.SyncNone} {
-			t.Run(string(codec)+"/"+string(policy), func(t *testing.T) {
-				dir := t.TempDir()
-				j, err := OpenJournal(dir, NewSharded(4),
-					JournalOptions{CompactEvery: 1_000_000, Sync: policy, Codec: codec})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var wg sync.WaitGroup
-				for i := 0; i < 8; i++ {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						if err := j.AddProblem(confMC(t, fmt.Sprintf("q%d", i))); err != nil {
-							t.Errorf("AddProblem: %v", err)
-						}
-					}(i)
-				}
-				wg.Wait()
-				crashStop(j)
-				// Tear the last record in half.
-				raw, err := os.ReadFile(j.walPath)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(j.walPath, raw[:len(raw)-20], 0o644); err != nil {
-					t.Fatal(err)
-				}
-				back, err := OpenJournal(dir, NewSharded(4), JournalOptions{})
-				if err != nil {
-					t.Fatalf("reopen over torn batch: %v", err)
-				}
-				defer back.Close()
-				if got := back.ProblemCount(); got != 7 {
-					t.Errorf("recovered %d problems, want 7 (torn final record dropped)", got)
-				}
-			})
-		}
+	for _, policy := range []wal.SyncPolicy{wal.SyncGroup, wal.SyncNone} {
+		t.Run(string(policy), func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := OpenJournal(dir, NewSharded(4),
+				JournalOptions{CompactEvery: 1_000_000, Sync: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for i := 0; i < 8; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					if err := j.AddProblem(confMC(t, fmt.Sprintf("q%d", i))); err != nil {
+						t.Errorf("AddProblem: %v", err)
+					}
+				}(i)
+			}
+			wg.Wait()
+			crashStop(j)
+			// Tear the last record in half.
+			raw, err := os.ReadFile(j.walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(j.walPath, raw[:len(raw)-20], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			back, err := OpenJournal(dir, NewSharded(4), JournalOptions{})
+			if err != nil {
+				t.Fatalf("reopen over torn batch: %v", err)
+			}
+			defer back.Close()
+			if got := back.ProblemCount(); got != 7 {
+				t.Errorf("recovered %d problems, want 7 (torn final record dropped)", got)
+			}
+		})
 	}
 }
 

@@ -1,12 +1,14 @@
 package bank
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -228,6 +230,119 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	if _, err := again.Problem("after"); err != nil {
 		t.Errorf("post-recovery write lost: %v", err)
+	}
+}
+
+// TestJournalCorruptRecord: a complete WAL record that cannot be replayed —
+// an unparsable JSON line before the last record, or a frame left by the
+// removed binary record format — fails the reopen with an error naming
+// the record, is never skipped or cut, and leaves wal.log byte-identical.
+func TestJournalCorruptRecord(t *testing.T) {
+	cases := []struct {
+		name, want string
+		corrupt    func(first, rest []byte) []byte
+	}{
+		{"unparsable-json", "record 1 at byte 0", func(first, rest []byte) []byte {
+			return append(append(first[:len(first)/2:len(first)/2], '\n'), rest...)
+		}},
+		{"binary-frame", "removed binary record format", func(first, rest []byte) []byte {
+			frame := []byte("\xb1\x01\x05\x00\x00\x00\x00\x00\x00\x00\x01\x00\x02q1")
+			return bytes.Join([][]byte{first, frame, rest}, nil)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, err := OpenJournal(dir, NewSharded(4), JournalOptions{CompactEvery: 1_000_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := j.AddProblem(confMC(t, fmt.Sprintf("q%d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			crashStop(j)
+			raw, err := os.ReadFile(j.walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, rest, _ := bytes.Cut(raw, []byte("\n"))
+			raw = tc.corrupt(append(first, '\n'), rest)
+			if err := os.WriteFile(j.walPath, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenJournal(dir, NewSharded(4), JournalOptions{}); err == nil ||
+				!strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("reopen over a corrupt record = %v, want an error containing %q", err, tc.want)
+			}
+			if after, err := os.ReadFile(j.walPath); err != nil || !bytes.Equal(after, raw) {
+				t.Errorf("failed reopen changed wal.log (%v)", err)
+			}
+		})
+	}
+}
+
+// TestCompactProgressesUnderSaturatedWriters proves the starvation fix:
+// with writers continuously refilling the commit queue, an explicit
+// Compact() must still complete (the bounded optimistic drain gives way to
+// a brief writer stall) instead of spinning until the writers stop.
+func TestCompactProgressesUnderSaturatedWriters(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir, NewSharded(8), JournalOptions{CompactEvery: 1_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var acked atomic.Int64
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := j.AddProblem(confMC(t, fmt.Sprintf("w%d-%d", w, i))); err != nil {
+					return // journal closed by the test epilogue
+				}
+				acked.Add(1)
+			}
+		}(w)
+	}
+	// Let the writers reach a steady saturated state first.
+	for acked.Load() < 64 {
+		time.Sleep(time.Millisecond)
+	}
+	done := make(chan error, 1)
+	go func() { done <- j.Compact() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Compact under saturation: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Compact starved by saturated writers")
+	}
+	if _, err := os.Stat(j.snapshotPath); err != nil {
+		t.Errorf("compaction reported success but no snapshot exists: %v", err)
+	}
+	// Writers must resume after the stall and the journal must stay usable.
+	before := acked.Load()
+	deadline := time.Now().Add(10 * time.Second)
+	for acked.Load() == before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if acked.Load() == before {
+		t.Error("writers did not resume after compaction")
+	}
+	close(stop)
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }
 

@@ -236,10 +236,6 @@ type Options struct {
 	// Sync selects the journal's WAL sync policy; empty means
 	// wal.SyncGroup. Ignored without a journal.
 	Sync wal.SyncPolicy
-	// Codec selects the journal's WAL record encoding; empty means
-	// wal.CodecJSON. Replay auto-detects the format per record, so an
-	// existing WAL opens under either setting. Ignored without a journal.
-	Codec wal.Codec
 	// Obs, when non-nil, receives the journal's metrics (see
 	// JournalOptions.Obs). Ignored without a journal.
 	Obs *obs.Registry
@@ -302,7 +298,6 @@ func Open(path string, o Options) (Storage, error) {
 	return OpenJournal(o.Journal, backend, JournalOptions{
 		CompactEvery: o.CompactEvery,
 		Sync:         o.Sync,
-		Codec:        o.Codec,
 		Obs:          o.Obs,
 	})
 }

@@ -134,22 +134,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// selector resolves the named selection rule.
-func (c Config) selector() adaptive.Selector {
-	switch c.Selector {
-	case SelectorRandomesque:
-		k := c.RandomesqueK
-		if k <= 0 {
-			k = DefaultRandomesqueK
-		}
-		return adaptive.Randomesque(k)
-	case SelectorRandom:
-		return adaptive.RandomSelection
-	default:
-		return adaptive.MaxInformation
-	}
-}
-
 // Session is one learner's live adaptive sitting. ID, ExamID and StudentID
 // are fixed at start; everything else is guarded by mu. The persisted
 // record (rec) is the single source of truth — in-memory derived state
@@ -556,32 +540,21 @@ func (e *Engine) selectNext(s *Session, theta float64) *item.Problem {
 
 // pickRow applies the session's selection rule over candidate pool rows.
 // The information-driven rules scan the precomputed grid — a flat array
-// walk instead of pool-size 3PL evaluations per step — and fall back to the
-// exact selectors when the session has no grid.
+// walk instead of pool-size 3PL evaluations per step.
 func (e *Engine) pickRow(s *Session, rng *rand.Rand, candidates []int, theta float64) int {
 	switch s.rec.Selector {
 	case SelectorRandom:
 		// Same draw the exact RandomSelection selector would make.
 		return candidates[rng.Intn(len(candidates))]
 	case SelectorRandomesque:
-		if s.grid != nil {
-			k := s.rec.RandomesqueK
-			if k <= 0 {
-				k = DefaultRandomesqueK
-			}
-			return s.grid.TopK(rng, candidates, k, theta)
+		k := s.rec.RandomesqueK
+		if k <= 0 {
+			k = DefaultRandomesqueK
 		}
+		return s.grid.TopK(rng, candidates, k, theta)
 	default:
-		if s.grid != nil {
-			return s.grid.ArgMax(candidates, theta)
-		}
+		return s.grid.ArgMax(candidates, theta)
 	}
-	items := make([]adaptive.PoolItem, len(candidates))
-	for i, row := range candidates {
-		items[i] = s.pool[row]
-	}
-	cfg := Config{Selector: s.rec.Selector, RandomesqueK: s.rec.RandomesqueK}
-	return candidates[cfg.selector()(rng, items, theta)]
 }
 
 // underCap filters candidate pool rows whose administration rate is below

@@ -1,9 +1,12 @@
 package events
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -377,6 +380,110 @@ func TestLogTornTailRecovery(t *testing.T) {
 	}
 	if log2.examSeqs["x"] != 1 {
 		t.Fatalf("restored seq = %d, want 1", log2.examSeqs["x"])
+	}
+}
+
+// TestLogCorruptRecord: a complete record that cannot be replayed — an
+// unparsable JSON line before the last record, or a frame left by the
+// removed binary record format — fails OpenLog with an error naming the
+// record, and events.log is left byte-identical.
+func TestLogCorruptRecord(t *testing.T) {
+	cases := []struct {
+		name, want string
+		corrupt    func(first, rest []byte) []byte
+	}{
+		{"unparsable-json", "record 1 at byte 0", func(first, rest []byte) []byte {
+			return append(append(first[:len(first)/2:len(first)/2], '\n'), rest...)
+		}},
+		{"binary-frame", "removed binary record format", func(first, rest []byte) []byte {
+			frame := []byte("\xb1\x01\x04\x00\x00\x00\x00\x00\x00\x00\x01\x01\x00x")
+			return bytes.Join([][]byte{first, frame, rest}, nil)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := OpenLog(dir, LogOptions{Sync: wal.SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bus := NewBus(Options{Log: l})
+			bus.Publish(Event{Type: SessionStarted, ExamID: "x"})
+			bus.Publish(Event{Type: SessionFinished, ExamID: "x"})
+			bus.Close()
+
+			path := filepath.Join(dir, "events.log")
+			first, rest, _ := bytes.Cut(readFile(t, path), []byte("\n"))
+			raw := tc.corrupt(append(first, '\n'), rest)
+			writeFile(t, path, raw)
+			if _, err := OpenLog(dir, LogOptions{Sync: wal.SyncAlways}); err == nil ||
+				!strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("OpenLog over a corrupt record = %v, want an error containing %q", err, tc.want)
+			}
+			if after := readFile(t, path); !bytes.Equal(after, raw) {
+				t.Errorf("failed OpenLog changed events.log:\n%q\nwas\n%q", after, raw)
+			}
+		})
+	}
+}
+
+// TestLogRotationRetainsRecentAndAnnouncesGap drives the size bound: each
+// over-limit batch rotates the active segment to ".1" (dropping the prior
+// predecessor), a resume within retention replays gaplessly, and a resume
+// from before the retained tail starts with a stream.gap marker instead of
+// silently skipping the rotated-away history.
+func TestLogRotationRetainsRecentAndAnnouncesGap(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup, MaxBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// MaxBytes 1: every batch rotates. Deterministic single-event batches
+	// leave exactly event 3 retained (in the predecessor segment).
+	for i := 1; i <= 3; i++ {
+		l.writeBatch([]Event{{Type: ResponseSubmitted, ExamID: "x", Seq: uint64(i), GlobalSeq: uint64(i)}})
+	}
+	if err := l.Err(); err != nil {
+		t.Fatalf("rotation failed: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw := readFile(t, filepath.Join(dir, "events.log.1")); len(raw) == 0 {
+		t.Fatal("no predecessor segment after rotation")
+	}
+
+	l2, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup, MaxBytes: 1})
+	if err != nil {
+		t.Fatalf("reopen rotated log: %v", err)
+	}
+	// Counters survive rotation: the retained segments carry the high seqs.
+	if l2.examSeqs["x"] != 3 {
+		t.Fatalf("restored seq = %d, want 3", l2.examSeqs["x"])
+	}
+	// Resume within retention: only event 3 is on disk, nothing is missing
+	// after offset 2.
+	if got := l2.ReadSince("x", 2); len(got) != 1 || got[0].Seq != 3 {
+		t.Fatalf("ReadSince(2) = %+v, want just event 3", got)
+	}
+
+	// Resume from before the retained tail (ring disabled, so the log is
+	// the only replay source): the rotated-away events 1..2 must surface as
+	// a gap marker ahead of event 3.
+	bus := NewBus(Options{Ring: -1, Log: l2})
+	defer bus.Close()
+	sub := bus.Subscribe(SubscribeOptions{ExamID: "x", Replay: true, AfterSeq: 0})
+	defer sub.Close()
+	evs, gaps := collect(t, sub, 1, 2*time.Second)
+	if len(evs) != 1 || evs[0].Seq != 3 {
+		t.Fatalf("replayed %+v, want just event 3", evs)
+	}
+	dropped := 0
+	for _, g := range gaps {
+		dropped += g.Dropped
+	}
+	if dropped != 2 {
+		t.Fatalf("announced %d dropped before the retained tail, want 2", dropped)
 	}
 }
 

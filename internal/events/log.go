@@ -17,9 +17,8 @@ import (
 // group / none), one write plus one fsync per batch of concurrent appends,
 // and torn-tail truncation on open, so an event acknowledged into the log
 // under always/group survives power loss exactly like a journaled bank
-// mutation. Records are JSON lines by default or framed binary records
-// under LogOptions.Codec; replay auto-detects the format per record, so a
-// log may freely mix both across codec changes.
+// mutation. Records are JSON lines, encoded once per event and shared with
+// the SSE fan-out.
 //
 // The log exists for replay: a subscriber reconnecting with a Last-Event-ID
 // older than the in-memory replay ring reads the missed events back from
@@ -34,9 +33,8 @@ import (
 // retained tail is announced by the bus as a stream.gap, never silently
 // skipped.
 type Log struct {
-	path  string
-	codec wal.Codec
-	max   int64 // rotation threshold; 0 = unbounded
+	path string
+	max  int64 // rotation threshold; 0 = unbounded
 
 	// Restored on Open; read by NewBus to seed the counters.
 	examSeqs  map[string]uint64
@@ -61,9 +59,6 @@ const logQueueCap = 8192
 type LogOptions struct {
 	// Sync is the fsync policy; empty means wal.SyncGroup.
 	Sync wal.SyncPolicy
-	// Codec selects the on-disk record format for new appends; empty means
-	// wal.CodecJSON. Replay auto-detects per record either way.
-	Codec wal.Codec
 	// MaxBytes bounds the active segment; past it the segment rotates to a
 	// ".1" predecessor (replacing the previous one). 0 means unbounded.
 	MaxBytes int64
@@ -78,16 +73,11 @@ func OpenLog(dir string, opts LogOptions) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec, err := wal.ParseCodec(string(opts.Codec))
-	if err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("events: log dir %s: %w", dir, err)
 	}
 	l := &Log{
 		path:     filepath.Join(dir, "events.log"),
-		codec:    codec,
 		max:      opts.MaxBytes,
 		examSeqs: make(map[string]uint64),
 		ch:       make(chan Event, logQueueCap),
@@ -108,9 +98,9 @@ func OpenLog(dir string, opts LogOptions) (*Log, error) {
 func (l *Log) prevPath() string { return l.path + ".1" }
 
 // restore advances the sequence counters past one logged event.
-func (l *Log) restore(payload []byte, isJSON bool) error {
-	e, err := decodeEvent(payload, isJSON)
-	if err != nil {
+func (l *Log) restore(line []byte) error {
+	var e Event
+	if err := json.Unmarshal(line, &e); err != nil {
 		return err
 	}
 	if e.Seq > l.examSeqs[e.ExamID] {
@@ -120,17 +110,6 @@ func (l *Log) restore(payload []byte, isJSON bool) error {
 		l.globalSeq = e.GlobalSeq
 	}
 	return nil
-}
-
-// decodeEvent decodes one record in either format — JSON line or binary
-// frame payload.
-func decodeEvent(payload []byte, isJSON bool) (Event, error) {
-	if !isJSON {
-		return decodeEventBinary(payload)
-	}
-	var e Event
-	err := json.Unmarshal(payload, &e)
-	return e, err
 }
 
 // enqueue hands an event to the writer without blocking. Called by the bus
@@ -186,18 +165,14 @@ func (l *Log) writeBatch(batch []Event) {
 	var buf []byte
 	ends := make([]int, 0, len(batch))
 	for i := range batch {
-		if l.codec == wal.CodecBinary {
-			buf = encodeEventBinary(buf, &batch[i])
-		} else {
-			var err error
-			// Shares the publish-time encoding with the SSE fan-out.
-			buf, err = batch[i].AppendJSON(buf)
-			if err != nil {
-				l.file.Fail(fmt.Errorf("events: marshal event: %w", err))
-				return
-			}
-			buf = append(buf, '\n')
+		var err error
+		// Shares the publish-time encoding with the SSE fan-out.
+		buf, err = batch[i].AppendJSON(buf)
+		if err != nil {
+			l.file.Fail(fmt.Errorf("events: marshal event: %w", err))
+			return
 		}
+		buf = append(buf, '\n')
 		ends = append(ends, len(buf))
 	}
 	if l.file.Commit(buf, ends, nil) == nil && l.max > 0 && l.file.Size() >= l.max {
@@ -217,9 +192,9 @@ func (l *Log) writeBatch(batch []Event) {
 func (l *Log) ReadSince(examID string, afterSeq uint64) []Event {
 	var out []Event
 	for _, path := range []string{l.prevPath(), l.path} {
-		_, _ = wal.Scan(path, func(payload []byte, isJSON bool) error {
-			e, err := decodeEvent(payload, isJSON)
-			if err != nil {
+		_, _ = wal.Scan(path, func(line []byte) error {
+			var e Event
+			if err := json.Unmarshal(line, &e); err != nil {
 				return err
 			}
 			if examID != "" {

@@ -2,16 +2,16 @@
 // annotated //assess:hotpath must avoid constructs that allocate.
 //
 // The zero-allocation hot paths (PR 6/PR 8) — obs Counter.Add /
-// Histogram.ObserveValue / Layout.BucketFor, the WAL binary encoders, the
-// event fan-out enqueue — are pinned to 0 allocs/op by benchreport
-// -check-allocs. That guard only fires when a benchmark covers the
-// regression; this analyzer rejects the known allocating constructs at
-// review time instead: fmt calls, make/new, slice and map literals,
-// non-constant string concatenation, string<->[]byte conversions, and
-// interface boxing of basic values. Function literals are not descended
-// into or flagged (non-escaping closures such as BucketFor's sort.Search
-// comparator compile allocation-free); a deliberate cold path inside a
-// hot function carries an //assess:allow hotpathalloc comment.
+// Histogram.ObserveValue / Layout.BucketFor, the event fan-out enqueue —
+// are pinned to 0 allocs/op by benchreport -check-allocs. That guard only
+// fires when a benchmark covers the regression; this analyzer rejects the
+// known allocating constructs at review time instead: fmt calls,
+// make/new, slice and map literals, non-constant string concatenation,
+// string<->[]byte conversions, and interface boxing of basic values.
+// Function literals are not descended into or flagged (non-escaping
+// closures such as BucketFor's sort.Search comparator compile
+// allocation-free); a deliberate cold path inside a hot function carries
+// an //assess:allow hotpathalloc comment.
 package hotpathalloc
 
 import (

@@ -1,11 +1,11 @@
-// Package lockio defines the lockio analyzer: no I/O, fsync, marshal /
-// codec encode, or blocking channel operation may run inside a critical
-// section of the bank, delivery, catdelivery or shardmap packages.
+// Package lockio defines the lockio analyzer: no I/O, fsync, marshal, or
+// blocking channel operation may run inside a critical section of the
+// bank, delivery, catdelivery or shardmap packages.
 //
 // This is the group-commit and sharded-registry invariant from PR 1/PR 4:
 // the ordering lock (bank.Journal.mu), the registry shard locks and the
 // per-session locks serialize memory-speed state transitions only — the
-// expensive work (JSON/binary marshal, the WAL write, the fsync) happens
+// expensive work (the JSON marshal, the WAL write, the fsync) happens
 // outside them, concurrently across writers. One fsync smuggled under a
 // session lock turns a microsecond critical section into a
 // milliseconds-long convoy and caps the whole engine at disk latency.
@@ -54,11 +54,6 @@ var ioFuncs = map[string]map[string]bool{
 		"Remove": true, "RemoveAll": true, "Mkdir": true, "MkdirAll": true},
 	"io":  {"Copy": true, "CopyN": true, "ReadAll": true, "WriteString": true},
 	"fmt": {"Fprintf": true, "Fprint": true, "Fprintln": true},
-	// The repo's own WAL encoders: the binary-codec equivalent of
-	// json.Marshal, and exactly what "marshal outside the ordering lock"
-	// is about.
-	"bank":   {"encodeWALBinary": true},
-	"events": {"encodeEventBinary": true},
 }
 
 // ioMethods are method names that marshal or reach the filesystem when

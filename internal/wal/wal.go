@@ -5,10 +5,9 @@
 // power loss, how a batch is written and synced, emptying and retiring the
 // file, and latching the first I/O failure.
 //
-// Each user keeps its own goroutine, record encoding (JSON lines or
-// walcodec frames; a File only sees bytes) and reaction to a failure. A
-// File belongs to one goroutine at a time; only Err and Fail are safe to
-// call concurrently.
+// Every record is one JSON object on one line. Each user keeps its own
+// goroutine, record schema and reaction to a failure. A File belongs to one
+// goroutine at a time; only Err and Fail are safe to call concurrently.
 package wal
 
 import (
@@ -20,8 +19,6 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
-
-	"mineassess/internal/walcodec"
 )
 
 // SyncPolicy selects when appended records are forced to stable storage. It
@@ -58,33 +55,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
-// Codec names a record encoding. A File never looks at it: users encode
-// their records under it, and replay detects the format per record, so it
-// never constrains what can be read.
-type Codec string
-
-// Record codecs.
-const (
-	// CodecJSON writes one JSON object per line — the historical format,
-	// and the default.
-	CodecJSON Codec = "json"
-	// CodecBinary writes walcodec frames: length-prefixed, with a CRC per
-	// record. Identical durability semantics, a fraction of the encode cost.
-	CodecBinary Codec = "binary"
-)
-
-// ParseCodec resolves a -wal-codec style flag value; empty means CodecJSON.
-func ParseCodec(s string) (Codec, error) {
-	switch Codec(s) {
-	case "":
-		return CodecJSON, nil
-	case CodecJSON, CodecBinary:
-		return Codec(s), nil
-	default:
-		return "", fmt.Errorf("wal: unknown codec %q (json or binary)", s)
-	}
-}
-
 // SyncDir fsyncs a directory so freshly created or renamed entries survive
 // power loss — a file fsync persists the file's bytes, not the dentry that
 // makes it reachable.
@@ -103,13 +73,18 @@ func SyncDir(dir string) error {
 	return nil
 }
 
+// binaryMagic is the first byte of a record frame written by the binary
+// record format earlier builds offered.
+const binaryMagic = 0xB1
+
 // Scan calls visit with every complete record in the log at path, oldest
-// first: a JSON line (newline included) when isJSON, else a frame's
-// payload. A torn final record (a write cut short by a crash) ends the scan
-// without error. It returns the byte offset just past the last complete
-// record, or -1 when path does not exist. A corrupt record mid-file, or an
-// error from visit, stops the scan and is returned.
-func Scan(path string, visit func(payload []byte, isJSON bool) error) (valid int64, err error) {
+// first: one JSON line, newline included. A newline-free final fragment
+// that begins with '{' is a torn record (a write cut short by a crash) and
+// ends the scan without error. It returns the byte offset just past the
+// last complete record, or -1 when path does not exist. A record that does
+// not begin with '{' is corruption: it, or an error from visit, stops the
+// scan and is returned.
+func Scan(path string, visit func(line []byte) error) (valid int64, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return -1, nil
@@ -120,17 +95,27 @@ func Scan(path string, visit func(payload []byte, isJSON bool) error) (valid int
 	defer f.Close()
 	r := bufio.NewReader(f)
 	for n := 1; ; n++ {
-		payload, isJSON, size, err := walcodec.NextRecord(r)
-		if errors.Is(err, io.EOF) || errors.Is(err, walcodec.ErrTorn) {
+		line, err := r.ReadBytes('\n')
+		if err != nil && !errors.Is(err, io.EOF) {
+			return valid, fmt.Errorf("wal: read %s: %w", path, err)
+		}
+		if len(line) == 0 {
 			return valid, nil
 		}
-		if err == nil {
-			err = visit(payload, isJSON)
+		switch {
+		case line[0] == binaryMagic:
+			err = errors.New("a frame of the removed binary record format (first byte 0xb1); only JSON lines can be replayed")
+		case line[0] != '{':
+			err = fmt.Errorf("corrupt: begins with 0x%02x, not '{'", line[0])
+		case err != nil:
+			return valid, nil // a torn final record
+		default:
+			err = visit(line)
 		}
 		if err != nil {
 			return valid, fmt.Errorf("wal: %s record %d at byte %d: %w", path, n, valid, err)
 		}
-		valid += size
+		valid += int64(len(line))
 	}
 }
 
@@ -157,8 +142,9 @@ type File struct {
 // Open scans the log at path (see Scan), cuts off a torn final record so
 // the next append cannot fuse onto it, opens the file for appending
 // (creating it if absent) and fsyncs its directory so a new file survives
-// power loss.
-func Open(path string, policy SyncPolicy, visit func(payload []byte, isJSON bool) error) (*File, error) {
+// power loss. If the scan fails, Open returns its error and leaves the file
+// as it was.
+func Open(path string, policy SyncPolicy, visit func(line []byte) error) (*File, error) {
 	valid, err := Scan(path, visit)
 	if err != nil {
 		return nil, err

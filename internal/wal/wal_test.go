@@ -1,37 +1,30 @@
 package wal
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
-
-	"mineassess/internal/walcodec"
 )
 
-var (
-	policies = []SyncPolicy{SyncAlways, SyncGroup, SyncNone}
-	codecs   = []Codec{CodecJSON, CodecBinary}
-)
+var policies = []SyncPolicy{SyncAlways, SyncGroup, SyncNone}
 
 var errInjected = errors.New("injected write failure")
 
-// record encodes record n in the codec's format: a JSON line or a frame.
-func record(codec Codec, n int) []byte {
-	if codec == CodecJSON {
-		return []byte(fmt.Sprintf("{\"n\":%d}\n", n))
-	}
-	return walcodec.EndFrame(binary.AppendUvarint(walcodec.BeginFrame(nil), uint64(n)), 0)
+// record encodes record n as a JSON line.
+func record(n int) []byte {
+	return []byte(fmt.Sprintf("{\"n\":%d}\n", n))
 }
 
 // batch encodes records from..to-1 into one Commit buffer.
-func batch(codec Codec, from, to int) (buf []byte, ends []int) {
+func batch(from, to int) (buf []byte, ends []int) {
 	for n := from; n < to; n++ {
-		buf = append(buf, record(codec, n)...)
+		buf = append(buf, record(n)...)
 		ends = append(ends, len(buf))
 	}
 	return buf, ends
@@ -48,15 +41,10 @@ func scanAll(t *testing.T, path string) []int {
 }
 
 // collect is a visit func appending each record's number to got.
-func collect(got *[]int) func([]byte, bool) error {
-	return func(payload []byte, isJSON bool) error {
-		if !isJSON {
-			r := walcodec.NewReader(payload)
-			*got = append(*got, int(r.Uvarint()))
-			return r.Err()
-		}
+func collect(got *[]int) func([]byte) error {
+	return func(line []byte) error {
 		var rec struct{ N int }
-		err := json.Unmarshal(payload, &rec)
+		err := json.Unmarshal(line, &rec)
 		*got = append(*got, rec.N)
 		return err
 	}
@@ -76,7 +64,7 @@ func wantRecords(t *testing.T, got []int, n int) {
 
 func open(t *testing.T, path string, policy SyncPolicy) *File {
 	t.Helper()
-	f, err := Open(path, policy, func([]byte, bool) error { return nil })
+	f, err := Open(path, policy, func([]byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,54 +113,52 @@ func (p *powerCut) Sync() error {
 // clean prefix.
 func TestPowerCutRecoversAckedRecords(t *testing.T) {
 	for _, policy := range policies {
-		for _, codec := range codecs {
-			t.Run(string(policy)+"/"+string(codec), func(t *testing.T) {
-				path := filepath.Join(t.TempDir(), "wal.log")
-				f := open(t, path, policy)
-				// The tear hits record 10: the third batch's only write under
-				// group and none, its third record's write under always.
-				pc := &powerCut{tearAt: 3}
-				if policy == SyncAlways {
-					pc.tearAt = 11
+		t.Run(string(policy), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.log")
+			f := open(t, path, policy)
+			// The tear hits record 10: the third batch's only write under
+			// group and none, its third record's write under always.
+			pc := &powerCut{tearAt: 3}
+			if policy == SyncAlways {
+				pc.tearAt = 11
+			}
+			f.WrapSink(func(s Sink) Sink { pc.Sink = s; return pc })
+			acked := 0
+			ack := func(i int, written, synced time.Time) {
+				acked++
+				if synced.Before(written) {
+					t.Errorf("record %d synced before written", i)
 				}
-				f.WrapSink(func(s Sink) Sink { pc.Sink = s; return pc })
-				acked := 0
-				ack := func(i int, written, synced time.Time) {
-					acked++
-					if synced.Before(written) {
-						t.Errorf("record %d synced before written", i)
-					}
+			}
+			for b := 0; b < 3; b++ {
+				buf, ends := batch(4*b, 4*b+4)
+				err := f.Commit(buf, ends, ack)
+				if (err != nil) != (b == 2) {
+					t.Fatalf("batch %d: Commit = %v", b, err)
 				}
-				for b := 0; b < 3; b++ {
-					buf, ends := batch(codec, 4*b, 4*b+4)
-					err := f.Commit(buf, ends, ack)
-					if (err != nil) != (b == 2) {
-						t.Fatalf("batch %d: Commit = %v", b, err)
-					}
-				}
-				_ = f.Close()
-				want := 8
-				if policy == SyncAlways {
-					want = 10
-				}
-				if acked != want {
-					t.Fatalf("acked %d records, want %d", acked, want)
-				}
-				cut := pc.synced
-				if policy == SyncNone {
-					cut = pc.written / 2
-				}
-				if err := os.Truncate(path, cut); err != nil {
-					t.Fatal(err)
-				}
-				got := scanAll(t, path)
-				if policy == SyncNone {
-					wantRecords(t, got, len(got))
-					return
-				}
-				wantRecords(t, got, acked)
-			})
-		}
+			}
+			_ = f.Close()
+			want := 8
+			if policy == SyncAlways {
+				want = 10
+			}
+			if acked != want {
+				t.Fatalf("acked %d records, want %d", acked, want)
+			}
+			cut := pc.synced
+			if policy == SyncNone {
+				cut = pc.written / 2
+			}
+			if err := os.Truncate(path, cut); err != nil {
+				t.Fatal(err)
+			}
+			got := scanAll(t, path)
+			if policy == SyncNone {
+				wantRecords(t, got, len(got))
+				return
+			}
+			wantRecords(t, got, acked)
+		})
 	}
 }
 
@@ -181,35 +167,33 @@ func TestPowerCutRecoversAckedRecords(t *testing.T) {
 // report it.
 func TestFailedWriteLatches(t *testing.T) {
 	for _, policy := range policies {
-		for _, codec := range codecs {
-			t.Run(string(policy)+"/"+string(codec), func(t *testing.T) {
-				f := open(t, filepath.Join(t.TempDir(), "wal.log"), policy)
-				pc := &powerCut{tearAt: 1}
-				f.WrapSink(func(s Sink) Sink { pc.Sink = s; return pc })
-				buf, ends := batch(codec, 0, 3)
-				first := f.Commit(buf, ends, nil)
-				if !errors.Is(first, errInjected) {
-					t.Fatalf("Commit over a failing sink = %v", first)
+		t.Run(string(policy), func(t *testing.T) {
+			f := open(t, filepath.Join(t.TempDir(), "wal.log"), policy)
+			pc := &powerCut{tearAt: 1}
+			f.WrapSink(func(s Sink) Sink { pc.Sink = s; return pc })
+			buf, ends := batch(0, 3)
+			first := f.Commit(buf, ends, nil)
+			if !errors.Is(first, errInjected) {
+				t.Fatalf("Commit over a failing sink = %v", first)
+			}
+			for i := 0; i < 3; i++ {
+				if err := f.Commit(buf, ends, nil); err != first {
+					t.Fatalf("Commit after failure = %v, want the latched %v", err, first)
 				}
-				for i := 0; i < 3; i++ {
-					if err := f.Commit(buf, ends, nil); err != first {
-						t.Fatalf("Commit after failure = %v, want the latched %v", err, first)
-					}
-				}
-				if pc.writes != 1 {
-					t.Errorf("sink saw %d writes, want 1 (later commits must not write)", pc.writes)
-				}
-				if err := f.Rotate(); err != first {
-					t.Errorf("Rotate after failure = %v", err)
-				}
-				if f.Err() != first {
-					t.Errorf("Err() = %v, want %v", f.Err(), first)
-				}
-				if err := f.Close(); err != first {
-					t.Errorf("Close() = %v, want %v", err, first)
-				}
-			})
-		}
+			}
+			if pc.writes != 1 {
+				t.Errorf("sink saw %d writes, want 1 (later commits must not write)", pc.writes)
+			}
+			if err := f.Rotate(); err != first {
+				t.Errorf("Rotate after failure = %v", err)
+			}
+			if f.Err() != first {
+				t.Errorf("Err() = %v, want %v", f.Err(), first)
+			}
+			if err := f.Close(); err != first {
+				t.Errorf("Close() = %v, want %v", err, first)
+			}
+		})
 	}
 }
 
@@ -217,47 +201,45 @@ func TestFailedWriteLatches(t *testing.T) {
 // Open, and the next append lands right after the last complete record.
 func TestTornTailCutOnOpen(t *testing.T) {
 	for _, policy := range policies {
-		for _, codec := range codecs {
-			t.Run(string(policy)+"/"+string(codec), func(t *testing.T) {
-				path := filepath.Join(t.TempDir(), "wal.log")
-				f := open(t, path, policy)
-				buf, ends := batch(codec, 0, 3)
-				if err := f.Commit(buf, ends, nil); err != nil {
-					t.Fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					t.Fatal(err)
-				}
-				torn := record(codec, 3)
-				if err := os.WriteFile(path, append(buf, torn[:len(torn)-3]...), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				var got []int
-				f, err := Open(path, policy, collect(&got))
-				if err != nil {
-					t.Fatalf("Open over a torn tail: %v", err)
-				}
-				wantRecords(t, got, 3)
-				if f.Size() != int64(len(buf)) {
-					t.Errorf("Size() = %d after the cut, want %d", f.Size(), len(buf))
-				}
-				next, nextEnds := batch(codec, 3, 4)
-				if err := f.Commit(next, nextEnds, nil); err != nil {
-					t.Fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					t.Fatal(err)
-				}
-				wantRecords(t, scanAll(t, path), 4)
-				st, err := os.Stat(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Size() != int64(len(buf)+len(next)) {
-					t.Errorf("file size = %d, want %d", st.Size(), len(buf)+len(next))
-				}
-			})
-		}
+		t.Run(string(policy), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.log")
+			f := open(t, path, policy)
+			buf, ends := batch(0, 3)
+			if err := f.Commit(buf, ends, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			torn := record(3)
+			if err := os.WriteFile(path, append(buf, torn[:len(torn)-3]...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var got []int
+			f, err := Open(path, policy, collect(&got))
+			if err != nil {
+				t.Fatalf("Open over a torn tail: %v", err)
+			}
+			wantRecords(t, got, 3)
+			if f.Size() != int64(len(buf)) {
+				t.Errorf("Size() = %d after the cut, want %d", f.Size(), len(buf))
+			}
+			next, nextEnds := batch(3, 4)
+			if err := f.Commit(next, nextEnds, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wantRecords(t, scanAll(t, path), 4)
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Size() != int64(len(buf)+len(next)) {
+				t.Errorf("file size = %d, want %d", st.Size(), len(buf)+len(next))
+			}
+		})
 	}
 }
 
@@ -276,7 +258,7 @@ func TestRotateKeepsOnePredecessor(t *testing.T) {
 				t.Fatalf("Size() = %d after Rotate", f.Size())
 			}
 		}
-		buf, ends := batch(CodecJSON, n, n+1)
+		buf, ends := batch(n, n+1)
 		if err := f.Commit(buf, ends, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +283,7 @@ func TestRotateKeepsOnePredecessor(t *testing.T) {
 func TestTruncateEmptiesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	f := open(t, path, SyncGroup)
-	buf, ends := batch(CodecBinary, 0, 2)
+	buf, ends := batch(0, 2)
 	if err := f.Commit(buf, ends, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +293,7 @@ func TestTruncateEmptiesFile(t *testing.T) {
 	if st, err := os.Stat(path); err != nil || st.Size() != 0 || f.Size() != 0 {
 		t.Fatalf("after Truncate: stat %v (%v), Size() %d; want empty", st, err, f.Size())
 	}
-	buf, ends = batch(CodecBinary, 0, 1)
+	buf, ends = batch(0, 1)
 	if err := f.Commit(buf, ends, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -319,4 +301,83 @@ func TestTruncateEmptiesFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantRecords(t, scanAll(t, path), 1)
+}
+
+// TestOpenRefusesCorruptRecord: a complete record that is not a JSON line,
+// or that visit rejects, fails Open before anything is cut, and the file is
+// left byte-identical. A frame of the removed binary format is reported as
+// such, mid-log or at the end where a torn JSON line would be cut.
+func TestOpenRefusesCorruptRecord(t *testing.T) {
+	frame := []byte{binaryMagic, 1, 2, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 'x', 'y'}
+	cases := []struct {
+		name, want string
+		log        []byte
+	}{
+		{"binary-frame", "removed binary record format", concat(record(0), frame, record(1))},
+		{"binary-frame-at-end", "removed binary record format", concat(record(0), frame)},
+		{"not-json", "corrupt: begins with 0x67", concat(record(0), []byte("garbage\n"), record(1))},
+		{"unparsable-json", "record 2 at byte 8", concat(record(0), []byte("{\"n\":\n"), record(1))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.log")
+			if err := os.WriteFile(path, tc.log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var got []int
+			_, err := Open(path, SyncGroup, collect(&got))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open = %v, want an error containing %q", err, tc.want)
+			}
+			if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, tc.log) {
+				t.Errorf("failed Open changed the file: %q (%v), was %q", after, rerr, tc.log)
+			}
+		})
+	}
+}
+
+func concat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+// FuzzScan feeds arbitrary bytes to the replay scan: it never panics, the
+// offset it returns is 0 or just past a newline, and n JSON lines followed
+// by a '{'-led fragment with no newline replay as exactly n records.
+func FuzzScan(f *testing.F) {
+	f.Add([]byte(`{"n":0}`+"\n"), uint8(1))
+	f.Add([]byte(`{"n":0}`+"\n"+`{"n":1`), uint8(2))
+	f.Add([]byte("{}\n\n{}\n"), uint8(0))
+	f.Add([]byte("{}\nnot json\n{}\n"), uint8(3))
+	f.Add([]byte{binaryMagic, 1, 3, 0, 0, 0, 0, 0, 0, 0, '{', '}', '\n'}, uint8(4))
+	f.Add([]byte("{}\n\xb1\x01\x00"), uint8(5))
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte("\n"), uint8(7))
+	f.Add(bytes.Repeat([]byte(`{"k":"v"}`+"\n"), 64), uint8(15))
+	path := filepath.Join(f.TempDir(), "wal.log")
+	scan := func(t *testing.T, data []byte, visit func([]byte) error) (int64, error) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return Scan(path, visit)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+		valid, err := scan(t, data, func(line []byte) error {
+			if line[0] != '{' || line[len(line)-1] != '\n' {
+				t.Fatalf("visited %q, not a complete '{'-led line", line)
+			}
+			return nil
+		})
+		if valid < 0 || valid > int64(len(data)) || valid > 0 && data[valid-1] != '\n' {
+			t.Fatalf("Scan(%q) = %d, %v: offset is not 0 or just past a newline", data, valid, err)
+		}
+
+		// lines records built from data's bytes, then the same record torn.
+		lines := int(n % 16)
+		line := concat([]byte("{"), bytes.ReplaceAll(data, []byte("\n"), nil), []byte("\n"))
+		log := concat(bytes.Repeat(line, lines), line[:len(line)-1])
+		visits := 0
+		valid, err = scan(t, log, func([]byte) error { visits++; return nil })
+		if err != nil || visits != lines || valid != int64(lines*len(line)) {
+			t.Fatalf("%d lines and a torn tail: Scan = %d, %v after %d visits; want %d, nil after %d",
+				lines, valid, err, visits, lines*len(line), lines)
+		}
+	})
 }
