@@ -31,7 +31,7 @@ func TestMetricsCommand(t *testing.T) {
 	}
 	found := false
 	for _, r := range snap.Routes {
-		if r.Route == "/v1/exams" {
+		if r.Route == "GET /v1/exams" {
 			found = true
 			if r.Count < 1 || r.P50Ms <= 0 || r.P99Ms < r.P50Ms {
 				t.Errorf("route quantiles inconsistent: %+v", r)

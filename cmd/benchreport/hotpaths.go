@@ -34,6 +34,7 @@ import (
 	"mineassess/internal/bank"
 	"mineassess/internal/events"
 	"mineassess/internal/item"
+	"mineassess/internal/loadgen"
 	"mineassess/internal/obs"
 	"mineassess/internal/simulate"
 	"mineassess/internal/wal"
@@ -309,32 +310,13 @@ func runE23(int64) error {
 }
 
 // writeHotpaths measures the suite and merges it into the baseline file as
-// the "hotpaths" section, leaving every other section untouched (unlike
-// -baseline, which regenerates the whole document).
+// the "hotpaths" section, leaving every other section untouched.
 func writeHotpaths(path string) error {
 	sec, err := measureHotpathsSuite()
 	if err != nil {
 		return err
 	}
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("existing baseline %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	secRaw, err := json.Marshal(sec)
-	if err != nil {
-		return err
-	}
-	doc["hotpaths"] = secRaw
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	if err := loadgen.MergeBaseline(path, map[string]any{"hotpaths": sec}); err != nil {
 		return err
 	}
 	fmt.Printf("merged hotpaths section into %s\n", path)

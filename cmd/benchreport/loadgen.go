@@ -71,7 +71,7 @@ func writeLoadgen(path string) error {
 	}
 	loadgen.WriteReport(os.Stdout, res)
 	loadgen.WriteCapacityReport(os.Stdout, cr)
-	if err := loadgen.MergeBaseline(path, loadgen.NewSection(e24Mix(), res, cr)); err != nil {
+	if err := loadgen.MergeBaseline(path, map[string]any{"loadgen": loadgen.NewSection(e24Mix(), res, cr)}); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "benchreport: merged loadgen section into %s\n", path)

@@ -11,12 +11,11 @@ package main
 // recorded baseline).
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"mineassess/internal/bank"
+	"mineassess/internal/loadgen"
 	"mineassess/internal/obs"
 	"mineassess/internal/wal"
 )
@@ -130,25 +129,7 @@ func writeObs(path string) error {
 	if err != nil {
 		return err
 	}
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("existing baseline %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	secRaw, err := json.Marshal(sec)
-	if err != nil {
-		return err
-	}
-	doc["obs"] = secRaw
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	if err := loadgen.MergeBaseline(path, map[string]any{"obs": sec}); err != nil {
 		return err
 	}
 	fmt.Printf("merged obs section into %s\n", path)

@@ -10,9 +10,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -21,6 +19,7 @@ import (
 	"mineassess/internal/bank"
 	"mineassess/internal/delivery"
 	"mineassess/internal/item"
+	"mineassess/internal/loadgen"
 )
 
 // throughputBank authors a small unlimited-time exam for engine driving.
@@ -147,24 +146,13 @@ func runE18(int64) error {
 	return nil
 }
 
-// Baseline is the BENCH_BASELINE.json document.
-type Baseline struct {
-	GoVersion  string             `json:"goVersion"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	Workers    int                `json:"workers"`
-	Results    []ThroughputResult `json:"results"`
-	// Journal tracks the E21 write-path configurations (single-lock
-	// baseline vs group-commit, per sync policy, plus the CAT
-	// SubmitResponse persist latency).
-	Journal []JournalResult `json:"journal"`
-	// Events tracks the E22 bus configurations: fan-out delivery rates per
-	// subscriber count, and the engine workload with the bus disabled /
-	// unwatched / subscribed (emitter overhead).
-	Events []EventsResult `json:"events"`
-}
-
-// writeBaseline measures every engine configuration and writes the JSON
-// baseline to path, so future PRs can diff the perf trajectory.
+// writeBaseline measures every engine configuration (E18), the E21
+// write-path suite (single-lock baseline vs group-commit per sync policy,
+// plus the CAT SubmitResponse persist latency) and the E22 bus suite
+// (fan-out per subscriber count, engine with the bus disabled / unwatched
+// / subscribed), and merges them into the baseline file at path, leaving
+// its other sections untouched, so future PRs can diff the perf
+// trajectory.
 func writeBaseline(path string) error {
 	// At least 4 workers so the lock structure is exercised even on small
 	// machines, and enough sittings per worker to average out scheduler
@@ -173,36 +161,32 @@ func writeBaseline(path string) error {
 	if workers < 4 {
 		workers = 4
 	}
-	base := Baseline{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    workers,
-	}
+	var results []ThroughputResult
 	for _, cfg := range throughputConfigs() {
 		res, err := measureThroughput(cfg, workers, 200, 10)
 		if err != nil {
 			return err
 		}
-		base.Results = append(base.Results, res)
+		results = append(results, res)
 	}
 	journal, err := measureJournalSuite(48)
 	if err != nil {
 		return err
 	}
-	base.Journal = journal
 	ev, err := measureEventsSuite()
 	if err != nil {
 		return err
 	}
-	base.Events = ev
-	raw, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
+	if err := loadgen.MergeBaseline(path, map[string]any{
+		"goVersion":  runtime.Version(),
+		"gomaxprocs": runtime.GOMAXPROCS(0),
+		"workers":    workers,
+		"results":    results,
+		"journal":    journal,
+		"events":     ev,
+	}); err != nil {
 		return err
 	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote throughput baseline %s\n", path)
+	fmt.Printf("merged throughput, journal and events sections into %s\n", path)
 	return nil
 }

@@ -12,7 +12,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"testing"
@@ -246,25 +245,7 @@ func writeTrace(path string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("existing baseline %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	secRaw, err := json.Marshal(sec)
-	if err != nil {
-		return err
-	}
-	doc["trace"] = secRaw
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	if err := loadgen.MergeBaseline(path, map[string]any{"trace": sec}); err != nil {
 		return err
 	}
 	fmt.Printf("merged trace section into %s\n", path)

@@ -155,7 +155,7 @@ func run(args []string) error {
 		loadgen.WriteTraceReport(os.Stdout, rep)
 	}
 	if *baseline != "" {
-		if err := loadgen.MergeBaseline(*baseline, sec); err != nil {
+		if err := loadgen.MergeBaseline(*baseline, map[string]any{"loadgen": sec}); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "loadgen: merged loadgen section into %s\n", *baseline)

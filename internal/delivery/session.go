@@ -565,19 +565,6 @@ func (e *Engine) RTEExec(sessionID string, fn func(api *scorm.API)) error {
 	return nil
 }
 
-// RTE exposes a session's SCORM API without synchronization. The scorm.API
-// is not thread-safe and engine operations mutate the same data model under
-// the session lock, so callers must guarantee no concurrent engine calls
-// for this session — single-threaded harnesses and tests only. Concurrent
-// callers (the HTTP bridge) use RTEExec.
-func (e *Engine) RTE(sessionID string) (*scorm.API, error) {
-	s, err := e.session(sessionID)
-	if err != nil {
-		return nil, err
-	}
-	return s.api, nil
-}
-
 // CollectResults assembles the full response matrix of an exam from every
 // finished or expired session, ready for analysis. Sessions are visited
 // shard by shard and locked one at a time — collection never blocks the

@@ -11,6 +11,7 @@ import (
 	"mineassess/internal/bank"
 	"mineassess/internal/cognition"
 	"mineassess/internal/item"
+	"mineassess/internal/scorm"
 )
 
 // fakeClock is a manually advanced clock.
@@ -286,12 +287,12 @@ func TestFinishWritesCMI(t *testing.T) {
 	if _, err := eng.Finish(context.Background(), sess.ID); err != nil {
 		t.Fatal(err)
 	}
-	api, err := eng.RTE(sess.ID)
-	if err != nil {
+	if err := eng.RTEExec(sess.ID, func(api *scorm.API) {
+		if api.Running() {
+			t.Error("RTE should be finished")
+		}
+	}); err != nil {
 		t.Fatal(err)
-	}
-	if api.Running() {
-		t.Error("RTE should be finished")
 	}
 	// Inspect via a fresh snapshot: the engine wrote score and status
 	// before LMSFinish, visible through the session's data model.

@@ -48,17 +48,6 @@ func writeAuthoringError(w http.ResponseWriter, err error) {
 
 // --- Problems ---
 
-func (s *Server) handleProblemsRoot(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.listProblems(w, r)
-	case http.MethodPost:
-		s.createProblem(w, r)
-	default:
-		methodNotAllowed(w, http.MethodGet, http.MethodPost)
-	}
-}
-
 // parseQuery builds a bank.Query from GET /v1/problems parameters.
 func parseQuery(r *http.Request) (bank.Query, error) {
 	v := r.URL.Query()
@@ -109,7 +98,7 @@ func parseQuery(r *http.Request) (bank.Query, error) {
 	return q, nil
 }
 
-func (s *Server) listProblems(w http.ResponseWriter, r *http.Request) {
+func (s *Server) listProblems(w http.ResponseWriter, r *http.Request, _ string) {
 	q, err := parseQuery(r)
 	if err != nil {
 		badRequest(w, "%v", err)
@@ -122,7 +111,7 @@ func (s *Server) listProblems(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ProblemList{Problems: found, Total: len(found)})
 }
 
-func (s *Server) createProblem(w http.ResponseWriter, r *http.Request) {
+func (s *Server) createProblem(w http.ResponseWriter, r *http.Request, _ string) {
 	var p item.Problem
 	if !decodeBody(w, r, &p) {
 		return
@@ -154,62 +143,39 @@ func addProblemCtx(ctx context.Context, store bank.Storage, p *item.Problem) err
 	return store.AddProblem(p)
 }
 
-// handleProblemByID routes /v1/problems/{id}.
-func (s *Server) handleProblemByID(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/v1/problems/")
-	if id == "" || strings.Contains(id, "/") {
-		notFoundRoute(w, r.URL.Path)
+func (s *Server) updateProblem(w http.ResponseWriter, r *http.Request, id string) {
+	var p item.Problem
+	if !decodeBody(w, r, &p) {
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		p, err := s.store.Problem(id)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, p)
-	case http.MethodPut:
-		var p item.Problem
-		if !decodeBody(w, r, &p) {
-			return
-		}
-		if p.ID == "" {
-			p.ID = id
-		} else if p.ID != id {
-			badRequest(w, "body ID %q does not match URL ID %q", p.ID, id)
-			return
-		}
-		if err := s.store.UpdateProblem(&p); err != nil {
-			writeAuthoringError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, &p)
-	case http.MethodDelete:
-		if err := s.store.DeleteProblem(id); err != nil {
-			writeError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		methodNotAllowed(w, http.MethodGet, http.MethodPut, http.MethodDelete)
+	if p.ID == "" {
+		p.ID = id
+	} else if p.ID != id {
+		badRequest(w, "body ID %q does not match URL ID %q", p.ID, id)
+		return
 	}
+	if err := s.store.UpdateProblem(&p); err != nil {
+		writeAuthoringError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, &p)
+}
+
+func (s *Server) deleteProblem(w http.ResponseWriter, _ *http.Request, id string) {
+	if err := s.store.DeleteProblem(id); err != nil {
+		writeError(w, err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // --- Exams ---
 
-func (s *Server) handleExamsRoot(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, ExamList{ExamIDs: s.store.ExamIDs()})
-	case http.MethodPost:
-		s.createExam(w, r)
-	default:
-		methodNotAllowed(w, http.MethodGet, http.MethodPost)
-	}
+func (s *Server) listExams(w http.ResponseWriter, _ *http.Request, _ string) {
+	writeJSON(w, http.StatusOK, ExamList{ExamIDs: s.store.ExamIDs()})
 }
 
-func (s *Server) createExam(w http.ResponseWriter, r *http.Request) {
+func (s *Server) createExam(w http.ResponseWriter, r *http.Request, _ string) {
 	var rec bank.ExamRecord
 	if !decodeBody(w, r, &rec) {
 		return
@@ -237,87 +203,20 @@ func (s *Server) createExam(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, &rec)
 }
 
-// handleExamByID routes /v1/exams/{id} and its subresources
-// (sessions, grades, results, live).
-func (s *Server) handleExamByID(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/exams/")
-	id, sub, _ := strings.Cut(rest, "/")
-	// Only the known verb is routed as a verb: a pre-existing exam whose
-	// ID happens to contain ':' (legal before checkResourceID rejected
-	// it) still resolves as a plain resource.
-	if seg, verb, hasVerb := strings.Cut(id, ":"); hasVerb && verb == "recalibrate" && sub == "" {
-		if seg == "" {
-			badRequest(w, "missing exam ID")
-			return
-		}
-		if r.Method != http.MethodPost {
-			methodNotAllowed(w, http.MethodPost)
-			return
-		}
-		s.recalibrateExam(w, r, seg)
+func (s *Server) deleteExam(w http.ResponseWriter, _ *http.Request, id string) {
+	if err := s.store.DeleteExam(id); err != nil {
+		writeError(w, err)
 		return
 	}
-	if id == "" {
-		badRequest(w, "missing exam ID")
-		return
-	}
-	switch sub {
-	case "":
-		switch r.Method {
-		case http.MethodGet:
-			rec, err := s.store.Exam(id)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, rec)
-		case http.MethodDelete:
-			if err := s.store.DeleteExam(id); err != nil {
-				writeError(w, err)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-		default:
-			methodNotAllowed(w, http.MethodGet, http.MethodDelete)
-		}
-	case "sessions":
-		switch r.Method {
-		case http.MethodPost:
-			s.startSession(w, r, id)
-		case http.MethodGet:
-			s.listSessions(w, id)
-		default:
-			methodNotAllowed(w, http.MethodGet, http.MethodPost)
-		}
-	case "grades":
-		if r.Method != http.MethodGet {
-			methodNotAllowed(w, http.MethodGet)
-			return
-		}
-		s.listGrades(w, id)
-	case "results":
-		if r.Method != http.MethodGet {
-			methodNotAllowed(w, http.MethodGet)
-			return
-		}
-		s.exportResults(w, id)
-	case "live":
-		s.handleExamLive(w, r, id)
-	default:
-		notFoundRoute(w, r.URL.Path)
-	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleAssemble implements POST /v1/exams:assemble — the paper's
+// assembleExam implements POST /v1/exams:assemble — the paper's
 // blueprint-driven authoring workflow over HTTP. The server selects problems
 // satisfying every (concept, level) cell, finalizes the draft, stores the
 // exam, and returns the record; an underfilled bank is a 422
 // BLUEPRINT_SHORTFALL whose details list every deficient cell.
-func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
-		return
-	}
+func (s *Server) assembleExam(w http.ResponseWriter, r *http.Request, _ string) {
 	var req AssembleExamRequest
 	if !decodeBody(w, r, &req) {
 		return

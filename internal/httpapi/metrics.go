@@ -14,13 +14,14 @@ import (
 )
 
 // Metrics is the in-process observability registry, exported at
-// GET /v1/metrics. Per-route counters are keyed by the registered route
-// pattern (not the raw path), so session-ID fan-out never explodes the
-// cardinality.
+// GET /v1/metrics. Per-route counters are keyed by the route table row's
+// "<METHOD> <pattern>" (not the raw path), with every 404 and 405 under
+// "unmatched", so there is one series per endpoint and session-ID fan-out
+// never explodes the cardinality.
 //
-// Per-route stats are pre-registered when the route is (instrument), so
+// Per-route stats are pre-registered when the table is built (timed), so
 // the request hot path is a few atomic increments against a *routeStats
-// captured in the handler closure — no lock and no map lookup is taken per
+// captured in the endpoint closure — no lock and no map lookup is taken per
 // request. The registry mutex guards only registration and Snapshot.
 //
 // Built with NewMetricsWith, the per-route latency histograms and the
@@ -95,8 +96,8 @@ func NewMetricsWith(reg *obs.Registry) *Metrics {
 }
 
 // register returns the route's stats, creating them on first registration.
-// Routes registered twice (e.g. a legacy alias sharing a pattern) share one
-// entry.
+// Labels registered twice (every 405 and the 404 share "unmatched") share
+// one entry.
 func (m *Metrics) register(route string) *routeStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -105,7 +106,7 @@ func (m *Metrics) register(route string) *routeStats {
 		rs = &routeStats{}
 		if m.reg != nil {
 			rs.hist = m.reg.Histogram("http_request_seconds",
-				"HTTP request latency by route pattern.",
+				"HTTP request latency by route (method and pattern).",
 				obs.Latency, obs.L("route", route))
 		} else {
 			rs.hist = obs.NewHistogram(obs.Latency)
@@ -115,22 +116,22 @@ func (m *Metrics) register(route string) *routeStats {
 	return rs
 }
 
-// instrument wraps a handler so every request is timed and counted under the
-// route pattern it was registered with. The stats cell is resolved here,
-// once, at registration time.
-func (m *Metrics) instrument(route string, next http.Handler) http.Handler {
+// timed wraps an endpoint so every request it serves is timed and counted
+// under route. The stats cell is resolved here, once, when the route table
+// is built.
+func (m *Metrics) timed(route string, ep endpoint) endpoint {
 	rs := m.register(route)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request, id string) {
 		m.inFlight.Add(1)
 		defer m.inFlight.Add(-1)
 		sr := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
-		next.ServeHTTP(sr, r)
+		ep(sr, r, id)
 		if sr.status == 0 {
 			sr.status = http.StatusOK
 		}
 		rs.observe(sr.status, time.Since(start), trace.FromContext(r.Context()).TraceIDHex())
-	})
+	}
 }
 
 // RouteMetrics is one route's exported counters (wire type promoted to

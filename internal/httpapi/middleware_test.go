@@ -391,7 +391,7 @@ func TestMetricsSnapshot(t *testing.T) {
 	// share one label.
 	var sessions RouteMetrics
 	for _, rm := range snap.Routes {
-		if rm.Route == "/v1/sessions/" {
+		if rm.Route == "GET /v1/sessions/{id}" {
 			sessions = rm
 		}
 	}

@@ -11,41 +11,9 @@
 // structured access logging, panic recovery, per-learner token-bucket rate
 // limiting, and an in-process metrics registry exported at /v1/metrics.
 //
-// Route map (see API.md for the full reference):
-//
-//	POST   /v1/exams/{id}/sessions     start a session
-//	GET    /v1/exams/{id}/sessions     list session summaries (admin)
-//	GET    /v1/sessions/{id}           session status
-//	POST   /v1/sessions/{id}:answer    record a response
-//	POST   /v1/sessions/{id}:pause     pause
-//	POST   /v1/sessions/{id}:resume    resume
-//	POST   /v1/sessions/{id}:finish    finish and grade
-//	GET    /v1/sessions/{id}/monitor   captured snapshots
-//	POST   /v1/sessions/{id}/rte       SCORM RTE bridge
-//	POST   /v1/adaptive-sessions       start a live adaptive (CAT) session
-//	GET    /v1/adaptive-sessions/{id}  adaptive session status
-//	GET    /v1/adaptive-sessions/{id}/next     pending item
-//	POST   /v1/adaptive-sessions/{id}:respond  answer the pending item
-//	POST   /v1/adaptive-sessions/{id}:finish   close / fetch the outcome
-//	GET    /v1/adaptive-sessions/{id}/monitor  captured snapshots
-//	POST   /v1/exams/{id}:recalibrate  fold logged responses into params
-//	GET    /v1/problems                search problems
-//	POST   /v1/problems                create a problem
-//	GET    /v1/problems/{id}           fetch a problem
-//	PUT    /v1/problems/{id}           update a problem
-//	DELETE /v1/problems/{id}           delete a problem
-//	GET    /v1/exams                   list exam IDs
-//	POST   /v1/exams                   create an exam
-//	POST   /v1/exams:assemble          blueprint-driven assembly
-//	GET    /v1/exams/{id}              fetch an exam record
-//	DELETE /v1/exams/{id}              delete an exam
-//	GET    /v1/exams/{id}/grades       manual-grading worklist
-//	POST   /v1/grades                  assign manual credit
-//	GET    /v1/exams/{id}/results      export the response matrix
-//	GET    /v1/exams/{id}/live         SSE: exam events + live item stats
-//	GET    /v1/events:stream           SSE: every event on the bus
-//	GET    /v1/metrics                 metrics snapshot
-//	GET    /package/...                mounted SCORM package files
+// Every endpoint is one row of the route table in Server.table (route.go
+// describes the patterns and how a request is matched); API.md is the
+// full reference.
 package httpapi
 
 import (
@@ -114,7 +82,8 @@ type Server struct {
 	live      *livestats.Aggregator
 	heartbeat time.Duration
 	metrics   *Metrics
-	mux       *http.ServeMux
+	routes    []route
+	notFound  endpoint
 	handler   http.Handler
 	// pkg, when mounted, is the SCORM content package served under
 	// /package/ so launched SCOs load straight from the LMS.
@@ -123,8 +92,8 @@ type Server struct {
 
 var _ http.Handler = (*Server)(nil)
 
-// NewServer wires the engine and bank behind the /v1 router, the legacy
-// aliases, and the middleware chain.
+// NewServer wires the engine and bank behind the route table and the
+// middleware chain.
 func NewServer(engine *delivery.Engine, store bank.Storage, o Options) *Server {
 	s := &Server{
 		engine:    engine,
@@ -134,9 +103,8 @@ func NewServer(engine *delivery.Engine, store bank.Storage, o Options) *Server {
 		live:      o.LiveStats,
 		heartbeat: o.StreamHeartbeat,
 		metrics:   NewMetricsWith(o.Obs),
-		mux:       http.NewServeMux(),
 	}
-	s.routes()
+	s.compile(s.table())
 	// The per-learner bucket shapes individual traffic; the per-IP bucket
 	// (ipAggregateFactor times the learner rate) caps what any one address
 	// can push regardless of the client-controlled X-Learner-ID header. The
@@ -158,7 +126,7 @@ func NewServer(engine *delivery.Engine, store bank.Storage, o Options) *Server {
 		AccessLog(o.Logger),
 		Recover(o.Logger, func() { s.metrics.panics.Inc() }),
 		RateLimit(perLearner, perIP, func() { s.metrics.rateLimited.Inc() }),
-	)(s.mux)
+	)(http.HandlerFunc(s.dispatch))
 	return s
 }
 
@@ -184,44 +152,127 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
-// route registers a handler under a metrics label equal to its pattern.
-func (s *Server) route(pattern string, h http.HandlerFunc) {
-	s.mux.Handle(pattern, s.metrics.instrument(pattern, h))
+// table lists every endpoint the server answers. Patterns are tried in
+// this order (see route.go): each resource's verb rows precede its plain
+// {id} row, so "x:answer" reaches the verb while an exam ID that merely
+// contains a colon ("fall:2026", legal before checkResourceID) still
+// resolves as {id}. Adaptive and streaming rows answer a typed 404 when
+// their subsystem is not configured.
+func (s *Server) table() []row {
+	adaptive := enabled(s.cat != nil, "adaptive delivery is not enabled")
+	streaming := enabled(s.bus != nil, "event streaming is not enabled on this server")
+	return []row{
+		// Session delivery.
+		{"POST", "/v1/exams/{id}/sessions", s.startSession},
+		{"GET", "/v1/exams/{id}/sessions", s.listSessions},
+		{"POST", "/v1/sessions/{id}:answer", s.answer},
+		{"POST", "/v1/sessions/{id}:pause", s.pause},
+		{"POST", "/v1/sessions/{id}:resume", s.resume},
+		{"POST", "/v1/sessions/{id}:finish", s.finish},
+		{"POST", "/v1/sessions/{id}:{verb}", unknownVerb("unknown session action ")},
+		{"GET", "/v1/sessions/{id}", getJSON(s.engine.Status)},
+		{"GET", "/v1/sessions/{id}/monitor", s.getMonitor},
+		{"POST", "/v1/sessions/{id}/rte", s.postRTE},
+
+		// Live adaptive (CAT) delivery and recalibration (adaptive.go).
+		{"POST", "/v1/adaptive-sessions", adaptive(s.startAdaptive)},
+		{"POST", "/v1/adaptive-sessions:purge", adaptive(s.purgeAdaptive)},
+		{"POST", "/v1/adaptive-sessions/{id}:respond", adaptive(s.respondAdaptive)},
+		{"POST", "/v1/adaptive-sessions/{id}:finish", adaptive(s.finishAdaptive)},
+		{"POST", "/v1/adaptive-sessions/{id}:{verb}", adaptive(unknownVerb("unknown adaptive session action "))},
+		{"GET", "/v1/adaptive-sessions/{id}", adaptive(getJSON(s.cat.Status))},
+		{"GET", "/v1/adaptive-sessions/{id}/next", adaptive(getJSON(s.cat.NextItem))},
+		{"GET", "/v1/adaptive-sessions/{id}/monitor", adaptive(s.adaptiveMonitor)},
+		{"POST", "/v1/exams/{id}:recalibrate", adaptive(s.recalibrateExam)},
+
+		// Authoring (authoring.go).
+		{"GET", "/v1/problems", s.listProblems},
+		{"POST", "/v1/problems", s.createProblem},
+		{"GET", "/v1/problems/{id}", getJSON(s.store.Problem)},
+		{"PUT", "/v1/problems/{id}", s.updateProblem},
+		{"DELETE", "/v1/problems/{id}", s.deleteProblem},
+		{"GET", "/v1/exams", s.listExams},
+		{"POST", "/v1/exams", s.createExam},
+		{"POST", "/v1/exams:assemble", s.assembleExam},
+		{"GET", "/v1/exams/{id}", getJSON(s.store.Exam)},
+		{"DELETE", "/v1/exams/{id}", s.deleteExam},
+
+		// Administration, metrics and live streams (stream.go).
+		{"GET", "/v1/exams/{id}/grades", s.listGrades},
+		{"POST", "/v1/grades", s.assignGrade},
+		{"GET", "/v1/exams/{id}/results", getJSON(s.engine.CollectResults)},
+		{"GET", "/v1/metrics", s.getMetrics},
+		{"GET", "/v1/exams/{id}/live", streaming(s.examLive)},
+		{"GET", "/v1/events:stream", streaming(s.eventStream)},
+
+		// Mounted SCORM content.
+		{"GET", "/package/{file...}", s.packageFile},
+
+		// Deprecated seed-era aliases, kept because already-packaged SCO
+		// content calls them: each serves the same endpoint as its /v1
+		// counterpart, so bodies and error envelopes are identical. The
+		// session start takes the exam from the body, the admin routes
+		// from ?exam=.
+		{"POST", "/api/session/start", s.startSession},
+		{"GET", "/api/session/{id}", getJSON(s.engine.Status)},
+		{"POST", "/api/session/{id}/answer", s.answer},
+		{"POST", "/api/session/{id}/pause", s.pause},
+		{"POST", "/api/session/{id}/resume", s.resume},
+		{"POST", "/api/session/{id}/finish", s.finish},
+		{"GET", "/api/monitor/{id}", s.getMonitor},
+		{"POST", "/api/rte/{id}", s.postRTE},
+		{"GET", "/api/admin/sessions", examParam(s.listSessions)},
+		{"GET", "/api/admin/grades", examParam(s.listGrades)},
+		{"POST", "/api/admin/grades", s.assignGrade},
+		{"GET", "/api/admin/results", examParam(getJSON(s.engine.CollectResults))},
+	}
 }
 
-func (s *Server) routes() {
-	// v1 resources.
-	s.route("/v1/sessions/", s.handleSessions)
-	s.route("/v1/adaptive-sessions", s.handleAdaptiveRoot)
-	s.route("/v1/adaptive-sessions:purge", s.handleAdaptivePurge)
-	s.route("/v1/adaptive-sessions/", s.handleAdaptiveSessions)
-	s.route("/v1/problems", s.handleProblemsRoot)
-	s.route("/v1/problems/", s.handleProblemByID)
-	s.route("/v1/exams", s.handleExamsRoot)
-	s.route("/v1/exams:assemble", s.handleAssemble)
-	s.route("/v1/exams/", s.handleExamByID)
-	s.route("/v1/grades", s.handleGrades)
-	s.route("/v1/metrics", s.handleMetrics)
-	s.route("/v1/events:stream", s.handleEventStream)
+// enabled returns a row decorator: with on false, the row answers a typed
+// 404 carrying msg instead of its endpoint.
+func enabled(on bool, msg string) func(endpoint) endpoint {
+	return func(ep endpoint) endpoint {
+		if on {
+			return ep
+		}
+		return func(w http.ResponseWriter, _ *http.Request, _ string) {
+			writeErr(w, &Error{Code: CodeNotFound, Message: msg})
+		}
+	}
+}
 
-	// Deprecated seed-era aliases, kept so existing SCO content and scripts
-	// keep working; they call the same cores as the /v1 routes and return
-	// identical bodies.
-	s.route("/api/session/start", s.legacyStart)
-	s.route("/api/session/", s.legacySession)
-	s.route("/api/monitor/", s.legacyMonitor)
-	s.route("/api/rte/", s.legacyRTE)
-	s.route("/api/admin/sessions", s.legacyAdminSessions)
-	s.route("/api/admin/grades", s.legacyAdminGrades)
-	s.route("/api/admin/results", s.legacyAdminResults)
+// getJSON serves a GET whose body is what fetch returns for the captured
+// ID (a session's status, a problem, an exam's results, ...).
+func getJSON[T any](fetch func(id string) (T, error)) endpoint {
+	return func(w http.ResponseWriter, _ *http.Request, id string) {
+		v, err := fetch(id)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, v)
+	}
+}
 
-	// Mounted SCORM content.
-	s.route("/package/", s.handlePackage)
+// unknownVerb serves a resource's {id}:{verb} row: a verb no earlier row
+// named is a typed 404.
+func unknownVerb(prefix string) endpoint {
+	return func(w http.ResponseWriter, _ *http.Request, verb string) {
+		writeErr(w, &Error{Code: CodeNotFound, Message: prefix + verb})
+	}
+}
 
-	// Everything else is a typed 404 (no stdlib plain-text not-found).
-	s.route("/", func(w http.ResponseWriter, r *http.Request) {
-		notFoundRoute(w, r.URL.Path)
-	})
+// examParam adapts an exam-scoped endpoint to the legacy admin routes,
+// which name the exam in the ?exam= parameter.
+func examParam(ep endpoint) endpoint {
+	return func(w http.ResponseWriter, r *http.Request, _ string) {
+		examID := r.URL.Query().Get("exam")
+		if examID == "" {
+			badRequest(w, "missing exam parameter")
+			return
+		}
+		ep(w, r, examID)
+	}
 }
 
 // decodeBody parses a JSON request body, bounding it so a runaway client
@@ -237,88 +288,45 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 
 // --- Session delivery ---
 
-// handleSessions routes /v1/sessions/{id}[:verb|/monitor|/rte].
-func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/sessions/")
-	seg, sub, _ := strings.Cut(rest, "/")
-	id, verb, hasVerb := strings.Cut(seg, ":")
-	if id == "" {
-		badRequest(w, "missing session ID")
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, id string) {
+	var req AnswerRequest
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	switch {
-	case hasVerb:
-		if sub != "" {
-			notFoundRoute(w, r.URL.Path)
-			return
-		}
-		if r.Method != http.MethodPost {
-			methodNotAllowed(w, http.MethodPost)
-			return
-		}
-		s.sessionAction(w, r, id, verb)
-	case sub == "":
-		if r.Method != http.MethodGet {
-			methodNotAllowed(w, http.MethodGet)
-			return
-		}
-		s.getStatus(w, id)
-	case sub == "monitor":
-		if r.Method != http.MethodGet {
-			methodNotAllowed(w, http.MethodGet)
-			return
-		}
-		s.getMonitor(w, id)
-	case sub == "rte":
-		if r.Method != http.MethodPost {
-			methodNotAllowed(w, http.MethodPost)
-			return
-		}
-		s.postRTE(w, r, id)
-	default:
-		notFoundRoute(w, r.URL.Path)
+	if err := s.engine.Answer(r.Context(), id, req.ProblemID, req.Response); err != nil {
+		writeError(w, err)
+		return
 	}
+	writeJSON(w, http.StatusOK, ActionResponse{Status: "recorded"})
 }
 
-// sessionAction dispatches the :answer/:pause/:resume/:finish verbs.
-func (s *Server) sessionAction(w http.ResponseWriter, r *http.Request, id, verb string) {
-	switch verb {
-	case "answer":
-		var req AnswerRequest
-		if !decodeBody(w, r, &req) {
-			return
-		}
-		if err := s.engine.Answer(r.Context(), id, req.ProblemID, req.Response); err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, ActionResponse{Status: "recorded"})
-	case "pause":
-		if err := s.engine.Pause(id); err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, ActionResponse{Status: "paused"})
-	case "resume":
-		if err := s.engine.Resume(id); err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, ActionResponse{Status: "running"})
-	case "finish":
-		res, err := s.engine.Finish(r.Context(), id)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
-	default:
-		writeErr(w, &Error{Code: CodeNotFound, Message: "unknown session action " + verb})
+func (s *Server) pause(w http.ResponseWriter, _ *http.Request, id string) {
+	if err := s.engine.Pause(id); err != nil {
+		writeError(w, err)
+		return
 	}
+	writeJSON(w, http.StatusOK, ActionResponse{Status: "paused"})
+}
+
+func (s *Server) resume(w http.ResponseWriter, _ *http.Request, id string) {
+	if err := s.engine.Resume(id); err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, ActionResponse{Status: "running"})
+}
+
+func (s *Server) finish(w http.ResponseWriter, r *http.Request, id string) {
+	res, err := s.engine.Finish(r.Context(), id)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 // startSession opens a session. The v1 route supplies examID from the URL;
-// the legacy alias passes "" and the exam ID comes from the body. Unknown
+// on the legacy alias it is "" and the exam ID comes from the body. Unknown
 // exams are 404 EXAM_NOT_FOUND, not a generic 400 — clients must be able to
 // tell a typo'd exam ID from a malformed request.
 func (s *Server) startSession(w http.ResponseWriter, r *http.Request, examID string) {
@@ -341,19 +349,10 @@ func (s *Server) startSession(w http.ResponseWriter, r *http.Request, examID str
 	writeJSON(w, http.StatusOK, StartSessionResponse{SessionID: sess.ID, Order: sess.Order})
 }
 
-func (s *Server) getStatus(w http.ResponseWriter, id string) {
-	st, err := s.engine.Status(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
 // getMonitor returns the session's captured snapshots. Nonexistent sessions
 // are a 404 envelope, not an empty 200 — the registry is checked before the
 // monitor rings are read.
-func (s *Server) getMonitor(w http.ResponseWriter, id string) {
+func (s *Server) getMonitor(w http.ResponseWriter, _ *http.Request, id string) {
 	if !s.engine.HasSession(id) {
 		writeError(w, delivery.ErrSessionNotFound)
 		return
@@ -402,7 +401,7 @@ func (s *Server) postRTE(w http.ResponseWriter, r *http.Request, id string) {
 
 // listSessions is the administrator's monitor view of one exam's sessions.
 // The exam is looked up first so a typo'd ID is a 404, not an empty list.
-func (s *Server) listSessions(w http.ResponseWriter, examID string) {
+func (s *Server) listSessions(w http.ResponseWriter, _ *http.Request, examID string) {
 	if _, err := s.store.Exam(examID); err != nil {
 		writeError(w, err)
 		return
@@ -415,7 +414,7 @@ func (s *Server) listSessions(w http.ResponseWriter, examID string) {
 }
 
 // listGrades serves the manual-grading worklist for one exam.
-func (s *Server) listGrades(w http.ResponseWriter, examID string) {
+func (s *Server) listGrades(w http.ResponseWriter, _ *http.Request, examID string) {
 	if _, err := s.store.Exam(examID); err != nil {
 		writeError(w, err)
 		return
@@ -428,7 +427,7 @@ func (s *Server) listGrades(w http.ResponseWriter, examID string) {
 }
 
 // assignGrade records an instructor's manual credit.
-func (s *Server) assignGrade(w http.ResponseWriter, r *http.Request) {
+func (s *Server) assignGrade(w http.ResponseWriter, r *http.Request, _ string) {
 	var req GradeRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -440,30 +439,7 @@ func (s *Server) assignGrade(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ActionResponse{Status: "graded"})
 }
 
-// exportResults exports the exam's collected response matrix in the
-// analysis package's JSON format.
-func (s *Server) exportResults(w http.ResponseWriter, examID string) {
-	res, err := s.engine.CollectResults(examID)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (s *Server) handleGrades(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodNotAllowed(w, http.MethodPost)
-		return
-	}
-	s.assignGrade(w, r)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
+func (s *Server) getMetrics(w http.ResponseWriter, _ *http.Request, _ string) {
 	writeJSON(w, http.StatusOK, s.metrics.Snapshot())
 }
 
@@ -480,17 +456,12 @@ var contentTypeOverrides = map[string]string{
 	".woff2": "font/woff2",
 }
 
-// handlePackage serves mounted SCORM package files.
-func (s *Server) handlePackage(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
+// packageFile serves one file of the mounted SCORM package.
+func (s *Server) packageFile(w http.ResponseWriter, _ *http.Request, file string) {
 	if s.pkg == nil {
 		writeErr(w, &Error{Code: CodeNotFound, Message: "no package mounted"})
 		return
 	}
-	file := strings.TrimPrefix(r.URL.Path, "/package/")
 	data, ok := s.pkg.Files[file]
 	if !ok {
 		writeErr(w, &Error{Code: CodeNotFound, Message: "no such file " + file})

@@ -41,16 +41,6 @@ const defaultHeartbeat = 15 * time.Second
 // advanced.
 const statsRefresh = 200 * time.Millisecond
 
-// eventsEnabled writes the typed 404 when the server runs without a bus.
-func (s *Server) eventsEnabled(w http.ResponseWriter) bool {
-	if s.bus == nil {
-		writeErr(w, &Error{Code: CodeNotFound,
-			Message: "event streaming is not enabled on this server"})
-		return false
-	}
-	return true
-}
-
 // lastEventID resolves the SSE resume token: the standard Last-Event-ID
 // header (set by EventSource and the SDK on reconnect), with a
 // lastEventId query fallback for curl. Returns ok=false with no token.
@@ -69,15 +59,8 @@ func lastEventID(r *http.Request) (uint64, bool, error) {
 	return n, true, nil
 }
 
-// handleEventStream serves GET /v1/events:stream.
-func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
-	if !s.eventsEnabled(w) {
-		return
-	}
+// eventStream serves GET /v1/events:stream.
+func (s *Server) eventStream(w http.ResponseWriter, r *http.Request, _ string) {
 	after, resume, err := lastEventID(r)
 	if err != nil {
 		badRequest(w, "%v", err)
@@ -94,15 +77,8 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 	s.streamSSE(w, r, sub, "", globalID, 0)
 }
 
-// handleExamLive serves GET /v1/exams/{id}/live.
-func (s *Server) handleExamLive(w http.ResponseWriter, r *http.Request, examID string) {
-	if r.Method != http.MethodGet {
-		methodNotAllowed(w, http.MethodGet)
-		return
-	}
-	if !s.eventsEnabled(w) {
-		return
-	}
+// examLive serves GET /v1/exams/{id}/live.
+func (s *Server) examLive(w http.ResponseWriter, r *http.Request, examID string) {
 	// A typo'd exam ID must be a 404 envelope, not a silent empty stream.
 	if _, err := s.store.Exam(examID); err != nil {
 		writeError(w, err)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"mineassess/internal/obs"
 )
 
 // CapacityConfig drives the capacity search: soak steps at a geometric
@@ -83,7 +85,7 @@ type CapacityResult struct {
 // independent draws.
 func (r *Runner) Capacity(ctx context.Context, cc CapacityConfig) (*CapacityResult, error) {
 	cc = cc.withDefaults()
-	out := &CapacityResult{SLOMs: ms(r.cfg.SLO), StepSeconds: cc.StepDuration.Seconds()}
+	out := &CapacityResult{SLOMs: obs.Ms(r.cfg.SLO), StepSeconds: cc.StepDuration.Seconds()}
 	rate := cc.StartRate
 	for step := 0; step < cc.MaxSteps; step++ {
 		if ctx.Err() != nil {

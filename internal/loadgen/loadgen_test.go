@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -106,7 +107,7 @@ func TestLoadRunSmoke(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"other":{"keep":true}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := MergeBaseline(path, sec); err != nil {
+	if err := MergeBaseline(path, map[string]any{"loadgen": sec}); err != nil {
 		t.Fatal(err)
 	}
 	merged, err := os.ReadFile(path)
@@ -126,6 +127,47 @@ func TestLoadRunSmoke(t *testing.T) {
 	}
 	if fromFile.Run == nil || fromFile.Run.Offered != res.Offered {
 		t.Errorf("baseline section lost data: %+v", fromFile.Run)
+	}
+}
+
+// TestMergeBaselineKeepsOtherSections: writing sections replaces exactly
+// those keys; every other section of the file survives intact, so
+// re-recording the engine rows (benchreport -baseline) cannot wipe the
+// hotpaths section the -check-allocs gate reads.
+func TestMergeBaselineKeepsOtherSections(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_BASELINE.json")
+	if err := MergeBaseline(path, map[string]any{"results": []int{1}}); err != nil {
+		t.Fatalf("creating a missing file: %v", err)
+	}
+	hot := `{"probes":[{"name":"journal-commit/json","allocsPerOp":12}]}`
+	if err := MergeBaseline(path, map[string]any{"hotpaths": json.RawMessage(hot)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := MergeBaseline(path, map[string]any{"results": []int{2, 3}, "workers": 4}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var gotHot, wantHot any
+	_ = json.Unmarshal([]byte(hot), &wantHot)
+	if err := json.Unmarshal(doc["hotpaths"], &gotHot); err != nil || !reflect.DeepEqual(gotHot, wantHot) {
+		t.Errorf("hotpaths section = %s, want %s", doc["hotpaths"], hot)
+	}
+	if got := string(doc["workers"]); got != "4" {
+		t.Errorf("workers = %s, want 4", got)
+	}
+	var results []int
+	if err := json.Unmarshal(doc["results"], &results); err != nil || !reflect.DeepEqual(results, []int{2, 3}) {
+		t.Errorf("results = %s, want the rewritten [2,3]", doc["results"])
+	}
+	if len(doc) != 3 {
+		t.Errorf("sections = %d, want hotpaths, results and workers", len(doc))
 	}
 }
 

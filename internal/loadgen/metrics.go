@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mineassess/internal/obs"
 	"mineassess/pkg/client"
 )
 
@@ -37,7 +38,7 @@ var routeOrder = []string{
 // trying not to have.
 type Collector struct {
 	mu     sync.Mutex
-	hists  map[string]*Histogram
+	hists  map[string]*obs.Histogram
 	errs   map[string]map[string]int64 // route -> error code -> count
 	frames atomic.Int64
 	gaps   atomic.Int64
@@ -48,17 +49,17 @@ type Collector struct {
 // pre-registered, so Observe never allocates under load.
 func NewCollector() *Collector {
 	c := &Collector{
-		hists: make(map[string]*Histogram, len(routeOrder)),
+		hists: make(map[string]*obs.Histogram, len(routeOrder)),
 		errs:  make(map[string]map[string]int64),
 	}
 	for _, r := range routeOrder {
-		c.hists[r] = &Histogram{}
+		c.hists[r] = &obs.Histogram{}
 	}
 	return c
 }
 
 // hist returns the route's histogram, registering unknown routes lazily.
-func (c *Collector) hist(route string) *Histogram {
+func (c *Collector) hist(route string) *obs.Histogram {
 	if h, ok := c.hists[route]; ok {
 		return h
 	}
@@ -67,7 +68,7 @@ func (c *Collector) hist(route string) *Histogram {
 	if h, ok := c.hists[route]; ok {
 		return h
 	}
-	h := &Histogram{}
+	h := &obs.Histogram{}
 	c.hists[route] = h
 	return h
 }
@@ -105,7 +106,7 @@ func (c *Collector) StatsFrame() { c.stats.Add(1) }
 // RouteSummary is one route's digested measurements.
 type RouteSummary struct {
 	Route string `json:"route"`
-	LatencySummary
+	obs.LatencySummary
 	Errors       int64            `json:"errors"`
 	ErrorsByCode map[string]int64 `json:"errorsByCode,omitempty"`
 }
@@ -175,14 +176,14 @@ func (c *Collector) TotalErrors() int64 {
 func (c *Collector) RequestQuantile(q float64) (int64, float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	merged := &Histogram{}
+	merged := &obs.Histogram{}
 	for r, h := range c.hists {
 		if r == RouteWatchOpen {
 			continue
 		}
 		merged.Merge(h)
 	}
-	return merged.Count(), ms(merged.Quantile(q))
+	return merged.Count(), obs.Ms(merged.Quantile(q))
 }
 
 // StreamCounts reports the watcher totals: event frames, stats frames and

@@ -31,30 +31,33 @@ func NewSection(mix Mix, run *Result, capacity *CapacityResult) *Section {
 	}
 }
 
-// MergeBaseline writes the section into the baseline file under the
-// "loadgen" key, leaving every other section untouched — the same
-// section-merge flow benchreport's -hotpaths uses, so the BENCH_*.json
-// trajectory accretes experiment by experiment.
-func MergeBaseline(path string, sec *Section) error {
+// MergeBaseline writes each section into the baseline JSON file under its
+// key, leaving every other section of the file untouched, so the
+// BENCH_*.json trajectory accretes experiment by experiment. A missing
+// file is created. Every writer of the baseline file (loadgen -baseline
+// and benchreport's -baseline, -hotpaths, -loadgen, -obs and -trace) goes
+// through here.
+func MergeBaseline(path string, sections map[string]any) error {
 	doc := map[string]json.RawMessage{}
 	if raw, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("loadgen: existing baseline %s: %w", path, err)
+			return fmt.Errorf("existing baseline %s: %w", path, err)
 		}
 	} else if !os.IsNotExist(err) {
 		return err
 	}
-	secRaw, err := json.Marshal(sec)
-	if err != nil {
-		return err
+	for key, sec := range sections {
+		raw, err := json.Marshal(sec)
+		if err != nil {
+			return fmt.Errorf("baseline section %s: %w", key, err)
+		}
+		doc[key] = raw
 	}
-	doc["loadgen"] = secRaw
 	raw, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	raw = append(raw, '\n')
-	return os.WriteFile(path, raw, 0o644)
+	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
 // WriteReport renders a run result for humans.

@@ -1,3 +1,19 @@
+// Package loadgen is the composed-system load harness: it drives the full
+// /v1 HTTP stack — middleware, delivery engines, group-commit WAL, event
+// bus, SSE — with IRT-simulated learner cohorts arriving on an open-loop
+// Poisson schedule, and reports per-route latency quantiles, error rates
+// and a capacity summary (the highest sustained arrival rate that meets a
+// p99 SLO).
+//
+// Open-loop means virtual learners arrive when the schedule says they
+// arrive, regardless of how slowly the server is answering. A closed-loop
+// driver (a fixed worker pool issuing the next request only after the
+// previous one returns) silently sheds offered load exactly when the
+// server degrades, which hides the latency the real population would have
+// seen — the coordinated-omission trap. Here the arrival process never
+// waits on the system under test: a stalled server produces more
+// in-flight learners and honest tail latencies, not a quietly shrunken
+// request rate.
 package loadgen
 
 import (
@@ -11,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mineassess/internal/obs"
 	"mineassess/internal/simulate"
 	"mineassess/pkg/api"
 	"mineassess/pkg/client"
@@ -148,7 +165,7 @@ type Result struct {
 	// Lateness is how far behind schedule arrivals fired — the generator's
 	// own health. A loaded generator reports lateness instead of silently
 	// thinning the offered load.
-	Lateness LatencySummary `json:"lateness"`
+	Lateness obs.LatencySummary `json:"lateness"`
 	// Classes and Routes carry the per-class outcomes and per-route
 	// latency/error digests.
 	Classes map[string]*ClassCounts `json:"classes"`
@@ -232,7 +249,7 @@ func (r *Runner) runSchedule(ctx context.Context, sched Schedule) (*Result, erro
 	}
 
 	col := NewCollector()
-	lateness := &Histogram{}
+	lateness := &obs.Histogram{}
 	classes := map[string]*ClassCounts{
 		ClassFixed: {}, ClassCAT: {}, ClassWatch: {},
 	}
@@ -288,7 +305,7 @@ func (r *Runner) runSchedule(ctx context.Context, sched Schedule) (*Result, erro
 		Classes:        classes,
 		Routes:         col.Routes(),
 		Errors:         col.TotalErrors(),
-		SLOMs:          ms(r.cfg.SLO),
+		SLOMs:          obs.Ms(r.cfg.SLO),
 		Interrupted:    interrupted,
 	}
 	res.Frames, res.StatsFrames, res.Gaps = col.StreamCounts()
