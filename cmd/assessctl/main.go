@@ -75,13 +75,11 @@ func run(args []string) error {
 		return cmdMetrics(args[1:])
 	case "traces":
 		return cmdTraces(args[1:])
-	case "lint":
-		return cmdLint(args[1:])
 	case "version":
 		fmt.Println("assessctl", core.Version)
 		return nil
 	case "help":
-		fmt.Println("subcommands: seed, search, analyze, analyze-file, calibrate, coverage, history, feedback, stats, preview, events, metrics, traces, lint, export-scorm, export-qti, version")
+		fmt.Println("subcommands: seed, search, analyze, analyze-file, calibrate, coverage, history, feedback, stats, preview, events, metrics, traces, export-scorm, export-qti, version")
 		return nil
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])

@@ -2,7 +2,7 @@ package main
 
 // HTTP-level throughput (experiment E19): the same full-lifecycle learner
 // workload as E18, but driven as real HTTP requests through the complete
-// /v1 middleware stack (request ID, recovery, metrics, routing, JSON
+// /v1 request edge (request ID, recovery, metrics, routing, JSON
 // codecs) via the typed SDK, against the direct in-process engine-call
 // rate. The gap is the cost of the HTTP contract per operation.
 

@@ -46,26 +46,27 @@ type TraceLoadResult struct {
 	Retained int `json:"retained"`
 }
 
-// traceMode is one tracing level under measurement.
+// traceMode is one tracing level under measurement; sampleEvery 0 takes
+// the load harness's default.
 type traceMode struct {
-	name   string
-	tracer func(reg *obs.Registry) *trace.Tracer
-	policy trace.Policy
-	on     bool
+	name        string
+	tracer      func(reg *obs.Registry) *trace.Tracer
+	sampleEvery int
+	on          bool
 }
 
 func traceModes() []traceMode {
 	return []traceMode{
 		{name: "off", tracer: func(*obs.Registry) *trace.Tracer { return nil }},
-		{name: "sampled", on: true, policy: trace.PolicySampled,
+		{name: "sampled", on: true,
 			tracer: func(reg *obs.Registry) *trace.Tracer {
 				return trace.New(trace.Options{Slow: 250 * time.Millisecond,
 					SampleEvery: 16, Obs: reg})
 			}},
-		{name: "always", on: true, policy: trace.PolicyAlways,
+		{name: "always", on: true, sampleEvery: 1,
 			tracer: func(reg *obs.Registry) *trace.Tracer {
 				return trace.New(trace.Options{Slow: 250 * time.Millisecond,
-					Policy: trace.PolicyAlways, Obs: reg})
+					SampleEvery: 1, Obs: reg})
 			}},
 	}
 }
@@ -111,7 +112,7 @@ func measureTraceJournal(m traceMode) (JournalResult, error) {
 // level and reports the merged request p99.
 func measureTraceLoadgen(seed int64, m traceMode) (TraceLoadResult, error) {
 	ip, err := loadgen.StartInProcess(loadgen.InProcessConfig{
-		Trace: m.on, TracePolicy: m.policy,
+		Trace: m.on, TraceSampleEvery: m.sampleEvery,
 	})
 	if err != nil {
 		return TraceLoadResult{}, err

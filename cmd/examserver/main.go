@@ -41,8 +41,8 @@
 // marker instead of silently missing events).
 // -rate enables per-learner token-bucket rate limiting (requests/second)
 // with -burst capacity. -rate 0 — the default — explicitly disables the
-// limiter: no token buckets are allocated and requests skip the middleware
-// entirely, which is the right mode under a load harness (cmd/loadgen)
+// limiter: no token buckets are allocated and the request edge skips both
+// checks, which is the right mode under a load harness (cmd/loadgen)
 // where the limiter would throttle the measurement, or behind an upstream
 // gateway that already rate-limits.
 //

@@ -184,9 +184,9 @@ func badRequest(w http.ResponseWriter, format string, args ...any) {
 	writeErr(w, &Error{Code: CodeBadRequest, Message: fmt.Sprintf(format, args...)})
 }
 
-// notFoundRoute is the envelope for paths that match no route.
-func notFoundRoute(w http.ResponseWriter, path string) {
-	writeErr(w, &Error{Code: CodeNotFound, Message: "no such route: " + path})
+// notFoundRoute serves a path that matches no route.
+func notFoundRoute(w http.ResponseWriter, r *http.Request, _ string) {
+	writeErr(w, &Error{Code: CodeNotFound, Message: "no such route: " + r.URL.Path})
 }
 
 // methodNotAllowed writes a 405 envelope with the Allow header set.

@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"mineassess/internal/obs"
-	"mineassess/internal/trace"
 	"mineassess/pkg/api"
 )
 
@@ -19,10 +17,10 @@ import (
 // "unmatched", so there is one series per endpoint and session-ID fan-out
 // never explodes the cardinality.
 //
-// Per-route stats are pre-registered when the table is built (timed), so
-// the request hot path is a few atomic increments against a *routeStats
-// captured in the endpoint closure — no lock and no map lookup is taken per
-// request. The registry mutex guards only registration and Snapshot.
+// Per-route stats are registered when the table is compiled, so the
+// request hot path is a few atomic increments against the *routeStats
+// that lookup returns with the row — no lock and no map lookup is taken
+// per request. The registry mutex guards only registration and Snapshot.
 //
 // Built with NewMetricsWith, the per-route latency histograms and the
 // process counters also live in a shared obs.Registry, so the same cells
@@ -69,11 +67,6 @@ func (rs *routeStats) observe(status int, d time.Duration, traceID string) {
 	rs.byStatus[slot].Add(1)
 }
 
-// NewMetrics returns an empty standalone registry (no Prometheus export).
-func NewMetrics() *Metrics {
-	return NewMetricsWith(nil)
-}
-
 // NewMetricsWith returns a registry whose cells are additionally published
 // through reg (nil reg means standalone): http_request_seconds{route=...}
 // histograms, the http_requests_inflight gauge, and the
@@ -95,9 +88,8 @@ func NewMetricsWith(reg *obs.Registry) *Metrics {
 	return m
 }
 
-// register returns the route's stats, creating them on first registration.
-// Labels registered twice (every 405 and the 404 share "unmatched") share
-// one entry.
+// register returns the route's stats, creating them on first registration;
+// a label registered again gets the same entry.
 func (m *Metrics) register(route string) *routeStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -114,24 +106,6 @@ func (m *Metrics) register(route string) *routeStats {
 		m.routes[route] = rs
 	}
 	return rs
-}
-
-// timed wraps an endpoint so every request it serves is timed and counted
-// under route. The stats cell is resolved here, once, when the route table
-// is built.
-func (m *Metrics) timed(route string, ep endpoint) endpoint {
-	rs := m.register(route)
-	return func(w http.ResponseWriter, r *http.Request, id string) {
-		m.inFlight.Add(1)
-		defer m.inFlight.Add(-1)
-		sr := &statusRecorder{ResponseWriter: w}
-		start := time.Now()
-		ep(sr, r, id)
-		if sr.status == 0 {
-			sr.status = http.StatusOK
-		}
-		rs.observe(sr.status, time.Since(start), trace.FromContext(r.Context()).TraceIDHex())
-	}
 }
 
 // RouteMetrics is one route's exported counters (wire type promoted to

@@ -165,9 +165,9 @@ func TestSlowRequestCorrelation(t *testing.T) {
 // Subsystems.
 func TestMetricsSnapshotQuantiles(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewMetricsWith(reg)
-	h := m.instrument("/v1/x", http.HandlerFunc(
-		func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusNoContent) }))
+	h := rowServer(Options{Obs: reg}, "/v1/x",
+		func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusNoContent) })
+	m := h.Metrics()
 	for i := 0; i < 50; i++ {
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/x", nil))
 	}
@@ -184,7 +184,7 @@ func TestMetricsSnapshotQuantiles(t *testing.T) {
 	}
 	var sawHist, sawInflight bool
 	for _, s := range snap.Subsystems {
-		if s.Name == "http_request_seconds_count" && s.Labels["route"] == "/v1/x" {
+		if s.Name == "http_request_seconds_count" && s.Labels["route"] == "GET /v1/x" {
 			sawHist = true
 			if s.Value != 50 {
 				t.Errorf("subsystem count sample = %v", s.Value)
@@ -205,8 +205,8 @@ func TestMetricsSnapshotQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`http_request_seconds_bucket{route="/v1/x",le="+Inf"} 50`,
-		`http_request_seconds_count{route="/v1/x"} 50`,
+		`http_request_seconds_bucket{route="GET /v1/x",le="+Inf"} 50`,
+		`http_request_seconds_count{route="GET /v1/x"} 50`,
 		"# TYPE http_requests_inflight gauge",
 	} {
 		if !strings.Contains(out.String(), want) {
@@ -216,12 +216,12 @@ func TestMetricsSnapshotQuantiles(t *testing.T) {
 }
 
 // TestStandaloneMetricsUnchanged: without a registry the metrics still
-// count and quantile — NewMetrics callers (benchmarks, old tests) see the
+// count and quantile — a server built without Options.Obs sees the
 // extended shape with no Subsystems section.
 func TestStandaloneMetricsUnchanged(t *testing.T) {
-	m := NewMetrics()
-	h := m.instrument("/v1/y", http.HandlerFunc(
-		func(w http.ResponseWriter, r *http.Request) {}))
+	h := rowServer(Options{}, "/v1/y",
+		func(w http.ResponseWriter, r *http.Request) {})
+	m := h.Metrics()
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/y", nil))
 	snap := m.Snapshot()
 	if len(snap.Routes) != 1 || snap.Routes[0].Count != 1 {

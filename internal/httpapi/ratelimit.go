@@ -1,6 +1,8 @@
 package httpapi
 
 import (
+	"math"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -107,6 +109,12 @@ func (l *RateLimiter) Allow(key string) bool {
 	}
 	b.tokens--
 	return true
+}
+
+// retryAfter is the Retry-After header value for a request the limiter
+// refused: the whole seconds one token takes to refill, at least 1.
+func (l *RateLimiter) retryAfter() string {
+	return strconv.Itoa(max(1, int(math.Ceil(1/l.rate))))
 }
 
 // evictIdleLocked drops buckets that have not been touched for the TTL.

@@ -55,7 +55,7 @@ type segment struct {
 }
 
 // route is one distinct pattern of the table with every row that shares
-// it, each row's endpoint already instrumented under its own label. The
+// it: each row's method, endpoint and stats cell at the same index. The
 // pattern is kept as its leading literal text (prefix) and the segments
 // after it, so most paths are rejected by one prefix comparison.
 type route struct {
@@ -64,6 +64,7 @@ type route struct {
 	segs       []segment
 	methods    []string
 	serve      []endpoint
+	stats      []*routeStats
 	notAllowed endpoint
 }
 
@@ -157,8 +158,8 @@ func (rt *route) match(path string) (id string, ok bool) {
 }
 
 // compile groups the table's rows by pattern, in table order, and
-// instruments every endpoint once: a row under "<METHOD> <pattern>", and
-// each pattern's 405 and the table's 404 under unmatchedRoute.
+// registers each row's stats cell once, under "<METHOD> <pattern>"; every
+// 404 and 405 shares the unmatchedRoute cell.
 func (s *Server) compile(rows []row) {
 	for _, rw := range rows {
 		i := slices.IndexFunc(s.routes, func(rt route) bool { return rt.pattern == rw.pattern })
@@ -169,19 +170,16 @@ func (s *Server) compile(rows []row) {
 		}
 		rt := &s.routes[i]
 		rt.methods = append(rt.methods, rw.method)
-		rt.serve = append(rt.serve, s.metrics.timed(rw.method+" "+rw.pattern, rw.serve))
+		rt.serve = append(rt.serve, rw.serve)
+		rt.stats = append(rt.stats, s.metrics.register(rw.method+" "+rw.pattern))
 	}
 	for i := range s.routes {
 		allow := s.routes[i].methods
-		s.routes[i].notAllowed = s.metrics.timed(unmatchedRoute,
-			func(w http.ResponseWriter, _ *http.Request, _ string) {
-				methodNotAllowed(w, allow...)
-			})
+		s.routes[i].notAllowed = func(w http.ResponseWriter, _ *http.Request, _ string) {
+			methodNotAllowed(w, allow...)
+		}
 	}
-	s.notFound = s.metrics.timed(unmatchedRoute,
-		func(w http.ResponseWriter, r *http.Request, _ string) {
-			notFoundRoute(w, r.URL.Path)
-		})
+	s.unmatched = s.metrics.register(unmatchedRoute)
 }
 
 // find returns the first route whose pattern fits path and what it
@@ -197,20 +195,20 @@ func (s *Server) find(path string) (*route, string) {
 	return nil, ""
 }
 
-// dispatch serves a request through the route table.
+// lookup returns the endpoint serving a request, what its pattern
+// captured and the stats cell it is counted under: its row's, or the
+// unmatched cell with the typed 404 or 405.
 //
 //assess:hotpath
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
-	rt, id := s.find(r.URL.Path)
+func (s *Server) lookup(method, path string) (endpoint, string, *routeStats) {
+	rt, id := s.find(path)
 	if rt == nil {
-		s.notFound(w, r, "")
-		return
+		return notFoundRoute, "", s.unmatched
 	}
 	for i, m := range rt.methods {
-		if m == r.Method {
-			rt.serve[i](w, r, id)
-			return
+		if m == method {
+			return rt.serve[i], id, rt.stats[i]
 		}
 	}
-	rt.notAllowed(w, r, "")
+	return rt.notAllowed, "", s.unmatched
 }

@@ -18,14 +18,6 @@ import (
 	"mineassess/internal/obs"
 )
 
-// instrument times and counts a plain handler under route the way the
-// route table's rows are timed, so the metrics tests can drive the
-// instrumentation without a table.
-func (m *Metrics) instrument(route string, next http.Handler) http.Handler {
-	ep := m.timed(route, func(w http.ResponseWriter, r *http.Request, _ string) { next.ServeHTTP(w, r) })
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { ep(w, r, "") })
-}
-
 func tableServer() *Server {
 	store := bank.New()
 	return NewServer(delivery.NewEngine(store, nil, 0), store, Options{})
@@ -180,6 +172,56 @@ func TestOneSeriesPerEndpoint(t *testing.T) {
 		t.Errorf("snapshot requests = %d, want %d", snap.Requests, served-1)
 	}
 
+	counts, total := requestCounts(t, reg)
+	for route, want := range map[string]float64{liveRoute: 1, startRoute: sittings, unmatchedRoute: 2} {
+		if got := counts[`http_request_seconds_count{route="`+route+`"}`]; got != want {
+			t.Errorf("prometheus %s count = %v, want %v (series %v)", route, got, want, counts)
+		}
+	}
+	if total != float64(served) {
+		t.Errorf("sum of http_request_seconds_count = %v, want %d requests", total, served)
+	}
+
+	// With the limiter on, a 429 counts under the row it addressed (or
+	// unmatched), so the series still sum to every request served. Burst 2
+	// lets the first two GETs through; the rest are refused.
+	reg = obs.NewRegistry()
+	limited := NewServer(eng, store, Options{Obs: reg, RatePerSec: 1, Burst: 2, Now: newFakeClock().Now})
+	const gets, strays = 5, 2
+	for i := 0; i < gets+strays; i++ {
+		path := "/v1/exams"
+		if i >= gets {
+			path = "/v1/nonsense"
+		}
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.Header.Set("X-Learner-ID", "hammer")
+		limited.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	snap = limited.Metrics().Snapshot()
+	if snap.RateLimited != gets+strays-2 {
+		t.Errorf("rate limited = %d, want %d", snap.RateLimited, gets+strays-2)
+	}
+	for _, rm := range snap.Routes {
+		switch rm.Route {
+		case "GET /v1/exams":
+			if rm.Count != gets || rm.ByStatus["200"] != 2 || rm.ByStatus["429"] != gets-2 {
+				t.Errorf("GET /v1/exams = %d requests by status %v, want %d with 2 served", rm.Count, rm.ByStatus, gets)
+			}
+		case unmatchedRoute:
+			if rm.ByStatus["429"] != strays {
+				t.Errorf("unmatched by status = %v, want %d 429s", rm.ByStatus, strays)
+			}
+		}
+	}
+	if _, total = requestCounts(t, reg); total != gets+strays {
+		t.Errorf("sum of http_request_seconds_count = %v with the limiter on, want %d requests", total, gets+strays)
+	}
+}
+
+// requestCounts parses reg's Prometheus exposition into its
+// http_request_seconds_count series and their sum.
+func requestCounts(t *testing.T, reg *obs.Registry) (map[string]float64, float64) {
+	t.Helper()
 	var prom bytes.Buffer
 	if err := reg.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
@@ -200,14 +242,7 @@ func TestOneSeriesPerEndpoint(t *testing.T) {
 		counts[line[:i]] = v
 		total += v
 	}
-	for route, want := range map[string]float64{liveRoute: 1, startRoute: sittings, unmatchedRoute: 2} {
-		if got := counts[`http_request_seconds_count{route="`+route+`"}`]; got != want {
-			t.Errorf("prometheus %s count = %v, want %v (series %v)", route, got, want, counts)
-		}
-	}
-	if total != float64(served) {
-		t.Errorf("sum of http_request_seconds_count = %v, want %d requests", total, served)
-	}
+	return counts, total
 }
 
 func routeCount(snap MetricsSnapshot, route string) int64 {

@@ -7,9 +7,12 @@
 // working.
 //
 // Every non-2xx response carries the typed error envelope of errors.go
-// ({code, message, details}); the middleware chain adds request IDs,
-// structured access logging, panic recovery, per-learner token-bucket rate
-// limiting, and an in-process metrics registry exported at /v1/metrics.
+// ({code, message, details}). One request edge (Server.ServeHTTP, edge.go)
+// assigns request IDs, opens the root span, applies the per-learner and
+// per-IP token buckets and recovers panics, and it records each request
+// once: one status and one duration feed the route's series in the
+// metrics registry (exported at /v1/metrics), the access log and the root
+// span.
 //
 // Every endpoint is one row of the route table in Server.table (route.go
 // describes the patterns and how a request is matched); API.md is the
@@ -35,7 +38,7 @@ import (
 	"mineassess/internal/trace"
 )
 
-// Options configures the server's middleware stack and optional subsystems.
+// Options configures the server's request edge and optional subsystems.
 type Options struct {
 	// Logger receives structured access-log and panic records; nil
 	// disables logging. Slow requests are logged by the Tracer.
@@ -83,8 +86,12 @@ type Server struct {
 	heartbeat time.Duration
 	metrics   *Metrics
 	routes    []route
-	notFound  endpoint
-	handler   http.Handler
+	unmatched *routeStats
+	// The request edge's logger, tracer and token buckets (edge.go).
+	logger     *slog.Logger
+	tracer     *trace.Tracer
+	perLearner *RateLimiter
+	perIP      *RateLimiter
 	// pkg, when mounted, is the SCORM content package served under
 	// /package/ so launched SCOs load straight from the LMS.
 	pkg *scorm.Package
@@ -93,48 +100,14 @@ type Server struct {
 var _ http.Handler = (*Server)(nil)
 
 // NewServer wires the engine and bank behind the route table and the
-// middleware chain.
+// request edge.
 func NewServer(engine *delivery.Engine, store bank.Storage, o Options) *Server {
-	s := &Server{
-		engine:    engine,
-		cat:       o.Adaptive,
-		store:     store,
-		bus:       o.Events,
-		live:      o.LiveStats,
-		heartbeat: o.StreamHeartbeat,
-		metrics:   NewMetricsWith(o.Obs),
-	}
+	s := newEdge(o)
+	s.engine, s.store = engine, store
+	s.cat, s.bus, s.live, s.heartbeat = o.Adaptive, o.Events, o.LiveStats, o.StreamHeartbeat
 	s.compile(s.table())
-	// The per-learner bucket shapes individual traffic; the per-IP bucket
-	// (ipAggregateFactor times the learner rate) caps what any one address
-	// can push regardless of the client-controlled X-Learner-ID header. The
-	// chain runs RequestID outermost so the recovery and access-log lines
-	// carry the ID, and Recover inside AccessLog so a panic is logged as
-	// the 500 it produced.
-	burst := o.Burst
-	if burst < 1 {
-		burst = 1 // clamp before multiplying so the IP bucket keeps its 16x headroom
-	}
-	perLearner := NewRateLimiter(o.RatePerSec, burst, o.Now)
-	perIP := NewRateLimiter(o.RatePerSec*ipAggregateFactor, burst*ipAggregateFactor, o.Now)
-	// Trace sits just inside RequestID so the root span's context carries
-	// the request ID (Detach preserves both), and outside AccessLog so the
-	// access-logged duration is what the root span records.
-	s.handler = Chain(
-		RequestID(),
-		Trace(o.Tracer),
-		AccessLog(o.Logger),
-		Recover(o.Logger, func() { s.metrics.panics.Inc() }),
-		RateLimit(perLearner, perIP, func() { s.metrics.rateLimited.Inc() }),
-	)(http.HandlerFunc(s.dispatch))
 	return s
 }
-
-// ipAggregateFactor is the per-IP rate ceiling as a multiple of the
-// per-learner rate: a NAT'd classroom gets this many learners' worth of
-// aggregate headroom per address, while a header-spoofing client is still
-// bounded.
-const ipAggregateFactor = 16
 
 // Metrics exposes the server's metrics registry (benchmarks and tests).
 func (s *Server) Metrics() *Metrics {
@@ -145,11 +118,6 @@ func (s *Server) Metrics() *Metrics {
 // serving; the launch URL for a resource is "/package/" + resource href.
 func (s *Server) MountPackage(pkg *scorm.Package) {
 	s.pkg = pkg
-}
-
-// ServeHTTP implements http.Handler through the middleware chain.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.handler.ServeHTTP(w, r)
 }
 
 // table lists every endpoint the server answers. Patterns are tried in

@@ -35,7 +35,7 @@ func tracedStack(t *testing.T) (*httptest.Server, *trace.Tracer) {
 	t.Cleanup(func() { _ = j.Close() })
 	seedCalibrated(t, j, 6)
 
-	tracer := trace.New(trace.Options{Policy: trace.PolicyAlways, Recent: 64, Retain: 64})
+	tracer := trace.New(trace.Options{SampleEvery: 1, Recent: 64, Retain: 64})
 	bus := events.NewBus(events.Options{})
 	t.Cleanup(bus.Close)
 	eng := delivery.NewEngine(j, nil, 0)
@@ -132,7 +132,7 @@ func TestTraceTreeAcrossWriteOverHTTP(t *testing.T) {
 
 	td := tracer.Trace(tid)
 	if td == nil {
-		t.Fatal("trace not in either sink despite PolicyAlways")
+		t.Fatal("trace not in either sink despite SampleEvery 1")
 	}
 	if td.RootName != "POST /v1/problems" {
 		t.Errorf("root = %q", td.RootName)

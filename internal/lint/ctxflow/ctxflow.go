@@ -2,7 +2,7 @@
 // thread the request context, not mint a fresh one.
 //
 // The tracing layer (PR 10) propagates the active span through
-// context.Context: the HTTP middleware roots a span in the request
+// context.Context: the HTTP request edge roots a span in the request
 // context, the engine methods open children under it, and the journal
 // reconstructs commit phases from it. A context.Background() (or TODO())
 // inside an HTTP handler or any function handed a context silently severs

@@ -6,8 +6,7 @@
 // events after unlock (PR 5), trust the obs nil-contract (PR 7), route
 // errors through the taxonomy writer (PR 2), grep-stable snake_case log
 // keys (PR 8), and zero-allocation hot paths (PR 6). `cmd/assesslint`
-// fronts it on the command line and in CI; `assessctl lint` runs it
-// in-process for operators.
+// is its one entry point, on the command line and in CI.
 package lint
 
 import (

@@ -23,29 +23,23 @@ import (
 // its own token bucket would be measuring the wrong thing — run capacity
 // tests with -rate 0 on real servers too).
 type InProcessConfig struct {
-	// JournalDir enables the group-commit WAL under this directory; ""
-	// creates (and removes on Close) a temp dir. Set NoJournal to run on
-	// the bare sharded store instead.
-	JournalDir string
-	NoJournal  bool
-	// Sync is the WAL fsync policy (default wal.SyncGroup).
-	Sync wal.SyncPolicy
+	// NoJournal runs on the bare sharded store instead of the group-commit
+	// WAL in a temp dir (removed on Close).
+	NoJournal bool
 	// NoEvents disables the bus + SSE endpoints (watch mixes then 404).
 	NoEvents bool
-	// EventRing overrides the replay-ring size (0 = events.DefaultRing).
-	EventRing int
 	// Trace mounts a tail-sampling tracer on the HTTP edge so a capacity
 	// run can attribute latency to pipeline phases afterwards (see
 	// TraceReport). TraceSlow is the slow-trace retention threshold
 	// (default 250ms — match the run's SLO so "slow" means "SLO-busting");
-	// TracePolicy overrides the retention policy (E26 measures the
-	// always-on worst case with trace.PolicyAlways).
-	Trace       bool
-	TraceSlow   time.Duration
-	TracePolicy trace.Policy
+	// TraceSampleEvery keeps 1 in N unremarkable traces (0 means 16; E26
+	// measures the keep-everything worst case with 1).
+	Trace            bool
+	TraceSlow        time.Duration
+	TraceSampleEvery int
 }
 
-// InProcess is a fully wired hermetic server: middleware, engines, WAL,
+// InProcess is a fully wired hermetic server: request edge, engines, WAL,
 // bus, livestats, SSE — the same composition cmd/examserver serves, minus
 // the listener flags. Tests and CI drive it through URL.
 type InProcess struct {
@@ -68,23 +62,15 @@ type InProcess struct {
 // StartInProcess boots the hermetic target.
 func StartInProcess(cfg InProcessConfig) (*InProcess, error) {
 	ip := &InProcess{Obs: obs.NewRegistry()}
-	sync := cfg.Sync
-	if sync == "" {
-		sync = wal.SyncGroup
-	}
 	if cfg.NoJournal {
 		ip.store = bank.NewSharded(0)
 	} else {
-		dir := cfg.JournalDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "loadgen-wal")
-			if err != nil {
-				return nil, err
-			}
-			ip.tempDir = tmp
-			dir = tmp
+		dir, err := os.MkdirTemp("", "loadgen-wal")
+		if err != nil {
+			return nil, err
 		}
-		j, err := bank.OpenJournal(dir, bank.NewSharded(0), bank.JournalOptions{Sync: sync, Obs: ip.Obs})
+		ip.tempDir = dir
+		j, err := bank.OpenJournal(dir, bank.NewSharded(0), bank.JournalOptions{Sync: wal.SyncGroup, Obs: ip.Obs})
 		if err != nil {
 			ip.cleanup()
 			return nil, fmt.Errorf("loadgen: open journal: %w", err)
@@ -104,17 +90,21 @@ func StartInProcess(cfg InProcessConfig) (*InProcess, error) {
 		if slow <= 0 {
 			slow = 250 * time.Millisecond
 		}
+		every := cfg.TraceSampleEvery
+		if every <= 0 {
+			every = 16
+		}
 		// A wide recent ring keeps an unbiased picture of ordinary requests
 		// alongside the tail sampler's slow/error/gap captures — the phase
 		// attribution report wants both populations.
 		ip.Tracer = trace.New(trace.Options{
-			Slow: slow, Policy: cfg.TracePolicy, SampleEvery: 16,
+			Slow: slow, SampleEvery: every,
 			Recent: 256, Retain: 512, Obs: ip.Obs,
 		})
 		opts.Tracer = ip.Tracer
 	}
 	if !cfg.NoEvents {
-		ip.bus = events.NewBus(events.Options{Ring: cfg.EventRing, Obs: ip.Obs})
+		ip.bus = events.NewBus(events.Options{Obs: ip.Obs})
 		ip.live = livestats.NewWith(ip.bus, ip.Obs)
 		engine.SetEventBus(ip.bus)
 		cat.SetEventBus(ip.bus)

@@ -1,5 +1,5 @@
 // Package loadgen is the composed-system load harness: it drives the full
-// /v1 HTTP stack — middleware, delivery engines, group-commit WAL, event
+// /v1 HTTP stack — request edge, delivery engines, group-commit WAL, event
 // bus, SSE — with IRT-simulated learner cohorts arriving on an open-loop
 // Poisson schedule, and reports per-route latency quantiles, error rates
 // and a capacity summary (the highest sustained arrival rate that meets a

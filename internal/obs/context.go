@@ -2,7 +2,7 @@ package obs
 
 import "context"
 
-// The request ID travels by context from the HTTP middleware to everything
+// The request ID travels by context from the HTTP edge to everything
 // the request reaches: the access log, the tracer's slow-request line and
 // trace.Detach'd event publishes all read it. The key lives here — the
 // lowest common import — so those layers need not depend on the HTTP

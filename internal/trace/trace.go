@@ -308,19 +308,6 @@ func (s Span) EndAt(end time.Time) {
 	}
 }
 
-// Policy selects how the tail sampler treats traces that were neither
-// slow nor errored nor gap-hit.
-type Policy int
-
-const (
-	// PolicySampled keeps a uniform 1-in-SampleEvery sample of boring
-	// traces (the production default).
-	PolicySampled Policy = iota
-	// PolicyAlways retains every complete trace (up to the sampler bound) —
-	// for tests, benches and short diagnostic windows.
-	PolicyAlways
-)
-
 // Options configures a Tracer. Zero values take the noted defaults.
 type Options struct {
 	// Slow is the root-duration threshold above which a trace is always
@@ -332,10 +319,8 @@ type Options struct {
 	// trace IDs, reason, root name, HTTP status, duration and the
 	// exclusive milliseconds per layer (see Fold). Nil logs nothing.
 	Logger *slog.Logger
-	// Policy is the retention policy for unremarkable traces.
-	Policy Policy
-	// SampleEvery keeps 1 in N unremarkable traces under PolicySampled
-	// (default 64).
+	// SampleEvery keeps 1 in N unremarkable traces (default 64); 1 keeps
+	// every trace, for tests, benches and short diagnostic windows.
 	SampleEvery int
 	// Recent bounds the ring of recent complete traces (default 64).
 	Recent int
@@ -352,7 +337,6 @@ type Options struct {
 type Tracer struct {
 	slow        time.Duration
 	log         *slog.Logger
-	policy      Policy
 	sampleEvery uint64
 	sampleCtr   atomic.Uint64
 
@@ -391,7 +375,6 @@ func New(o Options) *Tracer {
 	t := &Tracer{
 		slow:        o.Slow,
 		log:         o.Logger,
-		policy:      o.Policy,
 		sampleEvery: uint64(o.SampleEvery),
 		idHi:        randUint64(),
 		idLo:        randUint64(),
@@ -496,8 +479,6 @@ func (b *buf) finalize() {
 		b.reason = "gap"
 	case t.slow > 0 && root.Duration >= t.slow:
 		b.reason = "slow"
-	case t.policy == PolicyAlways:
-		b.reason = "always"
 	case t.sampleCtr.Add(1)%t.sampleEvery == 0:
 		b.reason = "sample"
 	default:

@@ -76,7 +76,7 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 }
 
 func TestExportedSpanTree(t *testing.T) {
-	tr := trace.New(trace.Options{Policy: trace.PolicyAlways, Recent: 8, Retain: 8})
+	tr := trace.New(trace.Options{SampleEvery: 1, Recent: 8, Retain: 8})
 	ctx, root := tr.StartRoot(context.Background(), "GET /thing")
 	cctx, child := trace.StartSpan(ctx, "engine.work")
 	_, grand := trace.StartSpan(cctx, "wal.commit")
@@ -90,8 +90,8 @@ func TestExportedSpanTree(t *testing.T) {
 	if td == nil {
 		t.Fatal("trace not found after finalize")
 	}
-	if td.Reason != "always" {
-		t.Errorf("reason = %q, want always", td.Reason)
+	if td.Reason != "sample" {
+		t.Errorf("reason = %q, want sample", td.Reason)
 	}
 	if td.Spans != 3 || td.Dropped != 0 {
 		t.Errorf("spans/dropped = %d/%d, want 3/0", td.Spans, td.Dropped)
@@ -170,7 +170,7 @@ func TestTailRetentionReasons(t *testing.T) {
 }
 
 func TestRingsAreBounded(t *testing.T) {
-	tr := trace.New(trace.Options{Policy: trace.PolicyAlways, Recent: 4, Retain: 4})
+	tr := trace.New(trace.Options{SampleEvery: 1, Recent: 4, Retain: 4})
 	for i := 0; i < 10; i++ {
 		_, sp := tr.StartRoot(context.Background(), "r")
 		sp.End()
@@ -184,7 +184,7 @@ func TestRingsAreBounded(t *testing.T) {
 }
 
 func TestSpanOverflowIsCountedNotBlocking(t *testing.T) {
-	tr := trace.New(trace.Options{Policy: trace.PolicyAlways, Recent: 4, Retain: 4})
+	tr := trace.New(trace.Options{SampleEvery: 1, Recent: 4, Retain: 4})
 	_, root := tr.StartRoot(context.Background(), "wide")
 	id := root.TraceIDHex()
 	const extra = 20
@@ -246,7 +246,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 }
 
 func TestDetachKeepsTraceLinkDropsCancelation(t *testing.T) {
-	tr := trace.New(trace.Options{Policy: trace.PolicyAlways, Recent: 4, Retain: 4})
+	tr := trace.New(trace.Options{SampleEvery: 1, Recent: 4, Retain: 4})
 	base := obs.WithRequestID(context.Background(), "req-42")
 	ctx, root := tr.StartRoot(base, "r")
 	cctx, cancel := context.WithCancel(ctx)
@@ -274,7 +274,7 @@ func TestDetachKeepsTraceLinkDropsCancelation(t *testing.T) {
 // goroutines and finalizes under them; run with -race it is the data-race
 // proof for the lock-free slot claim.
 func TestConcurrentSpanCollection(t *testing.T) {
-	tr := trace.New(trace.Options{Policy: trace.PolicyAlways, Recent: 8, Retain: 8})
+	tr := trace.New(trace.Options{SampleEvery: 1, Recent: 8, Retain: 8})
 	ctx, root := tr.StartRoot(context.Background(), "fan-out")
 	id := root.TraceIDHex()
 
@@ -313,7 +313,7 @@ func TestConcurrentSpanCollection(t *testing.T) {
 // TestConcurrentTraces runs whole traces in parallel to race the sink and
 // the buffer pool recycling against each other.
 func TestConcurrentTraces(t *testing.T) {
-	tr := trace.New(trace.Options{Policy: trace.PolicyAlways, Recent: 16, Retain: 16})
+	tr := trace.New(trace.Options{SampleEvery: 1, Recent: 16, Retain: 16})
 	const workers = 8
 	const perWorker = 25
 	var wg sync.WaitGroup
