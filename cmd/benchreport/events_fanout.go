@@ -63,12 +63,12 @@ func measureFanOut(subs, n int) EventsResult {
 	}
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		bus.Publish(events.Event{
+		bus.Publish(context.Background(), events.Event{
 			Type: events.ResponseSubmitted, ExamID: "fanout",
 			SessionID: "sess", ProblemID: "q01", Correct: i%2 == 0,
 		})
 	}
-	bus.Publish(events.Event{Type: events.ResponseSubmitted, ExamID: "fanout", ProblemID: "done"})
+	bus.Publish(context.Background(), events.Event{Type: events.ResponseSubmitted, ExamID: "fanout", ProblemID: "done"})
 	wg.Wait()
 	elapsed := time.Since(start)
 	total := 0

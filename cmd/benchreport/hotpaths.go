@@ -19,6 +19,7 @@ package main
 // over the recorded baseline.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -164,12 +165,12 @@ func measureFanOutAllocs(subs, n int, reg *obs.Registry) HotpathResult {
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		bus.Publish(events.Event{
+		bus.Publish(context.Background(), events.Event{
 			Type: events.ResponseSubmitted, ExamID: "alloc",
 			SessionID: "sess", ProblemID: "q01", Correct: i%2 == 0,
 		})
 	}
-	bus.Publish(events.Event{Type: events.ResponseSubmitted, ExamID: "alloc", ProblemID: "done"})
+	bus.Publish(context.Background(), events.Event{Type: events.ResponseSubmitted, ExamID: "alloc", ProblemID: "done"})
 	wg.Wait()
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)

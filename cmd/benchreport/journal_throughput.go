@@ -192,7 +192,7 @@ type journalConfig struct {
 // baseline and the group-commit journal, each under every sync policy.
 func journalConfigs() []journalConfig {
 	var cfgs []journalConfig
-	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncGroup, wal.SyncNone} {
+	for _, policy := range []wal.SyncPolicy{wal.SyncGroup, wal.SyncNone} {
 		policy := policy
 		cfgs = append(cfgs,
 			journalConfig{

@@ -30,9 +30,9 @@
 // With -journal, mutations append to a write-ahead log in DIR instead of
 // rewriting the bank file; the bank file seeds the journal on first boot.
 // -fsync picks the WAL sync policy: "group" (default) batches concurrent
-// writes into one fsync before acknowledging them, "always" fsyncs every
-// record individually, and "none" trusts the OS page cache (process-crash
-// safe, but a power failure can lose recent acknowledged writes). Both
+// writes into one fsync before acknowledging them, and "none" trusts the
+// OS page cache (process-crash safe, but a power failure can lose recent
+// acknowledged writes). Both
 // the WAL and the durable event log hold one JSON object per line; a log
 // holding frames of the binary record format that earlier builds offered
 // fails to open. -event-log-max-bytes bounds the durable event log by
@@ -118,7 +118,7 @@ func run(args []string) error {
 	writeTimeout := fs.Duration("write-timeout", 10*time.Second, "HTTP write timeout")
 	shards := fs.Int("shards", bank.DefaultShards, "bank shard count")
 	journalDir := fs.String("journal", "", "write-ahead-log directory (empty disables journaling)")
-	fsync := fs.String("fsync", string(wal.SyncGroup), "WAL sync policy: always, group or none (with -journal)")
+	fsync := fs.String("fsync", string(wal.SyncGroup), "WAL sync policy: group or none (with -journal)")
 	sessionShards := fs.Int("session-shards", delivery.DefaultSessionShards, "session registry shard count")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	rate := fs.Float64("rate", 0, "per-learner rate limit in requests/second (0 explicitly disables the limiter)")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mineassess/internal/bank"
@@ -37,5 +38,15 @@ func TestRunBankWithoutExams(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-nonsense"}); err == nil {
 		t.Error("unknown flag should fail")
+	}
+}
+
+// TestRunRefusesAlwaysFsync: "always" is no longer a sync policy. The
+// flag is parsed before the bank is opened, so an absent bank still
+// reports the policy error.
+func TestRunRefusesAlwaysFsync(t *testing.T) {
+	err := run([]string{"-fsync", "always", "-bank", filepath.Join(t.TempDir(), "absent.json")})
+	if err == nil || !strings.Contains(err.Error(), `unknown sync policy "always"`) {
+		t.Fatalf("run(-fsync always) = %v, want an unknown sync policy error", err)
 	}
 }

@@ -675,8 +675,8 @@ func TestAdaptiveDeliveryOverHTTP(t *testing.T) {
 }
 
 // TestLiveEventStreamOverHTTP is the live-monitoring loop end to end: a
-// watcher subscribes to /v1/exams/{id}/live through the full middleware
-// stack while a learner sits the exam over /v1, sees the raw lifecycle
+// watcher subscribes to /v1/exams/{id}/live through the request
+// edge while a learner sits the exam over /v1, sees the raw lifecycle
 // events and the incremental item statistics arrive in order, then
 // reconnects with Last-Event-ID and receives exactly the events missed
 // while disconnected.

@@ -45,16 +45,8 @@ func storageBackends(t *testing.T) map[string]func(t *testing.T) Storage {
 			t.Cleanup(func() { _ = j.Close() })
 			return j
 		},
-		// The non-default sync policies must not change any observable
+		// The non-default sync policy must not change any observable
 		// semantics — only what survives a power failure.
-		"journal/always": func(t *testing.T) Storage {
-			j, err := OpenJournal(t.TempDir(), NewSharded(4), JournalOptions{CompactEvery: 3, Sync: wal.SyncAlways})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = j.Close() })
-			return j
-		},
 		"journal/none": func(t *testing.T) Storage {
 			j, err := OpenJournal(t.TempDir(), NewSharded(4), JournalOptions{CompactEvery: 3, Sync: wal.SyncNone})
 			if err != nil {

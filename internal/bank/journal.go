@@ -42,9 +42,8 @@ var errJournalClosed = errors.New("bank: journal is closed")
 // Durability is governed by wal.SyncPolicy, and the WAL file itself is a
 // wal.File:
 //
-//   - always / group: an acknowledged mutation has been fsynced and
-//     survives OS crash and power failure. Group merely amortizes the fsync
-//     across the batch; the per-write guarantee is identical.
+//   - group: an acknowledged mutation has been fsynced and survives OS
+//     crash and power failure; the fsync is amortized across the batch.
 //   - none: appends ride the OS page cache. Process-crash-safe (the
 //     kernel completes the write), but a power failure can lose the most
 //     recent acknowledged mutations.
@@ -245,7 +244,7 @@ func OpenJournal(dir string, backend Storage, opts JournalOptions) (*Journal, er
 	}
 	// wal.Open also fsyncs the directory of a WAL it creates: without that
 	// a fresh journal could come back with no wal.log at all — losing
-	// acknowledged writes even under always, since no snapshot (whose
+	// acknowledged writes even under group, since no snapshot (whose
 	// publish path fsyncs the directory) exists until the first compaction.
 	if j.wal, err = wal.Open(walPath, policy, j.replayRecord); err != nil {
 		return nil, fmt.Errorf("bank: replay wal: %w", err)
@@ -496,8 +495,8 @@ func (j *Journal) drainQueue() {
 	}
 }
 
-// commitBatch writes one batch to the WAL and acknowledges its waiters as
-// their records become durable (see wal.File.Commit for what each policy
+// commitBatch writes one batch to the WAL and acknowledges its waiters
+// once the batch is durable (see wal.File.Commit for what each policy
 // writes and syncs). Records commit up to the first one that failed to
 // marshal. A write or sync failure poisons the journal — the backend now
 // holds mutations the WAL does not, so rather than let memory and disk
@@ -525,12 +524,6 @@ func (j *Journal) commitBatch(batch []*pendingCommit) {
 		if !p.enqueuedAt.IsZero() { // phase stamps for traced waiters only
 			p.batchStart, p.writeDone, p.syncDone = batchStart, written, synced
 			p.batchSize = int32(len(ends))
-		}
-		if j.policy == wal.SyncAlways {
-			// Each record has its own write and fsync, so the next
-			// record's batch-wait starts when this one is durable.
-			batchStart = synced
-			j.mFsync.Inc()
 		}
 		close(p.done)
 		acked++

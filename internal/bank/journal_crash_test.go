@@ -93,7 +93,7 @@ func (w *powerCutWAL) Cut(t *testing.T, path string) {
 // kill -9 mid-batch would), then simulates a power failure by discarding
 // every byte not yet fsynced, reopens, and checks each policy's contract:
 //
-//   - always / group: every acknowledged mutation replays; every mutation
+//   - group: every acknowledged mutation replays; every mutation
 //     whose writer got an error is absent. Acknowledgment happens only
 //     after the covering fsync, so the cut can never land between ack and
 //     durability.
@@ -101,7 +101,7 @@ func (w *powerCutWAL) Cut(t *testing.T, path string) {
 //     write-through-page-cache); the journal must still reopen cleanly and
 //     recover only mutations that were in fact written.
 func TestJournalCrashSimulation(t *testing.T) {
-	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncGroup, wal.SyncNone} {
+	for _, policy := range []wal.SyncPolicy{wal.SyncGroup, wal.SyncNone} {
 		t.Run(string(policy), func(t *testing.T) {
 			dir := t.TempDir()
 			j, err := OpenJournal(dir, NewSharded(8),

@@ -8,8 +8,8 @@
 // max items administered, or pool exhausted).
 //
 // Architecture mirrors internal/delivery: sessions live in a sharded
-// registry (internal/shardmap) with per-session locks, captures flow into
-// a delivery.Monitor, and unrelated learners never contend. Unlike
+// registry (internal/shardmap), each with its own lock and its own
+// delivery.Monitor ring, and unrelated learners never contend. Unlike
 // fixed-form sessions, every adaptive session is persisted to the
 // bank.Storage after each mutation (bank.AdaptiveSessionRecord), so with
 // a journaled bank a mid-test crash resumes exactly where the learner
@@ -135,7 +135,8 @@ func (c Config) validate() error {
 }
 
 // Session is one learner's live adaptive sitting. ID, ExamID and StudentID
-// are fixed at start; everything else is guarded by mu. The persisted
+// are fixed at start; everything else, the monitor ring included, is
+// guarded by mu. The persisted
 // record (rec) is the single source of truth — in-memory derived state
 // (responses, pending problem) is rebuilt from it on restart.
 type Session struct {
@@ -152,7 +153,8 @@ type Session struct {
 	// grid is the exam's shared precomputed information table, rows aligned
 	// with pool. Snapshotted at start like pool itself; sessions never see a
 	// mid-test recalibration.
-	grid *adaptive.InfoGrid
+	grid    *adaptive.InfoGrid
+	monitor delivery.Monitor
 }
 
 // ItemView is the learner-facing projection of the pending item: question
@@ -208,12 +210,12 @@ type examExposure struct {
 // bank.Storage. Construction restores any persisted sessions (see
 // NewEngine), so a restarted server carries live CAT sittings forward.
 type Engine struct {
-	store    bank.Storage
-	sessions *shardmap.Map[*Session]
-	monitor  *delivery.Monitor
-	now      func() time.Time
-	nextID   atomic.Int64
-	log      *ResponseLog
+	store           bank.Storage
+	sessions        *shardmap.Map[*Session]
+	monitorCapacity int // each session's snapshot ring bound; 0 disables capture
+	now             func() time.Time
+	nextID          atomic.Int64
+	log             *ResponseLog
 
 	// bus receives adaptive.* lifecycle events. Events are published only
 	// AFTER the session record is durably persisted, so a subscriber never
@@ -247,13 +249,13 @@ func NewEngine(store bank.Storage, now func() time.Time, monitorCapacity int) (*
 		now = time.Now
 	}
 	e := &Engine{
-		store:    store,
-		sessions: shardmap.New[*Session](delivery.DefaultSessionShards),
-		monitor:  delivery.NewMonitor(monitorCapacity),
-		now:      now,
-		log:      NewResponseLog(),
-		exposure: make(map[string]*examExposure),
-		grids:    make(map[string]*examGrid),
+		store:           store,
+		sessions:        shardmap.New[*Session](delivery.DefaultSessionShards),
+		monitorCapacity: monitorCapacity,
+		now:             now,
+		log:             NewResponseLog(),
+		exposure:        make(map[string]*examExposure),
+		grids:           make(map[string]*examGrid),
 	}
 	for _, id := range store.AdaptiveSessionIDs() {
 		rec, err := store.AdaptiveSession(id)
@@ -286,20 +288,11 @@ func (e *Engine) RestoreSkipped() int { return e.restoreSkipped }
 // operations).
 func (e *Engine) SetEventBus(b *events.Bus) { e.bus = b }
 
-// Monitor exposes the engine's monitor subsystem.
-func (e *Engine) Monitor() *delivery.Monitor { return e.monitor }
-
 // ResponseLog exposes the calibration sink.
 func (e *Engine) ResponseLog() *ResponseLog { return e.log }
 
 // SessionCount returns the number of registered sessions (any state).
 func (e *Engine) SessionCount() int { return e.sessions.Len() }
-
-// HasSession reports whether a session ID is registered.
-func (e *Engine) HasSession(id string) bool {
-	_, ok := e.sessions.Get(id)
-	return ok
-}
 
 // autoGradable reports whether a style can be scored without an instructor
 // — the precondition for driving a CAT loop off the response.
@@ -403,9 +396,10 @@ func (e *Engine) Start(ctx context.Context, examID, studentID string, cfg Config
 	if err := e.persistSession(ctx, rec); err != nil {
 		return nil, nil, err
 	}
+	// Captured while the session is still private to this call.
+	s.monitor.Capture(s.ID, e.monitorCapacity, e.now())
 	e.sessions.Put(s.ID, s)
-	e.monitor.Capture(s.ID, e.now())
-	e.bus.PublishCtx(trace.Detach(ctx), events.Event{
+	e.bus.Publish(trace.Detach(ctx), events.Event{
 		Type: events.AdaptiveStarted, ExamID: examID, SessionID: s.ID,
 		StudentID: studentID, Total: maxItems,
 	})
@@ -726,7 +720,7 @@ func (e *Engine) SubmitResponse(ctx context.Context, sessionID, problemID, respo
 	// context (cancelation must not reach subscribers) while keeping the
 	// trace span so the bus.publish spans parent correctly.
 	evctx := trace.Detach(ctx)
-	e.bus.PublishCtx(evctx, events.Event{
+	e.bus.Publish(evctx, events.Event{
 		Type: events.AdaptiveResponded, ExamID: s.ExamID, SessionID: s.ID,
 		StudentID: s.StudentID, ProblemID: problemID, Correct: correct,
 		Credit: credit, Answered: len(s.rec.Administered), Total: s.rec.MaxItems,
@@ -734,13 +728,13 @@ func (e *Engine) SubmitResponse(ctx context.Context, sessionID, problemID, respo
 	})
 	if s.rec.State == bank.AdaptiveStateFinished {
 		e.log.Add(entryOf(s.rec))
-		e.bus.PublishCtx(evctx, events.Event{
+		e.bus.Publish(evctx, events.Event{
 			Type: events.AdaptiveFinished, ExamID: s.ExamID, SessionID: s.ID,
 			StudentID: s.StudentID, Answered: len(s.rec.Administered),
 			Theta: s.rec.Theta, SE: s.rec.SE, StopReason: s.rec.StopReason,
 		})
 	}
-	e.monitor.Capture(s.ID, e.now())
+	s.monitor.Capture(s.ID, e.monitorCapacity, e.now())
 	return prog, nil
 }
 
@@ -784,12 +778,12 @@ func (e *Engine) Finish(ctx context.Context, sessionID string) (_ *Outcome, err 
 			return nil, err
 		}
 		e.log.Add(entryOf(s.rec))
-		e.bus.PublishCtx(trace.Detach(ctx), events.Event{
+		e.bus.Publish(trace.Detach(ctx), events.Event{
 			Type: events.AdaptiveFinished, ExamID: s.ExamID, SessionID: s.ID,
 			StudentID: s.StudentID, Answered: len(s.rec.Administered),
 			Theta: s.rec.Theta, SE: s.rec.SE, StopReason: s.rec.StopReason,
 		})
-		e.monitor.Capture(s.ID, e.now())
+		s.monitor.Capture(s.ID, e.monitorCapacity, e.now())
 	}
 	return outcomeOf(s.rec), nil
 }
@@ -828,6 +822,17 @@ func (e *Engine) Status(sessionID string) (Status, error) {
 		PendingID:    s.rec.PendingID,
 		StopReason:   s.rec.StopReason,
 	}, nil
+}
+
+// Snapshots returns a copy of the session's retained monitor snapshots in
+// capture order (an empty slice, never nil, when capture is disabled).
+func (e *Engine) Snapshots(sessionID string) ([]delivery.Snapshot, error) {
+	s, err := e.lock(sessionID)
+	if err != nil {
+		return nil, err
+	}
+	defer s.mu.Unlock()
+	return s.monitor.Snapshots(), nil
 }
 
 // Outcome returns a finished session's result.
@@ -978,7 +983,6 @@ func (e *Engine) PurgeFinished() (int, error) {
 				continue
 			}
 			e.sessions.Delete(id)
-			e.monitor.Forget(id)
 			purged++
 		}
 		s.mu.Unlock()

@@ -379,12 +379,9 @@ func TestRestartRestoresActiveSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e2.HasSession(s.ID) {
-		t.Fatal("restored engine lost the session")
-	}
 	st, err := e2.Status(s.ID)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("restored engine lost the session: %v", err)
 	}
 	if st.Administered != 2 || st.PendingID != pendingBefore {
 		t.Fatalf("restored status = %+v, want 2 administered pending %s", st, pendingBefore)
@@ -575,8 +572,8 @@ func TestRestoreTolerance(t *testing.T) {
 	if got := e2.RestoreSkipped(); got != 1 {
 		t.Errorf("RestoreSkipped = %d, want 1 (the active session)", got)
 	}
-	if e2.HasSession(s.ID) {
-		t.Error("orphaned active session should not be registered")
+	if _, err := e2.Status(s.ID); !errors.Is(err, ErrSessionNotFound) {
+		t.Errorf("orphaned active session should not be registered: Status = %v", err)
 	}
 	if e2.ResponseLog().Len() != 1 {
 		t.Errorf("finished session's log entry lost: len = %d", e2.ResponseLog().Len())
@@ -766,8 +763,8 @@ func TestMinItemsAboveMaxRejected(t *testing.T) {
 	}
 }
 
-// TestPurgeForgetsMonitor: purged sessions must release their monitor
-// rings, or monitor memory scales with lifetime session count.
+// TestPurgeForgetsMonitor: the monitor ring lives on its session, so a
+// purged session's snapshots are gone with it.
 func TestPurgeForgetsMonitor(t *testing.T) {
 	store := bank.NewSharded(4)
 	calibratedExam(t, store, "pool", 4, 1.5, 1)
@@ -776,17 +773,56 @@ func TestPurgeForgetsMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := answerAs(t, e, "pool", "m", 0, Config{MaxItems: 2}, 1)
-	if got := len(e.Monitor().Snapshots(out.SessionID)); got == 0 {
-		t.Fatal("no snapshots captured before purge")
+	if snaps, err := e.Snapshots(out.SessionID); err != nil || len(snaps) == 0 {
+		t.Fatalf("before purge: Snapshots = %v, %v; want captures", snaps, err)
 	}
 	if _, err := e.PurgeFinished(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.Monitor().Snapshots(out.SessionID)); got != 0 {
-		t.Errorf("monitor retained %d snapshots after purge", got)
+	if _, err := e.Snapshots(out.SessionID); !errors.Is(err, ErrSessionNotFound) {
+		t.Errorf("after purge: Snapshots err = %v, want ErrSessionNotFound", err)
 	}
-	if got := e.Monitor().Captured(out.SessionID); got != 0 {
-		t.Errorf("monitor retained capture counter %d after purge", got)
+}
+
+// TestSnapshotsSequenceAndBound: start and every response capture with
+// the next sequence number, the ring keeps only the newest
+// monitorCapacity, and an unknown session is ErrSessionNotFound.
+func TestSnapshotsSequenceAndBound(t *testing.T) {
+	store := bank.NewSharded(4)
+	calibratedExam(t, store, "pool", 8, 1.5, 1)
+	e, err := NewEngine(store, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, view, err := e.Start(context.Background(), "pool", "m", Config{MaxItems: 5}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for captures := 1; ; captures++ {
+		snaps, err := e.Snapshots(s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := min(captures, 3)
+		if len(snaps) != want {
+			t.Fatalf("after %d captures: %d retained, want %d", captures, len(snaps), want)
+		}
+		for i, snap := range snaps {
+			if snap.Seq != captures-want+1+i || snap.SessionID != s.ID {
+				t.Fatalf("after %d captures: %+v, want seqs %d..%d", captures, snaps, captures-want+1, captures)
+			}
+		}
+		if view == nil {
+			break
+		}
+		prog, err := e.SubmitResponse(context.Background(), s.ID, view.ProblemID, "A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		view = prog.Next
+	}
+	if _, err := e.Snapshots("cat-999999"); !errors.Is(err, ErrSessionNotFound) {
+		t.Errorf("unknown session: err = %v, want ErrSessionNotFound", err)
 	}
 }
 

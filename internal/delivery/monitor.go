@@ -2,10 +2,7 @@ package delivery
 
 import (
 	"hash/fnv"
-	"sync"
 	"time"
-
-	"mineassess/internal/shardmap"
 )
 
 // Snapshot is one captured "client picture" event. The paper's monitor
@@ -20,103 +17,41 @@ type Snapshot struct {
 	FrameHash uint64 `json:"frameHash"`
 }
 
-// monitorShards spreads capture traffic: every Answer triggers a Capture, so
-// a single monitor mutex would re-serialize the sessions the sharded engine
-// just decoupled.
-const monitorShards = 16
-
-// Monitor is the on-line exam monitor subsystem: a bounded per-session ring
-// of snapshots an administrator can query while exams run. Rings are spread
-// over shards keyed by session ID so captures from unrelated sessions do not
-// contend.
+// Monitor is the on-line exam monitor of one session: a bounded ring of
+// the snapshots an administrator can query while the exam runs. It is a
+// field of the session it watches (delivery.Session, catdelivery.Session),
+// guarded by that session's lock and freed with it; it has no lock of its
+// own. The zero value is an empty ring.
 type Monitor struct {
-	capacity int
-	shards   []monitorShard
+	ring []Snapshot
+	seq  int // captures ever taken, including ones fallen off the ring
 }
 
-type monitorShard struct {
-	mu    sync.Mutex
-	rings map[string][]Snapshot
-	seqs  map[string]int
-}
-
-// NewMonitor builds a monitor keeping up to capacity snapshots per session;
-// capacity <= 0 disables capture.
-func NewMonitor(capacity int) *Monitor {
-	m := &Monitor{
-		capacity: capacity,
-		shards:   make([]monitorShard, monitorShards),
-	}
-	for i := range m.shards {
-		m.shards[i].rings = make(map[string][]Snapshot)
-		m.shards[i].seqs = make(map[string]int)
-	}
-	return m
-}
-
-// Enabled reports whether capture is active.
-func (m *Monitor) Enabled() bool {
-	return m.capacity > 0
-}
-
-func (m *Monitor) shard(sessionID string) *monitorShard {
-	return &m.shards[shardmap.Index(sessionID, len(m.shards))]
-}
-
-// Capture records one snapshot for the session; oldest entries fall off the
-// ring when the capacity is reached.
-func (m *Monitor) Capture(sessionID string, at time.Time) {
-	if m.capacity <= 0 {
+// Capture records one snapshot for the session; the oldest entries fall
+// off the ring once it holds capacity snapshots. capacity <= 0 disables
+// capture.
+func (m *Monitor) Capture(sessionID string, capacity int, at time.Time) {
+	if capacity <= 0 {
 		return
 	}
-	sh := m.shard(sessionID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.seqs[sessionID]++
-	seq := sh.seqs[sessionID]
-	snap := Snapshot{
+	m.seq++
+	m.ring = append(m.ring, Snapshot{
 		SessionID: sessionID,
-		Seq:       seq,
+		Seq:       m.seq,
 		At:        at,
-		FrameHash: frameHash(sessionID, seq),
+		FrameHash: frameHash(sessionID, m.seq),
+	})
+	if len(m.ring) > capacity {
+		m.ring = m.ring[len(m.ring)-capacity:]
 	}
-	ring := append(sh.rings[sessionID], snap)
-	if len(ring) > m.capacity {
-		ring = ring[len(ring)-m.capacity:]
-	}
-	sh.rings[sessionID] = ring
 }
 
-// Snapshots returns a copy of the session's retained snapshots in capture
-// order.
-func (m *Monitor) Snapshots(sessionID string) []Snapshot {
-	sh := m.shard(sessionID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ring := sh.rings[sessionID]
-	out := make([]Snapshot, len(ring))
-	copy(out, ring)
+// Snapshots returns a copy of the retained snapshots in capture order;
+// an empty ring is an empty, non-nil slice (JSON [], never null).
+func (m *Monitor) Snapshots() []Snapshot {
+	out := make([]Snapshot, len(m.ring))
+	copy(out, m.ring)
 	return out
-}
-
-// Forget drops a session's ring and capture counter — retention passes
-// call this when a session is purged so monitor memory does not scale
-// with lifetime session count.
-func (m *Monitor) Forget(sessionID string) {
-	sh := m.shard(sessionID)
-	sh.mu.Lock()
-	delete(sh.rings, sessionID)
-	delete(sh.seqs, sessionID)
-	sh.mu.Unlock()
-}
-
-// Captured returns the total number of captures ever taken for the session
-// (including ones that have fallen off the ring).
-func (m *Monitor) Captured(sessionID string) int {
-	sh := m.shard(sessionID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.seqs[sessionID]
 }
 
 // frameHash simulates a frame digest deterministically from identity and

@@ -6,10 +6,11 @@
 // authoring CRUD) lives in internal/httpapi.
 //
 // Concurrency model: the engine keeps sessions in a sharded registry
-// (internal/shardmap); each Session carries its own mutex. A per-learner operation
-// — Answer, Status, Pause, Resume, Finish, AssignGrade — takes one shard
-// read-lock for the lookup and then only that session's lock, so unrelated
-// learners never contend and a slow grade computation stalls nobody else.
+// (internal/shardmap); each Session carries its own mutex and its own
+// monitor ring. A per-learner operation — Answer, Status, Snapshots, Pause,
+// Resume, Finish, AssignGrade — takes one shard read-lock for the lookup
+// and then only that session's lock, so unrelated learners never contend
+// and a slow grade computation stalls nobody else.
 // Cross-session views (CollectResults, SessionSummaries, PendingGrades)
 // iterate shard by shard without any stop-the-world lock.
 package delivery
@@ -87,7 +88,8 @@ type answer struct {
 
 // Session is one learner's sitting of one exam. ID, ExamID, StudentID and
 // Order are fixed at Start and safe to read without locking; all other
-// state — including the SCORM API and its data model — is guarded by mu.
+// state — including the SCORM API, its data model and the monitor ring —
+// is guarded by mu.
 // Engine operations and RTEExec take the lock; the raw RTE accessor is the
 // single-threaded escape hatch (see its comment).
 type Session struct {
@@ -111,6 +113,7 @@ type Session struct {
 	optionMaps map[string]map[string]string
 	api        *scorm.API
 	data       *scorm.DataModel
+	monitor    Monitor
 }
 
 // snapshotStatus summarizes the session. Callers hold s.mu.
@@ -161,11 +164,11 @@ type Status struct {
 // for tests and simulations. It holds no global lock: per-session operations
 // synchronize only on the session itself (see the package comment).
 type Engine struct {
-	store    bank.Storage
-	sessions *shardmap.Map[*Session]
-	now      func() time.Time
-	monitor  *Monitor
-	nextID   atomic.Int64
+	store           bank.Storage
+	sessions        *shardmap.Map[*Session]
+	now             func() time.Time
+	monitorCapacity int // each session's snapshot ring bound; 0 disables capture
+	nextID          atomic.Int64
 	// bus receives lifecycle events (nil disables emission — a nil
 	// *events.Bus is a valid no-op publisher, so emit sites are
 	// unconditional). Emission is fire-and-forget and never blocks, so it
@@ -198,30 +201,17 @@ func NewShardedEngine(store bank.Storage, now func() time.Time, monitorCapacity,
 		shards = DefaultSessionShards
 	}
 	return &Engine{
-		store:    store,
-		sessions: shardmap.New[*Session](shards),
-		now:      now,
-		monitor:  NewMonitor(monitorCapacity),
+		store:           store,
+		sessions:        shardmap.New[*Session](shards),
+		now:             now,
+		monitorCapacity: monitorCapacity,
 	}
-}
-
-// Monitor exposes the engine's monitor subsystem.
-func (e *Engine) Monitor() *Monitor {
-	return e.monitor
 }
 
 // SessionCount returns the number of sessions the engine has registered
 // (any state).
 func (e *Engine) SessionCount() int {
 	return e.sessions.Len()
-}
-
-// HasSession reports whether a session ID is registered, in any state. The
-// HTTP layer uses it to distinguish "no such session" (404) from "a session
-// with no data yet" before reading monitor rings.
-func (e *Engine) HasSession(sessionID string) bool {
-	_, ok := e.sessions.Get(sessionID)
-	return ok
 }
 
 // session returns the registered session without locking it.
@@ -299,12 +289,13 @@ func (e *Engine) Start(ctx context.Context, examID, studentID string, seed int64
 	if got := s.api.LMSInitialize(""); got != "true" {
 		return nil, fmt.Errorf("delivery: RTE initialize failed (%s)", s.api.LMSGetLastError())
 	}
+	// Captured while the session is still private to this call.
+	s.monitor.Capture(s.ID, e.monitorCapacity, now)
 	e.sessions.Put(s.ID, s)
-	e.monitor.Capture(s.ID, now)
 	// Publishes detach from the request context: the event outlives the
 	// request (cancelation must not reach subscribers) but keeps the trace
 	// span and request ID so the bus.publish span parents correctly.
-	e.bus.PublishCtx(trace.Detach(ctx), events.Event{
+	e.bus.Publish(trace.Detach(ctx), events.Event{
 		Type: events.SessionStarted, ExamID: examID, SessionID: s.ID,
 		StudentID: studentID, Problems: order, Total: len(order), At: now,
 	})
@@ -332,7 +323,7 @@ func (e *Engine) checkTime(ctx context.Context, s *Session, now time.Time) error
 		s.state = StateExpired
 		e.finishRTE(s)
 		score, max := s.scoreLocked()
-		e.bus.PublishCtx(trace.Detach(ctx), events.Event{
+		e.bus.Publish(trace.Detach(ctx), events.Event{
 			Type: events.SessionExpired, ExamID: s.ExamID, SessionID: s.ID,
 			StudentID: s.StudentID, Answered: len(s.answers), Total: len(s.Order),
 			Score: score, MaxScore: max, At: now,
@@ -378,8 +369,8 @@ func (e *Engine) Answer(ctx context.Context, sessionID, problemID, response stri
 		response: response, credit: credit, gradable: gradable, spent: spent,
 	}
 	s.api.LMSSetValue("cmi.core.lesson_location", problemID)
-	e.monitor.Capture(s.ID, now)
-	e.bus.PublishCtx(trace.Detach(ctx), events.Event{
+	s.monitor.Capture(s.ID, e.monitorCapacity, now)
+	e.bus.Publish(trace.Detach(ctx), events.Event{
 		Type: events.ResponseSubmitted, ExamID: s.ExamID, SessionID: s.ID,
 		StudentID: s.StudentID, ProblemID: problemID,
 		Correct: gradable && credit >= 1-1e-9, Credit: credit,
@@ -465,7 +456,7 @@ func (e *Engine) Finish(ctx context.Context, sessionID string) (_ *analysis.Stud
 		// Only the transition emits; an idempotent re-finish does not
 		// double-count the sitting in downstream aggregations.
 		score, max := s.scoreLocked()
-		e.bus.PublishCtx(trace.Detach(ctx), events.Event{
+		e.bus.Publish(trace.Detach(ctx), events.Event{
 			Type: events.SessionFinished, ExamID: s.ExamID, SessionID: s.ID,
 			StudentID: s.StudentID, Answered: len(s.answers), Total: len(s.Order),
 			Score: score, MaxScore: max, At: now,
@@ -548,6 +539,17 @@ func (e *Engine) Status(sessionID string) (Status, error) {
 	st := s.snapshotStatus(now)
 	st.StateName = st.State.String()
 	return st, nil
+}
+
+// Snapshots returns a copy of the session's retained monitor snapshots in
+// capture order (an empty slice, never nil, when capture is disabled).
+func (e *Engine) Snapshots(sessionID string) ([]Snapshot, error) {
+	s, err := e.lock(sessionID)
+	if err != nil {
+		return nil, err
+	}
+	defer s.mu.Unlock()
+	return s.monitor.Snapshots(), nil
 }
 
 // RTEExec runs fn against the session's SCORM API while holding the session

@@ -235,8 +235,15 @@ func NewBus(o Options) *Bus {
 // Publish assigns sequence numbers and timestamps the event, then fans it
 // out: replay rings, durable log (asynchronously), every matching
 // subscriber. It never blocks and is safe from any goroutine; on a nil or
-// closed bus it is a no-op.
-func (b *Bus) Publish(e Event) {
+// closed bus it is a no-op. On a traced ctx the publish appears in the
+// request's span tree as a "bus.publish" leaf with the event type
+// attached; emit sites that fire after the persist step pass a
+// trace.Detach'd context so the span parents under the request instead of
+// orphaning. An untraced ctx costs two branches.
+func (b *Bus) Publish(ctx context.Context, e Event) {
+	sp := trace.FromContext(ctx).Child("bus.publish")
+	sp.SetStr("event.type", string(e.Type))
+	defer sp.End()
 	if b == nil {
 		return
 	}
@@ -275,18 +282,6 @@ func (b *Bus) Publish(e Event) {
 	}
 	b.mu.Unlock()
 	b.mPublished.Inc()
-}
-
-// PublishCtx is Publish wrapped in a trace leaf span: on a traced context
-// the publish appears in the request's span tree as "bus.publish" with the
-// event type attached. Emit sites that fire after the persist step pass a
-// trace.Detach'd context so the span parents under the request instead of
-// orphaning. Untraced contexts cost two branches over plain Publish.
-func (b *Bus) PublishCtx(ctx context.Context, e Event) {
-	sp := trace.FromContext(ctx).Child("bus.publish")
-	sp.SetStr("event.type", string(e.Type))
-	b.Publish(e)
-	sp.End()
 }
 
 // Subscribers reports the number of registered subscriptions (metrics,

@@ -2,6 +2,7 @@ package events
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -73,8 +74,8 @@ func TestPerExamSequencesAreMonotonic(t *testing.T) {
 	defer sub.Close()
 
 	for i := 0; i < 3; i++ {
-		bus.Publish(Event{Type: ResponseSubmitted, ExamID: "a"})
-		bus.Publish(Event{Type: ResponseSubmitted, ExamID: "b"})
+		bus.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "a"})
+		bus.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "b"})
 	}
 	evs, _ := collect(t, sub, 6, 2*time.Second)
 	wantA, wantB := uint64(1), uint64(1)
@@ -109,8 +110,8 @@ func TestExamFilteredSubscription(t *testing.T) {
 	sub := bus.Subscribe(SubscribeOptions{ExamID: "want"})
 	defer sub.Close()
 
-	bus.Publish(Event{Type: SessionStarted, ExamID: "other"})
-	bus.Publish(Event{Type: SessionStarted, ExamID: "want"})
+	bus.Publish(context.Background(), Event{Type: SessionStarted, ExamID: "other"})
+	bus.Publish(context.Background(), Event{Type: SessionStarted, ExamID: "want"})
 	evs, _ := collect(t, sub, 1, 2*time.Second)
 	if evs[0].ExamID != "want" {
 		t.Fatalf("got exam %q", evs[0].ExamID)
@@ -134,7 +135,7 @@ func TestSlowConsumerDropsOldestWithGapMarker(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 1; i <= published; i++ {
-			bus.Publish(Event{Type: ResponseSubmitted, ExamID: "x"})
+			bus.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"})
 		}
 	}()
 	select {
@@ -192,11 +193,11 @@ func TestReplayFromOffset(t *testing.T) {
 	bus := NewBus(Options{})
 	defer bus.Close()
 	for i := 0; i < 5; i++ {
-		bus.Publish(Event{Type: ResponseSubmitted, ExamID: "x", ProblemID: fmt.Sprintf("q%d", i+1)})
+		bus.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x", ProblemID: fmt.Sprintf("q%d", i+1)})
 	}
 	sub := bus.Subscribe(SubscribeOptions{ExamID: "x", Replay: true, AfterSeq: 2})
 	defer sub.Close()
-	bus.Publish(Event{Type: SessionFinished, ExamID: "x"}) // live tail
+	bus.Publish(context.Background(), Event{Type: SessionFinished, ExamID: "x"}) // live tail
 
 	evs, gaps := collect(t, sub, 4, 2*time.Second)
 	if len(gaps) != 0 {
@@ -215,7 +216,7 @@ func TestReplayBeyondRingAnnouncesGap(t *testing.T) {
 	bus := NewBus(Options{Ring: 4})
 	defer bus.Close()
 	for i := 0; i < 10; i++ {
-		bus.Publish(Event{Type: ResponseSubmitted, ExamID: "x"})
+		bus.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"})
 	}
 	sub := bus.Subscribe(SubscribeOptions{ExamID: "x", Replay: true, AfterSeq: 0})
 	defer sub.Close()
@@ -278,7 +279,7 @@ func TestConcurrentEmittersAndSubscribers(t *testing.T) {
 		go func(w int) {
 			defer emit.Done()
 			for i := 0; i < perEmitter; i++ {
-				bus.Publish(Event{
+				bus.Publish(context.Background(), Event{
 					Type:      ResponseSubmitted,
 					ExamID:    exams[(w+i)%len(exams)],
 					SessionID: fmt.Sprintf("s%d", w),
@@ -293,7 +294,7 @@ func TestConcurrentEmittersAndSubscribers(t *testing.T) {
 
 func TestPublishOnNilAndClosedBus(t *testing.T) {
 	var nilBus *Bus
-	nilBus.Publish(Event{Type: SessionStarted, ExamID: "x"}) // must not panic
+	nilBus.Publish(context.Background(), Event{Type: SessionStarted, ExamID: "x"}) // must not panic
 	nilBus.Close()
 	if sub := nilBus.Subscribe(SubscribeOptions{}); sub != nil {
 		t.Fatal("nil bus returned a subscription")
@@ -301,7 +302,7 @@ func TestPublishOnNilAndClosedBus(t *testing.T) {
 
 	bus := NewBus(Options{})
 	bus.Close()
-	bus.Publish(Event{Type: SessionStarted, ExamID: "x"}) // no-op
+	bus.Publish(context.Background(), Event{Type: SessionStarted, ExamID: "x"}) // no-op
 	if sub := bus.Subscribe(SubscribeOptions{}); sub != nil {
 		t.Fatal("closed bus returned a subscription")
 	}
@@ -318,7 +319,7 @@ func TestDurableLogReplayAcrossRestart(t *testing.T) {
 	}
 	bus1 := NewBus(Options{Log: log1})
 	for i := 0; i < 5; i++ {
-		bus1.Publish(Event{Type: ResponseSubmitted, ExamID: "x", ProblemID: fmt.Sprintf("q%d", i+1)})
+		bus1.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x", ProblemID: fmt.Sprintf("q%d", i+1)})
 	}
 	bus1.Close() // flushes and closes the log
 
@@ -328,7 +329,7 @@ func TestDurableLogReplayAcrossRestart(t *testing.T) {
 	}
 	bus2 := NewBus(Options{Log: log2})
 	defer bus2.Close()
-	bus2.Publish(Event{Type: SessionFinished, ExamID: "x"})
+	bus2.Publish(context.Background(), Event{Type: SessionFinished, ExamID: "x"})
 	if got := bus2.Seq("x"); got != 6 {
 		t.Fatalf("restarted bus seq = %d, want 6 (numbering must continue)", got)
 	}
@@ -355,13 +356,13 @@ func TestDurableLogReplayAcrossRestart(t *testing.T) {
 // is truncated on reopen and the intact prefix replays.
 func TestLogTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	log1, err := OpenLog(dir, LogOptions{Sync: wal.SyncAlways})
+	log1, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bus1 := NewBus(Options{Log: log1})
-	bus1.Publish(Event{Type: SessionStarted, ExamID: "x"})
-	bus1.Publish(Event{Type: SessionFinished, ExamID: "x"})
+	bus1.Publish(context.Background(), Event{Type: SessionStarted, ExamID: "x"})
+	bus1.Publish(context.Background(), Event{Type: SessionFinished, ExamID: "x"})
 	bus1.Close()
 
 	// Tear the tail mid-record.
@@ -369,7 +370,7 @@ func TestLogTornTailRecovery(t *testing.T) {
 	raw := readFile(t, path)
 	writeFile(t, path, raw[:len(raw)-7])
 
-	log2, err := OpenLog(dir, LogOptions{Sync: wal.SyncAlways})
+	log2, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup})
 	if err != nil {
 		t.Fatalf("reopen after torn tail: %v", err)
 	}
@@ -403,20 +404,20 @@ func TestLogCorruptRecord(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := OpenLog(dir, LogOptions{Sync: wal.SyncAlways})
+			l, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup})
 			if err != nil {
 				t.Fatal(err)
 			}
 			bus := NewBus(Options{Log: l})
-			bus.Publish(Event{Type: SessionStarted, ExamID: "x"})
-			bus.Publish(Event{Type: SessionFinished, ExamID: "x"})
+			bus.Publish(context.Background(), Event{Type: SessionStarted, ExamID: "x"})
+			bus.Publish(context.Background(), Event{Type: SessionFinished, ExamID: "x"})
 			bus.Close()
 
 			path := filepath.Join(dir, "events.log")
 			first, rest, _ := bytes.Cut(readFile(t, path), []byte("\n"))
 			raw := tc.corrupt(append(first, '\n'), rest)
 			writeFile(t, path, raw)
-			if _, err := OpenLog(dir, LogOptions{Sync: wal.SyncAlways}); err == nil ||
+			if _, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup}); err == nil ||
 				!strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("OpenLog over a corrupt record = %v, want an error containing %q", err, tc.want)
 			}
@@ -498,8 +499,8 @@ func TestReplaySeamBetweenLogAndRingAnnouncesGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	bus1 := NewBus(Options{Log: log1})
-	bus1.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 1
-	bus1.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 2
+	bus1.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 1
+	bus1.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 2
 	bus1.Close()
 
 	log2, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup})
@@ -512,7 +513,7 @@ func TestReplaySeamBetweenLogAndRingAnnouncesGap(t *testing.T) {
 	// file: the tiny ring then holds only [5,6] while the log ends at 2.
 	failWrites(log2)
 	for i := 0; i < 4; i++ {
-		bus2.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // 3..6
+		bus2.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"}) // 3..6
 	}
 
 	sub := bus2.Subscribe(SubscribeOptions{ExamID: "x", Replay: true, AfterSeq: 0})
@@ -541,7 +542,7 @@ func TestDetachSubscribersKeepsPublishing(t *testing.T) {
 	bus := NewBus(Options{})
 	defer bus.Close()
 	sub := bus.Subscribe(SubscribeOptions{ExamID: "x"})
-	bus.Publish(Event{Type: ResponseSubmitted, ExamID: "x"})
+	bus.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"})
 	collect(t, sub, 1, 2*time.Second)
 
 	bus.DetachSubscribers()
@@ -549,7 +550,7 @@ func TestDetachSubscribersKeepsPublishing(t *testing.T) {
 		t.Fatal("subscription channel still open after detach")
 	}
 	// Publishes after detach still advance state and land in the ring.
-	bus.Publish(Event{Type: SessionFinished, ExamID: "x"})
+	bus.Publish(context.Background(), Event{Type: SessionFinished, ExamID: "x"})
 	if got := bus.Seq("x"); got != 2 {
 		t.Fatalf("seq after detach = %d, want 2", got)
 	}
@@ -572,8 +573,8 @@ func TestReplayRingDisabledAnnouncesUnflushedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	bus1 := NewBus(Options{Log: log1})
-	bus1.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 1
-	bus1.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 2
+	bus1.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 1
+	bus1.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 2
 	bus1.Close()
 
 	log2, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup})
@@ -583,7 +584,7 @@ func TestReplayRingDisabledAnnouncesUnflushedTail(t *testing.T) {
 	bus2 := NewBus(Options{Ring: -1, Log: log2})
 	defer bus2.Close()
 	failWrites(log2)
-	bus2.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 3, never flushed
+	bus2.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 3, never flushed
 
 	sub := bus2.Subscribe(SubscribeOptions{ExamID: "x", Replay: true, AfterSeq: 0})
 	defer sub.Close()
@@ -614,7 +615,7 @@ func TestLogWriteFailureIsReported(t *testing.T) {
 	sub := bus.Subscribe(SubscribeOptions{ExamID: "x"})
 	defer sub.Close()
 	failWrites(log)
-	bus.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 1: its append fails
+	bus.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 1: its append fails
 	deadline := time.Now().Add(2 * time.Second)
 	for log.Err() == nil && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -623,7 +624,7 @@ func TestLogWriteFailureIsReported(t *testing.T) {
 		t.Fatalf("Err() = %v after a failed append, want the write failure", log.Err())
 	}
 	for i := 0; i < 3; i++ {
-		bus.Publish(Event{Type: ResponseSubmitted, ExamID: "x"}) // 2..4
+		bus.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"}) // 2..4
 	}
 	evs, gaps := collect(t, sub, 4, 2*time.Second)
 	if len(gaps) != 0 || evs[0].Seq != 1 || evs[3].Seq != 4 {

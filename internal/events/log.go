@@ -13,10 +13,10 @@ import (
 // Log is the optional durable side of the bus: an append-only log of every
 // published event, written off the publish path by a dedicated writer
 // goroutine through a wal.File, as the bank journal writes its WAL. It
-// shares the journal's durability: the wal.SyncPolicy vocabulary (always /
-// group / none), one write plus one fsync per batch of concurrent appends,
-// and torn-tail truncation on open, so an event acknowledged into the log
-// under always/group survives power loss exactly like a journaled bank
+// shares the journal's durability: the wal.SyncPolicy vocabulary (group /
+// none), one write plus one fsync per batch of concurrent appends, and
+// torn-tail truncation on open, so an event acknowledged into the log
+// under group survives power loss exactly like a journaled bank
 // mutation. Records are JSON lines, encoded once per event and shared with
 // the SSE fan-out.
 //

@@ -10,7 +10,6 @@ package httpapi
 import (
 	"net/http"
 
-	"mineassess/internal/catdelivery"
 	"mineassess/pkg/api"
 )
 
@@ -50,14 +49,6 @@ func (s *Server) purgeAdaptive(w http.ResponseWriter, _ *http.Request, _ string)
 		Purged:      n,
 		StatsPurged: s.live.PurgeIdle(),
 	})
-}
-
-func (s *Server) adaptiveMonitor(w http.ResponseWriter, _ *http.Request, id string) {
-	if !s.cat.HasSession(id) {
-		writeError(w, catdelivery.ErrSessionNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.cat.Monitor().Snapshots(id))
 }
 
 func (s *Server) respondAdaptive(w http.ResponseWriter, r *http.Request, id string) {

@@ -13,7 +13,6 @@ import (
 type RateLimiter struct {
 	rate  float64 // tokens added per second
 	burst float64
-	ttl   time.Duration // idle buckets older than this are evicted
 	now   func() time.Time
 
 	mu        sync.Mutex
@@ -38,17 +37,10 @@ const maxBuckets = 8192
 const DefaultBucketTTL = 10 * time.Minute
 
 // NewRateLimiter builds a limiter allowing rate requests/second with the
-// given burst per key and the default idle-bucket TTL. rate <= 0 returns
-// nil, which disables limiting. now may be nil for wall-clock time.
+// given burst per key; buckets untouched for DefaultBucketTTL are evicted
+// by an amortized sweep. rate <= 0 returns nil, which disables limiting.
+// now may be nil for wall-clock time.
 func NewRateLimiter(rate float64, burst int, now func() time.Time) *RateLimiter {
-	return NewRateLimiterTTL(rate, burst, DefaultBucketTTL, now)
-}
-
-// NewRateLimiterTTL is NewRateLimiter with an explicit idle-bucket TTL:
-// buckets untouched for ttl are evicted by an amortized sweep. ttl 0 means
-// DefaultBucketTTL; negative disables TTL eviction (the maxBuckets cap
-// still bounds memory).
-func NewRateLimiterTTL(rate float64, burst int, ttl time.Duration, now func() time.Time) *RateLimiter {
 	if rate <= 0 {
 		return nil
 	}
@@ -58,13 +50,9 @@ func NewRateLimiterTTL(rate float64, burst int, ttl time.Duration, now func() ti
 	if now == nil {
 		now = time.Now
 	}
-	if ttl == 0 {
-		ttl = DefaultBucketTTL
-	}
 	l := &RateLimiter{
 		rate:    rate,
 		burst:   float64(burst),
-		ttl:     ttl,
 		now:     now,
 		buckets: make(map[string]*bucket),
 	}
@@ -86,7 +74,7 @@ func (l *RateLimiter) Allow(key string) bool {
 	defer l.mu.Unlock()
 	// Amortized TTL sweep: at most one O(n) pass per TTL window, so the
 	// per-request cost stays O(1) while idle buckets cannot outlive ~2x TTL.
-	if l.ttl > 0 && now.Sub(l.lastSweep) >= l.ttl {
+	if now.Sub(l.lastSweep) >= DefaultBucketTTL {
 		l.evictIdleLocked(now)
 		l.lastSweep = now
 	}
@@ -124,7 +112,7 @@ func (l *RateLimiter) retryAfter() string {
 // Callers hold mu.
 func (l *RateLimiter) evictIdleLocked(now time.Time) {
 	for key, b := range l.buckets {
-		if now.Sub(b.last) >= l.ttl {
+		if now.Sub(b.last) >= DefaultBucketTTL {
 			delete(l.buckets, key)
 		}
 	}

@@ -8,14 +8,12 @@ package httpapi
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 func TestRateLimiterEvictsIdleBuckets(t *testing.T) {
 	clock := newFakeClock()
-	ttl := 100 * time.Second
 	// Negligible refill over the test horizon so token state is readable.
-	l := NewRateLimiterTTL(0.0001, 5, ttl, clock.Now)
+	l := NewRateLimiter(0.0001, 5, clock.Now)
 
 	l.Allow("idle-1")
 	l.Allow("idle-2")
@@ -27,7 +25,7 @@ func TestRateLimiterEvictsIdleBuckets(t *testing.T) {
 	// The active key keeps calling within the TTL; the idle keys never
 	// return. Advancing past the TTL makes an Allow trigger the sweep.
 	for i := 0; i < 4; i++ {
-		clock.Advance(50 * time.Second)
+		clock.Advance(DefaultBucketTTL / 2)
 		l.Allow("active")
 	}
 	if got := l.Len(); got != 1 {
@@ -46,8 +44,7 @@ func TestRateLimiterEvictsIdleBuckets(t *testing.T) {
 // abuser a fresh burst every TTL.
 func TestRateLimiterActiveBucketNeverReset(t *testing.T) {
 	clock := newFakeClock()
-	ttl := 100 * time.Second
-	l := NewRateLimiterTTL(0.0001, 5, ttl, clock.Now)
+	l := NewRateLimiter(0.0001, 5, clock.Now)
 
 	// Exhaust the burst.
 	for i := 0; i < 5; i++ {
@@ -61,28 +58,18 @@ func TestRateLimiterActiveBucketNeverReset(t *testing.T) {
 
 	// Stay active across several sweep windows (idle keys created alongside
 	// prove sweeps really ran).
+	step := DefaultBucketTTL * 6 / 10
 	for i := 0; i < 6; i++ {
 		l.Allow(fmt.Sprintf("bystander-%d", i))
-		clock.Advance(60 * time.Second)
+		clock.Advance(step)
 		if l.Allow("abuser") {
-			// 6 minutes at 0.0001/s refills 0.036 tokens — an allow here
-			// means the bucket was reset to a full burst.
+			// Six steps of 6 minutes at 0.0001/s refill 0.216 tokens — an
+			// allow here means the bucket was reset to a full burst.
 			t.Fatalf("drained bucket was reset at step %d", i)
 		}
 	}
 	if got := l.Len(); got >= 7 {
 		t.Fatalf("bystander buckets not swept: %d remain", got)
-	}
-}
-
-func TestRateLimiterTTLDisabled(t *testing.T) {
-	clock := newFakeClock()
-	l := NewRateLimiterTTL(0.0001, 1, -1, clock.Now)
-	l.Allow("a")
-	clock.Advance(24 * time.Hour)
-	l.Allow("b")
-	if got := l.Len(); got != 2 {
-		t.Fatalf("negative TTL must disable eviction; bucket count = %d", got)
 	}
 }
 

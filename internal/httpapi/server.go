@@ -139,7 +139,7 @@ func (s *Server) table() []row {
 		{"POST", "/v1/sessions/{id}:finish", s.finish},
 		{"POST", "/v1/sessions/{id}:{verb}", unknownVerb("unknown session action ")},
 		{"GET", "/v1/sessions/{id}", getJSON(s.engine.Status)},
-		{"GET", "/v1/sessions/{id}/monitor", s.getMonitor},
+		{"GET", "/v1/sessions/{id}/monitor", getJSON(s.engine.Snapshots)},
 		{"POST", "/v1/sessions/{id}/rte", s.postRTE},
 
 		// Live adaptive (CAT) delivery and recalibration (adaptive.go).
@@ -150,7 +150,7 @@ func (s *Server) table() []row {
 		{"POST", "/v1/adaptive-sessions/{id}:{verb}", adaptive(unknownVerb("unknown adaptive session action "))},
 		{"GET", "/v1/adaptive-sessions/{id}", adaptive(getJSON(s.cat.Status))},
 		{"GET", "/v1/adaptive-sessions/{id}/next", adaptive(getJSON(s.cat.NextItem))},
-		{"GET", "/v1/adaptive-sessions/{id}/monitor", adaptive(s.adaptiveMonitor)},
+		{"GET", "/v1/adaptive-sessions/{id}/monitor", adaptive(getJSON(s.cat.Snapshots))},
 		{"POST", "/v1/exams/{id}:recalibrate", adaptive(s.recalibrateExam)},
 
 		// Authoring (authoring.go).
@@ -187,7 +187,7 @@ func (s *Server) table() []row {
 		{"POST", "/api/session/{id}/pause", s.pause},
 		{"POST", "/api/session/{id}/resume", s.resume},
 		{"POST", "/api/session/{id}/finish", s.finish},
-		{"GET", "/api/monitor/{id}", s.getMonitor},
+		{"GET", "/api/monitor/{id}", getJSON(s.engine.Snapshots)},
 		{"POST", "/api/rte/{id}", s.postRTE},
 		{"GET", "/api/admin/sessions", examParam(s.listSessions)},
 		{"GET", "/api/admin/grades", examParam(s.listGrades)},
@@ -315,17 +315,6 @@ func (s *Server) startSession(w http.ResponseWriter, r *http.Request, examID str
 		return
 	}
 	writeJSON(w, http.StatusOK, StartSessionResponse{SessionID: sess.ID, Order: sess.Order})
-}
-
-// getMonitor returns the session's captured snapshots. Nonexistent sessions
-// are a 404 envelope, not an empty 200 — the registry is checked before the
-// monitor rings are read.
-func (s *Server) getMonitor(w http.ResponseWriter, _ *http.Request, id string) {
-	if !s.engine.HasSession(id) {
-		writeError(w, delivery.ErrSessionNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.engine.Monitor().Snapshots(id))
 }
 
 // postRTE bridges the SCORM API over HTTP for SCO content.

@@ -172,7 +172,7 @@ func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, sub *events.S
 			if !ok {
 				return // bus shut down
 			}
-			if err := writeFrameTraced(w, e, id, root); err != nil {
+			if err := writeFrame(w, e, id, root); err != nil {
 				return
 			}
 			if e.Seq > delivered {
@@ -188,7 +188,7 @@ func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, sub *events.S
 						_ = rc.Flush()
 						return
 					}
-					if err := writeFrameTraced(w, e, id, root); err != nil {
+					if err := writeFrame(w, e, id, root); err != nil {
 						return
 					}
 					if e.Seq > delivered {
@@ -266,11 +266,20 @@ var framePool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// writeFrame serializes one bus event as an SSE frame. It assembles the
-// whole frame — event name, optional id, data line — in a pooled buffer and
-// writes it in one call, reusing the event's shared publish-time encoding
-// instead of re-marshalling per subscriber.
-func writeFrame(w http.ResponseWriter, e events.Event, id idFn) error {
+// writeFrame serializes one bus event as an SSE frame under a per-frame
+// sse.frame leaf span of root. It assembles the whole frame — event name,
+// optional id, data line — in a pooled buffer and writes it in one call,
+// reusing the event's shared publish-time encoding instead of
+// re-marshalling per subscriber. A stream.gap marker frame flags the whole
+// trace (SetGap), so the tail sampler always retains traces whose stream
+// dropped events — the slow-consumer evidence survives alongside the
+// latency evidence.
+func writeFrame(w http.ResponseWriter, e events.Event, id idFn, root trace.Span) error {
+	sp := root.Child("sse.frame")
+	sp.SetStr("event.type", string(e.Type))
+	if e.Type == events.TypeGap {
+		sp.SetGap()
+	}
 	bp := framePool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	buf = append(buf, "event: "...)
@@ -289,20 +298,6 @@ func writeFrame(w http.ResponseWriter, e events.Event, id idFn) error {
 	}
 	*bp = buf
 	framePool.Put(bp)
-	return err
-}
-
-// writeFrameTraced is writeFrame under a per-frame sse.frame leaf span. A
-// stream.gap marker frame flags the whole trace (SetGap), so the tail
-// sampler always retains traces whose stream dropped events — the
-// slow-consumer evidence survives alongside the latency evidence.
-func writeFrameTraced(w http.ResponseWriter, e events.Event, id idFn, root trace.Span) error {
-	sp := root.Child("sse.frame")
-	sp.SetStr("event.type", string(e.Type))
-	if e.Type == events.TypeGap {
-		sp.SetGap()
-	}
-	err := writeFrame(w, e, id)
 	if err != nil {
 		sp.SetError()
 	}

@@ -114,7 +114,7 @@ func openSSE(t *testing.T, base, path, lastID string) *sseConn {
 	return conn
 }
 
-// streamFixture builds a server with the full middleware chain (access log
+// streamFixture builds a server with the whole request edge (access log
 // on, generous rate limit so its bookkeeping is exercised) plus bus and
 // aggregator.
 func streamFixture(t *testing.T) (*httptest.Server, *delivery.Engine, string, *events.Bus) {

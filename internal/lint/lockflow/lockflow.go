@@ -7,9 +7,11 @@
 // opens at a `x.mu.Lock()` statement and closes at the first later
 // `x.mu.Unlock()` whose receiver renders to the same source text ("x.mu"),
 // or at the end of the function for `defer x.mu.Unlock()`. Lock handoffs
-// across functions and conditionally-unlocked paths are out of scope —
-// the repo's hot paths all lock and unlock within one function, which is
-// itself an invariant worth keeping.
+// across functions and conditionally-unlocked paths are out of scope, so
+// the engines' per-session sections are invisible to it: they open in
+// lock(id) and close with a `defer s.mu.Unlock()` in the caller, which
+// pairs with no Lock. The shared locks (journal ordering lock, bank and
+// registry shards, the bus) all lock and unlock within one function.
 package lockflow
 
 import (

@@ -3,12 +3,18 @@
 // bank, delivery, catdelivery or shardmap packages.
 //
 // This is the group-commit and sharded-registry invariant from PR 1/PR 4:
-// the ordering lock (bank.Journal.mu), the registry shard locks and the
-// per-session locks serialize memory-speed state transitions only — the
-// expensive work (the JSON marshal, the WAL write, the fsync) happens
-// outside them, concurrently across writers. One fsync smuggled under a
-// session lock turns a microsecond critical section into a
-// milliseconds-long convoy and caps the whole engine at disk latency.
+// the locks every learner shares — the ordering lock (bank.Journal.mu),
+// the bank and registry shard locks — serialize memory-speed state
+// transitions only; the expensive work (the JSON marshal, the WAL write,
+// the fsync) happens outside them, concurrently across writers. One fsync
+// smuggled under a shared lock turns a microsecond critical section into
+// a milliseconds-long convoy and caps the whole engine at disk latency.
+//
+// A per-session lock is not shared: catdelivery waits for its session's
+// WAL commit inside it, and both engines publish there, because only that
+// session's learner waits. The engines open those sections in lock(id),
+// another function, which lockflow's one-function pairing cannot see, so
+// the analyzer checks only sections that lock and unlock in one body.
 package lockio
 
 import (

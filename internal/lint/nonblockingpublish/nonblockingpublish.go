@@ -1,12 +1,15 @@
 // Package nonblockingpublish defines the nonblockingpublish analyzer:
-// events.Bus.Publish must never be called inside a critical section.
+// events.Bus.Publish must never be called inside a critical section that
+// lockflow can see.
 //
 // Publish itself never blocks (that is the bus's contract), but it takes
 // the bus lock and fans out to every subscriber queue — calling it while
-// holding a session, registry or journal lock nests the bus lock inside
-// engine locks, couples emitter latency to fan-out, and invites lock-order
-// inversions with the bus's own GaugeFunc callbacks. The engines' rule
-// since PR 5 is: persist, unlock, then emit fire-and-forget.
+// holding a registry, bank, journal or bus lock nests the bus lock inside
+// locks every learner shares, couples all of them to fan-out latency, and
+// invites lock-order inversions with the bus's own GaugeFunc callbacks.
+// The per-session lock is the exception: both engines publish inside it,
+// after the session's persist, because only that learner waits. They open
+// it in lock(id), another function, so lockflow does not see it.
 package nonblockingpublish
 
 import (
@@ -21,9 +24,10 @@ var Analyzer = &analysis.Analyzer{
 	Name: "nonblockingpublish",
 	Doc: `forbid events.Bus.Publish inside any critical section
 
-Emit after durable persist, outside every lock: Publish under a session
-or registry lock nests the bus lock inside engine locks and couples the
-emitter to fan-out. Checked intraprocedurally in every package.`,
+Emit after durable persist, outside every shared lock: Publish under a
+registry, bank or journal lock nests the bus lock inside locks every
+learner shares and couples them to fan-out. Checked intraprocedurally in
+every package.`,
 	Run: run,
 }
 

@@ -2,6 +2,8 @@
 // by package-path tail, so this corpus package stands in for the real one.
 package events
 
+import "context"
+
 // Type labels an event.
 type Type string
 
@@ -15,7 +17,7 @@ type Event struct {
 type Bus struct{ subs []chan Event }
 
 // Publish never blocks; the analyzer polices its call sites, not its body.
-func (b *Bus) Publish(e Event) {
+func (b *Bus) Publish(ctx context.Context, e Event) {
 	for _, ch := range b.subs {
 		select {
 		case ch <- e:

@@ -1,6 +1,7 @@
 package livestats
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -39,14 +40,14 @@ type sittingSpec struct {
 func driveSittings(bus *events.Bus, examID string, items []string, specs []sittingSpec) uint64 {
 	for i, sp := range specs {
 		sid := fmt.Sprintf("sess-%03d", i+1)
-		bus.Publish(events.Event{Type: events.SessionStarted, ExamID: examID,
+		bus.Publish(context.Background(), events.Event{Type: events.SessionStarted, ExamID: examID,
 			SessionID: sid, StudentID: sp.student, Problems: items, Total: len(items)})
 		for _, pid := range items {
-			bus.Publish(events.Event{Type: events.ResponseSubmitted, ExamID: examID,
+			bus.Publish(context.Background(), events.Event{Type: events.ResponseSubmitted, ExamID: examID,
 				SessionID: sid, StudentID: sp.student, ProblemID: pid,
 				Correct: sp.correct[pid]})
 		}
-		bus.Publish(events.Event{Type: events.SessionFinished, ExamID: examID,
+		bus.Publish(context.Background(), events.Event{Type: events.SessionFinished, ExamID: examID,
 			SessionID: sid, StudentID: sp.student})
 	}
 	return bus.Seq(examID)
@@ -182,11 +183,11 @@ func TestMidSittingSnapshot(t *testing.T) {
 	agg := New(bus)
 	defer agg.Close()
 
-	bus.Publish(events.Event{Type: events.SessionStarted, ExamID: "ex",
+	bus.Publish(context.Background(), events.Event{Type: events.SessionStarted, ExamID: "ex",
 		SessionID: "s1", Problems: fourItems, Total: 4})
-	bus.Publish(events.Event{Type: events.ResponseSubmitted, ExamID: "ex",
+	bus.Publish(context.Background(), events.Event{Type: events.ResponseSubmitted, ExamID: "ex",
 		SessionID: "s1", ProblemID: "q1", Correct: true})
-	bus.Publish(events.Event{Type: events.ResponseSubmitted, ExamID: "ex",
+	bus.Publish(context.Background(), events.Event{Type: events.ResponseSubmitted, ExamID: "ex",
 		SessionID: "s1", ProblemID: "q2", Correct: false})
 	snap := waitSeq(t, agg, "ex", bus.Seq("ex"))
 
@@ -216,10 +217,10 @@ func TestAdaptiveEventsFoldIntoDifficultyOnly(t *testing.T) {
 	agg := New(bus)
 	defer agg.Close()
 
-	bus.Publish(events.Event{Type: events.AdaptiveStarted, ExamID: "ex", SessionID: "cat-1"})
-	bus.Publish(events.Event{Type: events.AdaptiveResponded, ExamID: "ex",
+	bus.Publish(context.Background(), events.Event{Type: events.AdaptiveStarted, ExamID: "ex", SessionID: "cat-1"})
+	bus.Publish(context.Background(), events.Event{Type: events.AdaptiveResponded, ExamID: "ex",
 		SessionID: "cat-1", ProblemID: "q1", Correct: true, Theta: 0.4, SE: 0.9})
-	bus.Publish(events.Event{Type: events.AdaptiveFinished, ExamID: "ex",
+	bus.Publish(context.Background(), events.Event{Type: events.AdaptiveFinished, ExamID: "ex",
 		SessionID: "cat-1", StopReason: "max-items"})
 	snap := waitSeq(t, agg, "ex", bus.Seq("ex"))
 
@@ -243,7 +244,7 @@ func TestGapMarkerCountsAsStaleness(t *testing.T) {
 	defer bus.Close()
 	agg := New(bus)
 	defer agg.Close()
-	bus.Publish(events.Event{Type: events.SessionStarted, ExamID: "ex",
+	bus.Publish(context.Background(), events.Event{Type: events.SessionStarted, ExamID: "ex",
 		SessionID: "s1", Problems: fourItems, Total: 4})
 	waitSeq(t, agg, "ex", 1)
 
@@ -275,9 +276,9 @@ func TestFinishWithoutStartNeverGoesNegative(t *testing.T) {
 	agg := New(bus)
 	defer agg.Close()
 
-	bus.Publish(events.Event{Type: events.AdaptiveFinished, ExamID: "ex",
+	bus.Publish(context.Background(), events.Event{Type: events.AdaptiveFinished, ExamID: "ex",
 		SessionID: "cat-restored", StopReason: "max-items"})
-	bus.Publish(events.Event{Type: events.SessionFinished, ExamID: "ex",
+	bus.Publish(context.Background(), events.Event{Type: events.SessionFinished, ExamID: "ex",
 		SessionID: "sess-restored"})
 	snap := waitSeq(t, agg, "ex", bus.Seq("ex"))
 	if snap.ActiveSessions != 0 {
@@ -299,7 +300,7 @@ func TestPurgeIdleDropsOnlyQuiescentExams(t *testing.T) {
 
 	// "done" runs to completion; "busy" keeps one sitting open.
 	seqDone := driveSittings(bus, "done", fourItems, testSittings)
-	bus.Publish(events.Event{Type: events.SessionStarted, ExamID: "busy",
+	bus.Publish(context.Background(), events.Event{Type: events.SessionStarted, ExamID: "busy",
 		SessionID: "s-open", Problems: fourItems, Total: len(fourItems)})
 	seqBusy := bus.Seq("busy")
 	waitSeq(t, a, "done", seqDone)

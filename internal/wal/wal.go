@@ -27,15 +27,10 @@ type SyncPolicy string
 
 // Sync policies.
 const (
-	// SyncAlways fsyncs every record individually before acknowledging it.
-	// No acknowledged record is lost on power failure. Slowest: one fsync
-	// per record, with no coalescing.
-	SyncAlways SyncPolicy = "always"
 	// SyncGroup (the default) writes a batch of records at once plus one
 	// fsync, and acknowledges the whole batch only after that fsync
-	// returns. Same power-failure guarantee as SyncAlways for acknowledged
-	// records — the fsync cost is amortized over the batch instead of paid
-	// per record.
+	// returns: no acknowledged record is lost on power failure, and the
+	// fsync cost is amortized over the batch instead of paid per record.
 	SyncGroup SyncPolicy = "group"
 	// SyncNone appends through the OS page cache and never fsyncs.
 	// Process-crash-safe only: a power failure can lose recently
@@ -48,10 +43,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch SyncPolicy(s) {
 	case "":
 		return SyncGroup, nil
-	case SyncAlways, SyncGroup, SyncNone:
+	case SyncGroup, SyncNone:
 		return SyncPolicy(s), nil
 	default:
-		return "", fmt.Errorf("wal: unknown sync policy %q (always, group or none)", s)
+		return "", fmt.Errorf("wal: unknown sync policy %q (group or none)", s)
 	}
 }
 
@@ -176,51 +171,38 @@ func openAppend(path string) (*os.File, error) {
 }
 
 // Commit appends a batch of encoded records, buf, where record i ends at
-// byte ends[i], and calls ack(i, written, synced) for each record, in
-// order, once it is durable under the policy: written is when its write
-// returned, synced when it became durable (equal to written under
-// SyncNone). Under SyncGroup the batch is one write plus one fsync; under
-// SyncNone one write; under SyncAlways one write and one fsync per record,
-// each record acknowledged as it becomes durable. ack may be nil.
+// byte ends[i], as one write plus, under SyncGroup, one fsync. Once the
+// batch is durable under the policy it calls ack(i, written, synced) for
+// each record, in order: written is when the write returned, synced when
+// the batch became durable (equal to written under SyncNone). ack may be
+// nil.
 //
-// The first write or fsync failure is latched: it is returned, records not
-// yet acknowledged are not, and every later Commit returns it too.
+// The first write or fsync failure is latched: it is returned, no record
+// of the batch is acknowledged, and every later Commit returns it too.
 func (f *File) Commit(buf []byte, ends []int, ack func(i int, written, synced time.Time)) error {
 	if err := f.Err(); err != nil {
 		return err
 	}
-	from, acked := 0, 0
-	for i, end := range ends {
-		if f.policy != SyncAlways && i+1 < len(ends) {
-			continue // group and none write the batch as one chunk
-		}
-		written, synced, err := f.flush(buf[from:end])
-		if err != nil {
-			return err
-		}
-		for ; ack != nil && acked <= i; acked++ {
-			ack(acked, written, synced)
-		}
-		from = end
+	if len(ends) == 0 {
+		return nil
 	}
-	return nil
-}
-
-// flush writes one chunk and, unless the policy is SyncNone, fsyncs it.
-func (f *File) flush(chunk []byte) (written, synced time.Time, err error) {
-	n, err := f.sink.Write(chunk)
+	n, err := f.sink.Write(buf[:ends[len(ends)-1]])
 	f.size += int64(n)
 	if err != nil {
-		return written, synced, f.Fail(fmt.Errorf("wal: append %s: %w", f.path, err))
+		return f.Fail(fmt.Errorf("wal: append %s: %w", f.path, err))
 	}
-	written = time.Now()
-	if f.policy == SyncNone {
-		return written, written, nil
+	written := time.Now()
+	synced := written
+	if f.policy != SyncNone {
+		if err := f.sink.Sync(); err != nil {
+			return f.Fail(fmt.Errorf("wal: sync %s: %w", f.path, err))
+		}
+		synced = time.Now()
 	}
-	if err := f.sink.Sync(); err != nil {
-		return written, synced, f.Fail(fmt.Errorf("wal: sync %s: %w", f.path, err))
+	for i := 0; ack != nil && i < len(ends); i++ {
+		ack(i, written, synced)
 	}
-	return written, time.Now(), nil
+	return nil
 }
 
 // Truncate empties the file; later appends start at offset 0.
@@ -241,7 +223,7 @@ func (f *File) Rotate() error {
 	if err := f.Err(); err != nil {
 		return err
 	}
-	// Under always and group every Commit already synced; make the retired
+	// Under group every Commit already synced; make the retired
 	// file's bytes durable under none too before the rename publishes it.
 	if f.policy == SyncNone {
 		if err := f.sink.Sync(); err != nil {

@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-var policies = []SyncPolicy{SyncAlways, SyncGroup, SyncNone}
+var policies = []SyncPolicy{SyncGroup, SyncNone}
 
 var errInjected = errors.New("injected write failure")
 
@@ -106,22 +106,16 @@ func (p *powerCut) Sync() error {
 }
 
 // TestPowerCutRecoversAckedRecords commits two clean batches of four, tears
-// a write in the third, then cuts power: everything not fsynced is lost.
-// Under always and group Scan must recover exactly the acknowledged records
-// (always acknowledges the third batch's records written before the tear);
-// under none, where nothing is fsynced and the cut may land mid-record, a
-// clean prefix.
+// the third batch's write, then cuts power: everything not fsynced is lost.
+// Under group Scan must recover exactly the acknowledged records; under
+// none, where nothing is fsynced and the cut may land mid-record, a clean
+// prefix.
 func TestPowerCutRecoversAckedRecords(t *testing.T) {
 	for _, policy := range policies {
 		t.Run(string(policy), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.log")
 			f := open(t, path, policy)
-			// The tear hits record 10: the third batch's only write under
-			// group and none, its third record's write under always.
-			pc := &powerCut{tearAt: 3}
-			if policy == SyncAlways {
-				pc.tearAt = 11
-			}
+			pc := &powerCut{tearAt: 3} // the third batch's one write
 			f.WrapSink(func(s Sink) Sink { pc.Sink = s; return pc })
 			acked := 0
 			ack := func(i int, written, synced time.Time) {
@@ -138,12 +132,8 @@ func TestPowerCutRecoversAckedRecords(t *testing.T) {
 				}
 			}
 			_ = f.Close()
-			want := 8
-			if policy == SyncAlways {
-				want = 10
-			}
-			if acked != want {
-				t.Fatalf("acked %d records, want %d", acked, want)
+			if acked != 8 {
+				t.Fatalf("acked %d records, want 8", acked)
 			}
 			cut := pc.synced
 			if policy == SyncNone {
