@@ -38,7 +38,7 @@ type EventsResult struct {
 // measureFanOut publishes n events from one emitter to subs subscribers and
 // reports aggregate delivery throughput.
 func measureFanOut(subs, n int) EventsResult {
-	bus := events.NewBus(events.Options{Ring: -1})
+	bus := events.NewBus(events.Options{})
 	defer bus.Close()
 	var wg sync.WaitGroup
 	delivered := make([]int, subs)
@@ -48,15 +48,19 @@ func measureFanOut(subs, n int) EventsResult {
 		go func(i int, sub *events.Subscription) {
 			defer wg.Done()
 			defer sub.Close()
-			for e := range sub.Events() {
-				// Drop-oldest never discards the newest push, so the "done"
-				// sentinel always arrives: each subscriber drains to the end
-				// of the stream, then exits.
-				if e.ProblemID == "done" {
-					return
-				}
-				if e.Type != events.TypeGap {
-					delivered[i]++
+			var batch []events.Event
+			for range sub.Ready() {
+				batch = sub.Take(batch[:0])
+				for _, e := range batch {
+					// Drop-oldest never discards the newest push, so the
+					// "done" sentinel always arrives: each subscriber drains
+					// to the end of the stream, then exits.
+					if e.ProblemID == "done" {
+						return
+					}
+					if e.Type != events.TypeGap {
+						delivered[i]++
+					}
 				}
 			}
 		}(i, sub)
@@ -162,7 +166,9 @@ func emitterConfigs() []struct {
 				wg.Add(1)
 				go func(sub *events.Subscription) {
 					defer wg.Done()
-					for range sub.Events() {
+					var batch []events.Event
+					for range sub.Ready() {
+						batch = sub.Take(batch[:0])
 					}
 				}(sub)
 			}

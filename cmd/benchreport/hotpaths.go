@@ -8,8 +8,9 @@ package main
 //     amortizes the fsync further.
 //  2. Allocations per operation on the three paths the zero-allocation work
 //     targeted: journal commit (encode + batch submit), bus publish with
-//     fan-out to 1/16/64 subscribers (per-delivery figure — marshal-once
-//     plus pump double-buffering must hold it under one allocation), and
+//     fan-out to 1/16/64 subscribers (per-delivery figure, replay-ring push
+//     included — marshal-once plus readers reusing their Take buffer must
+//     hold it under one allocation), and
 //     CAT next-item selection, exact 3PL information vs the precomputed
 //     grid at pool sizes 100/1k/10k.
 //
@@ -137,10 +138,10 @@ func measureJournalCommitAllocs() (HotpathResult, error) {
 // time and heap allocations per delivery, publisher-side work included —
 // the honest amortized cost of getting one event into one subscriber's
 // hands. testing.Benchmark cannot attribute allocations across the
-// publisher and pump goroutines per delivery, so this measures the malloc
-// counter around the whole run.
+// publisher and reader goroutines per delivery, so this measures the
+// malloc counter around the whole run.
 func measureFanOutAllocs(subs, n int, reg *obs.Registry) HotpathResult {
-	bus := events.NewBus(events.Options{Ring: -1, Obs: reg})
+	bus := events.NewBus(events.Options{Obs: reg})
 	defer bus.Close()
 	var wg sync.WaitGroup
 	var delivered atomic.Int64
@@ -150,12 +151,16 @@ func measureFanOutAllocs(subs, n int, reg *obs.Registry) HotpathResult {
 		go func(sub *events.Subscription) {
 			defer wg.Done()
 			defer sub.Close()
-			for e := range sub.Events() {
-				if e.ProblemID == "done" {
-					return
-				}
-				if e.Type != events.TypeGap {
-					delivered.Add(1)
+			var batch []events.Event
+			for range sub.Ready() {
+				batch = sub.Take(batch[:0])
+				for _, e := range batch {
+					if e.ProblemID == "done" {
+						return
+					}
+					if e.Type != events.TypeGap {
+						delivered.Add(1)
+					}
 				}
 			}
 		}(sub)

@@ -23,8 +23,11 @@
 // publish session/adaptive lifecycle events, a streaming aggregator keeps
 // incremental per-exam item statistics, and watchers subscribe over SSE at
 // GET /v1/events:stream and GET /v1/exams/{id}/live (with Last-Event-ID
-// resume). -event-log makes the event stream durable (same fsync policy as
-// the WAL), extending the resume window across restarts.
+// resume). A resume replays up to -event-ring of the newest events, whole,
+// then goes live; older ones are announced by a stream.gap marker. Every
+// -event-ring value keeps the ring: below 1 means the default. -event-log
+// makes the event stream durable (same fsync policy as the WAL), so the
+// resume window survives restarts.
 //
 // The bank file must already hold at least one exam (see `assessctl seed`).
 // With -journal, mutations append to a write-ahead log in DIR instead of
@@ -126,7 +129,7 @@ func run(args []string) error {
 	quiet := fs.Bool("quiet", false, "suppress per-request access logging")
 	eventsOn := fs.Bool("events", true, "live event bus + SSE streaming endpoints")
 	eventLog := fs.String("event-log", "", "durable event-log directory (empty = in-memory replay ring only; fsync policy follows -fsync)")
-	eventRing := fs.Int("event-ring", events.DefaultRing, "per-exam event replay-ring size (Last-Event-ID resume window)")
+	eventRing := fs.Int("event-ring", events.DefaultRing, "per-exam event replay-ring size: a Last-Event-ID resume replays up to this many newest events (below 1 = the default; no value disables the ring)")
 	eventLogMax := fs.Int64("event-log-max-bytes", 0, "rotate the durable event log when the active segment reaches this size (0 = unbounded; one rotated segment is retained)")
 	opsAddr := fs.String("ops", "", "serve the ops listener (pprof + Prometheus /metrics) on this separate address (e.g. 127.0.0.1:6060; empty disables)")
 	logFormat := fs.String("log-format", "text", "structured log format: text or json")

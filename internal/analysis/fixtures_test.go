@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -113,7 +114,7 @@ func TestWorkedClassGroupMembership(t *testing.T) {
 			t.Errorf("low group contains %s", id)
 		}
 	}
-	if !contains(g.High, "h00") || !contains(g.Low, "l00") {
+	if !slices.Contains(g.High, "h00") || !slices.Contains(g.Low, "l00") {
 		t.Error("expected h00 in high and l00 in low")
 	}
 }

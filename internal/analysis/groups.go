@@ -67,17 +67,6 @@ func SplitGroups(e *ExamResult, fraction float64) (Groups, error) {
 	return g, nil
 }
 
-// contains reports whether the sorted-or-not id slice holds id. Group sizes
-// are small (a fraction of a class), so a linear scan is appropriate.
-func contains(ids []string, id string) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
 // FractionPoint is one row of the group-fraction ablation: the mean
 // discrimination and per-signal counts the exam shows under one split
 // fraction.

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -93,7 +94,7 @@ func TestSplitGroupsDisjoint(t *testing.T) {
 		t.Errorf("group size = %d, want 4", g.Size())
 	}
 	for _, h := range g.High {
-		if contains(g.Low, h) {
+		if slices.Contains(g.Low, h) {
 			t.Errorf("student %s in both groups", h)
 		}
 	}

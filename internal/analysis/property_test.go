@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -127,7 +128,7 @@ func TestSplitGroupsProperty(t *testing.T) {
 			return false
 		}
 		for _, id := range g.High {
-			if contains(g.Low, id) {
+			if slices.Contains(g.Low, id) {
 				return false
 			}
 		}

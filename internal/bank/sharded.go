@@ -56,9 +56,6 @@ func NewSharded(n int) *Sharded {
 	return s
 }
 
-// NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
 func (s *Sharded) shard(id string) *bankShard {
 	return &s.shards[shardmap.Index(id, len(s.shards))]
 }

@@ -75,17 +75,19 @@ type SimulationConfig struct {
 	Class simulate.PopulationConfig
 	// Seed drives the sitting (independent of the population seed).
 	Seed int64
-	// DefaultParams is used for problems without recorded difficulty;
-	// zero-value means a=1.5, b=0.
-	DefaultParams simulate.IRTParams
 	// SkipRate is the probability an unsure student skips.
 	SkipRate float64
 }
 
+// simulatedDiscrimination is the IRT discrimination a of every simulated
+// problem. None guesses (c = 0), and one without a recorded Item Difficulty
+// Index has difficulty b = 0.
+const simulatedDiscrimination = 1.5
+
 // RunSimulated administers a stored exam to a simulated class and returns
 // the response matrix. Problems with a recorded Item Difficulty Index get
-// IRT parameters calibrated to that index; unmeasured problems use the
-// default parameters.
+// IRT parameters calibrated to that index; unmeasured problems have
+// difficulty 0.
 func (p *Pipeline) RunSimulated(examID string, cfg SimulationConfig) (*analysis.ExamResult, error) {
 	rec, err := p.store.Exam(examID)
 	if err != nil {
@@ -95,15 +97,11 @@ func (p *Pipeline) RunSimulated(examID string, cfg SimulationConfig) (*analysis.
 	if err != nil {
 		return nil, err
 	}
-	defaults := cfg.DefaultParams
-	if defaults.A == 0 {
-		defaults = simulate.IRTParams{A: 1.5, B: 0}
-	}
 	specs := make([]simulate.ItemSpec, 0, len(problems))
 	for _, prob := range problems {
-		params := defaults
+		params := simulate.IRTParams{A: simulatedDiscrimination}
 		if prob.Difficulty > 0 && prob.Difficulty < 1 {
-			calibrated, err := simulate.ParamsForTargetP(prob.Difficulty, defaults.A, defaults.C)
+			calibrated, err := simulate.ParamsForTargetP(prob.Difficulty, simulatedDiscrimination, 0)
 			if err == nil {
 				params = calibrated
 			}

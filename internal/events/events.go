@@ -14,15 +14,22 @@
 //   - Every event carries a per-exam monotonic sequence number (Seq) and a
 //     bus-wide one (GlobalSeq). Per-exam sequences are the resume tokens of
 //     the SSE endpoints' Last-Event-ID protocol.
-//   - Subscriber queues are bounded. A consumer that falls behind loses the
-//     OLDEST queued events (the emitter is never throttled); the loss is
-//     made explicit by a TypeGap marker event carrying the dropped count,
-//     delivered in-stream before the first event after the gap.
+//   - A subscription is a queue its reader drains: the reader waits on
+//     Ready, then Take returns everything pending. No goroutine runs per
+//     subscription.
+//   - Live events queue under a bound. A consumer that falls behind loses
+//     the OLDEST queued live events (the emitter is never throttled); the
+//     loss is made explicit by a TypeGap marker event carrying the dropped
+//     count, delivered in-stream before the first event after the gap.
+//   - A resume (SubscribeOptions.Replay) replays the newest ring's worth of
+//     events (Options.Ring, DefaultRing by default) and delivers that
+//     backlog whole: the live bound never trims it. Older events are
+//     announced by a leading TypeGap marker.
 //   - With Options.Log set, every published event is also appended to a
 //     durable log (an internal/wal file, like the bank journal's WAL),
-//     so Subscribe can replay events from an offset that predates the
-//     in-memory replay ring — including across process restarts, since the
-//     log restores the sequence counters on open.
+//     which makes the resume window survive process restarts: the log
+//     restores the sequence counters on open, and a resume after a restart
+//     replays its newest ring's worth of events from disk.
 package events
 
 import (
@@ -128,20 +135,18 @@ func (e *Event) AppendJSON(dst []byte) ([]byte, error) {
 }
 
 // DefaultRing is the per-exam (and global) replay-ring capacity when
-// Options.Ring is 0: reconnecting subscribers can resume this many events
-// back without the durable log.
+// Options.Ring is below 1: a resume replays up to this many of the newest
+// events.
 const DefaultRing = 1024
 
-// DefaultBuffer is a subscription's pending-queue capacity when
+// DefaultBuffer is a subscription's live-queue capacity when
 // SubscribeOptions.Buffer is 0.
 const DefaultBuffer = 256
 
 // Options configures a Bus.
 type Options struct {
-	// Ring bounds the in-memory replay rings (per exam, plus one global);
-	// 0 means DefaultRing, negative disables the rings (with a Log
-	// attached, Subscribe replay is then served from the durable log
-	// alone, announcing a gap for anything not yet flushed).
+	// Ring bounds the in-memory replay rings (per exam, plus one global)
+	// and so the window a resume replays; below 1 means DefaultRing.
 	Ring int
 	// Log, when non-nil, makes every published event durable; the bus takes
 	// ownership and closes it on Close. The log's restored sequence
@@ -185,7 +190,7 @@ func NewBus(o Options) *Bus {
 		o.Now = time.Now
 	}
 	ringCap := o.Ring
-	if ringCap == 0 {
+	if ringCap < 1 {
 		ringCap = DefaultRing
 	}
 	b := &Bus{
@@ -193,11 +198,9 @@ func NewBus(o Options) *Bus {
 		log:     o.Log,
 		seqs:    make(map[string]uint64),
 		rings:   make(map[string]*ring),
+		allRing: newRing(ringCap),
 		ringCap: ringCap,
 		subs:    make(map[*Subscription]struct{}),
-	}
-	if ringCap > 0 {
-		b.allRing = newRing(ringCap)
 	}
 	if o.Log != nil {
 		// Continue numbering where the durable log left off.
@@ -219,9 +222,6 @@ func NewBus(o Options) *Bus {
 			func() float64 {
 				b.mu.Lock()
 				defer b.mu.Unlock()
-				if b.allRing == nil {
-					return 0
-				}
 				return float64(b.allRing.count)
 			})
 		if b.log != nil {
@@ -263,15 +263,13 @@ func (b *Bus) Publish(ctx context.Context, e Event) {
 	// entries, every subscriber's queued copy and the log's queued copy all
 	// alias it, so the whole fan-out costs one json.Marshal.
 	e.enc = &encodedEvent{}
-	if b.ringCap > 0 {
-		r := b.rings[e.ExamID]
-		if r == nil {
-			r = newRing(b.ringCap)
-			b.rings[e.ExamID] = r
-		}
-		r.push(e)
-		b.allRing.push(e)
+	r := b.rings[e.ExamID]
+	if r == nil {
+		r = newRing(b.ringCap)
+		b.rings[e.ExamID] = r
 	}
+	r.push(e)
+	b.allRing.push(e)
 	if b.log != nil {
 		b.log.enqueue(e)
 	}
@@ -321,15 +319,17 @@ type SubscribeOptions struct {
 	// ExamID restricts the stream to one exam; empty subscribes to every
 	// event (the firehose).
 	ExamID string
-	// Buffer bounds the pending queue (0 means DefaultBuffer). When full,
-	// the oldest pending event is dropped and a TypeGap marker is injected.
+	// Buffer bounds the live queue (0 means DefaultBuffer). When full, the
+	// oldest queued live event is dropped and a TypeGap marker is injected.
+	// The replay backlog does not count against it.
 	Buffer int
 	// Replay requests delivery of already-published events before live
 	// ones: exam subscriptions replay events with Seq > AfterSeq, firehose
-	// subscriptions events with GlobalSeq > AfterSeq. Events older than
-	// both the replay ring and the durable log are gone; the subscription
-	// starts with a TypeGap marker when the requested offset is no longer
-	// reachable.
+	// subscriptions events with GlobalSeq > AfterSeq. The replay is
+	// bounded: the replay ring's events, preceded by older ones from the
+	// durable log's newest ring's worth (events the ring never held after
+	// a restart, or lost while the log writer lagged). A TypeGap marker
+	// announces every requested event out of reach.
 	Replay   bool
 	AfterSeq uint64
 }
@@ -347,9 +347,7 @@ func (b *Bus) Subscribe(o SubscribeOptions) *Subscription {
 		bus:    b,
 		examID: o.ExamID,
 		max:    o.Buffer,
-		out:    make(chan Event),
-		notify: make(chan struct{}, 1),
-		done:   make(chan struct{}),
+		ready:  make(chan struct{}, 1),
 	}
 
 	// Log replay happens before registration and without the bus lock (it
@@ -357,7 +355,7 @@ func (b *Bus) Subscribe(o SubscribeOptions) *Subscription {
 	// ring, and the ring merge below dedupes the overlap by sequence.
 	var logEvents []Event
 	if o.Replay && b.log != nil {
-		logEvents = b.log.ReadSince(o.ExamID, o.AfterSeq)
+		logEvents = b.log.ReadSince(o.ExamID, o.AfterSeq, b.ringCap)
 	}
 
 	b.mu.Lock()
@@ -370,14 +368,12 @@ func (b *Bus) Subscribe(o SubscribeOptions) *Subscription {
 	}
 	b.subs[sub] = struct{}{}
 	b.mu.Unlock()
-
-	go sub.pump()
 	return sub
 }
 
-// seedLocked queues the replayable backlog (durable log + replay ring) onto
-// a new subscription, prefixed with a gap marker when the requested offset
-// has aged out of both. Callers hold b.mu.
+// seedLocked sets a new subscription's replay backlog (durable log +
+// replay ring), prefixed with a gap marker when the requested offset has
+// aged out of both. Callers hold b.mu.
 func (sub *Subscription) seedLocked(b *Bus, o SubscribeOptions, logEvents []Event) {
 	seqOf := func(e Event) uint64 {
 		if o.ExamID == "" {
@@ -386,16 +382,14 @@ func (sub *Subscription) seedLocked(b *Bus, o SubscribeOptions, logEvents []Even
 		return e.Seq
 	}
 	var ringEvents []Event
-	if b.ringCap > 0 {
-		r := b.allRing
-		if o.ExamID != "" {
-			r = b.rings[o.ExamID]
-		}
-		if r != nil {
-			for _, e := range r.all() {
-				if seqOf(e) > o.AfterSeq {
-					ringEvents = append(ringEvents, e)
-				}
+	r := b.allRing
+	if o.ExamID != "" {
+		r = b.rings[o.ExamID]
+	}
+	if r != nil {
+		for _, e := range r.all() {
+			if seqOf(e) > o.AfterSeq {
+				ringEvents = append(ringEvents, e)
 			}
 		}
 	}
@@ -418,19 +412,20 @@ func (sub *Subscription) seedLocked(b *Bus, o SubscribeOptions, logEvents []Even
 	// recoverable event, at any seam inside the merged backlog (the
 	// durable log's flushed tail can trail the ring's oldest entry when
 	// the writer is behind), and between the backlog's end and the bus
-	// head (ring disabled or empty with log appends still queued). Live
-	// events published after this registration follow contiguously.
+	// head (this exam's ring is empty after a restart and its logged
+	// events were rotated away). Live events published after this
+	// registration follow contiguously.
 	prev := o.AfterSeq
 	for _, e := range backlog {
 		seq := seqOf(e)
 		if seq > prev+1 {
 			b.mGaps.Inc()
-			sub.queue = append(sub.queue, Event{
+			sub.backlog = append(sub.backlog, Event{
 				Type: TypeGap, ExamID: o.ExamID, Dropped: int(seq - prev - 1),
 			})
 		}
 		prev = seq
-		sub.queue = append(sub.queue, e)
+		sub.backlog = append(sub.backlog, e)
 	}
 	head := b.seqs[o.ExamID]
 	if o.ExamID == "" {
@@ -438,11 +433,11 @@ func (sub *Subscription) seedLocked(b *Bus, o SubscribeOptions, logEvents []Even
 	}
 	if head > prev {
 		b.mGaps.Inc()
-		sub.queue = append(sub.queue, Event{
+		sub.backlog = append(sub.backlog, Event{
 			Type: TypeGap, ExamID: o.ExamID, Dropped: int(head - prev),
 		})
 	}
-	if len(sub.queue) > 0 {
+	if len(sub.backlog) > 0 {
 		sub.wake()
 	}
 }
@@ -470,7 +465,8 @@ func (b *Bus) DetachSubscribers() {
 }
 
 // Close shuts the bus down: the durable log is flushed and closed, every
-// subscription's channel is closed. Publish afterwards is a no-op.
+// subscription ends (its Ready channel is closed). Publish afterwards is a
+// no-op.
 func (b *Bus) Close() {
 	if b == nil {
 		return
@@ -501,30 +497,53 @@ func (b *Bus) unsubscribe(sub *Subscription) {
 	b.mu.Unlock()
 }
 
-// Subscription is one consumer's bounded view of the stream. Read from
-// Events(); Close when done.
+// Subscription is one consumer's bounded view of the stream: the replay
+// backlog Subscribe seeded, then a bounded queue of live events. Its
+// reader drains it — wait on Ready, then Take — and Closes it when done.
 type Subscription struct {
 	bus    *Bus
 	examID string
-	out    chan Event
+	max    int // live-queue bound
 
 	mu      sync.Mutex
-	queue   []Event
-	dropped int // dropped since the pump last drained
-	max     int
-	free    []Event // drained backing array, recycled by the pump's next swap
+	backlog []Event // the replay; the live bound never trims it
+	queue   []Event // live events, at most max
+	dropped int     // live events dropped since the last Take
 
-	notify   chan struct{} // cap 1: queue became non-empty
-	done     chan struct{}
+	// ready holds one signal while events wait. push and the seed send
+	// on it only under the bus lock and only while the subscription is in
+	// the bus's set; every stop removes it from the set first, so closing
+	// it can never race a send.
+	ready    chan struct{}
 	stopOnce sync.Once
 }
 
-// Events is the delivery channel. It is closed when the subscription (or
-// the bus) is closed. Gap markers (TypeGap) appear in-stream where events
-// were dropped.
-func (s *Subscription) Events() <-chan Event { return s.out }
+// Ready receives a signal when events wait to be taken. It is closed when
+// the subscription ends (Close, Bus.DetachSubscribers or Bus.Close).
+func (s *Subscription) Ready() <-chan struct{} { return s.ready }
 
-// Close tears the subscription down and closes its channel. Idempotent.
+// Take appends the pending events to dst, oldest first, and returns the
+// result: the replay backlog, then a TypeGap marker counting the live
+// events dropped since the last Take, then the queued live events. Reusing
+// dst across calls keeps steady-state delivery allocation-free.
+//
+//assess:hotpath
+func (s *Subscription) Take(dst []Event) []Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	dst = append(dst, s.backlog...)
+	s.backlog = nil
+	if s.dropped > 0 {
+		s.bus.mGaps.Inc()
+		dst = append(dst, Event{Type: TypeGap, ExamID: s.examID, Dropped: s.dropped})
+		s.dropped = 0
+	}
+	dst = append(dst, s.queue...)
+	s.queue = s.queue[:0]
+	return dst
+}
+
+// Close ends the subscription and closes Ready. Idempotent.
 func (s *Subscription) Close() {
 	if s == nil {
 		return
@@ -533,12 +552,13 @@ func (s *Subscription) Close() {
 	s.stop()
 }
 
+// stop closes Ready. Callers have already removed s from the bus's set.
 func (s *Subscription) stop() {
-	s.stopOnce.Do(func() { close(s.done) })
+	s.stopOnce.Do(func() { close(s.ready) })
 }
 
-// push enqueues one event, dropping the oldest pending event when the
-// bounded queue is full. Never blocks; called with bus.mu held.
+// push enqueues one live event, dropping the oldest queued live event when
+// the bounded queue is full. Never blocks; called with bus.mu held.
 //
 //assess:hotpath
 func (s *Subscription) push(e Event) {
@@ -561,51 +581,8 @@ func (s *Subscription) push(e Event) {
 //assess:hotpath
 func (s *Subscription) wake() {
 	select {
-	case s.notify <- struct{}{}:
+	case s.ready <- struct{}{}:
 	default:
-	}
-}
-
-// pump moves events from the bounded queue to the delivery channel. The
-// send may block on a slow consumer — that is fine, the queue keeps
-// absorbing (and dropping) behind it; the emitter never waits.
-func (s *Subscription) pump() {
-	defer close(s.out)
-	for {
-		select {
-		case <-s.notify:
-		case <-s.done:
-			return
-		}
-		for {
-			s.mu.Lock()
-			batch, dropped := s.queue, s.dropped
-			// Double-buffer: the previous batch's backing array (fully
-			// delivered by the time this swap runs) becomes the new queue,
-			// so steady-state delivery recycles two arrays, allocating none.
-			s.queue, s.dropped = s.free[:0], 0
-			s.mu.Unlock()
-			s.free = batch
-			if dropped > 0 {
-				s.bus.mGaps.Inc()
-				gap := Event{Type: TypeGap, ExamID: s.examID, Dropped: dropped}
-				select {
-				case s.out <- gap:
-				case <-s.done:
-					return
-				}
-			}
-			if len(batch) == 0 {
-				break
-			}
-			for _, e := range batch {
-				select {
-				case s.out <- e:
-				case <-s.done:
-					return
-				}
-			}
-		}
 	}
 }
 

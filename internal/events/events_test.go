@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -44,27 +45,53 @@ func writeFile(t *testing.T, path string, data []byte) {
 	}
 }
 
-// collect drains a subscription until n non-gap events arrived or the
-// timeout hits, returning events and gap markers separately.
+// split separates a taken batch into events and gap markers.
+func split(batch []Event) (evs, gaps []Event) {
+	for _, e := range batch {
+		if e.Type == TypeGap {
+			gaps = append(gaps, e)
+		} else {
+			evs = append(evs, e)
+		}
+	}
+	return evs, gaps
+}
+
+// collect drains a subscription through Ready and Take until n non-gap
+// events arrived, Ready closed or the timeout hit, returning events and gap
+// markers separately.
 func collect(t *testing.T, sub *Subscription, n int, timeout time.Duration) (evs []Event, gaps []Event) {
 	t.Helper()
 	deadline := time.After(timeout)
 	for len(evs) < n {
 		select {
-		case e, ok := <-sub.Events():
+		case _, ok := <-sub.Ready():
 			if !ok {
 				return evs, gaps
 			}
-			if e.Type == TypeGap {
-				gaps = append(gaps, e)
-			} else {
-				evs = append(evs, e)
-			}
+			e, g := split(sub.Take(nil))
+			evs, gaps = append(evs, e...), append(gaps, g...)
 		case <-deadline:
 			t.Fatalf("timed out with %d/%d events", len(evs), n)
 		}
 	}
 	return evs, gaps
+}
+
+// readyClosed reports whether sub's Ready channel is closed, discarding a
+// pending signal first.
+func readyClosed(sub *Subscription) bool {
+	for i := 0; i < 2; i++ {
+		select {
+		case _, ok := <-sub.Ready():
+			if !ok {
+				return true
+			}
+		default:
+			return false
+		}
+	}
+	return false
 }
 
 func TestPerExamSequencesAreMonotonic(t *testing.T) {
@@ -144,46 +171,16 @@ func TestSlowConsumerDropsOldestWithGapMarker(t *testing.T) {
 		t.Fatal("Publish blocked on a slow consumer")
 	}
 
-	evs, gaps := collect(t, sub, 1, 2*time.Second)
-	// Drain the rest.
-	for {
-		var e Event
-		var ok bool
-		select {
-		case e, ok = <-sub.Events():
-		case <-time.After(200 * time.Millisecond):
-			ok = false
-		}
-		if !ok {
-			break
-		}
-		if e.Type == TypeGap {
-			gaps = append(gaps, e)
-		} else {
-			evs = append(evs, e)
-		}
-		if len(evs) > 0 && evs[len(evs)-1].Seq == published {
-			break
-		}
+	// Everything published is already queued: one Take returns the gap
+	// marker, then the newest buffer's worth in order.
+	batch := sub.Take(nil)
+	if len(batch) != buffer+1 || batch[0].Type != TypeGap || batch[0].Dropped != published-buffer {
+		t.Fatalf("want a gap of %d then %d events, got %+v", published-buffer, buffer, batch)
 	}
-	if len(gaps) == 0 {
-		t.Fatal("no gap marker for dropped events")
-	}
-	dropped := 0
-	for _, g := range gaps {
-		dropped += g.Dropped
-	}
-	if len(evs)+dropped != published {
-		t.Fatalf("delivered %d + dropped %d != published %d", len(evs), dropped, published)
-	}
-	// Order preserved, newest survives.
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq <= evs[i-1].Seq {
-			t.Fatalf("out of order: seq %d after %d", evs[i].Seq, evs[i-1].Seq)
+	for i, e := range batch[1:] {
+		if want := uint64(published - buffer + 1 + i); e.Seq != want {
+			t.Fatalf("event %d seq = %d, want %d", i, e.Seq, want)
 		}
-	}
-	if evs[len(evs)-1].Seq != published {
-		t.Fatalf("newest event lost: last delivered seq %d", evs[len(evs)-1].Seq)
 	}
 }
 
@@ -229,6 +226,77 @@ func TestReplayBeyondRingAnnouncesGap(t *testing.T) {
 	}
 }
 
+// TestResumeDeliversWholeReplayDespiteLivePublish: a publish landing right
+// after a resume must not trim the replay to the live bound. The backlog
+// is delivered whole, then the live event, with no gap.
+func TestResumeDeliversWholeReplayDespiteLivePublish(t *testing.T) {
+	bus := NewBus(Options{})
+	defer bus.Close()
+	const replayed = 1000 // within DefaultRing, well over DefaultBuffer
+	for i := 0; i < replayed; i++ {
+		bus.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"})
+	}
+	sub := bus.Subscribe(SubscribeOptions{ExamID: "x", Replay: true})
+	defer sub.Close()
+	bus.Publish(context.Background(), Event{Type: SessionFinished, ExamID: "x"})
+
+	evs, gaps := split(sub.Take(nil))
+	if len(gaps) != 0 || len(evs) != replayed+1 {
+		t.Fatalf("resume delivered %d events and %d gaps (%+v), want %d and none",
+			len(evs), len(gaps), gaps, replayed+1)
+	}
+	for i, e := range evs {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("event %d seq = %d, want %d", i, e.Seq, i+1)
+		}
+	}
+}
+
+// TestSubscribeStartsNoGoroutine: a subscription is a queue, not a
+// goroutine.
+func TestSubscribeStartsNoGoroutine(t *testing.T) {
+	bus := NewBus(Options{})
+	defer bus.Close()
+	before := runtime.NumGoroutine()
+	subs := make([]*Subscription, 100)
+	for i := range subs {
+		subs[i] = bus.Subscribe(SubscribeOptions{Replay: true})
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("100 subscriptions raised the goroutine count from %d to %d", before, after)
+	}
+	for _, sub := range subs {
+		sub.Close()
+	}
+}
+
+// TestEndingASubscriptionClosesReady: every way a subscription ends closes
+// its Ready channel, with a signal still pending or not.
+func TestEndingASubscriptionClosesReady(t *testing.T) {
+	for name, end := range map[string]func(*Bus, *Subscription){
+		"Close":             func(_ *Bus, sub *Subscription) { sub.Close() },
+		"DetachSubscribers": func(bus *Bus, _ *Subscription) { bus.DetachSubscribers() },
+		"Bus.Close":         func(bus *Bus, _ *Subscription) { bus.Close() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			bus := NewBus(Options{})
+			defer bus.Close()
+			idle := bus.Subscribe(SubscribeOptions{ExamID: "idle"})
+			sub := bus.Subscribe(SubscribeOptions{ExamID: "x"})
+			defer sub.Close()
+			bus.Publish(context.Background(), Event{Type: SessionStarted, ExamID: "x"})
+			end(bus, sub)
+			if !readyClosed(sub) {
+				t.Error("Ready still open with a signal pending")
+			}
+			if name != "Close" && !readyClosed(idle) {
+				t.Error("Ready still open on an idle subscription")
+			}
+			idle.Close()
+		})
+	}
+}
+
 // TestConcurrentEmittersAndSubscribers is the -race exercise: many emitters
 // and subscribers (some resuming mid-stream, some closing early) must not
 // race, and every subscriber must observe strictly increasing per-exam
@@ -249,25 +317,29 @@ func TestConcurrentEmittersAndSubscribers(t *testing.T) {
 			last := uint64(0)
 			missing := 0
 			n := 0
-			for e := range sub.Events() {
-				if e.Type == TypeGap {
-					missing += e.Dropped
-					continue
-				}
-				if e.Seq <= last {
-					t.Errorf("seq went backwards: %d after %d", e.Seq, last)
-					return
-				}
-				if int(e.Seq-last-1) != 0 && missing < int(e.Seq-last-1) {
-					// Gaps must be announced before the jump.
-					t.Errorf("silent gap: jumped %d -> %d with %d announced", last, e.Seq, missing)
-					return
-				}
-				missing -= int(e.Seq - last - 1)
-				last = e.Seq
-				n++
-				if early && n > perEmitter {
-					return // close mid-stream while emitters are running
+			var batch []Event
+			for range sub.Ready() {
+				batch = sub.Take(batch[:0])
+				for _, e := range batch {
+					if e.Type == TypeGap {
+						missing += e.Dropped
+						continue
+					}
+					if e.Seq <= last {
+						t.Errorf("seq went backwards: %d after %d", e.Seq, last)
+						return
+					}
+					if int(e.Seq-last-1) != 0 && missing < int(e.Seq-last-1) {
+						// Gaps must be announced before the jump.
+						t.Errorf("silent gap: jumped %d -> %d with %d announced", last, e.Seq, missing)
+						return
+					}
+					missing -= int(e.Seq - last - 1)
+					last = e.Seq
+					n++
+					if early && n > perEmitter {
+						return // close mid-stream while emitters are running
+					}
 				}
 			}
 		}(sub, s%2 == 0)
@@ -352,6 +424,42 @@ func TestDurableLogReplayAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestLogReplayKeepsNewestRing: a resume from 0 over a long durable log
+// holds the newest ring's worth of events, however small the live buffer,
+// and announces the rest with one leading gap.
+func TestLogReplayKeepsNewestRing(t *testing.T) {
+	dir := t.TempDir()
+	log1, err := OpenLog(dir, LogOptions{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus1 := NewBus(Options{Log: log1})
+	const logged = 5000
+	for i := 0; i < logged; i++ {
+		bus1.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"})
+	}
+	bus1.Close()
+
+	log2, err := OpenLog(dir, LogOptions{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus2 := NewBus(Options{Log: log2})
+	defer bus2.Close()
+	sub := bus2.Subscribe(SubscribeOptions{ExamID: "x", Buffer: 4, Replay: true})
+	defer sub.Close()
+	evs, gaps := split(sub.Take(nil))
+	if len(evs) > DefaultRing || len(gaps) != 1 || len(evs)+gaps[0].Dropped != logged {
+		t.Fatalf("replayed %d events and gaps %+v, want at most %d events plus one gap totalling %d",
+			len(evs), gaps, DefaultRing, logged)
+	}
+	for i, e := range evs {
+		if want := uint64(logged - len(evs) + 1 + i); e.Seq != want {
+			t.Fatalf("event %d seq = %d, want %d", i, e.Seq, want)
+		}
+	}
+}
+
 // TestLogTornTailRecovery: a torn final line (simulated crash mid-append)
 // is truncated on reopen and the intact prefix replays.
 func TestLogTornTailRecovery(t *testing.T) {
@@ -375,7 +483,7 @@ func TestLogTornTailRecovery(t *testing.T) {
 		t.Fatalf("reopen after torn tail: %v", err)
 	}
 	defer log2.Close()
-	got := log2.ReadSince("x", 0)
+	got := log2.ReadSince("x", 0, DefaultRing)
 	if len(got) != 1 || got[0].Seq != 1 {
 		t.Fatalf("after torn tail want exactly event 1, got %+v", got)
 	}
@@ -464,14 +572,14 @@ func TestLogRotationRetainsRecentAndAnnouncesGap(t *testing.T) {
 	}
 	// Resume within retention: only event 3 is on disk, nothing is missing
 	// after offset 2.
-	if got := l2.ReadSince("x", 2); len(got) != 1 || got[0].Seq != 3 {
+	if got := l2.ReadSince("x", 2, DefaultRing); len(got) != 1 || got[0].Seq != 3 {
 		t.Fatalf("ReadSince(2) = %+v, want just event 3", got)
 	}
 
-	// Resume from before the retained tail (ring disabled, so the log is
-	// the only replay source): the rotated-away events 1..2 must surface as
-	// a gap marker ahead of event 3.
-	bus := NewBus(Options{Ring: -1, Log: l2})
+	// Resume from before the retained tail (the new bus's ring is empty, so
+	// the log is the only replay source): the rotated-away events 1..2 must
+	// surface as a gap marker ahead of event 3.
+	bus := NewBus(Options{Log: l2})
 	defer bus.Close()
 	sub := bus.Subscribe(SubscribeOptions{ExamID: "x", Replay: true, AfterSeq: 0})
 	defer sub.Close()
@@ -546,8 +654,8 @@ func TestDetachSubscribersKeepsPublishing(t *testing.T) {
 	collect(t, sub, 1, 2*time.Second)
 
 	bus.DetachSubscribers()
-	if _, ok := <-sub.Events(); ok {
-		t.Fatal("subscription channel still open after detach")
+	if !readyClosed(sub) {
+		t.Fatal("subscription still open after detach")
 	}
 	// Publishes after detach still advance state and land in the ring.
 	bus.Publish(context.Background(), Event{Type: SessionFinished, ExamID: "x"})
@@ -559,47 +667,6 @@ func TestDetachSubscribersKeepsPublishing(t *testing.T) {
 	evs, gaps := collect(t, sub2, 1, 2*time.Second)
 	if len(gaps) != 0 || evs[0].Seq != 2 {
 		t.Fatalf("post-detach event not replayable: evs=%+v gaps=%+v", evs, gaps)
-	}
-}
-
-// TestReplayRingDisabledAnnouncesUnflushedTail: with the ring disabled and
-// the durable log's writer behind, replay serves the flushed prefix and
-// announces everything still in flight as a gap instead of losing it
-// silently.
-func TestReplayRingDisabledAnnouncesUnflushedTail(t *testing.T) {
-	dir := t.TempDir()
-	log1, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus1 := NewBus(Options{Log: log1})
-	bus1.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 1
-	bus1.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 2
-	bus1.Close()
-
-	log2, err := OpenLog(dir, LogOptions{Sync: wal.SyncGroup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus2 := NewBus(Options{Ring: -1, Log: log2})
-	defer bus2.Close()
-	failWrites(log2)
-	bus2.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"}) // seq 3, never flushed
-
-	sub := bus2.Subscribe(SubscribeOptions{ExamID: "x", Replay: true, AfterSeq: 0})
-	defer sub.Close()
-	evs, gaps := collect(t, sub, 2, 2*time.Second)
-	if evs[0].Seq != 1 || evs[1].Seq != 2 {
-		t.Fatalf("flushed prefix seqs = %d,%d", evs[0].Seq, evs[1].Seq)
-	}
-	// The unflushed tail (seq 3) is announced as a trailing gap marker.
-	select {
-	case e, ok := <-sub.Events():
-		if !ok || e.Type != TypeGap || e.Dropped != 1 {
-			t.Fatalf("want trailing gap with Dropped=1, got %+v (gaps so far %+v)", e, gaps)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatalf("no gap marker for the unflushed tail (gaps so far %+v)", gaps)
 	}
 }
 

@@ -20,9 +20,9 @@ import (
 // mutation. Records are JSON lines, encoded once per event and shared with
 // the SSE fan-out.
 //
-// The log exists for replay: a subscriber reconnecting with a Last-Event-ID
-// older than the in-memory replay ring reads the missed events back from
-// here, including across process restarts (Open restores the sequence
+// The log exists for replay across process restarts: a resume replays the
+// newest ring's worth of events, and events the restarted bus's in-memory
+// ring never saw are read back from here (Open restores the sequence
 // counters so the bus keeps numbering where it left off).
 //
 // With LogOptions.MaxBytes set the log is bounded: when the active segment
@@ -180,17 +180,20 @@ func (l *Log) writeBatch(batch []Event) {
 	}
 }
 
-// ReadSince returns logged events newer than afterSeq, oldest first —
-// filtered to one exam's Seq when examID is set, by GlobalSeq otherwise.
+// ReadSince returns the newest limit logged events after afterSeq, oldest
+// first — filtered to one exam's Seq when examID is set, by GlobalSeq
+// otherwise. The scan reads every retained record but keeps at most limit
+// (which must be positive), so a resume from far back holds a bounded
+// replay; the bus announces the older events as a gap.
 // It reads private handles (predecessor segment, then the active one), so it
 // is safe concurrently with appends; a torn or corrupt record ends the read
 // of its segment.
 // Events still queued for the writer are not visible here — the bus's replay
-// ring covers them, and when the ring is disabled or too small, Subscribe
-// announces the shortfall as a gap. Likewise events rotated out of retention
-// are gone; a resume from before the retained tail starts with a gap marker.
-func (l *Log) ReadSince(examID string, afterSeq uint64) []Event {
-	var out []Event
+// ring covers them, and when the ring is too small, Subscribe announces the
+// shortfall as a gap. Likewise events rotated out of retention are gone; a
+// resume from before the retained tail starts with a gap marker.
+func (l *Log) ReadSince(examID string, afterSeq uint64, limit int) []Event {
+	kept := newRing(limit)
 	for _, path := range []string{l.prevPath(), l.path} {
 		_, _ = wal.Scan(path, func(line []byte) error {
 			var e Event
@@ -199,15 +202,15 @@ func (l *Log) ReadSince(examID string, afterSeq uint64) []Event {
 			}
 			if examID != "" {
 				if e.ExamID == examID && e.Seq > afterSeq {
-					out = append(out, e)
+					kept.push(e)
 				}
 			} else if e.GlobalSeq > afterSeq {
-				out = append(out, e)
+				kept.push(e)
 			}
 			return nil
 		})
 	}
-	return out
+	return kept.all()
 }
 
 // Close flushes queued events and releases the file. It returns the first

@@ -66,8 +66,6 @@ type Options struct {
 	// LiveStats, when set with Events, interleaves incremental item
 	// statistics ("stats" frames) into /v1/exams/{id}/live streams.
 	LiveStats *livestats.Aggregator
-	// StreamHeartbeat is the SSE keep-alive comment interval; 0 means 15s.
-	StreamHeartbeat time.Duration
 	// Tracer, when set, opens a root span per request (W3C traceparent
 	// ingestion/emission), threads it through the engine calls, tail-samples
 	// completed traces and logs the slow ones (see internal/trace). Nil
@@ -83,7 +81,6 @@ type Server struct {
 	store     bank.Storage
 	bus       *events.Bus
 	live      *livestats.Aggregator
-	heartbeat time.Duration
 	metrics   *Metrics
 	routes    []route
 	unmatched *routeStats
@@ -104,7 +101,7 @@ var _ http.Handler = (*Server)(nil)
 func NewServer(engine *delivery.Engine, store bank.Storage, o Options) *Server {
 	s := newEdge(o)
 	s.engine, s.store = engine, store
-	s.cat, s.bus, s.live, s.heartbeat = o.Adaptive, o.Events, o.LiveStats, o.StreamHeartbeat
+	s.cat, s.bus, s.live = o.Adaptive, o.Events, o.LiveStats
 	s.compile(s.table())
 	return s
 }

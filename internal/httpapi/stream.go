@@ -29,9 +29,8 @@ import (
 	"mineassess/internal/trace"
 )
 
-// defaultHeartbeat is the keep-alive comment interval when
-// Options.StreamHeartbeat is unset: frequent enough to hold idle
-// connections open through common proxy timeouts.
+// defaultHeartbeat is the keep-alive comment interval: frequent enough to
+// hold idle connections open through common proxy timeouts.
 const defaultHeartbeat = 15 * time.Second
 
 // statsRefresh bounds how stale a /live stream's stats frame can be while
@@ -115,8 +114,8 @@ type idFn func(e events.Event) uint64
 func globalID(e events.Event) uint64  { return e.GlobalSeq }
 func examSeqID(e events.Event) uint64 { return e.Seq }
 
-// streamSSE pumps a subscription to the client until it disconnects or the
-// bus shuts down. With examID set, a "stats" frame carrying the livestats
+// streamSSE drains a subscription to the client until it disconnects or the
+// subscription ends. With examID set, a "stats" frame carrying the livestats
 // snapshot follows each delivered event batch (and refreshes while idle as
 // the aggregator catches up), so watchers see raw events and the updated
 // statistics in order on one connection. delivered seeds the stats
@@ -138,11 +137,7 @@ func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, sub *events.S
 	// is limited to its WriteTimeout per connection).
 	_ = rc.SetWriteDeadline(time.Time{})
 
-	heartbeat := s.heartbeat
-	if heartbeat <= 0 {
-		heartbeat = defaultHeartbeat
-	}
-	ping := time.NewTicker(heartbeat)
+	ping := time.NewTicker(defaultHeartbeat)
 	defer ping.Stop()
 	var stats *time.Ticker // lazy: firehose streams never tick stats
 	statsC := (<-chan time.Time)(nil)
@@ -166,39 +161,25 @@ func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, sub *events.S
 	// the request's root span (zero Span when untraced — every call below
 	// is then a no-op branch).
 	root := trace.FromContext(ctx)
+	var batch []events.Event
 	for {
 		select {
-		case e, ok := <-sub.Events():
+		case _, ok := <-sub.Ready():
 			if !ok {
-				return // bus shut down
+				return // subscription ended: bus shut down or drained
 			}
-			if err := writeFrame(w, e, id, root); err != nil {
-				return
-			}
-			if e.Seq > delivered {
-				delivered = e.Seq
-			}
-			// Drain whatever is already pending so one flush (and one stats
-			// frame) covers the burst.
-		drained:
-			for {
-				select {
-				case e, ok := <-sub.Events():
-					if !ok {
-						_ = rc.Flush()
-						return
-					}
-					if err := writeFrame(w, e, id, root); err != nil {
-						return
-					}
-					if e.Seq > delivered {
-						delivered = e.Seq
-					}
-				default:
-					break drained
+			// One Take covers everything pending, so one flush (and one
+			// stats frame) covers the burst.
+			batch = sub.Take(batch[:0])
+			for _, e := range batch {
+				if err := writeFrame(w, e, id, root); err != nil {
+					return
+				}
+				if e.Seq > delivered {
+					delivered = e.Seq
 				}
 			}
-			if !s.writeStats(w, examID, delivered, &statsSeq, &statsSent) {
+			if _, ok := s.tryStats(w, examID, delivered, &statsSeq, &statsSent); !ok {
 				return
 			}
 			if err := rc.Flush(); err != nil {
@@ -225,13 +206,6 @@ func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, sub *events.S
 			return
 		}
 	}
-}
-
-// writeStats appends a stats frame when one is due (see tryStats); the
-// bool is false on a write error.
-func (s *Server) writeStats(w http.ResponseWriter, examID string, delivered uint64, statsSeq *uint64, statsSent *bool) bool {
-	_, ok := s.tryStats(w, examID, delivered, statsSeq, statsSent)
-	return ok
 }
 
 // tryStats emits a stats frame when the aggregator's snapshot is (a) newer

@@ -175,16 +175,20 @@ func NewWith(bus *events.Bus, reg *obs.Registry) *Aggregator {
 
 func (a *Aggregator) run() {
 	defer close(a.done)
-	for e := range a.sub.Events() {
-		var start time.Time
-		if a.mFoldDur != nil {
-			start = time.Now()
-		}
-		a.fold(e)
-		a.mFoldDur.Observe(time.Since(start))
-		a.mFolded.Inc()
-		if e.GlobalSeq != 0 {
-			a.lastSeq.Store(e.GlobalSeq)
+	var batch []events.Event
+	for range a.sub.Ready() {
+		batch = a.sub.Take(batch[:0])
+		for _, e := range batch {
+			var start time.Time
+			if a.mFoldDur != nil {
+				start = time.Now()
+			}
+			a.fold(e)
+			a.mFoldDur.Observe(time.Since(start))
+			a.mFolded.Inc()
+			if e.GlobalSeq != 0 {
+				a.lastSeq.Store(e.GlobalSeq)
+			}
 		}
 	}
 }

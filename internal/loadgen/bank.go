@@ -10,41 +10,37 @@ import (
 	"mineassess/pkg/client"
 )
 
+// The harness's exam IDs, and the difficulty spread of its items: pool
+// difficulties cover [-difficultySpread, difficultySpread], fixed-form ones
+// half that range.
+const (
+	fixedExamID      = "loadgen-fixed"
+	catExamID        = "loadgen-cat"
+	difficultySpread = 3.0
+)
+
 // BankConfig describes the two exams the harness drives: a fixed-form exam
 // for linear sittings and SSE watchers, and a calibrated pool for adaptive
 // sittings.
 type BankConfig struct {
-	// FixedExamID and Questions shape the fixed-form exam.
-	FixedExamID string
-	Questions   int
-	// CATExamID and PoolSize shape the calibrated adaptive pool.
-	CATExamID string
-	PoolSize  int
-	// Discrimination and Spread parameterize item difficulty: pool
-	// difficulties cover [-Spread, Spread] at discrimination a.
+	// Questions is the fixed-form exam's length.
+	Questions int
+	// PoolSize is the calibrated adaptive pool's size.
+	PoolSize int
+	// Discrimination is every item's discrimination a.
 	Discrimination float64
-	Spread         float64
 }
 
 // withDefaults fills zero fields.
 func (b BankConfig) withDefaults() BankConfig {
-	if b.FixedExamID == "" {
-		b.FixedExamID = "loadgen-fixed"
-	}
 	if b.Questions <= 0 {
 		b.Questions = 10
-	}
-	if b.CATExamID == "" {
-		b.CATExamID = "loadgen-cat"
 	}
 	if b.PoolSize <= 0 {
 		b.PoolSize = 60
 	}
 	if b.Discrimination <= 0 {
 		b.Discrimination = 1.6
-	}
-	if b.Spread <= 0 {
-		b.Spread = 3
 	}
 	return b
 }
@@ -69,17 +65,17 @@ type SeededBank struct {
 func EnsureBank(c *client.Client, cfg BankConfig) (*SeededBank, error) {
 	cfg = cfg.withDefaults()
 	sb := &SeededBank{
-		FixedExamID: cfg.FixedExamID,
+		FixedExamID: fixedExamID,
 		FixedParams: make(map[string]simulate.IRTParams, cfg.Questions),
-		CATExamID:   cfg.CATExamID,
+		CATExamID:   catExamID,
 		CATParams:   make(map[string]simulate.IRTParams, cfg.PoolSize),
 	}
 
 	// Fixed-form exam: difficulties spread evenly, correct option A.
 	fixedIDs := make([]string, 0, cfg.Questions)
 	for i := 0; i < cfg.Questions; i++ {
-		id := fmt.Sprintf("%s-q%03d", cfg.FixedExamID, i+1)
-		b := -cfg.Spread/2 + cfg.Spread*float64(i)/float64(max(cfg.Questions-1, 1))
+		id := fmt.Sprintf("%s-q%03d", fixedExamID, i+1)
+		b := -difficultySpread/2 + difficultySpread*float64(i)/float64(max(cfg.Questions-1, 1))
 		if err := ensureProblem(c, id, "load harness fixed-form item"); err != nil {
 			return nil, err
 		}
@@ -87,19 +83,19 @@ func EnsureBank(c *client.Client, cfg BankConfig) (*SeededBank, error) {
 		fixedIDs = append(fixedIDs, id)
 	}
 	if err := ensureExam(c, &bank.ExamRecord{
-		ID: cfg.FixedExamID, Title: "Load harness fixed form", ProblemIDs: fixedIDs,
+		ID: fixedExamID, Title: "Load harness fixed form", ProblemIDs: fixedIDs,
 	}); err != nil {
 		return nil, err
 	}
 	sb.FixedOrder = fixedIDs
 
-	// Calibrated adaptive pool: difficulties cover [-Spread, Spread], with
-	// ItemParams stored on the exam so /v1/adaptive-sessions accepts it.
+	// Calibrated adaptive pool, with ItemParams stored on the exam so
+	// /v1/adaptive-sessions accepts it.
 	catIDs := make([]string, 0, cfg.PoolSize)
 	catParams := make(map[string]simulate.IRTParams, cfg.PoolSize)
 	for i := 0; i < cfg.PoolSize; i++ {
-		id := fmt.Sprintf("%s-q%03d", cfg.CATExamID, i+1)
-		b := -cfg.Spread + 2*cfg.Spread*float64(i)/float64(max(cfg.PoolSize-1, 1))
+		id := fmt.Sprintf("%s-q%03d", catExamID, i+1)
+		b := -difficultySpread + 2*difficultySpread*float64(i)/float64(max(cfg.PoolSize-1, 1))
 		if err := ensureProblem(c, id, "load harness adaptive pool item"); err != nil {
 			return nil, err
 		}
@@ -107,7 +103,7 @@ func EnsureBank(c *client.Client, cfg BankConfig) (*SeededBank, error) {
 		catIDs = append(catIDs, id)
 	}
 	if err := ensureExam(c, &bank.ExamRecord{
-		ID: cfg.CATExamID, Title: "Load harness adaptive pool",
+		ID: catExamID, Title: "Load harness adaptive pool",
 		ProblemIDs: catIDs, ItemParams: catParams,
 	}); err != nil {
 		return nil, err

@@ -24,14 +24,15 @@ type CapacityConfig struct {
 	StepDuration time.Duration
 	// MaxSteps bounds the ladder (default 6).
 	MaxSteps int
-	// MaxErrorRate is the failed-operation budget per step as a fraction of
-	// operations (default 0.001).
-	MaxErrorRate float64
-	// Settle is a pause between steps letting in-flight work and journal
-	// batches drain so one step's tail does not bleed into the next
-	// (default 200ms).
-	Settle time.Duration
 }
+
+// maxStepErrorRate is a step's failed-operation budget as a fraction of
+// its operations.
+const maxStepErrorRate = 0.001
+
+// stepSettle is the pause between steps that lets in-flight work and
+// journal batches drain, so one step's tail does not bleed into the next.
+const stepSettle = 200 * time.Millisecond
 
 func (c CapacityConfig) withDefaults() CapacityConfig {
 	if c.StartRate <= 0 {
@@ -45,12 +46,6 @@ func (c CapacityConfig) withDefaults() CapacityConfig {
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 6
-	}
-	if c.MaxErrorRate <= 0 {
-		c.MaxErrorRate = 0.001
-	}
-	if c.Settle <= 0 {
-		c.Settle = 200 * time.Millisecond
 	}
 	return c
 }
@@ -108,7 +103,7 @@ func (r *Runner) Capacity(ctx context.Context, cc CapacityConfig) (*CapacityResu
 			RequestP99Ms: res.RequestP99Ms,
 			Errors:       res.Errors,
 			ErrorRate:    errRate,
-			Pass:         res.RequestP99Ms <= out.SLOMs && errRate <= cc.MaxErrorRate && !res.Interrupted,
+			Pass:         res.RequestP99Ms <= out.SLOMs && errRate <= maxStepErrorRate && !res.Interrupted,
 		}
 		out.Steps = append(out.Steps, st)
 		if !st.Pass {
@@ -118,7 +113,7 @@ func (r *Runner) Capacity(ctx context.Context, cc CapacityConfig) (*CapacityResu
 		out.MaxSustainedRate = rate
 		rate *= cc.Factor
 		select {
-		case <-time.After(cc.Settle):
+		case <-time.After(stepSettle):
 		case <-ctx.Done():
 			return out, ctx.Err()
 		}

@@ -90,12 +90,8 @@ type Config struct {
 	Ramp       time.Duration
 	Soak       time.Duration
 	// Seed fixes the arrival schedule, the class draws and every learner's
-	// ability and response draws.
+	// ability and response draws. Abilities are standard normal, N(0,1).
 	Seed int64
-	// AbilityMean and AbilitySD shape the simulated cohort; SD 0 with Mean 0
-	// defaults to the standard N(0,1) population.
-	AbilityMean float64
-	AbilitySD   float64
 	// TargetSE and MaxItems bound adaptive sittings (defaults 0.4 and 12).
 	TargetSE float64
 	MaxItems int
@@ -110,19 +106,14 @@ type Config struct {
 	// TransportConns sizes the shared tuned transport's connection pool;
 	// default 1024.
 	TransportConns int
-	// HTTPClient overrides the shared client (tests); nil builds one from
-	// TunedTransport(TransportConns) with a 30s per-request timeout.
-	HTTPClient *http.Client
-	// RequestTimeout bounds each request of the default-built client
-	// (default 30s). A timed-out request is recorded as a transport error.
-	RequestTimeout time.Duration
 }
+
+// requestTimeout bounds each request of the shared client. A timed-out
+// request is recorded as a transport error.
+const requestTimeout = 30 * time.Second
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.AbilitySD == 0 && c.AbilityMean == 0 {
-		c.AbilitySD = 1
-	}
 	if c.TargetSE <= 0 {
 		c.TargetSE = 0.4
 	}
@@ -137,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TransportConns <= 0 {
 		c.TransportConns = 1024
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -203,14 +191,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if _, err := cfg.Mix.normalized(); err != nil {
 		return nil, err
 	}
-	httpc := cfg.HTTPClient
-	if httpc == nil {
-		httpc = &http.Client{
-			Transport: client.TunedTransport(cfg.TransportConns),
-			Timeout:   cfg.RequestTimeout,
-		}
-	}
-	r := &Runner{cfg: cfg, httpc: httpc}
+	r := &Runner{cfg: cfg, httpc: &http.Client{
+		Transport: client.TunedTransport(cfg.TransportConns),
+		Timeout:   requestTimeout,
+	}}
 	seeded, err := EnsureBank(r.client("loadgen-seeder"), cfg.Bank)
 	if err != nil {
 		return nil, err
@@ -241,7 +225,7 @@ func (r *Runner) runSchedule(ctx context.Context, sched Schedule) (*Result, erro
 		return nil, err
 	}
 	cohort, err := simulate.NewStream(simulate.PopulationConfig{
-		Mean: r.cfg.AbilityMean, SD: r.cfg.AbilitySD,
+		SD:   1,
 		Seed: r.cfg.Seed + 1, IDPrefix: "vl",
 	})
 	if err != nil {

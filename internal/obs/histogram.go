@@ -243,14 +243,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the raw sum of recorded samples.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // CountSum returns a consistent (count, sum) pair: the count is re-read
 // after the sum and the read retried (bounded) until it is stable.
 // Combined with ObserveValue publishing sum before count, the returned

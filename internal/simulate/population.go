@@ -100,13 +100,6 @@ func (s *Stream) Next() Student {
 	}
 }
 
-// Drawn reports how many students the stream has handed out.
-func (s *Stream) Drawn() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
-}
-
 // Shifted returns a copy of the population with every ability raised by
 // delta. It models a teaching intervention between a pre-test and a
 // post-test for the Instructional Sensitivity experiment.
