@@ -46,32 +46,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
 	only := fs.String("experiment", "", "run a single experiment (e.g. E8)")
 	seed := fs.Int64("seed", 7, "seed for simulated experiments")
-	baseline := fs.String("baseline", "", "measure engine throughput and write a JSON baseline to this path")
-	hotpaths := fs.String("hotpaths", "", "measure the E23 hot paths and merge a hotpaths section into this baseline file")
-	loadgenPath := fs.String("loadgen", "", "measure the E24 load harness (run + capacity ladder) and merge a loadgen section into this baseline file")
-	obsPath := fs.String("obs", "", "measure the E25 observability overhead and merge an obs section into this baseline file")
-	tracePath := fs.String("trace", "", "measure the E26 tracing overhead and merge a trace section into this baseline file")
-	checkPath := fs.String("check-allocs", "", "re-run the allocation probes and fail if any path regressed >20% over this baseline file")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *baseline != "" {
-		return writeBaseline(*baseline)
-	}
-	if *hotpaths != "" {
-		return writeHotpaths(*hotpaths)
-	}
-	if *loadgenPath != "" {
-		return writeLoadgen(*loadgenPath)
-	}
-	if *obsPath != "" {
-		return writeObs(*obsPath)
-	}
-	if *tracePath != "" {
-		return writeTrace(*tracePath, *seed)
-	}
-	if *checkPath != "" {
-		return checkAllocs(*checkPath)
 	}
 	experiments := []experiment{
 		{"E1", "Table 1: problem attribute table", runE1},
@@ -91,15 +67,6 @@ func run(args []string) error {
 		{"E15", "3.4 III: instructional sensitivity index", runE15},
 		{"E16", "5.5: SCORM output round trip", runE16},
 		{"E17", "6: adaptive vs fixed test (future work)", runE17},
-		{"E18", "sharded delivery engine throughput", runE18},
-		{"E19", "HTTP /v1 stack throughput vs direct engine calls", runE19},
-		{"E20", "live adaptive (CAT) delivery vs fixed form", runE20},
-		{"E21", "group-commit WAL: journaled write throughput and commit latency", runE21},
-		{"E22", "event bus: fan-out throughput and emitter overhead", runE22},
-		{"E23", "zero-allocation hot paths: journal commit, pooled fan-out, CAT info grid", runE23},
-		{"E24", "open-loop load harness: mixed learners over the composed /v1 stack", runE24},
-		{"E25", "observability overhead: journal + fan-out with the metrics registry off vs on", runE25},
-		{"E26", "tracing overhead: journal + load harness with tracing off vs sampled vs always-on", runE26},
 		{"A1", "ablation: group fraction 25% vs Kelly 27% vs 33%", runA1},
 		{"A2", "ablation: group D vs point-biserial", runA2},
 	}

@@ -16,7 +16,7 @@ func TestRunSimulatedExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated experiments in -short mode")
 	}
-	for _, id := range []string{"E10", "E11", "E12", "E15", "E16"} {
+	for _, id := range []string{"E10", "E11", "E12", "E15", "E16", "E17", "A1", "A2"} {
 		if err := run([]string{"-experiment", id, "-seed", "3"}); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
@@ -42,16 +42,5 @@ func TestPaperFixtureIntegrity(t *testing.T) {
 	}
 	if got := workedQ6().Low["A"]; got != 0 {
 		t.Errorf("worked q6 LA = %d, want 0", got)
-	}
-}
-
-// TestRunE20Smoke keeps the adaptive-delivery experiment from bit-rotting:
-// it must run end to end (CI invokes it explicitly as well).
-func TestRunE20Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput experiment in -short mode")
-	}
-	if err := run([]string{"-experiment", "E20", "-seed", "3"}); err != nil {
-		t.Errorf("E20: %v", err)
 	}
 }

@@ -7,16 +7,20 @@
 // rate that still meets the p99 SLO.
 //
 // With no -addr the harness boots a hermetic in-process server (journal +
-// events enabled, the same composition cmd/examserver serves), which is
-// what CI runs. Point -addr at a running examserver to load a real
+// events enabled, the same composition cmd/examserver serves). CI runs it
+// that way at smoke scale:
+//
+//	loadgen -rate 150 -ramp 2s -soak 4s
+//
+// and the command exits non-zero when the run misses its SLO (p99 over
+// -slo, or any error). Point -addr at a running examserver to load a real
 // deployment; start that server with -rate 0 so its per-learner limiter
 // does not throttle the harness.
 //
 // Usage:
 //
 //	loadgen [-rate 200] [-ramp 5s] [-soak 15s] [-mix 6,3,1] [-seed 7]
-//	        [-addr http://host:8080] [-capacity] [-baseline BENCH_BASELINE.json]
-//	        [-trace]
+//	        [-addr http://host:8080] [-capacity] [-json] [-trace]
 //
 // -trace (hermetic mode only) mounts a tail-sampling tracer on the target
 // and, after the run, prints a per-phase latency attribution table — how the
@@ -66,8 +70,7 @@ func run(args []string) error {
 	capStep := fs.Duration("cap-step", 5*time.Second, "capacity ladder: soak length per step")
 	capSteps := fs.Int("cap-steps", 6, "capacity ladder: maximum number of steps")
 	traceOn := fs.Bool("trace", false, "trace the hermetic target and print per-phase latency attribution (HTTP/engine/WAL/bus) after the run")
-	baseline := fs.String("baseline", "", "merge the measured loadgen (E24) section into this baseline JSON file")
-	jsonOut := fs.Bool("json", false, "print the E24 section as JSON instead of the human report")
+	jsonOut := fs.Bool("json", false, "print the run summary as JSON instead of the human report")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -153,12 +156,6 @@ func run(args []string) error {
 		// the latency at the capacity knee, not the easy early steps.
 		rep := loadgen.BuildTraceReport(tracer.Retained(), tracer.Recent())
 		loadgen.WriteTraceReport(os.Stdout, rep)
-	}
-	if *baseline != "" {
-		if err := loadgen.MergeBaseline(*baseline, map[string]any{"loadgen": sec}); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: merged loadgen section into %s\n", *baseline)
 	}
 	if res != nil && !res.SLOMet {
 		return fmt.Errorf("SLO missed: p99 %.2fms > %.0fms or %d errors", res.RequestP99Ms, res.SLOMs, res.Errors)

@@ -63,8 +63,7 @@ type ExamGroup struct {
 }
 
 // New returns an empty single-shard store: one lock over the whole bank,
-// the simplest profile (and the contention baseline E18 measures). Use
-// NewSharded for a high-concurrency bank.
+// the simplest profile. Use NewSharded for a high-concurrency bank.
 func New() *Sharded { return NewSharded(1) }
 
 func cloneExam(e *ExamRecord) *ExamRecord {

@@ -146,7 +146,8 @@ const DefaultBuffer = 256
 // Options configures a Bus.
 type Options struct {
 	// Ring bounds the in-memory replay rings (per exam, plus one global)
-	// and so the window a resume replays; below 1 means DefaultRing.
+	// and so the window a resume replays; below 1 means DefaultRing. A ring
+	// grows on demand up to the bound.
 	Ring int
 	// Log, when non-nil, makes every published event durable; the bus takes
 	// ownership and closes it on Close. The log's restored sequence
@@ -319,8 +320,9 @@ type SubscribeOptions struct {
 	// ExamID restricts the stream to one exam; empty subscribes to every
 	// event (the firehose).
 	ExamID string
-	// Buffer bounds the live queue (0 means DefaultBuffer). When full, the
-	// oldest queued live event is dropped and a TypeGap marker is injected.
+	// Buffer bounds the live queue (0 means DefaultBuffer), which grows on
+	// demand up to it. When full, the oldest queued live event is dropped
+	// in O(1) and a TypeGap marker is injected.
 	// The replay backlog does not count against it.
 	Buffer int
 	// Replay requests delivery of already-published events before live
@@ -346,7 +348,7 @@ func (b *Bus) Subscribe(o SubscribeOptions) *Subscription {
 	sub := &Subscription{
 		bus:    b,
 		examID: o.ExamID,
-		max:    o.Buffer,
+		queue:  ring{limit: o.Buffer},
 		ready:  make(chan struct{}, 1),
 	}
 
@@ -503,11 +505,10 @@ func (b *Bus) unsubscribe(sub *Subscription) {
 type Subscription struct {
 	bus    *Bus
 	examID string
-	max    int // live-queue bound
 
 	mu      sync.Mutex
 	backlog []Event // the replay; the live bound never trims it
-	queue   []Event // live events, at most max
+	queue   ring    // live events, at most the live-queue bound
 	dropped int     // live events dropped since the last Take
 
 	// ready holds one signal while events wait. push and the seed send
@@ -538,9 +539,7 @@ func (s *Subscription) Take(dst []Event) []Event {
 		dst = append(dst, Event{Type: TypeGap, ExamID: s.examID, Dropped: s.dropped})
 		s.dropped = 0
 	}
-	dst = append(dst, s.queue...)
-	s.queue = s.queue[:0]
-	return dst
+	return s.queue.drain(dst)
 }
 
 // Close ends the subscription and closes Ready. Idempotent.
@@ -563,16 +562,13 @@ func (s *Subscription) stop() {
 //assess:hotpath
 func (s *Subscription) push(e Event) {
 	s.mu.Lock()
-	if len(s.queue) >= s.max {
-		// Drop-oldest: the newest state is what a live dashboard wants, and
-		// the gap marker tells the consumer history was lost.
-		n := len(s.queue) - s.max + 1
-		s.queue = append(s.queue[:0], s.queue[n:]...)
-		s.dropped += n
-		s.bus.mDropped.Add(int64(n))
+	// Drop-oldest: the newest state is what a live dashboard wants, and the
+	// gap marker tells the consumer history was lost.
+	if s.queue.push(e) {
+		s.dropped++
+		s.bus.mDropped.Inc()
 	}
-	s.queue = append(s.queue, e)
-	depth := len(s.queue)
+	depth := s.queue.count
 	s.mu.Unlock()
 	s.bus.mQueueHW.SetMax(int64(depth))
 	s.wake()
@@ -586,32 +582,67 @@ func (s *Subscription) wake() {
 	}
 }
 
-// ring is a fixed-capacity circular buffer of events.
+// ring is a circular buffer of at most limit events. Its backing array
+// starts empty and doubles on demand up to limit, so a quiet exam's ring
+// stays small.
 type ring struct {
 	buf   []Event
 	start int
 	count int
+	limit int
 }
 
-func newRing(capacity int) *ring {
-	return &ring{buf: make([]Event, capacity)}
-}
+func newRing(limit int) *ring { return &ring{limit: limit} }
 
-func (r *ring) push(e Event) {
+// push appends e. Once the ring holds limit events it overwrites the oldest
+// and reports true.
+func (r *ring) push(e Event) (overwrote bool) {
+	if r.count == len(r.buf) && len(r.buf) < r.limit {
+		r.grow()
+	}
 	if r.count < len(r.buf) {
 		r.buf[(r.start+r.count)%len(r.buf)] = e
 		r.count++
-		return
+		return false
 	}
 	r.buf[r.start] = e
 	r.start = (r.start + 1) % len(r.buf)
+	return true
+}
+
+// grow doubles the backing array (16 slots at first, never past limit) and
+// moves the events to its front, oldest first.
+func (r *ring) grow() {
+	n := min(max(2*len(r.buf), 16), r.limit)
+	head, tail := r.segments()
+	buf := make([]Event, n)
+	copy(buf[copy(buf, head):], tail)
+	r.buf, r.start = buf, 0
+}
+
+// segments returns the retained events oldest first, as at most two
+// slices of the backing array.
+func (r *ring) segments() (head, tail []Event) {
+	end := r.start + r.count
+	if end <= len(r.buf) {
+		return r.buf[r.start:end], nil
+	}
+	return r.buf[r.start:], r.buf[:end-len(r.buf)]
 }
 
 // all returns the retained events oldest-first.
 func (r *ring) all() []Event {
-	out := make([]Event, 0, r.count)
-	for i := 0; i < r.count; i++ {
-		out = append(out, r.buf[(r.start+i)%len(r.buf)])
-	}
-	return out
+	head, tail := r.segments()
+	return append(append(make([]Event, 0, r.count), head...), tail...)
+}
+
+// drain appends the retained events to dst oldest first and empties the
+// ring, zeroing only the slots it read.
+func (r *ring) drain(dst []Event) []Event {
+	head, tail := r.segments()
+	dst = append(append(dst, head...), tail...)
+	clear(head)
+	clear(tail)
+	r.start, r.count = 0, 0
+	return dst
 }

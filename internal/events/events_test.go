@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mineassess/internal/wal"
 )
@@ -722,5 +724,66 @@ func TestLogWriteFailureIsReported(t *testing.T) {
 	clean.enqueue(Event{Type: SessionStarted, ExamID: "x", Seq: 1, GlobalSeq: 1})
 	if err := clean.Close(); err != nil || clean.Err() != nil {
 		t.Errorf("clean Close() = %v, Err() = %v; want nil, nil", err, clean.Err())
+	}
+}
+
+// TestStalledSubscriberCostIsFlat pins the emitter-side cost of a stalled
+// subscriber: once its queue is full, each publish drops the oldest queued
+// event in O(1), so a publish behind an 8,192-deep stalled queue costs
+// about what one behind a 256-deep queue does. The median ratio over
+// alternating rounds must stay within 5x; a drop that costs O(depth) reads
+// ~30x.
+func TestStalledSubscriberCostIsFlat(t *testing.T) {
+	const publishes, rounds, limit = 5000, 9, 5.0
+	ctx := context.Background()
+	stalled := func(buffer int) func() time.Duration {
+		bus := NewBus(Options{})
+		t.Cleanup(bus.Close)
+		sub := bus.Subscribe(SubscribeOptions{ExamID: "x", Buffer: buffer})
+		t.Cleanup(sub.Close)
+		for i := 0; i < buffer; i++ {
+			bus.Publish(ctx, Event{Type: ResponseSubmitted, ExamID: "x"})
+		}
+		return func() time.Duration {
+			start := time.Now()
+			for i := 0; i < publishes; i++ {
+				bus.Publish(ctx, Event{Type: ResponseSubmitted, ExamID: "x"})
+			}
+			return time.Since(start)
+		}
+	}
+	deep, shallow := stalled(8192), stalled(DefaultBuffer)
+	ratios := make([]float64, rounds)
+	for i := range ratios {
+		d := deep()
+		ratios[i] = float64(d) / float64(shallow())
+	}
+	sort.Float64s(ratios)
+	median := ratios[rounds/2]
+	t.Logf("8,192-deep vs 256-deep stalled subscriber, publish cost ratio per round, sorted, %.2f (median %.2f)", ratios, median)
+	if median > limit {
+		t.Errorf("a publish behind an 8,192-deep stalled subscriber costs %.1fx one behind a 256-deep one, want <= %.0fx", median, limit)
+	}
+}
+
+// TestQuietExamsHoldSmallRings pins on-demand ring growth: one event to
+// each of 100 exams must leave under 1 MB of ring capacity, counted as
+// backing-array slots rather than heap so the reading is exact.
+func TestQuietExamsHoldSmallRings(t *testing.T) {
+	bus := NewBus(Options{})
+	defer bus.Close()
+	for i := 0; i < 100; i++ {
+		bus.Publish(context.Background(), Event{Type: SessionStarted, ExamID: fmt.Sprintf("exam-%03d", i)})
+	}
+	bus.mu.Lock()
+	slots := cap(bus.allRing.buf)
+	for _, r := range bus.rings {
+		slots += cap(r.buf)
+	}
+	bus.mu.Unlock()
+	held := uintptr(slots) * unsafe.Sizeof(Event{})
+	t.Logf("100 one-event exams: %d ring slots, %d bytes", slots, held)
+	if held >= 1<<20 {
+		t.Errorf("100 one-event exams hold %d bytes of rings, want < 1 MB", held)
 	}
 }

@@ -183,8 +183,9 @@ func (l *Log) writeBatch(batch []Event) {
 // ReadSince returns the newest limit logged events after afterSeq, oldest
 // first — filtered to one exam's Seq when examID is set, by GlobalSeq
 // otherwise. The scan reads every retained record but keeps at most limit
-// (which must be positive), so a resume from far back holds a bounded
-// replay; the bus announces the older events as a gap.
+// (which must be positive) and allocates only for what it keeps, so a
+// resume from far back holds a bounded replay; the bus announces the older
+// events as a gap.
 // It reads private handles (predecessor segment, then the active one), so it
 // is safe concurrently with appends; a torn or corrupt record ends the read
 // of its segment.

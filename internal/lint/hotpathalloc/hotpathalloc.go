@@ -1,10 +1,10 @@
 // Package hotpathalloc defines the hotpathalloc analyzer: functions
 // annotated //assess:hotpath must avoid constructs that allocate.
 //
-// The zero-allocation hot paths (PR 6/PR 8) — obs Counter.Add /
+// The zero-allocation hot paths — obs Counter.Add /
 // Histogram.ObserveValue / Layout.BucketFor, the event fan-out enqueue —
-// are pinned to 0 allocs/op by benchreport -check-allocs. That guard only
-// fires when a benchmark covers the regression; this analyzer rejects the
+// are pinned to 0 allocs/op by allocation tests in their packages. Such a
+// test only fires when it covers the regression; this analyzer rejects the
 // known allocating constructs at review time instead: fmt calls,
 // make/new, slice and map literals, non-constant string concatenation,
 // string<->[]byte conversions, and interface boxing of basic values.
@@ -35,8 +35,9 @@ var Analyzer = &analysis.Analyzer{
 Annotated functions are the measured zero-allocation record/encode paths;
 fmt.* calls, make/new, slice/map composite literals, non-constant string
 concatenation, string<->[]byte conversions and interface boxing of basic
-values are findings. Pair with benchreport -check-allocs, which pins the
-measured allocs/op; this catches the construct before a benchmark has to.`,
+values are findings. Pair a new hot path with an allocation test in its
+package, which pins the measured allocs/op; this catches the construct
+before a test has to.`,
 	Run: run,
 }
 

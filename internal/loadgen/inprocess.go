@@ -30,13 +30,11 @@ type InProcessConfig struct {
 	NoEvents bool
 	// Trace mounts a tail-sampling tracer on the HTTP edge so a capacity
 	// run can attribute latency to pipeline phases afterwards (see
-	// TraceReport). TraceSlow is the slow-trace retention threshold
-	// (default 250ms — match the run's SLO so "slow" means "SLO-busting");
-	// TraceSampleEvery keeps 1 in N unremarkable traces (0 means 16; E26
-	// measures the keep-everything worst case with 1).
-	Trace            bool
-	TraceSlow        time.Duration
-	TraceSampleEvery int
+	// TraceReport); it keeps 1 in 16 unremarkable traces. TraceSlow is the
+	// slow-trace retention threshold (default 250ms — match the run's SLO
+	// so "slow" means "SLO-busting").
+	Trace     bool
+	TraceSlow time.Duration
 }
 
 // InProcess is a fully wired hermetic server: request edge, engines, WAL,
@@ -90,15 +88,11 @@ func StartInProcess(cfg InProcessConfig) (*InProcess, error) {
 		if slow <= 0 {
 			slow = 250 * time.Millisecond
 		}
-		every := cfg.TraceSampleEvery
-		if every <= 0 {
-			every = 16
-		}
 		// A wide recent ring keeps an unbiased picture of ordinary requests
 		// alongside the tail sampler's slow/error/gap captures — the phase
 		// attribution report wants both populations.
 		ip.Tracer = trace.New(trace.Options{
-			Slow: slow, SampleEvery: every,
+			Slow: slow, SampleEvery: 16,
 			Recent: 256, Retain: 512, Obs: ip.Obs,
 		})
 		opts.Tracer = ip.Tracer

@@ -3,9 +3,6 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
@@ -16,7 +13,7 @@ import (
 // cohort (all three classes) against an in-process server with the WAL and
 // the event bus enabled — the full production composition. Every learner
 // must complete with zero unexpected errors, watchers must see frames, and
-// the E24 section must round-trip through JSON and the baseline merge.
+// the -json summary must round-trip.
 func TestLoadRunSmoke(t *testing.T) {
 	ip, err := StartInProcess(InProcessConfig{})
 	if err != nil {
@@ -85,7 +82,7 @@ func TestLoadRunSmoke(t *testing.T) {
 		t.Errorf("SLO missed: p99 %.2fms, errors %d", res.RequestP99Ms, res.Errors)
 	}
 
-	// The E24 section round-trips through JSON...
+	// The -json summary round-trips.
 	sec := NewSection(mix, res, nil)
 	raw, err := json.Marshal(sec)
 	if err != nil {
@@ -100,74 +97,6 @@ func TestLoadRunSmoke(t *testing.T) {
 	}
 	if back.Mix != mix {
 		t.Errorf("mix round trip: %+v", back.Mix)
-	}
-
-	// ...and merges into a baseline without clobbering other sections.
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, []byte(`{"other":{"keep":true}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := MergeBaseline(path, map[string]any{"loadgen": sec}); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(merged, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := doc["other"]; !ok {
-		t.Error("merge dropped an existing section")
-	}
-	var fromFile Section
-	if err := json.Unmarshal(doc["loadgen"], &fromFile); err != nil {
-		t.Fatal(err)
-	}
-	if fromFile.Run == nil || fromFile.Run.Offered != res.Offered {
-		t.Errorf("baseline section lost data: %+v", fromFile.Run)
-	}
-}
-
-// TestMergeBaselineKeepsOtherSections: writing sections replaces exactly
-// those keys; every other section of the file survives intact, so
-// re-recording the engine rows (benchreport -baseline) cannot wipe the
-// hotpaths section the -check-allocs gate reads.
-func TestMergeBaselineKeepsOtherSections(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_BASELINE.json")
-	if err := MergeBaseline(path, map[string]any{"results": []int{1}}); err != nil {
-		t.Fatalf("creating a missing file: %v", err)
-	}
-	hot := `{"probes":[{"name":"journal-commit/json","allocsPerOp":12}]}`
-	if err := MergeBaseline(path, map[string]any{"hotpaths": json.RawMessage(hot)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := MergeBaseline(path, map[string]any{"results": []int{2, 3}, "workers": 4}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	var gotHot, wantHot any
-	_ = json.Unmarshal([]byte(hot), &wantHot)
-	if err := json.Unmarshal(doc["hotpaths"], &gotHot); err != nil || !reflect.DeepEqual(gotHot, wantHot) {
-		t.Errorf("hotpaths section = %s, want %s", doc["hotpaths"], hot)
-	}
-	if got := string(doc["workers"]); got != "4" {
-		t.Errorf("workers = %s, want 4", got)
-	}
-	var results []int
-	if err := json.Unmarshal(doc["results"], &results); err != nil || !reflect.DeepEqual(results, []int{2, 3}) {
-		t.Errorf("results = %s, want the rewritten [2,3]", doc["results"])
-	}
-	if len(doc) != 3 {
-		t.Errorf("sections = %d, want hotpaths, results and workers", len(doc))
 	}
 }
 

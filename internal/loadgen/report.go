@@ -1,17 +1,14 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 )
 
-// Section is the "loadgen" (E24) block of BENCH_BASELINE.json: the run
-// summary for the standard ramp+soak mixed workload plus the capacity
-// ladder. It is the composed-system yardstick later scale/speed PRs are
-// judged against, next to the per-subsystem E18–E23 sections.
+// Section is what `loadgen -json` prints: the run summary for the ramp+soak
+// mixed workload or the capacity ladder, stamped with the Go version and
+// GOMAXPROCS it ran under.
 type Section struct {
 	GoVersion  string          `json:"goVersion"`
 	GOMAXPROCS int             `json:"gomaxprocs"`
@@ -29,35 +26,6 @@ func NewSection(mix Mix, run *Result, capacity *CapacityResult) *Section {
 		Run:        run,
 		Capacity:   capacity,
 	}
-}
-
-// MergeBaseline writes each section into the baseline JSON file under its
-// key, leaving every other section of the file untouched, so the
-// BENCH_*.json trajectory accretes experiment by experiment. A missing
-// file is created. Every writer of the baseline file (loadgen -baseline
-// and benchreport's -baseline, -hotpaths, -loadgen, -obs and -trace) goes
-// through here.
-func MergeBaseline(path string, sections map[string]any) error {
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("existing baseline %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	for key, sec := range sections {
-		raw, err := json.Marshal(sec)
-		if err != nil {
-			return fmt.Errorf("baseline section %s: %w", key, err)
-		}
-		doc[key] = raw
-	}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
 // WriteReport renders a run result for humans.
