@@ -334,6 +334,20 @@ func BenchmarkDiscriminationAblation(b *testing.B) {
 	}
 }
 
+// The teacher report: the whole single-question analysis of a class the
+// size of perfbench's teacher-report workload, 250 learners on 40
+// four-option questions.
+func BenchmarkAnalyzeTeacherReport(b *testing.B) {
+	res, _ := benchClass(b, 250, 40)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := analysis.Analyze(res, analysis.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Ablation: the group-fraction sweep (paper default 25% vs Kelly 27% vs
 // 33%) over the same class.
 func BenchmarkGroupFractionSweep(b *testing.B) {

@@ -78,11 +78,16 @@ type FractionPoint struct {
 }
 
 // FractionSweep re-analyzes the exam under each fraction — the ablation of
-// the paper's 25% choice against Kelly's 27% and the 33% upper bound.
+// the paper's 25% choice against Kelly's 27% and the 33% upper bound. The
+// result is validated and indexed once for every fraction.
 func FractionSweep(e *ExamResult, fractions []float64) ([]FractionPoint, error) {
+	if err := e.Validate(); err != nil {
+		return nil, err
+	}
+	m := newMatrix(e)
 	out := make([]FractionPoint, 0, len(fractions))
 	for _, f := range fractions {
-		a, err := Analyze(e, Options{GroupFraction: f})
+		a, err := analyze(e, m, f)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: sweep fraction %v: %w", f, err)
 		}

@@ -2,7 +2,10 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+
+	"mineassess/internal/item"
 )
 
 // OptionTable is the paper's Table 1 problem-attribute table for one
@@ -111,6 +114,13 @@ func BuildOptionTable(e *ExamResult, g Groups, problemID string) (*OptionTable, 
 	if p == nil {
 		return nil, fmt.Errorf("analysis: problem %q not in exam", problemID)
 	}
+	m := newMatrix(e)
+	return optionTable(p, m.column(problemID), m.rowsOf(g.High), m.rowsOf(g.Low))
+}
+
+// optionTable tallies Table 1 for problem p from its matrix column over the
+// high and low groups, given as matrix rows.
+func optionTable(p *item.Problem, col []*Response, high, low []int) (*OptionTable, error) {
 	keys := p.OptionKeys()
 	if len(keys) == 0 {
 		// True/false problems form a two-column table.
@@ -118,39 +128,30 @@ func BuildOptionTable(e *ExamResult, g Groups, problemID string) (*OptionTable, 
 		case "true", "false":
 			keys = []string{"true", "false"}
 		default:
-			return nil, fmt.Errorf("analysis: problem %q has no options to tabulate", problemID)
+			return nil, fmt.Errorf("analysis: problem %q has no options to tabulate", p.ID)
 		}
 	}
 	t := &OptionTable{
-		ProblemID:  problemID,
+		ProblemID:  p.ID,
 		Keys:       keys,
 		High:       make(map[string]int, len(keys)),
 		Low:        make(map[string]int, len(keys)),
 		CorrectKey: p.CorrectKey(),
-		HighSize:   len(g.High),
-		LowSize:    len(g.Low),
+		HighSize:   len(high),
+		LowSize:    len(low),
 	}
-	valid := make(map[string]struct{}, len(keys))
-	for _, k := range keys {
-		valid[k] = struct{}{}
-	}
-	byProblem := e.responsesByProblem()[problemID]
-	tally := func(ids []string, counts map[string]int, unanswered *int) {
-		for _, sid := range ids {
-			r, ok := byProblem[sid]
-			if !ok || !r.Answered {
+	tally := func(rows []int, counts map[string]int, unanswered *int) {
+		for _, row := range rows {
+			r := cell(col, row)
+			if r == nil || !r.Answered || !slices.Contains(keys, r.Option) {
 				*unanswered++
 				continue
 			}
-			if _, known := valid[r.Option]; known {
-				counts[r.Option]++
-			} else {
-				*unanswered++
-			}
+			counts[r.Option]++
 		}
 	}
-	tally(g.High, t.High, &t.HighUnanswered)
-	tally(g.Low, t.Low, &t.LowUnanswered)
+	tally(high, t.High, &t.HighUnanswered)
+	tally(low, t.Low, &t.LowUnanswered)
 	return t, nil
 }
 

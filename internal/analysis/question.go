@@ -82,7 +82,12 @@ func Analyze(e *ExamResult, opts Options) (*ExamAnalysis, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	fraction := opts.GroupFraction
+	return analyze(e, newMatrix(e), opts.GroupFraction)
+}
+
+// analyze is Analyze over a validated result and its matrix; a zero
+// fraction means DefaultGroupFraction.
+func analyze(e *ExamResult, m *matrix, fraction float64) (*ExamAnalysis, error) {
 	if fraction == 0 {
 		fraction = DefaultGroupFraction
 	}
@@ -90,17 +95,22 @@ func Analyze(e *ExamResult, opts Options) (*ExamAnalysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &ExamAnalysis{ExamID: e.ExamID, Groups: groups}
-	byProblem := e.responsesByProblem()
+	high, low := m.rowsOf(groups.High), m.rowsOf(groups.Low)
+	out := &ExamAnalysis{
+		ExamID:    e.ExamID,
+		Groups:    groups,
+		Questions: make([]*QuestionReport, 0, len(e.Problems)),
+	}
 	for i, p := range e.Problems {
+		col := m.column(p.ID)
 		q := &QuestionReport{
 			Number:    i + 1,
 			ProblemID: p.ID,
 		}
-		q.OverallP = overallDifficulty(byProblem[p.ID], len(e.Students))
+		q.OverallP = overallDifficulty(col, len(e.Students))
 
 		if p.CorrectKey() != "" {
-			table, err := BuildOptionTable(e, groups, p.ID)
+			table, err := optionTable(p, col, high, low)
 			if err != nil {
 				return nil, fmt.Errorf("analysis: question %d: %w", i+1, err)
 			}
@@ -115,8 +125,8 @@ func Analyze(e *ExamResult, opts Options) (*ExamAnalysis, error) {
 			q.Distractors = AnalyzeDistraction(table)
 		} else {
 			// Non-choice problems: derive PH/PL from credit directly.
-			q.PH = groupProportion(byProblem[p.ID], groups.High)
-			q.PL = groupProportion(byProblem[p.ID], groups.Low)
+			q.PH = groupProportion(col, high)
+			q.PL = groupProportion(col, low)
 			q.D = q.PH - q.PL
 			q.P = (q.PH + q.PL) / 2
 			q.Signal = EvaluateSignal(q.D, q.Rules)
@@ -126,29 +136,32 @@ func Analyze(e *ExamResult, opts Options) (*ExamAnalysis, error) {
 	return out, nil
 }
 
-// overallDifficulty is §3.3 III: P = R/N over the whole class.
-func overallDifficulty(responses map[string]Response, classSize int) float64 {
+// overallDifficulty is §3.3 III: P = R/N over the whole class, from the
+// problem's matrix column.
+func overallDifficulty(col []*Response, classSize int) float64 {
 	if classSize == 0 {
 		return 0
 	}
 	right := 0
-	for _, r := range responses {
-		if r.Correct() {
+	for _, r := range col {
+		if r != nil && r.Correct() {
 			right++
 		}
 	}
 	return float64(right) / float64(classSize)
 }
 
-func groupProportion(responses map[string]Response, group []string) float64 {
-	if len(group) == 0 {
+// groupProportion is the share of a group, given as matrix rows, whose
+// response in col earned full credit.
+func groupProportion(col []*Response, rows []int) float64 {
+	if len(rows) == 0 {
 		return 0
 	}
 	right := 0
-	for _, sid := range group {
-		if r, ok := responses[sid]; ok && r.Correct() {
+	for _, row := range rows {
+		if r := cell(col, row); r != nil && r.Correct() {
 			right++
 		}
 	}
-	return float64(right) / float64(len(group))
+	return float64(right) / float64(len(rows))
 }

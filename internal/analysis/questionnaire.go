@@ -47,15 +47,15 @@ func (q QuestionnaireSummary) Mode() string {
 // answer (a Likert key, a category, or short text).
 func SummarizeQuestionnaires(e *ExamResult) []QuestionnaireSummary {
 	var out []QuestionnaireSummary
-	byProblem := e.responsesByProblem()
+	m := newMatrix(e)
 	for _, p := range e.Problems {
 		if p.Style != item.Questionnaire {
 			continue
 		}
 		sum := QuestionnaireSummary{ProblemID: p.ID, Total: len(e.Students)}
 		freq := make(map[string]int)
-		for _, r := range byProblem[p.ID] {
-			if !r.Answered {
+		for _, r := range m.column(p.ID) {
+			if r == nil || !r.Answered {
 				continue
 			}
 			sum.Answered++

@@ -175,19 +175,3 @@ func (e *ExamResult) RankedStudents() []string {
 	})
 	return ids
 }
-
-// responsesByProblem indexes responses by problem then student.
-func (e *ExamResult) responsesByProblem() map[string]map[string]Response {
-	idx := make(map[string]map[string]Response, len(e.Problems))
-	for _, p := range e.Problems {
-		idx[p.ID] = make(map[string]Response, len(e.Students))
-	}
-	for _, s := range e.Students {
-		for _, r := range s.Responses {
-			if m, ok := idx[r.ProblemID]; ok {
-				m[s.StudentID] = r
-			}
-		}
-	}
-	return idx
-}

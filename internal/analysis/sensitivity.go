@@ -29,15 +29,15 @@ func InstructionalSensitivity(pre, post *ExamResult) (*SensitivityReport, error)
 		return nil, fmt.Errorf("analysis: pre has %d problems, post has %d",
 			len(pre.Problems), len(post.Problems))
 	}
-	preIdx := pre.responsesByProblem()
-	postIdx := post.responsesByProblem()
+	preM, postM := newMatrix(pre), newMatrix(post)
 	rep := &SensitivityReport{Items: make(map[string]float64, len(pre.Problems))}
 	for _, p := range pre.Problems {
-		if post.Problem(p.ID) == nil {
+		postCol := postM.column(p.ID)
+		if postCol == nil {
 			return nil, fmt.Errorf("analysis: problem %q missing from post-test", p.ID)
 		}
-		pPre := overallDifficulty(preIdx[p.ID], len(pre.Students))
-		pPost := overallDifficulty(postIdx[p.ID], len(post.Students))
+		pPre := overallDifficulty(preM.column(p.ID), len(pre.Students))
+		pPost := overallDifficulty(postCol, len(post.Students))
 		rep.Items[p.ID] = pPost - pPre
 		rep.PreMean += pPre
 		rep.PostMean += pPost

@@ -330,8 +330,9 @@ type SubscribeOptions struct {
 	// subscriptions events with GlobalSeq > AfterSeq. The replay is
 	// bounded: the replay ring's events, preceded by older ones from the
 	// durable log's newest ring's worth (events the ring never held after
-	// a restart, or lost while the log writer lagged). A TypeGap marker
-	// announces every requested event out of reach.
+	// a restart, or lost while the log writer lagged). A resume the ring
+	// covers is served from memory and never reads the log. A TypeGap
+	// marker announces every requested event out of reach.
 	Replay   bool
 	AfterSeq uint64
 }
@@ -352,15 +353,19 @@ func (b *Bus) Subscribe(o SubscribeOptions) *Subscription {
 		ready:  make(chan struct{}, 1),
 	}
 
-	// Log replay happens before registration and without the bus lock (it
-	// is file I/O); anything published in between is covered by the replay
-	// ring, and the ring merge below dedupes the overlap by sequence.
+	// A resume the replay ring covers never reads the durable log: the
+	// check, the seed and the registration share one critical section, so
+	// the ring cannot roll past the offset in between. Otherwise the log is
+	// read without the bus lock (it is file I/O); anything published
+	// meanwhile is covered by the ring, and the merge in seedLocked dedupes
+	// the overlap by sequence.
 	var logEvents []Event
-	if o.Replay && b.log != nil {
-		logEvents = b.log.ReadSince(o.ExamID, o.AfterSeq, b.ringCap)
-	}
-
 	b.mu.Lock()
+	if o.Replay && b.log != nil && !b.closed && !b.ringCoversLocked(o) {
+		b.mu.Unlock()
+		logEvents = b.log.ReadSince(o.ExamID, o.AfterSeq, b.ringCap)
+		b.mu.Lock()
+	}
 	if b.closed {
 		b.mu.Unlock()
 		return nil
@@ -373,25 +378,53 @@ func (b *Bus) Subscribe(o SubscribeOptions) *Subscription {
 	return sub
 }
 
+// streamLocked returns the head sequence and the replay ring (nil before
+// the exam's first event) of o's stream: one exam's, or the firehose's.
+// Callers hold b.mu.
+func (b *Bus) streamLocked(o SubscribeOptions) (head uint64, r *ring) {
+	if o.ExamID == "" {
+		return b.global, b.allRing
+	}
+	return b.seqs[o.ExamID], b.rings[o.ExamID]
+}
+
+// ringCoversLocked reports whether the replay ring alone holds every event
+// a resume from o.AfterSeq misses: none were missed, or the ring's oldest
+// event is at most the first one missed. Callers hold b.mu.
+func (b *Bus) ringCoversLocked(o SubscribeOptions) bool {
+	head, r := b.streamLocked(o)
+	if o.AfterSeq >= head {
+		return true
+	}
+	if r == nil || r.count == 0 {
+		return false
+	}
+	oldest, _ := r.segments()
+	return seqFor(o, oldest[0]) <= o.AfterSeq+1
+}
+
+// seqFor is e's position in o's stream: the per-exam Seq for an exam
+// subscription, the GlobalSeq for the firehose.
+func seqFor(o SubscribeOptions, e Event) uint64 {
+	if o.ExamID == "" {
+		return e.GlobalSeq
+	}
+	return e.Seq
+}
+
 // seedLocked sets a new subscription's replay backlog (durable log +
 // replay ring), prefixed with a gap marker when the requested offset has
 // aged out of both. Callers hold b.mu.
 func (sub *Subscription) seedLocked(b *Bus, o SubscribeOptions, logEvents []Event) {
-	seqOf := func(e Event) uint64 {
-		if o.ExamID == "" {
-			return e.GlobalSeq
-		}
-		return e.Seq
-	}
+	head, r := b.streamLocked(o)
 	var ringEvents []Event
-	r := b.allRing
-	if o.ExamID != "" {
-		r = b.rings[o.ExamID]
-	}
 	if r != nil {
-		for _, e := range r.all() {
-			if seqOf(e) > o.AfterSeq {
-				ringEvents = append(ringEvents, e)
+		older, newer := r.segments()
+		for _, seg := range [2][]Event{older, newer} {
+			for _, e := range seg {
+				if seqFor(o, e) > o.AfterSeq {
+					ringEvents = append(ringEvents, e)
+				}
 			}
 		}
 	}
@@ -400,11 +433,11 @@ func (sub *Subscription) seedLocked(b *Bus, o SubscribeOptions, logEvents []Even
 	if len(logEvents) > 0 {
 		cutoff := uint64(1<<63 - 1)
 		if len(ringEvents) > 0 {
-			cutoff = seqOf(ringEvents[0])
+			cutoff = seqFor(o, ringEvents[0])
 		}
 		var merged []Event
 		for _, e := range logEvents {
-			if seqOf(e) < cutoff {
+			if seqFor(o, e) < cutoff {
 				merged = append(merged, e)
 			}
 		}
@@ -419,7 +452,7 @@ func (sub *Subscription) seedLocked(b *Bus, o SubscribeOptions, logEvents []Even
 	// registration follow contiguously.
 	prev := o.AfterSeq
 	for _, e := range backlog {
-		seq := seqOf(e)
+		seq := seqFor(o, e)
 		if seq > prev+1 {
 			b.mGaps.Inc()
 			sub.backlog = append(sub.backlog, Event{
@@ -428,10 +461,6 @@ func (sub *Subscription) seedLocked(b *Bus, o SubscribeOptions, logEvents []Even
 		}
 		prev = seq
 		sub.backlog = append(sub.backlog, e)
-	}
-	head := b.seqs[o.ExamID]
-	if o.ExamID == "" {
-		head = b.global
 	}
 	if head > prev {
 		b.mGaps.Inc()

@@ -645,6 +645,51 @@ func TestReplaySeamBetweenLogAndRingAnnouncesGap(t *testing.T) {
 	}
 }
 
+// TestResumeInsideRingSkipsLog: a resume whose missed events are all in the
+// replay ring is served from memory, however long the durable log is, so
+// its cost follows the gap rather than the log's size. Decoding the 5,000
+// logged records would cost tens of thousands of allocations.
+func TestResumeInsideRingSkipsLog(t *testing.T) {
+	dir := t.TempDir()
+	log1, err := OpenLog(dir, LogOptions{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus1 := NewBus(Options{Log: log1})
+	const logged = 5000
+	for i := 0; i < logged; i++ {
+		bus1.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"})
+	}
+	bus1.Close()
+
+	log2, err := OpenLog(dir, LogOptions{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus2 := NewBus(Options{Log: log2})
+	defer bus2.Close()
+	for i := 0; i < 10; i++ {
+		bus2.Publish(context.Background(), Event{Type: ResponseSubmitted, ExamID: "x"}) // 5001..5010
+	}
+	// One exam, so its Seq and the firehose's GlobalSeq coincide.
+	for _, exam := range []string{"x", ""} {
+		resume := func() []Event {
+			sub := bus2.Subscribe(SubscribeOptions{ExamID: exam, Replay: true, AfterSeq: logged + 9})
+			defer sub.Close()
+			return sub.Take(nil)
+		}
+		got := resume()
+		if len(got) != 1 || got[0].Type == TypeGap || got[0].Seq != logged+10 || got[0].GlobalSeq != logged+10 {
+			t.Fatalf("exam %q: resume from %d delivered %+v, want exactly seq %d", exam, logged+9, got, logged+10)
+		}
+		allocs := testing.AllocsPerRun(20, func() { resume() })
+		t.Logf("exam %q: %.0f allocs per resume", exam, allocs)
+		if allocs > 50 {
+			t.Errorf("exam %q: a resume inside the ring allocates %.0f times, want at most 50", exam, allocs)
+		}
+	}
+}
+
 // TestDetachSubscribersKeepsPublishing: draining a server must end
 // subscriptions while the rings (and log) keep recording — the resume
 // story has no hole for requests finishing during the drain.

@@ -128,7 +128,11 @@ func New(baseURL string, opts ...Option) *Client {
 }
 
 // do issues one request. in == nil sends no body; out == nil discards the
-// response body. Non-2xx responses become *APIError.
+// response body. Non-2xx responses become *APIError. Before closing the
+// body it reads what is left of it, up to bodyReadLimit bytes: the server
+// streams JSON, so a chunked body's terminator can still be unread once the
+// value is decoded, and a body closed before its end costs the keep-alive
+// connection.
 func (c *Client) do(method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
@@ -152,7 +156,7 @@ func (c *Client) do(method, path string, in, out any) error {
 	if err != nil {
 		return fmt.Errorf("client: %s %s: %w", method, path, err)
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp.Body)
 	if resp.StatusCode >= 400 {
 		return decodeAPIError(resp)
 	}
@@ -164,10 +168,22 @@ func (c *Client) do(method, path string, in, out any) error {
 	return nil
 }
 
+// bodyReadLimit bounds what the SDK reads of a response body besides the
+// value it decodes: an error envelope, or what is left after the value.
+const bodyReadLimit = 1 << 16
+
+// closeBody reads what is left of body, up to bodyReadLimit bytes, then
+// closes it. A failed or cut-short read only costs the keep-alive
+// connection, so its error is dropped.
+func closeBody(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, bodyReadLimit))
+	_ = body.Close()
+}
+
 // decodeAPIError reads the error envelope; a body that is not an envelope
 // (e.g. a proxy's HTML error page) still yields a usable APIError.
 func decodeAPIError(resp *http.Response) error {
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, bodyReadLimit))
 	var env api.Error
 	if err := json.Unmarshal(raw, &env); err != nil || env.Code == "" {
 		return &APIError{

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mineassess/internal/analysis"
 )
 
 // barrierServer serves GET /v1/exams but holds every request until the
@@ -119,5 +123,54 @@ func TestWithTransportInstalls(t *testing.T) {
 	}
 	if rt.MaxConnsPerHost != 0 {
 		t.Errorf("MaxConnsPerHost = %d, want 0 (no in-transport queueing)", rt.MaxConnsPerHost)
+	}
+}
+
+// TestChunkedResponseKeepsConnection: the server streams a 64 KB JSON value,
+// so the body is chunked, and writes the terminating chunk only when its
+// handler returns, 20 ms after the value. A client that closes the body as
+// soon as the value is decoded leaves the terminator unread and drops the
+// connection; sequential calls must instead share one.
+func TestChunkedResponseKeepsConnection(t *testing.T) {
+	res := analysis.ExamResult{ExamID: "big"}
+	for s := 0; s < 80; s++ {
+		st := analysis.StudentResult{StudentID: fmt.Sprintf("s%03d", s)}
+		for q := 0; q < 10; q++ {
+			st.Responses = append(st.Responses, analysis.Response{StudentID: st.StudentID,
+				ProblemID: fmt.Sprintf("q%02d", q), Option: "A", Credit: 1, Answered: true})
+		}
+		res.Students = append(res.Students, st)
+	}
+	if raw, _ := json.Marshal(&res); len(raw) < 64<<10 {
+		t.Fatalf("export is %d bytes, want at least 64 KB", len(raw))
+	}
+	var conns atomic.Int64
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(&res)
+		w.(http.Flusher).Flush()
+		time.Sleep(20 * time.Millisecond)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	defer tr.CloseIdleConnections()
+	c := New(srv.URL, WithTransport(tr))
+	for i := 0; i < 5; i++ {
+		got, err := c.Results("big")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Students) != len(res.Students) {
+			t.Fatalf("call %d decoded %d students, want %d", i, len(got.Students), len(res.Students))
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("5 sequential calls opened %d connections, want 1", n)
 	}
 }
