@@ -14,13 +14,16 @@
 // bank.Storage after each mutation (bank.AdaptiveSessionRecord), so with
 // a journaled bank a mid-test crash resumes exactly where the learner
 // stopped: the response stream re-derives theta/SE and item selection is
-// re-seeded deterministically.
+// re-seeded deterministically. The record is the one home of a sitting's
+// state: a mutation builds the next record beside the session's, and the
+// next record replaces the session's only after it persists.
 //
 // Finished sessions drain into a ResponseLog — the calibration feedback
-// loop's collection point. Recalibrate folds the logged responses back into
-// the exam's stored ItemParams (fixed-ability difficulty refit, see
-// internal/adaptive/calibrate.go), so pool parameters converge toward what
-// real learners demonstrate instead of staying hand-authored forever.
+// loop's collection point — once each. Recalibrate folds the logged
+// responses back into the exam's stored ItemParams (fixed-ability
+// difficulty refit, see internal/adaptive/calibrate.go), so pool parameters
+// converge toward what real learners demonstrate instead of staying
+// hand-authored forever.
 package catdelivery
 
 import (
@@ -136,9 +139,11 @@ func (c Config) validate() error {
 
 // Session is one learner's live adaptive sitting. ID, ExamID and StudentID
 // are fixed at start; everything else, the monitor ring included, is
-// guarded by mu. The persisted
-// record (rec) is the single source of truth — in-memory derived state
-// (responses, pending problem) is rebuilt from it on restart.
+// guarded by mu. The last persisted record (rec) is the sitting's state:
+// the pending item is problems[rec.PendingID], and responses is rec's
+// answered items paired with their pool parameters, rebuilt from rec on
+// restart. rec and responses are replaced together, only after the next
+// record persists.
 type Session struct {
 	ID        string
 	ExamID    string
@@ -149,7 +154,6 @@ type Session struct {
 	pool      []adaptive.PoolItem
 	problems  map[string]*item.Problem
 	responses []adaptive.ResponseRecord
-	pending   *item.Problem
 	// grid is the exam's shared precomputed information table, rows aligned
 	// with pool. Snapshotted at start like pool itself; sessions never see a
 	// mid-test recalibration.
@@ -215,7 +219,7 @@ type Engine struct {
 	monitorCapacity int // each session's snapshot ring bound; 0 disables capture
 	now             func() time.Time
 	nextID          atomic.Int64
-	log             *ResponseLog
+	log             ResponseLog
 
 	// bus receives adaptive.* lifecycle events. Events are published only
 	// AFTER the session record is durably persisted, so a subscriber never
@@ -253,7 +257,6 @@ func NewEngine(store bank.Storage, now func() time.Time, monitorCapacity int) (*
 		sessions:        shardmap.New[*Session](delivery.DefaultSessionShards),
 		monitorCapacity: monitorCapacity,
 		now:             now,
-		log:             NewResponseLog(),
 		exposure:        make(map[string]*examExposure),
 		grids:           make(map[string]*examGrid),
 	}
@@ -289,7 +292,7 @@ func (e *Engine) RestoreSkipped() int { return e.restoreSkipped }
 func (e *Engine) SetEventBus(b *events.Bus) { e.bus = b }
 
 // ResponseLog exposes the calibration sink.
-func (e *Engine) ResponseLog() *ResponseLog { return e.log }
+func (e *Engine) ResponseLog() *ResponseLog { return &e.log }
 
 // SessionCount returns the number of registered sessions (any state).
 func (e *Engine) SessionCount() int { return e.sessions.Len() }
@@ -385,13 +388,12 @@ func (e *Engine) Start(ctx context.Context, examID, studentID string, cfg Config
 		grid:      e.gridFor(examID, pool),
 	}
 	e.trackStart(examID)
-	first := e.selectNext(s, 0)
+	first := e.selectNext(s, rec)
 	if first == nil {
 		// Unreachable in practice (loadPool guarantees a non-empty pool),
 		// kept as a guard against future selector bugs.
 		return nil, nil, fmt.Errorf("%w: %s", ErrNotCalibrated, examID)
 	}
-	s.pending = first
 	rec.PendingID = first.ID
 	if err := e.persistSession(ctx, rec); err != nil {
 		return nil, nil, err
@@ -430,32 +432,6 @@ func (e *Engine) trackAdministration(examID, problemID string) {
 	ex.counts[problemID]++
 }
 
-// ExposureRates reports each calibrated pool item's administration rate for
-// an exam (administrations / sessions started), with explicit 0 entries for
-// never-administered items.
-func (e *Engine) ExposureRates(examID string) (map[string]float64, error) {
-	rec, err := e.store.Exam(examID)
-	if err != nil {
-		return nil, err
-	}
-	ids := rec.CalibratedPool()
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNotCalibrated, examID)
-	}
-	out := make(map[string]float64, len(ids))
-	e.expoMu.Lock()
-	defer e.expoMu.Unlock()
-	ex := e.exposure[examID]
-	for _, id := range ids {
-		if ex == nil || ex.starts == 0 {
-			out[id] = 0
-			continue
-		}
-		out[id] = float64(ex.counts[id]) / float64(ex.starts)
-	}
-	return out, nil
-}
-
 // examGrid is one cached information table plus the pool-parameter
 // fingerprint it was built from.
 type examGrid struct {
@@ -490,20 +466,14 @@ func (e *Engine) gridFor(examID string, pool []adaptive.PoolItem) *adaptive.Info
 	return c.grid
 }
 
-// invalidateGrid drops an exam's cached information table; the next session
-// start rebuilds it from the updated parameters.
-func (e *Engine) invalidateGrid(examID string) {
-	e.gridMu.Lock()
-	delete(e.grids, examID)
-	e.gridMu.Unlock()
-}
-
-// selectNext picks the next item for the session, honouring the exposure
-// cap. Callers hold s.mu (or own the session exclusively, as Start does).
-// Returns nil when the pool is exhausted.
-func (e *Engine) selectNext(s *Session, theta float64) *item.Problem {
-	used := make(map[string]bool, len(s.rec.Administered)+1)
-	for _, id := range s.rec.Administered {
+// selectNext picks the item to hand out after rec's answered items, at
+// rec's ability estimate, honouring the exposure cap. Callers hold s.mu
+// (or own the session exclusively, as Start does). Returns nil when the
+// pool is exhausted. The hand-out is counted even if rec never persists;
+// exposure counts are approximate accounting by design.
+func (e *Engine) selectNext(s *Session, rec *bank.AdaptiveSessionRecord) *item.Problem {
+	used := make(map[string]bool, len(rec.Administered)+1)
+	for _, id := range rec.Administered {
 		used[id] = true
 	}
 	rows := make([]int, 0, len(s.pool))
@@ -516,8 +486,8 @@ func (e *Engine) selectNext(s *Session, theta float64) *item.Problem {
 		return nil
 	}
 	candidates := rows
-	if s.rec.MaxExposure > 0 {
-		if open := e.underCap(s.ExamID, s.pool, rows, s.rec.MaxExposure); len(open) > 0 {
+	if rec.MaxExposure > 0 {
+		if open := e.underCap(s.ExamID, s.pool, rows, rec.MaxExposure); len(open) > 0 {
 			candidates = open
 		} else {
 			candidates = []int{e.leastExposed(s.ExamID, s.pool, rows)}
@@ -525,29 +495,29 @@ func (e *Engine) selectNext(s *Session, theta float64) *item.Problem {
 	}
 	// Deterministic per-step RNG: the seed and administration count fully
 	// determine the draw, so a restarted session re-selects identically.
-	step := int64(len(s.rec.Administered) + 1)
-	rng := rand.New(rand.NewSource(s.rec.Seed + step*0x9E3779B9))
-	chosen := s.pool[e.pickRow(s, rng, candidates, theta)]
+	step := int64(len(rec.Administered) + 1)
+	rng := rand.New(rand.NewSource(rec.Seed + step*0x9E3779B9))
+	chosen := s.pool[pickRow(s.grid, rec, rng, candidates)]
 	e.trackAdministration(s.ExamID, chosen.ID)
 	return s.problems[chosen.ID]
 }
 
-// pickRow applies the session's selection rule over candidate pool rows.
-// The information-driven rules scan the precomputed grid — a flat array
-// walk instead of pool-size 3PL evaluations per step.
-func (e *Engine) pickRow(s *Session, rng *rand.Rand, candidates []int, theta float64) int {
-	switch s.rec.Selector {
+// pickRow applies rec's selection rule over candidate pool rows at rec's
+// ability estimate. The information-driven rules scan the precomputed grid
+// — a flat array walk instead of pool-size 3PL evaluations per step.
+func pickRow(grid *adaptive.InfoGrid, rec *bank.AdaptiveSessionRecord, rng *rand.Rand, candidates []int) int {
+	switch rec.Selector {
 	case SelectorRandom:
 		// Same draw the exact RandomSelection selector would make.
 		return candidates[rng.Intn(len(candidates))]
 	case SelectorRandomesque:
-		k := s.rec.RandomesqueK
+		k := rec.RandomesqueK
 		if k <= 0 {
 			k = DefaultRandomesqueK
 		}
-		return s.grid.TopK(rng, candidates, k, theta)
+		return grid.TopK(rng, candidates, k, rec.Theta)
 	default:
-		return s.grid.ArgMax(candidates, theta)
+		return grid.ArgMax(candidates, rec.Theta)
 	}
 }
 
@@ -618,10 +588,10 @@ func (e *Engine) NextItem(sessionID string) (*ItemView, error) {
 		return nil, err
 	}
 	defer s.mu.Unlock()
-	if s.rec.State != bank.AdaptiveStateActive || s.pending == nil {
+	if s.rec.State != bank.AdaptiveStateActive {
 		return nil, fmt.Errorf("%w: %s", ErrSessionFinished, s.ID)
 	}
-	return s.itemView(s.pending), nil
+	return s.itemView(s.problems[s.rec.PendingID]), nil
 }
 
 // SubmitResponse grades the learner's answer to the pending item,
@@ -638,101 +608,68 @@ func (e *Engine) SubmitResponse(ctx context.Context, sessionID, problemID, respo
 		return nil, err
 	}
 	defer s.mu.Unlock()
-	if s.rec.State != bank.AdaptiveStateActive || s.pending == nil {
+	if s.rec.State != bank.AdaptiveStateActive {
 		return nil, fmt.Errorf("%w: %s", ErrSessionFinished, s.ID)
 	}
-	if problemID != s.pending.ID {
-		return nil, fmt.Errorf("%w: got %s, pending %s", ErrItemNotPending, problemID, s.pending.ID)
+	if problemID != s.rec.PendingID {
+		return nil, fmt.Errorf("%w: got %s, pending %s", ErrItemNotPending, problemID, s.rec.PendingID)
 	}
-	credit, gradable := s.pending.Grade(response)
+	credit, gradable := s.problems[problemID].Grade(response)
 	if !gradable {
 		// loadPool filters non-gradable styles, so this is defensive.
 		return nil, fmt.Errorf("%w: %s", ErrNotGradable, problemID)
 	}
 	correct := credit >= 1-1e-9
-	params := s.paramsOf(problemID)
 
-	// The mutation must be all-or-nothing: if estimation or persistence
-	// fails, the session rolls back to its pre-submit state so the
-	// learner's retry of the same {problemId, response} still addresses
-	// the pending item instead of hitting ITEM_NOT_PENDING — and a
-	// crash+restart (which replays the persisted record) agrees with
-	// what the client was told. Exposure counters bumped by a rolled-back
-	// selection stay bumped; they are approximate accounting by design.
-	prevLen := len(s.rec.Administered)
-	prevTheta, prevSE := s.rec.Theta, s.rec.SE
-	prevPending, prevPendingID := s.pending, s.rec.PendingID
-	prevState, prevStop := s.rec.State, s.rec.StopReason
-	rollback := func() {
-		s.responses = s.responses[:prevLen]
-		s.rec.Administered = s.rec.Administered[:prevLen]
-		s.rec.Correct = s.rec.Correct[:prevLen]
-		s.rec.Theta, s.rec.SE = prevTheta, prevSE
-		s.pending, s.rec.PendingID = prevPending, prevPendingID
-		s.rec.State, s.rec.StopReason = prevState, prevStop
-	}
-
-	s.responses = append(s.responses, adaptive.ResponseRecord{Params: params, Correct: correct})
-	s.rec.Administered = append(s.rec.Administered, problemID)
-	s.rec.Correct = append(s.rec.Correct, correct)
-
-	theta, sd, err := adaptive.EstimateEAP(s.responses)
-	if err != nil {
-		rollback()
+	// The next record and response stream are built beside the session's.
+	// Their appends may share the session's backing arrays but never change
+	// the session's own lengths, so an error before the assignment below
+	// leaves the session as it was: the learner's retry of the same
+	// {problemId, response} still addresses the pending item, and a
+	// crash+restart (which replays the persisted record) agrees with what
+	// the client was told.
+	responses := append(s.responses, adaptive.ResponseRecord{Params: s.paramsOf(problemID), Correct: correct})
+	next := *s.rec
+	next.Administered = append(next.Administered, problemID)
+	next.Correct = append(next.Correct, correct)
+	if next.Theta, next.SE, err = adaptive.EstimateEAP(responses); err != nil {
 		return nil, err
 	}
-	s.rec.Theta, s.rec.SE = theta, sd
-
-	prog := &Progress{
-		SessionID:    s.ID,
-		Theta:        theta,
-		SE:           sd,
-		Administered: len(s.rec.Administered),
-	}
-	n := len(s.rec.Administered)
+	n := len(next.Administered)
 	switch {
-	case s.rec.TargetSE > 0 && sd <= s.rec.TargetSE && n >= s.rec.MinItems:
-		s.finishLocked(StopSETarget)
-	case n >= s.rec.MaxItems:
-		s.finishLocked(StopMaxItems)
+	case next.TargetSE > 0 && next.SE <= next.TargetSE && n >= next.MinItems:
+		finish(&next, StopSETarget)
+	case n >= next.MaxItems:
+		finish(&next, StopMaxItems)
 	default:
-		next := e.selectNext(s, theta)
-		if next == nil {
-			s.finishLocked(StopPoolExhausted)
+		if p := e.selectNext(s, &next); p != nil {
+			next.PendingID = p.ID
 		} else {
-			s.pending = next
-			s.rec.PendingID = next.ID
-			prog.Next = s.itemView(next)
+			finish(&next, StopPoolExhausted)
 		}
 	}
-	if s.rec.State == bank.AdaptiveStateFinished {
-		prog.Done = true
-		prog.StopReason = s.rec.StopReason
-		prog.Next = nil
-	}
-	if err := e.persistSession(ctx, s.rec); err != nil {
-		rollback()
+	if err := e.persistSession(ctx, &next); err != nil {
 		return nil, err
 	}
-	// Drain into the calibration log — and publish events — only after the
-	// finish is durable, so a rolled-back mutation never leaves a phantom
-	// log entry or a phantom event. Publishes detach from the request
-	// context (cancelation must not reach subscribers) while keeping the
-	// trace span so the bus.publish spans parent correctly.
+	s.rec, s.responses = &next, responses
+	// Publish events — and drain into the calibration log — only after the
+	// record is durable, so a failed persist never leaves a phantom log
+	// entry or a phantom event. Publishes detach from the request context
+	// (cancelation must not reach subscribers) while keeping the trace span
+	// so the bus.publish spans parent correctly.
 	evctx := trace.Detach(ctx)
 	e.bus.Publish(evctx, events.Event{
 		Type: events.AdaptiveResponded, ExamID: s.ExamID, SessionID: s.ID,
 		StudentID: s.StudentID, ProblemID: problemID, Correct: correct,
-		Credit: credit, Answered: len(s.rec.Administered), Total: s.rec.MaxItems,
-		Theta: theta, SE: sd,
+		Credit: credit, Answered: n, Total: next.MaxItems,
+		Theta: next.Theta, SE: next.SE,
 	})
-	if s.rec.State == bank.AdaptiveStateFinished {
-		e.log.Add(entryOf(s.rec))
-		e.bus.Publish(evctx, events.Event{
-			Type: events.AdaptiveFinished, ExamID: s.ExamID, SessionID: s.ID,
-			StudentID: s.StudentID, Answered: len(s.rec.Administered),
-			Theta: s.rec.Theta, SE: s.rec.SE, StopReason: s.rec.StopReason,
-		})
+	prog := &Progress{SessionID: s.ID, Theta: next.Theta, SE: next.SE, Administered: n}
+	if next.State == bank.AdaptiveStateFinished {
+		prog.Done, prog.StopReason = true, next.StopReason
+		e.drain(evctx, s)
+	} else {
+		prog.Next = s.itemView(s.problems[next.PendingID])
 	}
 	s.monitor.Capture(s.ID, e.monitorCapacity, e.now())
 	return prog, nil
@@ -748,14 +685,21 @@ func (s *Session) paramsOf(problemID string) simulate.IRTParams {
 	return simulate.IRTParams{}
 }
 
-// finishLocked transitions the session to finished. Callers hold s.mu,
-// must persist the record, and drain it into the response log only once
-// persistence succeeds.
-func (s *Session) finishLocked(reason string) {
-	s.rec.State = bank.AdaptiveStateFinished
-	s.rec.StopReason = reason
-	s.rec.PendingID = ""
-	s.pending = nil
+// finish marks rec finished for reason, with nothing pending.
+func finish(rec *bank.AdaptiveSessionRecord, reason string) {
+	rec.State, rec.StopReason, rec.PendingID = bank.AdaptiveStateFinished, reason, ""
+}
+
+// drain hands a sitting whose finished record has just persisted to the
+// response log and announces it. Callers hold s.mu; the active-state
+// check they made under it means each sitting drains once.
+func (e *Engine) drain(ctx context.Context, s *Session) {
+	e.log.Add(entryOf(s.rec))
+	e.bus.Publish(ctx, events.Event{
+		Type: events.AdaptiveFinished, ExamID: s.ExamID, SessionID: s.ID,
+		StudentID: s.StudentID, Answered: len(s.rec.Administered),
+		Theta: s.rec.Theta, SE: s.rec.SE, StopReason: s.rec.StopReason,
+	})
 }
 
 // Finish closes an adaptive session early (learner walked away) and returns
@@ -770,22 +714,25 @@ func (e *Engine) Finish(ctx context.Context, sessionID string) (_ *Outcome, err 
 	}
 	defer s.mu.Unlock()
 	if s.rec.State == bank.AdaptiveStateActive {
-		prevPending, prevPendingID := s.pending, s.rec.PendingID
-		s.finishLocked(StopByCaller)
-		if err := e.persistSession(ctx, s.rec); err != nil {
-			s.rec.State, s.rec.StopReason = bank.AdaptiveStateActive, ""
-			s.pending, s.rec.PendingID = prevPending, prevPendingID
+		next := *s.rec
+		finish(&next, StopByCaller)
+		if err := e.persistSession(ctx, &next); err != nil {
 			return nil, err
 		}
-		e.log.Add(entryOf(s.rec))
-		e.bus.Publish(trace.Detach(ctx), events.Event{
-			Type: events.AdaptiveFinished, ExamID: s.ExamID, SessionID: s.ID,
-			StudentID: s.StudentID, Answered: len(s.rec.Administered),
-			Theta: s.rec.Theta, SE: s.rec.SE, StopReason: s.rec.StopReason,
-		})
+		s.rec = &next
+		e.drain(trace.Detach(ctx), s)
 		s.monitor.Capture(s.ID, e.monitorCapacity, e.now())
 	}
-	return outcomeOf(s.rec), nil
+	rec := s.rec
+	return &Outcome{
+		SessionID:    rec.ID,
+		ExamID:       rec.ExamID,
+		StudentID:    rec.StudentID,
+		Theta:        rec.Theta,
+		SE:           rec.SE,
+		Administered: append([]string(nil), rec.Administered...),
+		StopReason:   rec.StopReason,
+	}, nil
 }
 
 // Status reports the session's current progress as an Outcome-shaped
@@ -835,36 +782,12 @@ func (e *Engine) Snapshots(sessionID string) ([]delivery.Snapshot, error) {
 	return s.monitor.Snapshots(), nil
 }
 
-// Outcome returns a finished session's result.
-func (e *Engine) Outcome(sessionID string) (*Outcome, error) {
-	s, err := e.lock(sessionID)
-	if err != nil {
-		return nil, err
-	}
-	defer s.mu.Unlock()
-	if s.rec.State != bank.AdaptiveStateFinished {
-		return nil, fmt.Errorf("%w: %s still active", ErrSessionNotFound, sessionID)
-	}
-	return outcomeOf(s.rec), nil
-}
-
-func outcomeOf(rec *bank.AdaptiveSessionRecord) *Outcome {
-	return &Outcome{
-		SessionID:    rec.ID,
-		ExamID:       rec.ExamID,
-		StudentID:    rec.StudentID,
-		Theta:        rec.Theta,
-		SE:           rec.SE,
-		Administered: append([]string(nil), rec.Administered...),
-		StopReason:   rec.StopReason,
-	}
-}
-
 // restore rehydrates one persisted session into the registry. Finished
-// sessions need no pool — they register for status/outcome queries with
-// their persisted estimates and re-drain into the response log. Active
-// sessions reload pool and problems from the bank and re-derive theta/SE
-// from the response stream.
+// sessions need no pool — they register for status queries with their
+// persisted estimates and drain into the response log. Active sessions
+// reload pool and problems from the bank and re-derive theta/SE from the
+// response stream. Either way exposure is counted as Start and selectNext
+// count it.
 func (e *Engine) restore(rec *bank.AdaptiveSessionRecord) error {
 	s := &Session{
 		ID:        rec.ID,
@@ -877,59 +800,37 @@ func (e *Engine) restore(rec *bank.AdaptiveSessionRecord) error {
 		if err != nil {
 			return err
 		}
-		pool, problems, err := e.loadPool(examRec)
-		if err != nil {
+		if s.pool, s.problems, err = e.loadPool(examRec); err != nil {
 			return err
 		}
-		s.pool, s.problems = pool, problems
-		s.grid = e.gridFor(rec.ExamID, pool)
-		byID := make(map[string]adaptive.PoolItem, len(pool))
-		for _, it := range pool {
-			byID[it.ID] = it
-		}
+		s.grid = e.gridFor(rec.ExamID, s.pool)
 		for i, pid := range rec.Administered {
-			it, ok := byID[pid]
-			if !ok {
+			if s.problems[pid] == nil {
 				return fmt.Errorf("administered item %s no longer in pool", pid)
 			}
 			s.responses = append(s.responses, adaptive.ResponseRecord{
-				Params: it.Params, Correct: rec.Correct[i],
+				Params: examRec.ItemParams[pid], Correct: rec.Correct[i],
 			})
 		}
 		if len(s.responses) > 0 {
-			theta, sd, err := adaptive.EstimateEAP(s.responses)
-			if err != nil {
+			if rec.Theta, rec.SE, err = adaptive.EstimateEAP(s.responses); err != nil {
 				return err
 			}
-			rec.Theta, rec.SE = theta, sd
 		}
-		if rec.PendingID == "" {
-			return errors.New("active session has no pending item")
+		if s.problems[rec.PendingID] == nil {
+			return fmt.Errorf("pending item %q not in pool", rec.PendingID)
 		}
-		p, ok := problems[rec.PendingID]
-		if !ok {
-			return fmt.Errorf("pending item %s no longer in pool", rec.PendingID)
-		}
-		s.pending = p
 	} else {
 		e.log.Add(entryOf(rec))
 	}
-	// Rebuild exposure accounting and keep new session IDs past the
-	// restored ones.
-	e.expoMu.Lock()
-	ex := e.exposure[rec.ExamID]
-	if ex == nil {
-		ex = &examExposure{counts: make(map[string]int)}
-		e.exposure[rec.ExamID] = ex
-	}
-	ex.starts++
+	e.trackStart(rec.ExamID)
 	for _, pid := range rec.Administered {
-		ex.counts[pid]++
+		e.trackAdministration(rec.ExamID, pid)
 	}
 	if rec.PendingID != "" {
-		ex.counts[rec.PendingID]++
+		e.trackAdministration(rec.ExamID, rec.PendingID)
 	}
-	e.expoMu.Unlock()
+	// Keep new session IDs past the restored ones.
 	if n, ok := numericSuffix(rec.ID); ok {
 		for {
 			cur := e.nextID.Load()

@@ -6,15 +6,17 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"mineassess/internal/adaptive"
 	"mineassess/internal/bank"
+	"mineassess/internal/events"
 	"mineassess/internal/item"
 	"mineassess/internal/simulate"
-	"mineassess/internal/stats"
 )
 
 // calibratedExam authors n multiple-choice problems (correct answer "A")
@@ -73,7 +75,7 @@ func answerAs(t *testing.T, e *Engine, examID, student string, truth float64, cf
 			t.Fatalf("submit %s: %v", view.ProblemID, err)
 		}
 		if prog.Done {
-			out, err := e.Outcome(s.ID)
+			out, err := e.Finish(context.Background(), s.ID)
 			if err != nil {
 				t.Fatalf("outcome: %v", err)
 			}
@@ -206,7 +208,7 @@ func TestAllCorrectAllIncorrectStreams(t *testing.T) {
 				}
 				view = prog.Next
 			}
-			out, err := e.Outcome(s.ID)
+			out, err := e.Finish(context.Background(), s.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,15 +319,8 @@ func TestExposureCapSpreadsItems(t *testing.T) {
 	if len(firstItems) != 1 {
 		t.Fatalf("uncapped first items = %v, want a single hot item", firstItems)
 	}
-	rates, err := e.ExposureRates("pool")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rates) != 30 {
-		t.Fatalf("rates entries = %d, want 30 (explicit zeros included)", len(rates))
-	}
 	over := 0
-	for id, rate := range rates {
+	for id, rate := range exposureRates(e, "pool") {
 		// The cap admits the administration that crosses it, so allow one
 		// session of slack.
 		if rate > 0.3+1.0/sessions+1e-9 {
@@ -336,6 +331,19 @@ func TestExposureCapSpreadsItems(t *testing.T) {
 	if over > 0 {
 		t.Errorf("%d items exceeded the exposure cap", over)
 	}
+}
+
+// exposureRates reads the engine's exposure counters: each administered
+// item's administrations per session started on the exam.
+func exposureRates(e *Engine, examID string) map[string]float64 {
+	e.expoMu.Lock()
+	defer e.expoMu.Unlock()
+	ex := e.exposure[examID]
+	rates := make(map[string]float64, len(ex.counts))
+	for id, n := range ex.counts {
+		rates[id] = float64(n) / float64(ex.starts)
+	}
+	return rates
 }
 
 // TestRestartRestoresActiveSession: a mid-test session persisted through a
@@ -415,7 +423,7 @@ func TestRestartRestoresActiveSession(t *testing.T) {
 }
 
 // TestRecalibrateFeedbackLoop: sessions from an easier-than-authored item
-// pull its stored difficulty down; the stats bridge sees the same data.
+// pull its stored difficulty down.
 func TestRecalibrateFeedbackLoop(t *testing.T) {
 	store := bank.NewSharded(4)
 	calibratedExam(t, store, "pool", 8, 1.5, 1.5)
@@ -447,18 +455,6 @@ func TestRecalibrateFeedbackLoop(t *testing.T) {
 	}
 	if got := e.ResponseLog().Len(); got != 6 {
 		t.Fatalf("logged sessions = %d, want 6", got)
-	}
-	// The stats bridge: classical item statistics over live CAT data.
-	res, err := e.ExamResult("pool")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := stats.Compute(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Scores.N != 6 {
-		t.Errorf("stats N = %d", st.Scores.N)
 	}
 	cal, err := e.Recalibrate("pool", 5)
 	if err != nil {
@@ -828,8 +824,7 @@ func TestSnapshotsSequenceAndBound(t *testing.T) {
 
 // TestInfoGridCacheSharedAndInvalidated: sessions on one exam share a single
 // precomputed information table; a parameter change (what Recalibrate
-// persists) rebuilds it — via explicit invalidation or the parameter
-// fingerprint alone.
+// persists) rebuilds it through the parameter fingerprint.
 func TestInfoGridCacheSharedAndInvalidated(t *testing.T) {
 	store := bank.NewSharded(4)
 	calibratedExam(t, store, "gx", 40, 1.2, 2.5)
@@ -863,16 +858,15 @@ func TestInfoGridCacheSharedAndInvalidated(t *testing.T) {
 	if err := store.UpdateExam(rec); err != nil {
 		t.Fatal(err)
 	}
-	e.invalidateGrid("gx")
 	pool, _, err := e.loadPool(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := e.gridFor("gx", pool)
 	if fresh == s1.grid {
-		t.Fatal("stale grid served after invalidation")
+		t.Fatal("stale grid served after a parameter change")
 	}
-	// Fingerprint alone also catches staleness (no explicit invalidation).
+	// A second change rebuilds again.
 	p.B += 0.5
 	rec.ItemParams["gx-q001"] = p
 	pool2, _, err := e.loadPool(rec)
@@ -885,5 +879,266 @@ func TestInfoGridCacheSharedAndInvalidated(t *testing.T) {
 	// In-flight sessions keep their start-time snapshot.
 	if s1.grid == fresh {
 		t.Fatal("running session's grid must not change mid-test")
+	}
+}
+
+// TestFailedFinishLeavesSessionUnchanged: a Finish whose persist fails
+// leaves the session exactly as it was — status, pending item and response
+// log — and publishes nothing; the retry then finishes the sitting.
+func TestFailedFinishLeavesSessionUnchanged(t *testing.T) {
+	ctx := context.Background()
+	inner := bank.NewSharded(4)
+	calibratedExam(t, inner, "pool", 6, 1.5, 1)
+	store := &failingStore{Storage: inner}
+	e, err := NewEngine(store, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := events.NewBus(events.Options{})
+	defer bus.Close()
+	e.SetEventBus(bus)
+	sub := bus.Subscribe(events.SubscribeOptions{ExamID: "pool"})
+	defer sub.Close()
+
+	s, view, err := e.Start(ctx, "pool", "quitter", Config{MaxItems: 4}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SubmitResponse(ctx, s.ID, view.ProblemID, "A"); err != nil {
+		t.Fatal(err)
+	}
+	status, err := e.Status(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending, err := e.NextItem(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := bus.Seq("pool")
+
+	store.failPuts = true
+	if _, err := e.Finish(ctx, s.ID); err == nil {
+		t.Fatal("finish should surface the persist failure")
+	}
+	if got, err := e.Status(s.ID); err != nil || got != status {
+		t.Errorf("status after failed finish = %+v, %v; want %+v", got, err, status)
+	}
+	if got, err := e.NextItem(s.ID); err != nil || !reflect.DeepEqual(got, pending) {
+		t.Errorf("next item after failed finish = %+v, %v; want %+v", got, err, pending)
+	}
+	if n := e.ResponseLog().Len(); n != 0 {
+		t.Errorf("failed finish drained %d log entries", n)
+	}
+	if got := bus.Seq("pool"); got != seq {
+		t.Errorf("failed finish published %d event(s)", got-seq)
+	}
+	for _, ev := range sub.Take(nil) {
+		if ev.Type == events.AdaptiveFinished {
+			t.Errorf("failed finish published %+v", ev)
+		}
+	}
+
+	store.failPuts = false
+	out, err := e.Finish(ctx, s.ID)
+	if err != nil || out.StopReason != StopByCaller || len(out.Administered) != 1 {
+		t.Fatalf("retried finish = %+v, %v", out, err)
+	}
+	if st, err := e.Status(s.ID); err != nil || st.State != bank.AdaptiveStateFinished {
+		t.Errorf("status after retry = %+v, %v", st, err)
+	}
+	if rec, err := inner.AdaptiveSession(s.ID); err != nil || rec.State != bank.AdaptiveStateFinished {
+		t.Errorf("stored record after retry = %+v, %v", rec, err)
+	}
+	if n := e.ResponseLog().Len(); n != 1 {
+		t.Errorf("log after retry = %d, want 1", n)
+	}
+	finished := 0
+	for _, ev := range sub.Take(nil) {
+		if ev.Type == events.AdaptiveFinished {
+			finished++
+		}
+	}
+	if finished != 1 {
+		t.Errorf("adaptive.finished events after retry = %d, want 1", finished)
+	}
+}
+
+// drained lists the session IDs in the engine's response log for an exam,
+// sorted.
+func drained(e *Engine, examID string) []string {
+	var ids []string
+	for _, entry := range e.ResponseLog().ByExam(examID) {
+		ids = append(ids, entry.SessionID)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestEachFinishedSittingDrainsOnce: a finished sitting is in the response
+// log once, whether its last respond finished it, Finish was repeated (also
+// concurrently), Finish ended it early, or a new engine restored it from
+// the same journal. An active sitting is not in the log.
+func TestEachFinishedSittingDrainsOnce(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	j, err := bank.OpenJournal(dir, bank.NewSharded(4), bank.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calibratedExam(t, j, "pool", 8, 1.5, 1)
+	e1, err := NewEngine(j, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// answerAs calls Finish once the last respond has finished the sitting.
+	last := answerAs(t, e1, "pool", "last", 0, Config{MaxItems: 3}, 1)
+	if _, err := e1.Finish(ctx, last.SessionID); err != nil {
+		t.Fatal(err)
+	}
+	early, _, err := e1.Start(ctx, "pool", "early", Config{MaxItems: 3}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e1.Finish(ctx, early.ID); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, _, err := e1.Start(ctx, "pool", "active", Config{MaxItems: 3}, 3); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{last.SessionID, early.ID}
+	slices.Sort(want)
+	if got := drained(e1, "pool"); !slices.Equal(got, want) {
+		t.Errorf("log = %v, want %v", got, want)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := bank.OpenJournal(dir, bank.NewSharded(4), bank.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	e2, err := NewEngine(j2, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drained(e2, "pool"); !slices.Equal(got, want) {
+		t.Errorf("log after restore = %v, want %v", got, want)
+	}
+	if n := e2.ResponseLog().Len(); n != len(want) {
+		t.Errorf("log length after restore = %d, want %d", n, len(want))
+	}
+}
+
+// step is one answered item of a sitting and the estimate after it.
+type step struct {
+	item  string
+	theta float64
+}
+
+// respondAll answers every item a session hands out with "A", starting at
+// view, until it stops.
+func respondAll(t *testing.T, e *Engine, sessionID string, view *ItemView) []step {
+	t.Helper()
+	var steps []step
+	for view != nil {
+		prog, err := e.SubmitResponse(context.Background(), sessionID, view.ProblemID, "A")
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = append(steps, step{view.ProblemID, prog.Theta})
+		view = prog.Next
+	}
+	return steps
+}
+
+// TestRecalibrateRebuildsGridForNextStart: after Recalibrate the next Start
+// selects against the refit parameters, while a session already in flight
+// keeps its start-time pool and grid. Each sitting is compared with the
+// same sitting on a fresh engine over a bank that holds the parameters it
+// should see.
+func TestRecalibrateRebuildsGridForNextStart(t *testing.T) {
+	ctx := context.Background()
+	store := bank.NewSharded(4)
+	calibratedExam(t, store, "pool", 8, 1.5, 1.5)
+	e, err := NewEngine(store, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Learners answer everything correctly: the pool is easier than
+	// authored.
+	for i := 0; i < 6; i++ {
+		s, view, err := e.Start(ctx, "pool", fmt.Sprintf("h%d", i), Config{MaxItems: 8}, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		respondAll(t, e, s.ID, view)
+	}
+	cfg := Config{MaxItems: 4}
+	inflight, inflightView, err := e.Start(ctx, "pool", "inflight", cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cal, err := e.Recalibrate("pool", 5); err != nil || len(cal.Updated) == 0 {
+		t.Fatalf("recalibrate = %+v, %v", cal, err)
+	}
+	refit, err := store.Exam("pool")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reference := func(refit *bank.ExamRecord) []step {
+		t.Helper()
+		store := bank.NewSharded(4)
+		calibratedExam(t, store, "pool", 8, 1.5, 1.5)
+		if refit != nil {
+			if err := store.UpdateExam(refit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref, err := NewEngine(store, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, view, err := ref.Start(ctx, "pool", "ref", cfg, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return respondAll(t, ref, s.ID, view)
+	}
+	authored, refitted := reference(nil), reference(refit)
+	items := func(steps []step) []string {
+		var ids []string
+		for _, st := range steps {
+			ids = append(ids, st.item)
+		}
+		return ids
+	}
+	if slices.Equal(items(authored), items(refitted)) {
+		t.Fatalf("authored and refit parameters select the same items %v; the test cannot tell the grids apart",
+			items(authored))
+	}
+
+	// The next Start rebuilds the exam's grid before the in-flight session
+	// answers, so the in-flight session could see the rebuilt one.
+	next, view, err := e.Start(ctx, "pool", "next", cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := respondAll(t, e, inflight.ID, inflightView); !slices.Equal(got, authored) {
+		t.Errorf("in-flight session = %v, want its start-time selection %v", got, authored)
+	}
+	if got := respondAll(t, e, next.ID, view); !slices.Equal(got, refitted) {
+		t.Errorf("next Start = %v, want the refit selection %v", got, refitted)
 	}
 }

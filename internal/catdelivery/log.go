@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"mineassess/internal/adaptive"
-	"mineassess/internal/analysis"
 	"mineassess/internal/bank"
 )
 
@@ -27,20 +26,14 @@ type LogEntry struct {
 }
 
 // ResponseLog is the calibration sink finished adaptive sessions drain
-// into. It is the bridge between live delivery and the offline feedback
-// loop: ExamResult feeds internal/stats item statistics, and
+// into, the bridge between live delivery and the feedback loop:
 // Engine.Recalibrate folds the entries back into stored pool parameters.
-// Entries are deduplicated by session ID so a restart's re-drain of
-// restored finished sessions cannot double-count.
+// Each sitting drains once: a live one when its finished record persists
+// (the active-state check runs under the session's lock), a restored one
+// when NewEngine visits its record. Entries are never modified once added.
 type ResponseLog struct {
 	mu      sync.Mutex
 	entries []LogEntry
-	seen    map[string]bool
-}
-
-// NewResponseLog returns an empty log.
-func NewResponseLog() *ResponseLog {
-	return &ResponseLog{seen: make(map[string]bool)}
 }
 
 // entryOf projects a finished session record into a log entry.
@@ -58,14 +51,10 @@ func entryOf(rec *bank.AdaptiveSessionRecord) LogEntry {
 	return entry
 }
 
-// Add appends one finished session; duplicate session IDs are ignored.
+// Add appends one finished session.
 func (l *ResponseLog) Add(entry LogEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.seen[entry.SessionID] {
-		return
-	}
-	l.seen[entry.SessionID] = true
 	l.entries = append(l.entries, entry)
 }
 
@@ -76,18 +65,16 @@ func (l *ResponseLog) Len() int {
 	return len(l.entries)
 }
 
-// ByExam returns copies of the entries logged for one exam, in drain order.
+// ByExam returns the entries logged for one exam, in drain order. Their
+// Items are shared with the log; callers must not modify them.
 func (l *ResponseLog) ByExam(examID string) []LogEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []LogEntry
 	for _, entry := range l.entries {
-		if entry.ExamID != examID {
-			continue
+		if entry.ExamID == examID {
+			out = append(out, entry)
 		}
-		cp := entry
-		cp.Items = append([]LoggedResponse(nil), entry.Items...)
-		out = append(out, cp)
 	}
 	return out
 }
@@ -103,52 +90,6 @@ func (l *ResponseLog) observations(examID string) map[string][]adaptive.Calibrat
 		}
 	}
 	return obs
-}
-
-// ExamResult assembles the logged adaptive responses of an exam into the
-// analysis package's response-matrix form, so the classical item statistics
-// (internal/stats: P values, point-biserial, KR-20) run unchanged on live
-// CAT data. Skipped pool items appear as unanswered responses — adaptive
-// sessions answer a subset of the pool by design.
-func (e *Engine) ExamResult(examID string) (*analysis.ExamResult, error) {
-	rec, err := e.store.Exam(examID)
-	if err != nil {
-		return nil, err
-	}
-	ids := rec.CalibratedPool()
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNotCalibrated, examID)
-	}
-	problems, err := e.store.Problems(ids)
-	if err != nil {
-		return nil, err
-	}
-	entries := e.log.ByExam(examID)
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("%w: %s", ErrNoResponses, examID)
-	}
-	out := &analysis.ExamResult{ExamID: examID, Problems: problems}
-	for _, entry := range entries {
-		sr := analysis.StudentResult{StudentID: entry.StudentID}
-		correct := make(map[string]bool, len(entry.Items))
-		answered := make(map[string]bool, len(entry.Items))
-		for _, r := range entry.Items {
-			answered[r.ProblemID] = true
-			correct[r.ProblemID] = r.Correct
-		}
-		for _, pid := range ids {
-			resp := analysis.Response{StudentID: entry.StudentID, ProblemID: pid}
-			if answered[pid] {
-				resp.Answered = true
-				if correct[pid] {
-					resp.Credit = 1
-				}
-			}
-			sr.Responses = append(sr.Responses, resp)
-		}
-		out.Students = append(out.Students, sr)
-	}
-	return out, nil
 }
 
 // Recalibrate refits the exam's stored pool difficulties from the logged
@@ -182,13 +123,12 @@ func (e *Engine) Recalibrate(examID string, minObs int) (*adaptive.PoolCalibrati
 		for pid, params := range cal.Updated {
 			rec.ItemParams[pid] = params
 		}
+		// The next Start loads the refit parameters, and gridFor rebuilds
+		// the exam's information table on the changed fingerprint; in-flight
+		// sessions keep their start-time pool and grid.
 		if err := e.store.UpdateExam(rec); err != nil {
 			return nil, err
 		}
-		// The cached information table is now stale; new sessions rebuild it
-		// from the refit parameters. (In-flight sessions keep their start-time
-		// pool snapshot, grid included.)
-		e.invalidateGrid(examID)
 	}
 	return cal, nil
 }

@@ -27,7 +27,7 @@ package livestats
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -219,8 +219,8 @@ func (ex *examAgg) item(id string) *itemAgg {
 	if it == nil {
 		it = &itemAgg{}
 		ex.items[id] = it
-		ex.order = append(ex.order, id)
-		sort.Strings(ex.order)
+		i, _ := slices.BinarySearch(ex.order, id)
+		ex.order = slices.Insert(ex.order, i, id)
 	}
 	return it
 }

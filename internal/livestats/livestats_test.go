@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -327,5 +328,25 @@ func TestPurgeIdleDropsOnlyQuiescentExams(t *testing.T) {
 	var nilAgg *Aggregator
 	if got := nilAgg.PurgeIdle(); got != 0 {
 		t.Fatalf("nil aggregator PurgeIdle = %d, want 0", got)
+	}
+}
+
+// BenchmarkFoldNewItems folds the first response to each of 1,000 distinct
+// items of one exam (the size of a calibrated CAT pool), in the arbitrary
+// order adaptive selection hands them out, into a fresh aggregate.
+func BenchmarkFoldNewItems(b *testing.B) {
+	const items = 1000
+	evs := make([]events.Event, items)
+	for i, k := range rand.New(rand.NewSource(1)).Perm(items) {
+		evs[i] = events.Event{Type: events.AdaptiveResponded, ExamID: "pool",
+			SessionID: "cat-1", ProblemID: fmt.Sprintf("q%04d", k), Correct: k%2 == 0}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := &Aggregator{exams: make(map[string]*examAgg)}
+		for _, e := range evs {
+			a.fold(e)
+		}
 	}
 }
