@@ -483,3 +483,98 @@ func TestConformanceAdaptiveRoundTrip(t *testing.T) {
 		}
 	})
 }
+
+// TestConformanceGeneration: each of the seven problem and exam writes
+// moves the generation; session writes, reads and failed writes leave it
+// alone. A snapshot load goes through the writes, so it moves too.
+func TestConformanceGeneration(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s Storage) {
+		gen := s.Generation()
+		moved := func(write string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", write, err)
+			}
+			if g := s.Generation(); g == gen {
+				t.Errorf("%s left the generation at %d", write, g)
+			}
+			gen = s.Generation()
+		}
+		still := func(what string) {
+			t.Helper()
+			if g := s.Generation(); g != gen {
+				t.Errorf("%s moved the generation from %d to %d", what, gen, g)
+			}
+			gen = s.Generation()
+		}
+
+		p := confMC(t, "q1")
+		moved("AddProblem", s.AddProblem(p))
+		p2 := p.Clone()
+		p2.Question = "second version"
+		moved("UpdateProblem", s.UpdateProblem(p2))
+		_, err := s.Rollback("q1")
+		moved("Rollback", err)
+		exam := &ExamRecord{ID: "final", ProblemIDs: []string{"q1"}}
+		moved("AddExam", s.AddExam(exam))
+		moved("UpdateExam", s.UpdateExam(&ExamRecord{ID: "final", Title: "Final", ProblemIDs: []string{"q1"}}))
+
+		rec := &AdaptiveSessionRecord{ID: "cat-000001", ExamID: "final", State: AdaptiveStateActive, PendingID: "q1"}
+		if err := s.PutAdaptiveSession(rec); err != nil {
+			t.Fatal(err)
+		}
+		still("PutAdaptiveSession")
+		if err := s.DeleteAdaptiveSession(rec.ID); err != nil {
+			t.Fatal(err)
+		}
+		still("DeleteAdaptiveSession")
+
+		_, _ = s.Problem("q1")
+		_, _ = s.Problems([]string{"q1"})
+		_ = s.ProblemCount()
+		_ = s.ProblemIDs()
+		_, _ = s.Exam("final")
+		_ = s.ExamIDs()
+		_, _ = s.AdaptiveSession(rec.ID)
+		_ = s.AdaptiveSessionIDs()
+		_ = s.Search(Query{})
+		_ = s.Subjects()
+		_ = s.CountByStyle()
+		_ = s.History("q1")
+		_ = s.Version("q1")
+		path := filepath.Join(t.TempDir(), "bank.json")
+		if err := s.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		still("reads")
+
+		failed := []error{
+			s.AddProblem(p),
+			s.UpdateProblem(confMC(t, "ghost")),
+			s.DeleteProblem("ghost"),
+			s.AddExam(exam),
+			s.AddExam(&ExamRecord{ID: "dangling", ProblemIDs: []string{"ghost"}}),
+			s.UpdateExam(&ExamRecord{ID: "ghost"}),
+			s.DeleteExam("ghost"),
+		}
+		_, err = s.Rollback("ghost")
+		failed = append(failed, err)
+		for i, err := range failed {
+			if err == nil {
+				t.Errorf("failed write %d succeeded", i)
+			}
+		}
+		still("failed writes")
+
+		moved("DeleteExam", s.DeleteExam("final"))
+		moved("DeleteProblem", s.DeleteProblem("q1"))
+
+		loaded := New()
+		if err := LoadInto(path, loaded); err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Generation() == 0 {
+			t.Error("a snapshot load left the generation at 0")
+		}
+	})
+}

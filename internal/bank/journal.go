@@ -921,6 +921,9 @@ func (j *Journal) History(id string) []Revision { return j.backend.History(id) }
 // Version returns the problem's current version number.
 func (j *Journal) Version(id string) int { return j.backend.Version(id) }
 
+// Generation reports the backend's problem and exam write generation.
+func (j *Journal) Generation() uint64 { return j.backend.Generation() }
+
 // Save exports the full contents as one JSON bank file at path (independent
 // of the journal's own snapshot).
 func (j *Journal) Save(path string) error { return j.backend.Save(path) }

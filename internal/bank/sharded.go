@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"mineassess/internal/item"
 	"mineassess/internal/shardmap"
@@ -30,6 +31,10 @@ const DefaultShards = 32
 // is restored or the exam record is replaced.
 type Sharded struct {
 	shards []bankShard
+	// gen counts successful problem and exam writes (see Generation). A
+	// write bumps it under its shard's write lock, after the change is in
+	// place.
+	gen atomic.Uint64
 }
 
 type bankShard struct {
@@ -72,6 +77,7 @@ func (s *Sharded) AddProblem(p *item.Problem) error {
 		return fmt.Errorf("%w: %s", ErrProblemExists, p.ID)
 	}
 	sh.problems[p.ID] = p.Clone()
+	s.gen.Add(1)
 	return nil
 }
 
@@ -92,6 +98,7 @@ func (s *Sharded) UpdateProblem(p *item.Problem) error {
 		Problem: old,
 	})
 	sh.problems[p.ID] = p.Clone()
+	s.gen.Add(1)
 	return nil
 }
 
@@ -117,6 +124,7 @@ func (s *Sharded) DeleteProblem(id string) error {
 	}
 	delete(sh.problems, id)
 	delete(sh.history, id)
+	s.gen.Add(1)
 	return nil
 }
 
@@ -196,6 +204,7 @@ func (s *Sharded) putExamUnchecked(e *ExamRecord) error {
 		return fmt.Errorf("%w: %s", ErrExamExists, e.ID)
 	}
 	sh.exams[e.ID] = cloneExam(e)
+	s.gen.Add(1)
 	return nil
 }
 
@@ -223,6 +232,7 @@ func (s *Sharded) UpdateExam(e *ExamRecord) error {
 		return fmt.Errorf("%w: %s", ErrExamNotFound, e.ID)
 	}
 	sh.exams[e.ID] = cloneExam(e)
+	s.gen.Add(1)
 	return nil
 }
 
@@ -247,6 +257,7 @@ func (s *Sharded) DeleteExam(id string) error {
 		return fmt.Errorf("%w: %s", ErrExamNotFound, id)
 	}
 	delete(sh.exams, id)
+	s.gen.Add(1)
 	return nil
 }
 
@@ -413,6 +424,7 @@ func (s *Sharded) Rollback(id string) (*item.Problem, error) {
 		Problem: cur,
 	})
 	sh.problems[id] = last.Problem
+	s.gen.Add(1)
 	return last.Problem.Clone(), nil
 }
 
@@ -424,6 +436,9 @@ func (s *Sharded) Version(id string) int {
 	defer sh.mu.RUnlock()
 	return len(sh.history[id]) + 1
 }
+
+// Generation reports how many problem and exam writes have succeeded.
+func (s *Sharded) Generation() uint64 { return s.gen.Load() }
 
 // Save writes the whole store to path as one JSON bank file.
 func (s *Sharded) Save(path string) error {

@@ -55,6 +55,14 @@ type Storage interface {
 
 	// Persistence: Save exports the full contents as one JSON bank file.
 	Save(path string) error
+
+	// Generation changes on every successful problem or exam write
+	// (snapshot load and WAL replay go through those writes) and on
+	// nothing else: session writes, reads and failed writes leave it
+	// alone. A write bumps it after its change is in place, so content
+	// read after Generation returned g is at least as new as g. It lives
+	// only in the process and is never persisted.
+	Generation() uint64
 }
 
 // Compile-time conformance of the built-in backends.

@@ -18,6 +18,11 @@
 // state: a mutation builds the next record beside the session's, and the
 // next record replaces the session's only after it persists.
 //
+// Sittings on one exam share one immutable calibrated pool (problems, IRT
+// parameters and information grid), built once per bank generation: the
+// next start after any problem or exam write rebuilds it, and a sitting
+// keeps the pool it started on.
+//
 // Finished sessions drain into a ResponseLog — the calibration feedback
 // loop's collection point — once each. Recalibrate folds the logged
 // responses back into the exam's stored ItemParams (fixed-ability
@@ -43,7 +48,6 @@ import (
 	"mineassess/internal/events"
 	"mineassess/internal/item"
 	"mineassess/internal/shardmap"
-	"mineassess/internal/simulate"
 	"mineassess/internal/trace"
 )
 
@@ -140,10 +144,13 @@ func (c Config) validate() error {
 // Session is one learner's live adaptive sitting. ID, ExamID and StudentID
 // are fixed at start; everything else, the monitor ring included, is
 // guarded by mu. The last persisted record (rec) is the sitting's state:
-// the pending item is problems[rec.PendingID], and responses is rec's
+// the pending item is pool.problem(rec.PendingID), and responses is rec's
 // answered items paired with their pool parameters, rebuilt from rec on
 // restart. rec and responses are replaced together, only after the next
-// record persists.
+// record persists. pool is the exam's shared pool as of the start (nil on
+// a restored finished sitting): a sitting sees no edit or recalibration
+// made after it started, until a restart restores it on the bank's
+// current pool.
 type Session struct {
 	ID        string
 	ExamID    string
@@ -151,14 +158,9 @@ type Session struct {
 
 	mu        sync.Mutex
 	rec       *bank.AdaptiveSessionRecord
-	pool      []adaptive.PoolItem
-	problems  map[string]*item.Problem
+	pool      *examPool
 	responses []adaptive.ResponseRecord
-	// grid is the exam's shared precomputed information table, rows aligned
-	// with pool. Snapshotted at start like pool itself; sessions never see a
-	// mid-test recalibration.
-	grid    *adaptive.InfoGrid
-	monitor delivery.Monitor
+	monitor   delivery.Monitor
 }
 
 // ItemView is the learner-facing projection of the pending item: question
@@ -229,11 +231,12 @@ type Engine struct {
 	expoMu   sync.Mutex
 	exposure map[string]*examExposure
 
-	// gridMu guards grids, the per-exam cache of precomputed information
-	// tables. Entries are fingerprinted by the pool's IRT parameters and
-	// rebuilt when they change (recalibration, authoring edits).
-	gridMu sync.Mutex
-	grids  map[string]*examGrid
+	// poolMu guards pools, each started exam's calibrated pool built at
+	// bank generation poolGen. The cache holds that one generation only
+	// (see poolFor).
+	poolMu  sync.Mutex
+	poolGen uint64
+	pools   map[string]*examPool
 
 	// recalMu serializes Recalibrate's read-modify-write of an exam
 	// record so two concurrent passes cannot overwrite each other.
@@ -258,7 +261,7 @@ func NewEngine(store bank.Storage, now func() time.Time, monitorCapacity int) (*
 		monitorCapacity: monitorCapacity,
 		now:             now,
 		exposure:        make(map[string]*examExposure),
-		grids:           make(map[string]*examGrid),
+		pools:           make(map[string]*examPool),
 	}
 	for _, id := range store.AdaptiveSessionIDs() {
 		rec, err := store.AdaptiveSession(id)
@@ -308,29 +311,76 @@ func autoGradable(s item.Style) bool {
 	}
 }
 
-// loadPool assembles the calibrated pool of an exam: every problem with IRT
-// parameters, in exam order. Non-auto-gradable calibrated items are a
-// configuration error, reported rather than silently skipped.
-func (e *Engine) loadPool(rec *bank.ExamRecord) ([]adaptive.PoolItem, map[string]*item.Problem, error) {
+// examPool is one exam's calibrated pool as of a bank generation: every
+// problem with IRT parameters, in exam order, indexed by row. It is
+// immutable once built, and every sitting started on it shares it.
+type examPool struct {
+	gen      uint64              // bank generation read before the build
+	items    []adaptive.PoolItem // calibrated items in exam order
+	problems []*item.Problem     // aligned with items
+	rows     map[string]int      // problem ID -> row
+	grid     *adaptive.InfoGrid  // precomputed information, rows aligned with items
+}
+
+// problem returns the pool's problem with the given ID, or nil.
+func (p *examPool) problem(id string) *item.Problem {
+	if row, ok := p.rows[id]; ok {
+		return p.problems[row]
+	}
+	return nil
+}
+
+// poolFor returns the exam's calibrated pool at the bank's current
+// generation: the cached one while the generation is unchanged, otherwise
+// one built from a single Exam and Problems read. The generation is read
+// before the bank, so a write racing the build tags the entry older than
+// its content and the next call rebuilds it. A build at a newer generation
+// drops every older entry, and one that finishes after a newer build is
+// not cached. Non-auto-gradable calibrated items are a configuration
+// error, reported rather than silently skipped.
+func (e *Engine) poolFor(examID string) (*examPool, error) {
+	gen := e.store.Generation()
+	e.poolMu.Lock()
+	pool := e.pools[examID]
+	e.poolMu.Unlock()
+	if pool != nil && pool.gen == gen {
+		return pool, nil
+	}
+	rec, err := e.store.Exam(examID)
+	if err != nil {
+		return nil, err
+	}
 	ids := rec.CalibratedPool()
 	if len(ids) == 0 {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNotCalibrated, rec.ID)
+		return nil, fmt.Errorf("%w: %s", ErrNotCalibrated, examID)
 	}
 	problems, err := e.store.Problems(ids)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	pool := make([]adaptive.PoolItem, 0, len(ids))
-	byID := make(map[string]*item.Problem, len(ids))
+	pool = &examPool{
+		gen:      gen,
+		items:    make([]adaptive.PoolItem, len(ids)),
+		problems: problems,
+		rows:     make(map[string]int, len(ids)),
+	}
 	for i, pid := range ids {
-		p := problems[i]
-		if !autoGradable(p.Style) {
-			return nil, nil, fmt.Errorf("%w: %s is %s", ErrNotGradable, pid, p.Style)
+		if !autoGradable(problems[i].Style) {
+			return nil, fmt.Errorf("%w: %s is %s", ErrNotGradable, pid, problems[i].Style)
 		}
-		pool = append(pool, adaptive.PoolItem{ID: pid, Params: rec.ItemParams[pid]})
-		byID[pid] = p
+		pool.items[i] = adaptive.PoolItem{ID: pid, Params: rec.ItemParams[pid]}
+		pool.rows[pid] = i
 	}
-	return pool, byID, nil
+	pool.grid = adaptive.NewDefaultInfoGrid(pool.items)
+	e.poolMu.Lock()
+	defer e.poolMu.Unlock()
+	if gen > e.poolGen {
+		e.poolGen, e.pools = gen, make(map[string]*examPool)
+	}
+	if gen == e.poolGen {
+		e.pools[examID] = pool
+	}
+	return pool, nil
 }
 
 // Start opens a live adaptive session on a calibrated exam and hands out
@@ -345,11 +395,7 @@ func (e *Engine) Start(ctx context.Context, examID, studentID string, cfg Config
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
-	examRec, err := e.store.Exam(examID)
-	if err != nil {
-		return nil, nil, err
-	}
-	pool, problems, err := e.loadPool(examRec)
+	pool, err := e.poolFor(examID)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -357,7 +403,7 @@ func (e *Engine) Start(ctx context.Context, examID, studentID string, cfg Config
 	// pool-exhaustion rule stops the session when the items run out.
 	maxItems := cfg.MaxItems
 	if maxItems == 0 {
-		maxItems = len(pool)
+		maxItems = len(pool.items)
 	}
 	// Checked after the default resolves: a floor above the ceiling would
 	// silently disable the SE stopping rule.
@@ -384,13 +430,11 @@ func (e *Engine) Start(ctx context.Context, examID, studentID string, cfg Config
 		StudentID: studentID,
 		rec:       rec,
 		pool:      pool,
-		problems:  problems,
-		grid:      e.gridFor(examID, pool),
 	}
 	e.trackStart(examID)
 	first := e.selectNext(s, rec)
 	if first == nil {
-		// Unreachable in practice (loadPool guarantees a non-empty pool),
+		// Unreachable in practice (poolFor guarantees a non-empty pool),
 		// kept as a guard against future selector bugs.
 		return nil, nil, fmt.Errorf("%w: %s", ErrNotCalibrated, examID)
 	}
@@ -432,40 +476,6 @@ func (e *Engine) trackAdministration(examID, problemID string) {
 	ex.counts[problemID]++
 }
 
-// examGrid is one cached information table plus the pool-parameter
-// fingerprint it was built from.
-type examGrid struct {
-	params []simulate.IRTParams
-	grid   *adaptive.InfoGrid
-}
-
-// gridFor returns the exam's shared information grid, building (or
-// rebuilding, when the pool's parameters changed since it was cached) on
-// demand. Rows align with pool order.
-func (e *Engine) gridFor(examID string, pool []adaptive.PoolItem) *adaptive.InfoGrid {
-	e.gridMu.Lock()
-	defer e.gridMu.Unlock()
-	if c := e.grids[examID]; c != nil && len(c.params) == len(pool) {
-		match := true
-		for i, it := range pool {
-			if c.params[i] != it.Params {
-				match = false
-				break
-			}
-		}
-		if match {
-			return c.grid
-		}
-	}
-	params := make([]simulate.IRTParams, len(pool))
-	for i, it := range pool {
-		params[i] = it.Params
-	}
-	c := &examGrid{params: params, grid: adaptive.NewDefaultInfoGrid(pool)}
-	e.grids[examID] = c
-	return c.grid
-}
-
 // selectNext picks the item to hand out after rec's answered items, at
 // rec's ability estimate, honouring the exposure cap. Callers hold s.mu
 // (or own the session exclusively, as Start does). Returns nil when the
@@ -476,8 +486,9 @@ func (e *Engine) selectNext(s *Session, rec *bank.AdaptiveSessionRecord) *item.P
 	for _, id := range rec.Administered {
 		used[id] = true
 	}
-	rows := make([]int, 0, len(s.pool))
-	for i, it := range s.pool {
+	pool := s.pool
+	rows := make([]int, 0, len(pool.items))
+	for i, it := range pool.items {
 		if !used[it.ID] {
 			rows = append(rows, i)
 		}
@@ -487,19 +498,19 @@ func (e *Engine) selectNext(s *Session, rec *bank.AdaptiveSessionRecord) *item.P
 	}
 	candidates := rows
 	if rec.MaxExposure > 0 {
-		if open := e.underCap(s.ExamID, s.pool, rows, rec.MaxExposure); len(open) > 0 {
+		if open := e.underCap(s.ExamID, pool.items, rows, rec.MaxExposure); len(open) > 0 {
 			candidates = open
 		} else {
-			candidates = []int{e.leastExposed(s.ExamID, s.pool, rows)}
+			candidates = []int{e.leastExposed(s.ExamID, pool.items, rows)}
 		}
 	}
 	// Deterministic per-step RNG: the seed and administration count fully
 	// determine the draw, so a restarted session re-selects identically.
 	step := int64(len(rec.Administered) + 1)
 	rng := rand.New(rand.NewSource(rec.Seed + step*0x9E3779B9))
-	chosen := s.pool[pickRow(s.grid, rec, rng, candidates)]
-	e.trackAdministration(s.ExamID, chosen.ID)
-	return s.problems[chosen.ID]
+	row := pickRow(pool.grid, rec, rng, candidates)
+	e.trackAdministration(s.ExamID, pool.items[row].ID)
+	return pool.problems[row]
 }
 
 // pickRow applies rec's selection rule over candidate pool rows at rec's
@@ -591,7 +602,7 @@ func (e *Engine) NextItem(sessionID string) (*ItemView, error) {
 	if s.rec.State != bank.AdaptiveStateActive {
 		return nil, fmt.Errorf("%w: %s", ErrSessionFinished, s.ID)
 	}
-	return s.itemView(s.problems[s.rec.PendingID]), nil
+	return s.itemView(s.pool.problem(s.rec.PendingID)), nil
 }
 
 // SubmitResponse grades the learner's answer to the pending item,
@@ -614,9 +625,12 @@ func (e *Engine) SubmitResponse(ctx context.Context, sessionID, problemID, respo
 	if problemID != s.rec.PendingID {
 		return nil, fmt.Errorf("%w: got %s, pending %s", ErrItemNotPending, problemID, s.rec.PendingID)
 	}
-	credit, gradable := s.problems[problemID].Grade(response)
+	// The pending item is always in the pool: it was selected from it, or
+	// checked against it on restore.
+	row := s.pool.rows[problemID]
+	credit, gradable := s.pool.problems[row].Grade(response)
 	if !gradable {
-		// loadPool filters non-gradable styles, so this is defensive.
+		// poolFor filters non-gradable styles, so this is defensive.
 		return nil, fmt.Errorf("%w: %s", ErrNotGradable, problemID)
 	}
 	correct := credit >= 1-1e-9
@@ -628,7 +642,7 @@ func (e *Engine) SubmitResponse(ctx context.Context, sessionID, problemID, respo
 	// {problemId, response} still addresses the pending item, and a
 	// crash+restart (which replays the persisted record) agrees with what
 	// the client was told.
-	responses := append(s.responses, adaptive.ResponseRecord{Params: s.paramsOf(problemID), Correct: correct})
+	responses := append(s.responses, adaptive.ResponseRecord{Params: s.pool.items[row].Params, Correct: correct})
 	next := *s.rec
 	next.Administered = append(next.Administered, problemID)
 	next.Correct = append(next.Correct, correct)
@@ -669,20 +683,10 @@ func (e *Engine) SubmitResponse(ctx context.Context, sessionID, problemID, respo
 		prog.Done, prog.StopReason = true, next.StopReason
 		e.drain(evctx, s)
 	} else {
-		prog.Next = s.itemView(s.problems[next.PendingID])
+		prog.Next = s.itemView(s.pool.problem(next.PendingID))
 	}
 	s.monitor.Capture(s.ID, e.monitorCapacity, e.now())
 	return prog, nil
-}
-
-// paramsOf returns the pool parameters of an item. Callers hold s.mu.
-func (s *Session) paramsOf(problemID string) simulate.IRTParams {
-	for _, it := range s.pool {
-		if it.ID == problemID {
-			return it.Params
-		}
-	}
-	return simulate.IRTParams{}
 }
 
 // finish marks rec finished for reason, with nothing pending.
@@ -785,7 +789,7 @@ func (e *Engine) Snapshots(sessionID string) ([]delivery.Snapshot, error) {
 // restore rehydrates one persisted session into the registry. Finished
 // sessions need no pool — they register for status queries with their
 // persisted estimates and drain into the response log. Active sessions
-// reload pool and problems from the bank and re-derive theta/SE from the
+// take the exam's pool as Start does and re-derive theta/SE from the
 // response stream. Either way exposure is counted as Start and selectNext
 // count it.
 func (e *Engine) restore(rec *bank.AdaptiveSessionRecord) error {
@@ -796,20 +800,18 @@ func (e *Engine) restore(rec *bank.AdaptiveSessionRecord) error {
 		rec:       rec,
 	}
 	if rec.State == bank.AdaptiveStateActive {
-		examRec, err := e.store.Exam(rec.ExamID)
+		pool, err := e.poolFor(rec.ExamID)
 		if err != nil {
 			return err
 		}
-		if s.pool, s.problems, err = e.loadPool(examRec); err != nil {
-			return err
-		}
-		s.grid = e.gridFor(rec.ExamID, s.pool)
+		s.pool = pool
 		for i, pid := range rec.Administered {
-			if s.problems[pid] == nil {
+			row, ok := pool.rows[pid]
+			if !ok {
 				return fmt.Errorf("administered item %s no longer in pool", pid)
 			}
 			s.responses = append(s.responses, adaptive.ResponseRecord{
-				Params: examRec.ItemParams[pid], Correct: rec.Correct[i],
+				Params: pool.items[row].Params, Correct: rec.Correct[i],
 			})
 		}
 		if len(s.responses) > 0 {
@@ -817,7 +819,7 @@ func (e *Engine) restore(rec *bank.AdaptiveSessionRecord) error {
 				return err
 			}
 		}
-		if s.problems[rec.PendingID] == nil {
+		if pool.problem(rec.PendingID) == nil {
 			return fmt.Errorf("pending item %q not in pool", rec.PendingID)
 		}
 	} else {

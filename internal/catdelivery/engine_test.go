@@ -822,63 +822,92 @@ func TestSnapshotsSequenceAndBound(t *testing.T) {
 	}
 }
 
-// TestInfoGridCacheSharedAndInvalidated: sessions on one exam share a single
-// precomputed information table; a parameter change (what Recalibrate
-// persists) rebuilds it through the parameter fingerprint.
+// TestInfoGridCacheSharedAndInvalidated: sittings on one exam share one
+// pool, information grid included, across session writes. An UpdateExam
+// (what Recalibrate persists) and an UpdateProblem (an authoring edit) each
+// reach the next Start, while sittings in flight keep their pool.
 func TestInfoGridCacheSharedAndInvalidated(t *testing.T) {
+	ctx := context.Background()
 	store := bank.NewSharded(4)
 	calibratedExam(t, store, "gx", 40, 1.2, 2.5)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _, err := e.Start(context.Background(), "gx", "stu1", Config{MaxItems: 3}, 1)
+	s1, view, err := e.Start(ctx, "gx", "stu1", Config{MaxItems: 3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _, err := e.Start(context.Background(), "gx", "stu2", Config{MaxItems: 3}, 2)
+	// A session write between the starts does not move the bank's
+	// generation.
+	if _, err := e.SubmitResponse(ctx, s1.ID, view.ProblemID, "A"); err != nil {
+		t.Fatal(err)
+	}
+	s2, _, err := e.Start(ctx, "gx", "stu2", Config{MaxItems: 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.grid == nil || s1.grid != s2.grid {
-		t.Fatal("sessions on one exam must share the cached information grid")
+	if s1.pool == nil || s1.pool.grid == nil || s1.pool != s2.pool {
+		t.Fatal("sittings on one exam must share one pool and its grid")
 	}
-	if got := e.gridFor("gx", s1.pool); got != s1.grid {
-		t.Fatal("gridFor rebuilt despite an unchanged pool fingerprint")
-	}
+	authored := s1.pool.items[s1.pool.rows["gx-q001"]].Params
+	question := s1.pool.problem("gx-q002").Question
 
-	// A recalibration-style parameter change must yield a fresh grid.
+	// A recalibration-style parameter change reaches the next Start.
 	rec, err := store.Exam("gx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := rec.ItemParams["gx-q001"]
-	p.B += 0.5
-	rec.ItemParams["gx-q001"] = p
+	refit := rec.ItemParams["gx-q001"]
+	refit.B += 0.5
+	rec.ItemParams["gx-q001"] = refit
 	if err := store.UpdateExam(rec); err != nil {
 		t.Fatal(err)
 	}
-	pool, _, err := e.loadPool(rec)
+	s3, _, err := e.Start(ctx, "gx", "stu3", Config{MaxItems: 3}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := e.gridFor("gx", pool)
-	if fresh == s1.grid {
-		t.Fatal("stale grid served after a parameter change")
+	if s3.pool == s1.pool || s3.pool.grid == s1.pool.grid {
+		t.Fatal("stale pool served after a parameter change")
 	}
-	// A second change rebuilds again.
-	p.B += 0.5
-	rec.ItemParams["gx-q001"] = p
-	pool2, _, err := e.loadPool(rec)
+	if got := s3.pool.items[s3.pool.rows["gx-q001"]].Params; got != refit {
+		t.Errorf("next Start params = %+v, want the refit %+v", got, refit)
+	}
+
+	// An authoring edit to a pool problem reaches the next Start too.
+	p, err := store.Problem("gx-q002")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.gridFor("gx", pool2) == fresh {
-		t.Fatal("fingerprint mismatch did not rebuild the grid")
+	p.Question = "edited"
+	if err := store.UpdateProblem(p); err != nil {
+		t.Fatal(err)
 	}
-	// In-flight sessions keep their start-time snapshot.
-	if s1.grid == fresh {
-		t.Fatal("running session's grid must not change mid-test")
+	s4, _, err := e.Start(ctx, "gx", "stu4", Config{MaxItems: 3}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s4.pool == s3.pool {
+		t.Fatal("stale pool served after a problem edit")
+	}
+	if got := s4.pool.problem("gx-q002").Question; got != "edited" {
+		t.Errorf("next Start question = %q, want %q", got, "edited")
+	}
+
+	// Sittings in flight keep their start-time pool, and still answer.
+	if got := s1.pool.items[s1.pool.rows["gx-q001"]].Params; got != authored {
+		t.Errorf("in-flight params = %+v, want the authored %+v", got, authored)
+	}
+	if got := s1.pool.problem("gx-q002").Question; got != question {
+		t.Errorf("in-flight question = %q, want %q", got, question)
+	}
+	next, err := e.NextItem(s1.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SubmitResponse(ctx, s1.ID, next.ProblemID, "A"); err != nil {
+		t.Errorf("in-flight sitting broken by the rebuild: %v", err)
 	}
 }
 

@@ -123,9 +123,9 @@ func (e *Engine) Recalibrate(examID string, minObs int) (*adaptive.PoolCalibrati
 		for pid, params := range cal.Updated {
 			rec.ItemParams[pid] = params
 		}
-		// The next Start loads the refit parameters, and gridFor rebuilds
-		// the exam's information table on the changed fingerprint; in-flight
-		// sessions keep their start-time pool and grid.
+		// The write moves the bank's generation, so the next Start builds
+		// the exam's pool and information grid from the refit parameters;
+		// in-flight sessions keep their start-time pool.
 		if err := e.store.UpdateExam(rec); err != nil {
 			return nil, err
 		}
