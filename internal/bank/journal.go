@@ -20,7 +20,7 @@ import (
 // journal.
 var errJournalClosed = errors.New("bank: journal is closed")
 
-// Journal adds write-ahead durability to any Storage backend. Instead of
+// Journal adds write-ahead durability to a Sharded backend. Instead of
 // rewriting the whole bank file on every change (Save is O(bank)), each
 // mutation appends one JSON line to a WAL; reopening the journal replays
 // snapshot + WAL to rebuild the backend. Once CompactEvery
@@ -67,7 +67,7 @@ var errJournalClosed = errors.New("bank: journal is closed")
 // current state. Until a compaction runs, WAL replay reconstructs history
 // exactly (update and rollback records re-execute).
 type Journal struct {
-	backend Storage
+	backend *Sharded
 	policy  wal.SyncPolicy
 
 	dir          string
@@ -186,7 +186,7 @@ type JournalOptions struct {
 // OpenJournal opens (or creates) the journal in dir over the given backend,
 // replaying any existing snapshot and WAL into it. The backend must be
 // empty; a nil backend means New().
-func OpenJournal(dir string, backend Storage, opts JournalOptions) (*Journal, error) {
+func OpenJournal(dir string, backend *Sharded, opts JournalOptions) (*Journal, error) {
 	policy, err := wal.ParseSyncPolicy(string(opts.Sync))
 	if err != nil {
 		return nil, err
@@ -297,9 +297,7 @@ func (j *Journal) apply(rec walRecord) error {
 			// means an earlier tolerant snapshot load carried a dangling
 			// reference forward. Mirror that tolerance.
 			if errors.Is(err, ErrProblemNotFound) {
-				if putter, ok := j.backend.(examPutter); ok {
-					return ignoreRedo(putter.putExamUnchecked(rec.Exam), ErrExamExists)
-				}
+				return ignoreRedo(j.backend.putExamUnchecked(rec.Exam), ErrExamExists)
 			}
 			return err
 		}
@@ -800,12 +798,8 @@ func (j *Journal) AddExam(e *ExamRecord) error {
 // putExamUnchecked journals an exam inserted without reference validation
 // (snapshot loading only; replay mirrors the tolerance in apply).
 func (j *Journal) putExamUnchecked(e *ExamRecord) error {
-	putter, ok := j.backend.(examPutter)
-	if !ok {
-		return j.AddExam(e)
-	}
 	return j.mutate(context.Background(), func() (walRecord, error) {
-		if err := putter.putExamUnchecked(e); err != nil {
+		if err := j.backend.putExamUnchecked(e); err != nil {
 			return walRecord{}, err
 		}
 		return walRecord{Op: opAddExam, Exam: cloneExam(e)}, nil

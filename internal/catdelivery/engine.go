@@ -20,12 +20,14 @@
 //
 // Sittings on one exam share one immutable calibrated pool (problems, IRT
 // parameters and information grid), built once per bank generation: the
-// next start after any problem or exam write rebuilds it, and a sitting
+// next start after any problem or exam write rebuilds it, keeping the
+// grid while the items and their parameters are unchanged, and a sitting
 // keeps the pool it started on.
 //
-// Finished sessions drain into a ResponseLog — the calibration feedback
-// loop's collection point — once each. Recalibrate folds the logged
-// responses back into the exam's stored ItemParams (fixed-ability
+// What sittings teach the engine lives in one ledger per exam (examLedger):
+// the starts and per-item hand-outs the exposure caps read, and every
+// finished sitting's record, entered once. Recalibrate folds an exam's
+// finished records back into its stored ItemParams (fixed-ability
 // difficulty refit, see internal/adaptive/calibrate.go), so pool parameters
 // converge toward what real learners demonstrate instead of staying
 // hand-authored forever.
@@ -36,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -141,20 +144,21 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Session is one learner's live adaptive sitting. ID, ExamID and StudentID
-// are fixed at start; everything else, the monitor ring included, is
-// guarded by mu. The last persisted record (rec) is the sitting's state:
-// the pending item is pool.problem(rec.PendingID), and responses is rec's
-// answered items paired with their pool parameters, rebuilt from rec on
-// restart. rec and responses are replaced together, only after the next
-// record persists. pool is the exam's shared pool as of the start (nil on
-// a restored finished sitting): a sitting sees no edit or recalibration
-// made after it started, until a restart restores it on the bank's
-// current pool.
+// Session is one learner's live adaptive sitting. ID, ExamID, StudentID
+// and ledger (the exam's) are fixed at start; everything else, the monitor
+// ring included, is guarded by mu. The last persisted record (rec) is the
+// sitting's state: the pending item is pool.problem(rec.PendingID), and
+// responses is rec's answered items paired with their pool parameters,
+// rebuilt from rec on restart. rec and responses are replaced together,
+// only after the next record persists. pool is the exam's shared pool as
+// of the start (nil on a restored finished sitting): a sitting sees no
+// edit or recalibration made after it started, until a restart restores
+// it on the bank's current pool.
 type Session struct {
 	ID        string
 	ExamID    string
 	StudentID string
+	ledger    *examLedger
 
 	mu        sync.Mutex
 	rec       *bank.AdaptiveSessionRecord
@@ -206,12 +210,6 @@ const (
 	StopByCaller      = "finished-by-caller"
 )
 
-// examExposure tracks per-exam administration counts for exposure control.
-type examExposure struct {
-	starts int
-	counts map[string]int
-}
-
 // Engine manages live adaptive sessions over calibrated pools in a
 // bank.Storage. Construction restores any persisted sessions (see
 // NewEngine), so a restarted server carries live CAT sittings forward.
@@ -221,15 +219,16 @@ type Engine struct {
 	monitorCapacity int // each session's snapshot ring bound; 0 disables capture
 	now             func() time.Time
 	nextID          atomic.Int64
-	log             ResponseLog
 
 	// bus receives adaptive.* lifecycle events. Events are published only
 	// AFTER the session record is durably persisted, so a subscriber never
 	// observes state a crash could roll back; a nil bus disables emission.
 	bus *events.Bus
 
-	expoMu   sync.Mutex
-	exposure map[string]*examExposure
+	// ledgerMu guards ledgers: one per exam with a registered sitting,
+	// kept for the life of the engine.
+	ledgerMu sync.Mutex
+	ledgers  map[string]*examLedger
 
 	// poolMu guards pools, each started exam's calibrated pool built at
 	// bank generation poolGen. The cache holds that one generation only
@@ -247,8 +246,8 @@ type Engine struct {
 
 // NewEngine builds an adaptive engine over the storage and restores every
 // persisted adaptive session: active sessions resume where they stopped
-// (the pending item stays pending), finished ones re-drain into the
-// response log so a restart never loses calibration data. now may be nil
+// (the pending item stays pending), finished ones re-enter their exam's
+// ledger so a restart never loses calibration data. now may be nil
 // for wall-clock time; monitorCapacity bounds the per-session snapshot ring
 // (0 disables monitoring).
 func NewEngine(store bank.Storage, now func() time.Time, monitorCapacity int) (*Engine, error) {
@@ -260,7 +259,7 @@ func NewEngine(store bank.Storage, now func() time.Time, monitorCapacity int) (*
 		sessions:        shardmap.New[*Session](delivery.DefaultSessionShards),
 		monitorCapacity: monitorCapacity,
 		now:             now,
-		exposure:        make(map[string]*examExposure),
+		ledgers:         make(map[string]*examLedger),
 		pools:           make(map[string]*examPool),
 	}
 	for _, id := range store.AdaptiveSessionIDs() {
@@ -293,9 +292,6 @@ func (e *Engine) RestoreSkipped() int { return e.restoreSkipped }
 // serving traffic (the field is not synchronized against in-flight
 // operations).
 func (e *Engine) SetEventBus(b *events.Bus) { e.bus = b }
-
-// ResponseLog exposes the calibration sink.
-func (e *Engine) ResponseLog() *ResponseLog { return &e.log }
 
 // SessionCount returns the number of registered sessions (any state).
 func (e *Engine) SessionCount() int { return e.sessions.Len() }
@@ -332,19 +328,21 @@ func (p *examPool) problem(id string) *item.Problem {
 
 // poolFor returns the exam's calibrated pool at the bank's current
 // generation: the cached one while the generation is unchanged, otherwise
-// one built from a single Exam and Problems read. The generation is read
-// before the bank, so a write racing the build tags the entry older than
-// its content and the next call rebuilds it. A build at a newer generation
-// drops every older entry, and one that finishes after a newer build is
-// not cached. Non-auto-gradable calibrated items are a configuration
-// error, reported rather than silently skipped.
+// one built from a single Exam and Problems read. A rebuild whose items
+// and parameters equal the cached pool's shares its information grid, so a
+// write elsewhere in the bank costs the problems' re-read, not a new grid.
+// The generation is read before the bank, so a write racing the build tags
+// the entry older than its content and the next call rebuilds it. A build
+// at a newer generation drops every older entry, and one that finishes
+// after a newer build is not cached. Non-auto-gradable calibrated items
+// are a configuration error, reported rather than silently skipped.
 func (e *Engine) poolFor(examID string) (*examPool, error) {
 	gen := e.store.Generation()
 	e.poolMu.Lock()
-	pool := e.pools[examID]
+	cached := e.pools[examID]
 	e.poolMu.Unlock()
-	if pool != nil && pool.gen == gen {
-		return pool, nil
+	if cached != nil && cached.gen == gen {
+		return cached, nil
 	}
 	rec, err := e.store.Exam(examID)
 	if err != nil {
@@ -358,7 +356,7 @@ func (e *Engine) poolFor(examID string) (*examPool, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool = &examPool{
+	pool := &examPool{
 		gen:      gen,
 		items:    make([]adaptive.PoolItem, len(ids)),
 		problems: problems,
@@ -371,7 +369,11 @@ func (e *Engine) poolFor(examID string) (*examPool, error) {
 		pool.items[i] = adaptive.PoolItem{ID: pid, Params: rec.ItemParams[pid]}
 		pool.rows[pid] = i
 	}
-	pool.grid = adaptive.NewDefaultInfoGrid(pool.items)
+	if cached != nil && slices.Equal(cached.items, pool.items) {
+		pool.grid = cached.grid
+	} else {
+		pool.grid = adaptive.NewDefaultInfoGrid(pool.items)
+	}
 	e.poolMu.Lock()
 	defer e.poolMu.Unlock()
 	if gen > e.poolGen {
@@ -428,11 +430,12 @@ func (e *Engine) Start(ctx context.Context, examID, studentID string, cfg Config
 		ID:        rec.ID,
 		ExamID:    examID,
 		StudentID: studentID,
+		ledger:    e.ledgerFor(examID),
 		rec:       rec,
 		pool:      pool,
 	}
-	e.trackStart(examID)
-	first := e.selectNext(s, rec)
+	s.ledger.start()
+	first := s.selectNext(rec)
 	if first == nil {
 		// Unreachable in practice (poolFor guarantees a non-empty pool),
 		// kept as a guard against future selector bugs.
@@ -452,36 +455,26 @@ func (e *Engine) Start(ctx context.Context, examID, studentID string, cfg Config
 	return s, s.itemView(first), nil
 }
 
-// trackStart bumps the exam's session counter for exposure accounting.
-func (e *Engine) trackStart(examID string) {
-	e.expoMu.Lock()
-	defer e.expoMu.Unlock()
-	ex := e.exposure[examID]
-	if ex == nil {
-		ex = &examExposure{counts: make(map[string]int)}
-		e.exposure[examID] = ex
+// ledgerFor returns the exam's ledger, made by the exam's first registered
+// sitting: a start on an unknown or uncalibrated exam never makes one.
+func (e *Engine) ledgerFor(examID string) *examLedger {
+	e.ledgerMu.Lock()
+	defer e.ledgerMu.Unlock()
+	l := e.ledgers[examID]
+	if l == nil {
+		l = &examLedger{handedOut: make(map[string]int)}
+		e.ledgers[examID] = l
 	}
-	ex.starts++
-}
-
-// trackAdministration counts one hand-out of an item.
-func (e *Engine) trackAdministration(examID, problemID string) {
-	e.expoMu.Lock()
-	defer e.expoMu.Unlock()
-	ex := e.exposure[examID]
-	if ex == nil {
-		ex = &examExposure{counts: make(map[string]int)}
-		e.exposure[examID] = ex
-	}
-	ex.counts[problemID]++
+	return l
 }
 
 // selectNext picks the item to hand out after rec's answered items, at
-// rec's ability estimate, honouring the exposure cap. Callers hold s.mu
-// (or own the session exclusively, as Start does). Returns nil when the
-// pool is exhausted. The hand-out is counted even if rec never persists;
-// exposure counts are approximate accounting by design.
-func (e *Engine) selectNext(s *Session, rec *bank.AdaptiveSessionRecord) *item.Problem {
+// rec's ability estimate, honouring the exposure cap, and counts the
+// hand-out on the exam's ledger. Callers hold s.mu (or own the session
+// exclusively, as Start does). Returns nil when the pool is exhausted. The
+// hand-out is counted even if rec never persists; exposure counts are
+// approximate accounting by design.
+func (s *Session) selectNext(rec *bank.AdaptiveSessionRecord) *item.Problem {
 	used := make(map[string]bool, len(rec.Administered)+1)
 	for _, id := range rec.Administered {
 		used[id] = true
@@ -498,18 +491,14 @@ func (e *Engine) selectNext(s *Session, rec *bank.AdaptiveSessionRecord) *item.P
 	}
 	candidates := rows
 	if rec.MaxExposure > 0 {
-		if open := e.underCap(s.ExamID, pool.items, rows, rec.MaxExposure); len(open) > 0 {
-			candidates = open
-		} else {
-			candidates = []int{e.leastExposed(s.ExamID, pool.items, rows)}
-		}
+		candidates = s.ledger.underCap(pool.items, rows, rec.MaxExposure)
 	}
 	// Deterministic per-step RNG: the seed and administration count fully
 	// determine the draw, so a restarted session re-selects identically.
 	step := int64(len(rec.Administered) + 1)
 	rng := rand.New(rand.NewSource(rec.Seed + step*0x9E3779B9))
 	row := pickRow(pool.grid, rec, rng, candidates)
-	e.trackAdministration(s.ExamID, pool.items[row].ID)
+	s.ledger.handOut(pool.items[row].ID)
 	return pool.problems[row]
 }
 
@@ -530,44 +519,6 @@ func pickRow(grid *adaptive.InfoGrid, rec *bank.AdaptiveSessionRecord, rng *rand
 	default:
 		return grid.ArgMax(candidates, rec.Theta)
 	}
-}
-
-// underCap filters candidate pool rows whose administration rate is below
-// the exposure limit.
-func (e *Engine) underCap(examID string, pool []adaptive.PoolItem, rows []int, limit float64) []int {
-	e.expoMu.Lock()
-	defer e.expoMu.Unlock()
-	ex := e.exposure[examID]
-	if ex == nil || ex.starts == 0 {
-		return rows
-	}
-	out := make([]int, 0, len(rows))
-	for _, row := range rows {
-		if float64(ex.counts[pool[row].ID])/float64(ex.starts) < limit {
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
-// leastExposed returns the candidate pool row with the lowest administration
-// count, breaking ties by ID for determinism.
-func (e *Engine) leastExposed(examID string, pool []adaptive.PoolItem, rows []int) int {
-	e.expoMu.Lock()
-	defer e.expoMu.Unlock()
-	ex := e.exposure[examID]
-	best := rows[0]
-	bestCount := -1
-	for _, row := range rows {
-		c := 0
-		if ex != nil {
-			c = ex.counts[pool[row].ID]
-		}
-		if bestCount == -1 || c < bestCount || (c == bestCount && pool[row].ID < pool[best].ID) {
-			best, bestCount = row, c
-		}
-	}
-	return best
 }
 
 func (s *Session) itemView(p *item.Problem) *ItemView {
@@ -656,7 +607,7 @@ func (e *Engine) SubmitResponse(ctx context.Context, sessionID, problemID, respo
 	case n >= next.MaxItems:
 		finish(&next, StopMaxItems)
 	default:
-		if p := e.selectNext(s, &next); p != nil {
+		if p := s.selectNext(&next); p != nil {
 			next.PendingID = p.ID
 		} else {
 			finish(&next, StopPoolExhausted)
@@ -666,9 +617,9 @@ func (e *Engine) SubmitResponse(ctx context.Context, sessionID, problemID, respo
 		return nil, err
 	}
 	s.rec, s.responses = &next, responses
-	// Publish events — and drain into the calibration log — only after the
-	// record is durable, so a failed persist never leaves a phantom log
-	// entry or a phantom event. Publishes detach from the request context
+	// Publish events — and drain into the exam's ledger — only after the
+	// record is durable, so a failed persist never leaves a phantom
+	// finished record or a phantom event. Publishes detach from the request context
 	// (cancelation must not reach subscribers) while keeping the trace span
 	// so the bus.publish spans parent correctly.
 	evctx := trace.Detach(ctx)
@@ -694,11 +645,12 @@ func finish(rec *bank.AdaptiveSessionRecord, reason string) {
 	rec.State, rec.StopReason, rec.PendingID = bank.AdaptiveStateFinished, reason, ""
 }
 
-// drain hands a sitting whose finished record has just persisted to the
-// response log and announces it. Callers hold s.mu; the active-state
-// check they made under it means each sitting drains once.
+// drain enters a sitting whose finished record has just persisted in its
+// exam's ledger and announces it. The ledger keeps the session's own
+// record, which is never modified once finished. Callers hold s.mu; the
+// active-state check they made under it means each sitting drains once.
 func (e *Engine) drain(ctx context.Context, s *Session) {
-	e.log.Add(entryOf(s.rec))
+	s.ledger.finish(s.rec)
 	e.bus.Publish(ctx, events.Event{
 		Type: events.AdaptiveFinished, ExamID: s.ExamID, SessionID: s.ID,
 		StudentID: s.StudentID, Answered: len(s.rec.Administered),
@@ -788,10 +740,11 @@ func (e *Engine) Snapshots(sessionID string) ([]delivery.Snapshot, error) {
 
 // restore rehydrates one persisted session into the registry. Finished
 // sessions need no pool — they register for status queries with their
-// persisted estimates and drain into the response log. Active sessions
-// take the exam's pool as Start does and re-derive theta/SE from the
-// response stream. Either way exposure is counted as Start and selectNext
-// count it.
+// persisted estimates, and their record (the store's copy, which the
+// session holds) enters the exam's ledger. Active sessions take the exam's
+// pool as Start does and re-derive theta/SE from the response stream.
+// Once the record is accepted, its start and hand-outs are counted on the
+// ledger through the calls Start and selectNext make.
 func (e *Engine) restore(rec *bank.AdaptiveSessionRecord) error {
 	s := &Session{
 		ID:        rec.ID,
@@ -822,15 +775,17 @@ func (e *Engine) restore(rec *bank.AdaptiveSessionRecord) error {
 		if pool.problem(rec.PendingID) == nil {
 			return fmt.Errorf("pending item %q not in pool", rec.PendingID)
 		}
-	} else {
-		e.log.Add(entryOf(rec))
 	}
-	e.trackStart(rec.ExamID)
+	s.ledger = e.ledgerFor(rec.ExamID)
+	s.ledger.start()
 	for _, pid := range rec.Administered {
-		e.trackAdministration(rec.ExamID, pid)
+		s.ledger.handOut(pid)
 	}
 	if rec.PendingID != "" {
-		e.trackAdministration(rec.ExamID, rec.PendingID)
+		s.ledger.handOut(rec.PendingID)
+	}
+	if rec.State != bank.AdaptiveStateActive {
+		s.ledger.finish(rec)
 	}
 	// Keep new session IDs past the restored ones.
 	if n, ok := numericSuffix(rec.ID); ok {
@@ -861,9 +816,9 @@ func numericSuffix(id string) (int64, bool) {
 // PurgeFinished removes every finished session from the registry and the
 // storage backend — the retention pass that keeps a long-lived server's
 // memory, WAL, and boot time from scaling with lifetime session count.
-// Purged sessions' calibration data stays in the response log for the
-// rest of this process's lifetime, so Recalibrate keeps its input; purge
-// after recalibrating to retain nothing.
+// Purged sittings stay in their exam's ledger (finished records, starts
+// and hand-outs) for the rest of this process's lifetime, so Recalibrate
+// and the exposure caps keep their input.
 //
 // A storage failure on one session does not abort the sweep: the failed
 // session stays registered (a later purge retries it) and the remaining

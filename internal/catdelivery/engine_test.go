@@ -333,15 +333,15 @@ func TestExposureCapSpreadsItems(t *testing.T) {
 	}
 }
 
-// exposureRates reads the engine's exposure counters: each administered
-// item's administrations per session started on the exam.
+// exposureRates reads the exam's ledger: each administered item's
+// administrations per session started on the exam.
 func exposureRates(e *Engine, examID string) map[string]float64 {
-	e.expoMu.Lock()
-	defer e.expoMu.Unlock()
-	ex := e.exposure[examID]
-	rates := make(map[string]float64, len(ex.counts))
-	for id, n := range ex.counts {
-		rates[id] = float64(n) / float64(ex.starts)
+	l := e.ledgerOf(examID)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	rates := make(map[string]float64, len(l.handedOut))
+	for id, n := range l.handedOut {
+		rates[id] = float64(n) / float64(l.starts)
 	}
 	return rates
 }
@@ -453,8 +453,8 @@ func TestRecalibrateFeedbackLoop(t *testing.T) {
 			view = prog.Next
 		}
 	}
-	if got := e.ResponseLog().Len(); got != 6 {
-		t.Fatalf("logged sessions = %d, want 6", got)
+	if got := drainedCount(e); got != 6 {
+		t.Fatalf("finished records = %d, want 6", got)
 	}
 	cal, err := e.Recalibrate("pool", 5)
 	if err != nil {
@@ -483,8 +483,8 @@ func TestRecalibrateFeedbackLoop(t *testing.T) {
 }
 
 // TestConcurrentAdaptiveSessions hammers one shared pool with parallel
-// sessions; run under -race. Exposure accounting, the registry, the
-// response log and the storage backend are all on the contended path.
+// sessions; run under -race. The exam's ledger, the registry and the
+// storage backend are all on the contended path.
 func TestConcurrentAdaptiveSessions(t *testing.T) {
 	store := bank.NewSharded(8)
 	calibratedExam(t, store, "pool", 40, 1.5, 2)
@@ -535,8 +535,8 @@ func TestConcurrentAdaptiveSessions(t *testing.T) {
 	if got := e.SessionCount(); got != workers {
 		t.Errorf("sessions = %d, want %d", got, workers)
 	}
-	if got := e.ResponseLog().Len(); got != workers {
-		t.Errorf("logged = %d, want %d", got, workers)
+	if got := drainedCount(e); got != workers {
+		t.Errorf("finished records = %d, want %d", got, workers)
 	}
 }
 
@@ -571,8 +571,8 @@ func TestRestoreTolerance(t *testing.T) {
 	if _, err := e2.Status(s.ID); !errors.Is(err, ErrSessionNotFound) {
 		t.Errorf("orphaned active session should not be registered: Status = %v", err)
 	}
-	if e2.ResponseLog().Len() != 1 {
-		t.Errorf("finished session's log entry lost: len = %d", e2.ResponseLog().Len())
+	if drainedCount(e2) != 1 {
+		t.Errorf("finished record lost: ledger holds %d", drainedCount(e2))
 	}
 }
 
@@ -602,9 +602,9 @@ func TestPurgeFinished(t *testing.T) {
 	if got := len(store.AdaptiveSessionIDs()); got != 1 {
 		t.Errorf("stored records after purge = %d, want 1", got)
 	}
-	// The response log keeps the purged sessions' calibration data.
-	if got := e.ResponseLog().Len(); got != 3 {
-		t.Errorf("log after purge = %d, want 3", got)
+	// The exam's ledger keeps the purged sessions' calibration data.
+	if got := drainedCount(e); got != 3 {
+		t.Errorf("ledger after purge = %d, want 3", got)
 	}
 	// The active session is untouched and still answers.
 	if _, err := e.SubmitResponse(context.Background(), active.ID, view.ProblemID, "A"); err != nil {
@@ -720,21 +720,21 @@ func TestSubmitRollsBackOnPersistFailure(t *testing.T) {
 	if prog.Administered != 1 {
 		t.Errorf("retry administered = %d", prog.Administered)
 	}
-	// A rolled-back finish leaves no phantom log entry and stays active.
+	// A rolled-back finish leaves no phantom ledger entry and stays active.
 	store.failPuts = true
 	if _, err := e.SubmitResponse(context.Background(), s.ID, prog.Next.ProblemID, "A"); err == nil {
 		t.Fatal("finishing submit should surface the persist failure")
 	}
-	if e.ResponseLog().Len() != 0 {
-		t.Error("rolled-back finish leaked a response-log entry")
+	if drainedCount(e) != 0 {
+		t.Error("rolled-back finish leaked a ledger entry")
 	}
 	store.failPuts = false
 	final, err := e.SubmitResponse(context.Background(), s.ID, prog.Next.ProblemID, "A")
 	if err != nil || !final.Done {
 		t.Fatalf("final retry = %+v, %v", final, err)
 	}
-	if e.ResponseLog().Len() != 1 {
-		t.Errorf("log after durable finish = %d, want 1", e.ResponseLog().Len())
+	if drainedCount(e) != 1 {
+		t.Errorf("ledger after durable finish = %d, want 1", drainedCount(e))
 	}
 }
 
@@ -912,8 +912,9 @@ func TestInfoGridCacheSharedAndInvalidated(t *testing.T) {
 }
 
 // TestFailedFinishLeavesSessionUnchanged: a Finish whose persist fails
-// leaves the session exactly as it was — status, pending item and response
-// log — and publishes nothing; the retry then finishes the sitting.
+// leaves the session exactly as it was — status, pending item and the
+// exam's ledger — and publishes nothing; the retry then finishes the
+// sitting.
 func TestFailedFinishLeavesSessionUnchanged(t *testing.T) {
 	ctx := context.Background()
 	inner := bank.NewSharded(4)
@@ -956,8 +957,8 @@ func TestFailedFinishLeavesSessionUnchanged(t *testing.T) {
 	if got, err := e.NextItem(s.ID); err != nil || !reflect.DeepEqual(got, pending) {
 		t.Errorf("next item after failed finish = %+v, %v; want %+v", got, err, pending)
 	}
-	if n := e.ResponseLog().Len(); n != 0 {
-		t.Errorf("failed finish drained %d log entries", n)
+	if n := drainedCount(e); n != 0 {
+		t.Errorf("failed finish drained %d ledger entries", n)
 	}
 	if got := bus.Seq("pool"); got != seq {
 		t.Errorf("failed finish published %d event(s)", got-seq)
@@ -979,8 +980,8 @@ func TestFailedFinishLeavesSessionUnchanged(t *testing.T) {
 	if rec, err := inner.AdaptiveSession(s.ID); err != nil || rec.State != bank.AdaptiveStateFinished {
 		t.Errorf("stored record after retry = %+v, %v", rec, err)
 	}
-	if n := e.ResponseLog().Len(); n != 1 {
-		t.Errorf("log after retry = %d, want 1", n)
+	if n := drainedCount(e); n != 1 {
+		t.Errorf("ledger after retry = %d, want 1", n)
 	}
 	finished := 0
 	for _, ev := range sub.Take(nil) {
@@ -993,21 +994,47 @@ func TestFailedFinishLeavesSessionUnchanged(t *testing.T) {
 	}
 }
 
-// drained lists the session IDs in the engine's response log for an exam,
-// sorted.
+// ledgerOf returns the exam's ledger, or nil when no sitting made one.
+func (e *Engine) ledgerOf(examID string) *examLedger {
+	e.ledgerMu.Lock()
+	defer e.ledgerMu.Unlock()
+	return e.ledgers[examID]
+}
+
+// drained lists the session IDs of the finished records in the exam's
+// ledger, sorted.
 func drained(e *Engine, examID string) []string {
+	l := e.ledgerOf(examID)
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	var ids []string
-	for _, entry := range e.ResponseLog().ByExam(examID) {
-		ids = append(ids, entry.SessionID)
+	for _, rec := range l.finished {
+		ids = append(ids, rec.ID)
 	}
 	slices.Sort(ids)
 	return ids
 }
 
-// TestEachFinishedSittingDrainsOnce: a finished sitting is in the response
-// log once, whether its last respond finished it, Finish was repeated (also
+// drainedCount counts the finished records in every exam's ledger.
+func drainedCount(e *Engine) int {
+	e.ledgerMu.Lock()
+	defer e.ledgerMu.Unlock()
+	n := 0
+	for _, l := range e.ledgers {
+		l.mu.Lock()
+		n += len(l.finished)
+		l.mu.Unlock()
+	}
+	return n
+}
+
+// TestEachFinishedSittingDrainsOnce: a finished sitting is in its exam's
+// ledger once, whether its last respond finished it, Finish was repeated (also
 // concurrently), Finish ended it early, or a new engine restored it from
-// the same journal. An active sitting is not in the log.
+// the same journal. An active sitting is not in the ledger.
 func TestEachFinishedSittingDrainsOnce(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -1046,7 +1073,7 @@ func TestEachFinishedSittingDrainsOnce(t *testing.T) {
 	want := []string{last.SessionID, early.ID}
 	slices.Sort(want)
 	if got := drained(e1, "pool"); !slices.Equal(got, want) {
-		t.Errorf("log = %v, want %v", got, want)
+		t.Errorf("ledger = %v, want %v", got, want)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -1062,10 +1089,10 @@ func TestEachFinishedSittingDrainsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := drained(e2, "pool"); !slices.Equal(got, want) {
-		t.Errorf("log after restore = %v, want %v", got, want)
+		t.Errorf("ledger after restore = %v, want %v", got, want)
 	}
-	if n := e2.ResponseLog().Len(); n != len(want) {
-		t.Errorf("log length after restore = %d, want %d", n, len(want))
+	if n := drainedCount(e2); n != len(want) {
+		t.Errorf("ledger length after restore = %d, want %d", n, len(want))
 	}
 }
 

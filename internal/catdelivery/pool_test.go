@@ -130,6 +130,75 @@ func TestPoolCacheHoldsOneGeneration(t *testing.T) {
 	}
 }
 
+// TestPoolKeepsGridAcrossUnrelatedWrites: a write that leaves the exam's
+// items and parameters alone still rebuilds the pool at the next start,
+// re-reading its problems, but the rebuilt pool shares the previous
+// information grid. A parameter change builds a new grid.
+func TestPoolKeepsGridAcrossUnrelatedWrites(t *testing.T) {
+	ctx := context.Background()
+	store := bank.NewSharded(4)
+	calibratedExam(t, store, "pool", 20, 1.5, 2)
+	e, err := NewEngine(store, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := func(student string) *Session {
+		t.Helper()
+		s, _, err := e.Start(ctx, "pool", student, Config{MaxItems: 3}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	first := start("a")
+	p, err := newMC("unrelated")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AddProblem(p); err != nil {
+		t.Fatal(err)
+	}
+	second := start("b")
+	if second.pool == first.pool {
+		t.Fatal("a write moved the generation, yet the pool was not rebuilt")
+	}
+	if second.pool.grid != first.pool.grid {
+		t.Error("an unrelated AddProblem rebuilt the information grid")
+	}
+
+	// An edit to a pool problem's text reaches the next sitting on the
+	// same grid.
+	edited, err := store.Problem("pool-q002")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited.Question = "edited"
+	if err := store.UpdateProblem(edited); err != nil {
+		t.Fatal(err)
+	}
+	third := start("c")
+	if got := third.pool.problem("pool-q002").Question; got != "edited" {
+		t.Errorf("next Start question = %q, want %q", got, "edited")
+	}
+	if third.pool.grid != first.pool.grid {
+		t.Error("a text edit rebuilt the information grid")
+	}
+
+	rec, err := store.Exam("pool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refit := rec.ItemParams["pool-q001"]
+	refit.B += 0.5
+	rec.ItemParams["pool-q001"] = refit
+	if err := store.UpdateExam(rec); err != nil {
+		t.Fatal(err)
+	}
+	if fourth := start("d"); fourth.pool.grid == first.pool.grid {
+		t.Error("a parameter change kept the old information grid")
+	}
+}
+
 // TestPoolRebuildRacesSittings: sittings start and answer while a writer
 // edits a pool problem's question K times and then recalibrates. Once the
 // writer returns, the next Start serves the last text and the refit

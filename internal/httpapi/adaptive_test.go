@@ -194,7 +194,7 @@ func TestAdaptiveErrorTaxonomy(t *testing.T) {
 }
 
 func TestRecalibrateOverHTTP(t *testing.T) {
-	srv, cat := adaptiveServer(t)
+	srv, _ := adaptiveServer(t)
 	// No logged responses yet -> 422 INSUFFICIENT_DATA.
 	code, raw := doJSON(t, http.MethodPost, srv.URL+"/v1/exams/cat1:recalibrate", nil, nil)
 	wantEnvelope(t, code, raw, CodeInsufficientData)
@@ -221,9 +221,6 @@ func TestRecalibrateOverHTTP(t *testing.T) {
 			}
 			next = prog.Next.ProblemID
 		}
-	}
-	if cat.ResponseLog().Len() != 4 {
-		t.Fatalf("logged = %d", cat.ResponseLog().Len())
 	}
 	var resp RecalibrateResponse
 	code, raw = doJSON(t, http.MethodPost, srv.URL+"/v1/exams/cat1:recalibrate",
