@@ -106,6 +106,34 @@ func (g *InfoGrid) ArgMax(candidates []int, theta float64) int {
 	return best
 }
 
+// ArgMaxExcept is ArgMax over every pool row not in skip, without a
+// candidate list: it scans the rows in order, stepping over the skipped
+// ones, so it picks exactly what ArgMax picks from the unskipped rows, ties
+// to the earliest. skip must be sorted ascending (duplicates are fine). It
+// returns -1 when skip covers every row.
+func (g *InfoGrid) ArgMaxExcept(skip []int, theta float64) int {
+	j, frac := g.locate(theta)
+	lo := g.vals[j*g.items : (j+1)*g.items]
+	hi := g.vals[(j+1)*g.items : (j+2)*g.items]
+	best, bestInfo := -1, -1.0
+	for idx := range lo {
+		if len(skip) > 0 && skip[0] == idx {
+			for len(skip) > 0 && skip[0] == idx {
+				skip = skip[1:]
+			}
+			continue
+		}
+		if best < 0 {
+			best = idx // ArgMax starts from the first candidate
+		}
+		if info := lo[idx] + frac*(hi[idx]-lo[idx]); info > bestInfo {
+			bestInfo = info
+			best = idx
+		}
+	}
+	return best
+}
+
 // TopK picks uniformly among the k most informative candidates at theta —
 // the grid-backed Randomesque. It mirrors the exact selector's algorithm
 // (fill k, then replace the weakest on strict improvement) so a given rng

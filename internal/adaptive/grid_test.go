@@ -121,3 +121,43 @@ func TestInfoGridTopKStaysWithinExactTopK(t *testing.T) {
 		t.Fatalf("TopK(k=1) = %d, want ArgMax %d", got, want)
 	}
 }
+
+// TestInfoGridArgMaxExceptMatchesArgMax: skipping rows in place picks what
+// ArgMax picks from the rows left, ties to the earliest, and reports -1
+// once every row is skipped. The pool repeats its parameters, so ties
+// occur.
+func TestInfoGridArgMaxExceptMatchesArgMax(t *testing.T) {
+	pool := gridPool(40, 41)
+	for i := 20; i < len(pool); i++ {
+		pool[i].Params = pool[i%7].Params
+	}
+	g := NewDefaultInfoGrid(pool)
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 400; trial++ {
+		theta := -4.5 + 9*rng.Float64()
+		var skip, rest []int
+		for i := range pool {
+			if rng.Intn(4) < trial%4 {
+				skip = append(skip, i)
+			} else {
+				rest = append(rest, i)
+			}
+		}
+		got := g.ArgMaxExcept(skip, theta)
+		want := -1
+		if len(rest) > 0 {
+			want = g.ArgMax(rest, theta)
+		}
+		if got != want {
+			t.Fatalf("theta %.4f, %d rows skipped: ArgMaxExcept = %d, ArgMax over the rest = %d",
+				theta, len(skip), got, want)
+		}
+	}
+	all := make([]int, len(pool))
+	for i := range all {
+		all[i] = i
+	}
+	if got := g.ArgMaxExcept(all, 0); got != -1 {
+		t.Errorf("ArgMaxExcept with every row skipped = %d, want -1", got)
+	}
+}

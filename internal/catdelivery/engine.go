@@ -230,12 +230,16 @@ type Engine struct {
 	ledgerMu sync.Mutex
 	ledgers  map[string]*examLedger
 
-	// poolMu guards pools, each started exam's calibrated pool built at
-	// bank generation poolGen. The cache holds that one generation only
-	// (see poolFor).
-	poolMu  sync.Mutex
-	poolGen uint64
-	pools   map[string]*examPool
+	// poolMu guards the pool cache (see poolFor): pools, each started
+	// exam's calibrated pool built at bank generation poolGen; dropped, the
+	// entries the last move to a newer generation displaced, kept only to
+	// lend their grids to their exams' next builds; and building, each
+	// exam's build in flight.
+	poolMu   sync.Mutex
+	poolGen  uint64
+	pools    map[string]*examPool
+	dropped  map[string]*examPool
+	building map[string]*poolBuild
 
 	// recalMu serializes Recalibrate's read-modify-write of an exam
 	// record so two concurrent passes cannot overwrite each other.
@@ -261,6 +265,7 @@ func NewEngine(store bank.Storage, now func() time.Time, monitorCapacity int) (*
 		now:             now,
 		ledgers:         make(map[string]*examLedger),
 		pools:           make(map[string]*examPool),
+		building:        make(map[string]*poolBuild),
 	}
 	for _, id := range store.AdaptiveSessionIDs() {
 		rec, err := store.AdaptiveSession(id)
@@ -326,24 +331,93 @@ func (p *examPool) problem(id string) *item.Problem {
 	return nil
 }
 
+// usedRows appends the rows of the administered IDs to dst and returns
+// them sorted and distinct. An exam that lists a problem twice pools it on
+// two rows, and its ID marks both.
+func (p *examPool) usedRows(dst []int, administered []string) []int {
+	if len(p.rows) == len(p.items) {
+		for _, id := range administered {
+			if row, ok := p.rows[id]; ok {
+				dst = append(dst, row)
+			}
+		}
+	} else {
+		for row, it := range p.items {
+			if slices.Contains(administered, it.ID) {
+				dst = append(dst, row)
+			}
+		}
+	}
+	slices.Sort(dst)
+	return slices.Compact(dst)
+}
+
+// poolBuild is one exam's pool build in flight. Callers that want the
+// exam's pool at the same generation wait for done and share its result.
+type poolBuild struct {
+	gen  uint64
+	done chan struct{}
+	pool *examPool
+	err  error
+}
+
 // poolFor returns the exam's calibrated pool at the bank's current
 // generation: the cached one while the generation is unchanged, otherwise
-// one built from a single Exam and Problems read. A rebuild whose items
-// and parameters equal the cached pool's shares its information grid, so a
-// write elsewhere in the bank costs the problems' re-read, not a new grid.
+// one built from a single Exam and Problems read. Concurrent callers for
+// one exam and generation share one build; a failed build is not cached.
 // The generation is read before the bank, so a write racing the build tags
-// the entry older than its content and the next call rebuilds it. A build
-// at a newer generation drops every older entry, and one that finishes
-// after a newer build is not cached. Non-auto-gradable calibrated items
-// are a configuration error, reported rather than silently skipped.
+// the entry older than its content and the next call rebuilds it. The
+// cache holds one generation: a build at a newer generation drops every
+// older entry, keeping them until the next such move only to lend their
+// grids to their exams' next builds, and a build that finishes after a
+// newer one is served but not cached.
 func (e *Engine) poolFor(examID string) (*examPool, error) {
 	gen := e.store.Generation()
 	e.poolMu.Lock()
-	cached := e.pools[examID]
-	e.poolMu.Unlock()
-	if cached != nil && cached.gen == gen {
-		return cached, nil
+	if p := e.pools[examID]; p != nil && p.gen == gen {
+		e.poolMu.Unlock()
+		return p, nil
 	}
+	if b := e.building[examID]; b != nil && b.gen == gen {
+		e.poolMu.Unlock()
+		<-b.done
+		return b.pool, b.err
+	}
+	b := &poolBuild{gen: gen, done: make(chan struct{})}
+	e.building[examID] = b
+	prev := e.pools[examID]
+	if prev == nil {
+		prev = e.dropped[examID]
+	}
+	e.poolMu.Unlock()
+
+	b.pool, b.err = e.buildPool(examID, gen, prev)
+
+	e.poolMu.Lock()
+	if e.building[examID] == b {
+		delete(e.building, examID)
+	}
+	if b.err == nil {
+		if gen > e.poolGen {
+			e.poolGen, e.dropped, e.pools = gen, e.pools, make(map[string]*examPool)
+		}
+		if gen == e.poolGen {
+			e.pools[examID] = b.pool
+			delete(e.dropped, examID)
+		}
+	}
+	e.poolMu.Unlock()
+	close(b.done)
+	return b.pool, b.err
+}
+
+// buildPool reads the exam and its calibrated problems and builds their
+// pool, tagged gen. It shares the exam's previous pool's information grid
+// when the items and parameters are unchanged, so a write elsewhere in the
+// bank costs the problems' re-read, not a new grid. Non-auto-gradable
+// calibrated items are a configuration error, reported rather than
+// silently skipped.
+func (e *Engine) buildPool(examID string, gen uint64, prev *examPool) (*examPool, error) {
 	rec, err := e.store.Exam(examID)
 	if err != nil {
 		return nil, err
@@ -369,18 +443,10 @@ func (e *Engine) poolFor(examID string) (*examPool, error) {
 		pool.items[i] = adaptive.PoolItem{ID: pid, Params: rec.ItemParams[pid]}
 		pool.rows[pid] = i
 	}
-	if cached != nil && slices.Equal(cached.items, pool.items) {
-		pool.grid = cached.grid
+	if prev != nil && slices.Equal(prev.items, pool.items) {
+		pool.grid = prev.grid
 	} else {
 		pool.grid = adaptive.NewDefaultInfoGrid(pool.items)
-	}
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
-	if gen > e.poolGen {
-		e.poolGen, e.pools = gen, make(map[string]*examPool)
-	}
-	if gen == e.poolGen {
-		e.pools[examID] = pool
 	}
 	return pool, nil
 }
@@ -474,51 +540,75 @@ func (e *Engine) ledgerFor(examID string) *examLedger {
 // exclusively, as Start does). Returns nil when the pool is exhausted. The
 // hand-out is counted even if rec never persists; exposure counts are
 // approximate accounting by design.
+//
+// The default rule, max-information without a cap, scans the grid's
+// unused rows in place: it allocates nothing that grows with the pool and
+// draws no random numbers. The randomized rules and the cap choose from a
+// list of the unused rows (pickRow).
 func (s *Session) selectNext(rec *bank.AdaptiveSessionRecord) *item.Problem {
-	used := make(map[string]bool, len(rec.Administered)+1)
-	for _, id := range rec.Administered {
-		used[id] = true
-	}
 	pool := s.pool
-	rows := make([]int, 0, len(pool.items))
-	for i, it := range pool.items {
-		if !used[it.ID] {
-			rows = append(rows, i)
-		}
+	var buf [64]int // a sitting's administered rows, on the stack while they fit
+	used := pool.usedRows(buf[:0], rec.Administered)
+	var row int
+	if rec.MaxExposure == 0 && rec.Selector != SelectorRandom && rec.Selector != SelectorRandomesque {
+		row = pool.grid.ArgMaxExcept(used, rec.Theta)
+	} else {
+		row = s.pickRow(rec, unusedRows(len(pool.items), used))
 	}
-	if len(rows) == 0 {
+	if row < 0 {
 		return nil
 	}
-	candidates := rows
-	if rec.MaxExposure > 0 {
-		candidates = s.ledger.underCap(pool.items, rows, rec.MaxExposure)
-	}
-	// Deterministic per-step RNG: the seed and administration count fully
-	// determine the draw, so a restarted session re-selects identically.
-	step := int64(len(rec.Administered) + 1)
-	rng := rand.New(rand.NewSource(rec.Seed + step*0x9E3779B9))
-	row := pickRow(pool.grid, rec, rng, candidates)
 	s.ledger.handOut(pool.items[row].ID)
 	return pool.problems[row]
 }
 
-// pickRow applies rec's selection rule over candidate pool rows at rec's
-// ability estimate. The information-driven rules scan the precomputed grid
-// — a flat array walk instead of pool-size 3PL evaluations per step.
-func pickRow(grid *adaptive.InfoGrid, rec *bank.AdaptiveSessionRecord, rng *rand.Rand, candidates []int) int {
+// pickRow applies rec's selection rule, under its exposure cap, to the
+// pool's unused rows (ascending) at rec's ability estimate; -1 when there
+// are none. The information-driven rules scan the precomputed grid — a
+// flat array walk instead of pool-size 3PL evaluations per step.
+func (s *Session) pickRow(rec *bank.AdaptiveSessionRecord, rows []int) int {
+	if len(rows) == 0 {
+		return -1
+	}
+	candidates := rows
+	if rec.MaxExposure > 0 {
+		candidates = s.ledger.underCap(s.pool.items, rows, rec.MaxExposure)
+	}
 	switch rec.Selector {
 	case SelectorRandom:
 		// Same draw the exact RandomSelection selector would make.
-		return candidates[rng.Intn(len(candidates))]
+		return candidates[stepRNG(rec).Intn(len(candidates))]
 	case SelectorRandomesque:
 		k := rec.RandomesqueK
 		if k <= 0 {
 			k = DefaultRandomesqueK
 		}
-		return grid.TopK(rng, candidates, k, rec.Theta)
+		return s.pool.grid.TopK(stepRNG(rec), candidates, k, rec.Theta)
 	default:
-		return grid.ArgMax(candidates, rec.Theta)
+		return s.pool.grid.ArgMax(candidates, rec.Theta)
 	}
+}
+
+// stepRNG is the randomized rules' RNG for rec's next step: the seed and
+// administration count fully determine the draw, so a restarted session
+// re-selects identically.
+func stepRNG(rec *bank.AdaptiveSessionRecord) *rand.Rand {
+	step := int64(len(rec.Administered) + 1)
+	return rand.New(rand.NewSource(rec.Seed + step*0x9E3779B9))
+}
+
+// unusedRows lists the rows below n that are not in used, which is sorted
+// and distinct.
+func unusedRows(n int, used []int) []int {
+	rows := make([]int, 0, n-len(used))
+	for row := 0; row < n; row++ {
+		if len(used) > 0 && used[0] == row {
+			used = used[1:]
+			continue
+		}
+		rows = append(rows, row)
+	}
+	return rows
 }
 
 func (s *Session) itemView(p *item.Problem) *ItemView {

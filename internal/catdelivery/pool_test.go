@@ -2,12 +2,15 @@ package catdelivery
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
+	"mineassess/internal/adaptive"
 	"mineassess/internal/bank"
 )
 
@@ -17,6 +20,19 @@ func (e *Engine) cachedPools() []string {
 	defer e.poolMu.Unlock()
 	ids := make([]string, 0, len(e.pools))
 	for id := range e.pools {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// droppedPools lists the exams whose displaced pools the engine keeps to
+// lend their grids, sorted.
+func (e *Engine) droppedPools() []string {
+	e.poolMu.Lock()
+	defer e.poolMu.Unlock()
+	ids := make([]string, 0, len(e.dropped))
+	for id := range e.dropped {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
@@ -308,5 +324,150 @@ func TestPoolRebuildRacesSittings(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Errorf("reader: %v", err)
+	}
+}
+
+// gatedExamStore counts Exam reads and holds each one until want reads
+// have arrived or a short wait has passed, so that pool builds started
+// together overlap. fail, when set, is the next read's error.
+type gatedExamStore struct {
+	bank.Storage
+	want int
+	all  chan struct{}
+
+	mu    sync.Mutex
+	reads int
+	fail  error
+}
+
+func (g *gatedExamStore) Exam(id string) (*bank.ExamRecord, error) {
+	g.mu.Lock()
+	g.reads++
+	if g.reads == g.want {
+		close(g.all)
+	}
+	err := g.fail
+	g.fail = nil
+	g.mu.Unlock()
+	select {
+	case <-g.all:
+	case <-time.After(100 * time.Millisecond):
+	}
+	if err != nil {
+		return nil, err
+	}
+	return g.Storage.Exam(id)
+}
+
+// TestPoolBuiltOncePerGeneration: concurrent first starts on an exam share
+// one pool, built from one Exam read, even when every build would
+// overlap. A failed build is not cached: the next start builds again.
+func TestPoolBuiltOncePerGeneration(t *testing.T) {
+	ctx := context.Background()
+	const n = 16
+	inner := bank.NewSharded(4)
+	calibratedExam(t, inner, "pool", 100, 1.5, 2)
+	store := &gatedExamStore{Storage: inner, want: n, all: make(chan struct{})}
+	e, err := NewEngine(store, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sittings := make([]*Session, n)
+	var wg sync.WaitGroup
+	gate := make(chan struct{})
+	for i := range sittings {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-gate
+			s, _, err := e.Start(ctx, "pool", fmt.Sprintf("s%02d", i), Config{MaxItems: 3}, int64(i))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sittings[i] = s
+		}(i)
+	}
+	close(gate)
+	wg.Wait()
+	pools := make(map[*examPool]bool)
+	for _, s := range sittings {
+		if s != nil {
+			pools[s.pool] = true
+		}
+	}
+	if len(pools) != 1 || store.reads != 1 {
+		t.Errorf("%d concurrent first starts built %d pools from %d Exam reads, want 1 from 1", n, len(pools), store.reads)
+	}
+
+	calibratedExam(t, inner, "other", 10, 1.5, 1)
+	boom := errors.New("exam read failed")
+	store.mu.Lock()
+	store.fail = boom
+	store.mu.Unlock()
+	if _, _, err := e.Start(ctx, "other", "x", Config{MaxItems: 3}, 1); !errors.Is(err, boom) {
+		t.Fatalf("start on a failing read = %v, want %v", err, boom)
+	}
+	if _, _, err := e.Start(ctx, "other", "y", Config{MaxItems: 3}, 2); err != nil {
+		t.Errorf("a failed build was cached: the next start = %v", err)
+	}
+}
+
+// TestPoolReusesGridsAcrossExams: with an unrelated bank write before each
+// pair of starts on two exams, each start builds its exam's pool at a new
+// generation, and that build's move to the generation displaces the other
+// exam's entry. Each exam still keeps one information grid: a displaced
+// entry lends its grid to its exam's next build. Displaced entries last
+// one generation move, so a deleted exam's pool does not pile up.
+func TestPoolReusesGridsAcrossExams(t *testing.T) {
+	ctx := context.Background()
+	store := bank.NewSharded(4)
+	calibratedExam(t, store, "pa", 50, 1.5, 2)
+	calibratedExam(t, store, "pb", 50, 1.5, 2)
+	e, err := NewEngine(store, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unrelated := 0
+	write := func() {
+		t.Helper()
+		unrelated++
+		p, err := newMC(fmt.Sprintf("unrelated-%d", unrelated))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.AddProblem(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 10
+	grids := map[string]map[*adaptive.InfoGrid]bool{"pa": {}, "pb": {}}
+	for round := 0; round < rounds; round++ {
+		write()
+		for _, exam := range []string{"pa", "pb"} {
+			s, _, err := e.Start(ctx, exam, "s", Config{MaxItems: 3}, int64(round))
+			if err != nil {
+				t.Fatal(err)
+			}
+			grids[exam][s.pool.grid] = true
+		}
+	}
+	for exam, g := range grids {
+		if len(g) != 1 {
+			t.Errorf("exam %s: %d starts after unrelated writes built %d grids, want 1", exam, rounds, len(g))
+		}
+	}
+
+	if err := store.DeleteExam("pb"); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		write()
+		if _, _, err := e.Start(ctx, "pa", "s", Config{MaxItems: 3}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := e.droppedPools(); len(got) != 0 {
+		t.Errorf("displaced pools kept after two generation moves = %v, want none", got)
 	}
 }
