@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 
 	"mineassess/internal/adaptive"
@@ -204,10 +205,14 @@ func cmdCalibrate(args []string) error {
 	if err != nil {
 		return err
 	}
-	rec, err := store.Exam(*examID)
+	stored, err := store.Exam(*examID)
 	if err != nil {
 		return err
 	}
+	// Refit a copy with its own parameter map: the bank shares the stored
+	// record with every reader.
+	rec := *stored
+	rec.ItemParams = maps.Clone(stored.ItemParams)
 	if *initOnly || len(rec.ItemParams) == 0 {
 		problems, err := store.Problems(rec.ProblemIDs)
 		if err != nil {
@@ -246,7 +251,7 @@ func cmdCalibrate(args []string) error {
 		fmt.Printf("recalibrated %d item(s) from %d responses\n",
 			len(cal.Updated), cal.Observations)
 	}
-	if err := store.UpdateExam(rec); err != nil {
+	if err := store.UpdateExam(&rec); err != nil {
 		return err
 	}
 	if err := store.Save(*bankPath); err != nil {

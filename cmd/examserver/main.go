@@ -11,8 +11,7 @@
 // Usage:
 //
 //	examserver -bank bank.json -addr :8080 [-monitor 64]
-//	           [-shards 32] [-journal DIR] [-fsync group]
-//	           [-session-shards 32] [-drain 30s]
+//	           [-journal DIR] [-fsync group] [-drain 30s]
 //	           [-rate 50 -burst 100] [-quiet] [-log-format text|json]
 //	           [-slow-request 250ms] [-ops 127.0.0.1:6060]
 //	           [-events] [-event-log DIR] [-event-ring 1024]
@@ -119,10 +118,8 @@ func run(args []string) error {
 	contentExam := fs.String("content", "", "exam ID to package and serve under /package/ (empty = first exam)")
 	readTimeout := fs.Duration("read-timeout", 10*time.Second, "HTTP read timeout")
 	writeTimeout := fs.Duration("write-timeout", 10*time.Second, "HTTP write timeout")
-	shards := fs.Int("shards", bank.DefaultShards, "bank shard count")
 	journalDir := fs.String("journal", "", "write-ahead-log directory (empty disables journaling)")
 	fsync := fs.String("fsync", string(wal.SyncGroup), "WAL sync policy: group or none (with -journal)")
-	sessionShards := fs.Int("session-shards", delivery.DefaultSessionShards, "session registry shard count")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	rate := fs.Float64("rate", 0, "per-learner rate limit in requests/second (0 explicitly disables the limiter)")
 	burst := fs.Int("burst", 20, "per-learner rate-limit burst capacity")
@@ -164,7 +161,6 @@ func run(args []string) error {
 		"Live goroutine count.",
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	store, err := bank.Open(*bankPath, bank.Options{
-		Shards:  *shards,
 		Journal: *journalDir,
 		Sync:    syncPolicy,
 		Obs:     reg,
@@ -187,7 +183,7 @@ func run(args []string) error {
 	if len(exams) == 0 {
 		return fmt.Errorf("bank %s holds no exams; seed one with assessctl", *bankPath)
 	}
-	engine := delivery.NewShardedEngine(store, nil, *monitorCap, *sessionShards)
+	engine := delivery.NewEngine(store, nil, *monitorCap)
 	// The adaptive engine restores any persisted CAT sessions from the
 	// bank — with -journal, live adaptive sittings survive a restart.
 	cat, err := catdelivery.NewEngine(store, nil, *monitorCap)

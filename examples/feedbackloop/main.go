@@ -97,10 +97,11 @@ func run() error {
 	}
 	fmt.Printf("weakest question: %s (D=%.2f, %s)\n",
 		worst.ProblemID, worst.D, worst.Signal.Advice())
-	p, err := pipe.Store().Problem(worst.ProblemID)
+	stored, err := pipe.Store().Problem(worst.ProblemID)
 	if err != nil {
 		return err
 	}
+	p := stored.Clone() // edit a copy: the bank shares stored problems
 	p.Question += " (reworded after analysis)"
 	if err := pipe.Store().UpdateProblem(p); err != nil {
 		return err

@@ -195,11 +195,13 @@ func TestFixLoopWithHistory(t *testing.T) {
 	if got := pipe.Store().Version("q1"); got != 2 {
 		t.Errorf("version after measurement = %d, want 2", got)
 	}
-	// Fix a question's wording, then roll it back.
-	p, err := pipe.Store().Problem("q1")
+	// Fix a question's wording, then roll it back. The bank shares the
+	// stored problem with every reader, so the fix edits a copy.
+	stored, err := pipe.Store().Problem("q1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := stored.Clone()
 	p.Question = "Clarified wording"
 	if err := pipe.Store().UpdateProblem(p); err != nil {
 		t.Fatal(err)

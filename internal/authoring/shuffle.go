@@ -1,62 +1,47 @@
 package authoring
 
 import (
-	"fmt"
 	"math/rand"
+	"unicode/utf8"
 
 	"mineassess/internal/item"
 )
 
 // Option shuffling: when an exam randomizes presentation, the options of a
 // multiple-choice problem can be permuted per sitting so neighbouring
-// learners see different orders. Keys are relabelled A, B, C, ... in the
-// new order and the correct answer follows its option.
+// learners see different orders. A sitting keeps the permutation and
+// shares the problem: it presents the authored option perm[i] i-th, keyed
+// A, B, C, ... in presentation order, and the correct answer follows its
+// option.
 
-// ShuffleOptions returns a copy of the problem with options permuted by the
-// seed and relabelled in presentation order, plus the mapping from new key
-// to original key (for tracing responses back to the authored option, e.g.
-// for distraction analysis across sittings). Problems without options are
-// returned as unmodified clones with a nil mapping.
-func ShuffleOptions(p *item.Problem, seed int64) (*item.Problem, map[string]string, error) {
-	cp := p.Clone()
-	if len(cp.Options) == 0 {
-		return cp, nil, nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(len(cp.Options))
-	newOpts := make([]item.Option, len(cp.Options))
-	mapping := make(map[string]string, len(cp.Options))
-	var newAnswer string
-	for newIdx, oldIdx := range perm {
-		old := cp.Options[oldIdx]
-		newKey := string(rune('A' + newIdx))
-		newOpts[newIdx] = item.Option{Key: newKey, Text: old.Text}
-		mapping[newKey] = old.Key
-		if old.Key == cp.Answer {
-			newAnswer = newKey
-		}
-	}
-	if newAnswer == "" {
-		return nil, nil, fmt.Errorf("authoring: answer %q not among options of %s",
-			cp.Answer, cp.ID)
-	}
-	cp.Options = newOpts
-	cp.Answer = newAnswer
-	if err := cp.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("authoring: shuffled problem invalid: %w", err)
-	}
-	return cp, mapping, nil
+// ShuffleOptions returns the permutation the seed gives the problem's
+// options. It re-seeds rng with seed first, so one rng serves every
+// problem of a sitting and a seed always gives the same permutation.
+func ShuffleOptions(p *item.Problem, seed int64, rng *rand.Rand) []int {
+	rng.Seed(seed)
+	return rng.Perm(len(p.Options))
 }
 
-// UnshuffleResponse maps a response key given against a shuffled problem
-// back to the authored option key. Unknown keys pass through unchanged
-// (free-text responses are not keys).
-func UnshuffleResponse(mapping map[string]string, response string) string {
-	if mapping == nil {
-		return response
+// PresentOptions returns the problem's options as a sitting with the
+// permutation presents them.
+func PresentOptions(p *item.Problem, perm []int) []item.Option {
+	out := make([]item.Option, len(perm))
+	for i, orig := range perm {
+		out[i] = item.Option{Key: string(rune('A' + i)), Text: p.Options[orig].Text}
 	}
-	if orig, ok := mapping[response]; ok {
-		return orig
+	return out
+}
+
+// UnshuffleResponse maps a response given against the presented options
+// back to the authored option key. Under a nil permutation every response
+// passes through as presented. Under a permutation, a response that is
+// none of the presented keys passes through unchanged (free-text responses
+// are not keys) with presented false: it must earn no credit, even when it
+// happens to equal an authored key the sitting never showed.
+func UnshuffleResponse(p *item.Problem, perm []int, response string) (key string, presented bool) {
+	r, size := utf8.DecodeRuneInString(response)
+	if i := int(r - 'A'); size == len(response) && i >= 0 && i < len(perm) {
+		return p.Options[perm[i]].Key, true
 	}
-	return response
+	return response, perm == nil
 }

@@ -1,6 +1,7 @@
 package authoring
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -20,56 +21,59 @@ func shuffleFixture(t *testing.T) *item.Problem {
 	return p
 }
 
+// presentedKey returns the key under which the options present text.
+func presentedKey(opts []item.Option, text string) string {
+	for _, o := range opts {
+		if o.Text == text {
+			return o.Key
+		}
+	}
+	return ""
+}
+
 func TestShuffleOptionsPreservesAnswer(t *testing.T) {
 	p := shuffleFixture(t)
+	rng := rand.New(rand.NewSource(0))
 	for seed := int64(0); seed < 25; seed++ {
-		shuffled, mapping, err := ShuffleOptions(p, seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		perm := ShuffleOptions(p, seed, rng)
+		// The presented key of the correct text "gamma" maps back to the
+		// authored key C and earns full credit.
+		key := presentedKey(PresentOptions(p, perm), "gamma")
+		authored, presented := UnshuffleResponse(p, perm, key)
+		if authored != "C" || !presented {
+			t.Fatalf("seed %d: presented key %q maps to %q, want C", seed, key, authored)
 		}
-		// The correct option's text must still be "gamma".
-		var correctText string
-		for _, o := range shuffled.Options {
-			if o.Key == shuffled.Answer {
-				correctText = o.Text
-			}
-		}
-		if correctText != "gamma" {
-			t.Fatalf("seed %d: correct text = %q", seed, correctText)
-		}
-		// Grading the shuffled answer earns full credit.
-		if credit, _ := shuffled.Grade(shuffled.Answer); credit != 1 {
-			t.Fatalf("seed %d: shuffled grade = %v", seed, credit)
-		}
-		// The mapping leads back to the authored key C.
-		if got := UnshuffleResponse(mapping, shuffled.Answer); got != "C" {
-			t.Fatalf("seed %d: unshuffled answer = %q, want C", seed, got)
+		if credit, _ := p.Grade(authored); credit != 1 {
+			t.Fatalf("seed %d: grade = %v", seed, credit)
 		}
 	}
 }
 
+// TestShuffleOptionsDeterministicPerSeed: one rng re-seeded per problem, as
+// a sitting uses it, gives every problem the permutation a fresh source
+// with the same seed gives, for a range of sitting seeds and positions.
 func TestShuffleOptionsDeterministicPerSeed(t *testing.T) {
 	p := shuffleFixture(t)
-	a, ma, err := ShuffleOptions(p, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, mb, err := ShuffleOptions(p, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Options, b.Options) || !reflect.DeepEqual(ma, mb) {
-		t.Error("same seed must shuffle identically")
+	rng := rand.New(rand.NewSource(1))
+	for sitting := int64(-50); sitting < 50; sitting++ {
+		for i := 0; i < 40; i++ {
+			seed := sitting + int64(i)*2654435761
+			got := ShuffleOptions(p, seed, rng)
+			want := rand.New(rand.NewSource(seed)).Perm(len(p.Options))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: reused rng gives %v, a fresh source %v", seed, got, want)
+			}
+		}
 	}
 }
 
 func TestShuffleOptionsDoesNotMutateOriginal(t *testing.T) {
 	p := shuffleFixture(t)
-	origOptions := append([]item.Option(nil), p.Options...)
-	if _, _, err := ShuffleOptions(p, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.Options, origOptions) || p.Answer != "C" {
+	orig := p.Clone()
+	perm := ShuffleOptions(p, 3, rand.New(rand.NewSource(0)))
+	PresentOptions(p, perm)
+	_, _ = UnshuffleResponse(p, perm, "A")
+	if !reflect.DeepEqual(p, orig) {
 		t.Error("original problem mutated")
 	}
 }
@@ -77,41 +81,55 @@ func TestShuffleOptionsDoesNotMutateOriginal(t *testing.T) {
 func TestShuffleOptionsNoOptions(t *testing.T) {
 	essay := &item.Problem{ID: "e1", Style: item.Essay, Question: "?",
 		Level: cognition.Evaluation}
-	cp, mapping, err := ShuffleOptions(essay, 1)
-	if err != nil {
-		t.Fatal(err)
+	perm := ShuffleOptions(essay, 1, rand.New(rand.NewSource(0)))
+	if len(perm) != 0 || len(PresentOptions(essay, perm)) != 0 {
+		t.Errorf("essay permutation = %v", perm)
 	}
-	if mapping != nil || cp.ID != "e1" {
-		t.Errorf("essay shuffle = %+v, %v", cp, mapping)
+	if got, presented := UnshuffleResponse(essay, perm, "A"); got != "A" || presented {
+		t.Errorf("essay response = %q, presented %v", got, presented)
 	}
 }
 
+// TestUnshuffleResponsePassthrough: without a permutation every response
+// passes through as presented; under one, a presented key maps to its
+// authored key and any other response passes through as not presented.
 func TestUnshuffleResponsePassthrough(t *testing.T) {
-	if got := UnshuffleResponse(nil, "whatever"); got != "whatever" {
-		t.Errorf("nil mapping = %q", got)
+	p := shuffleFixture(t)
+	for _, response := range []string{"whatever", "B"} {
+		if got, presented := UnshuffleResponse(p, nil, response); got != response || !presented {
+			t.Errorf("nil permutation: %q = %q, presented %v", response, got, presented)
+		}
 	}
-	if got := UnshuffleResponse(map[string]string{"A": "C"}, "Z"); got != "Z" {
-		t.Errorf("unknown key = %q", got)
+	perm := []int{2, 0, 3, 1}
+	for response, want := range map[string]string{
+		"A": "C", "D": "B", "Z": "Z", "E": "E", "AB": "AB", "": "", "a": "a",
+	} {
+		got, presented := UnshuffleResponse(p, perm, response)
+		if got != want || presented != (got != response) {
+			t.Errorf("response %q = %q, presented %v; want %q", response, got, presented, want)
+		}
 	}
 }
 
 // Property: shuffling is a permutation — same option texts, same count,
-// and the answer always maps back to the authored correct key.
+// and the presented correct key always maps back to the authored key.
 func TestShufflePermutationProperty(t *testing.T) {
 	p := shuffleFixture(t)
+	rng := rand.New(rand.NewSource(0))
 	f := func(seed int64) bool {
-		shuffled, mapping, err := ShuffleOptions(p, seed)
-		if err != nil {
-			return false
-		}
-		if len(shuffled.Options) != len(p.Options) {
+		perm := ShuffleOptions(p, seed, rng)
+		presented := PresentOptions(p, perm)
+		if len(presented) != len(p.Options) {
 			return false
 		}
 		texts := make(map[string]int)
 		for _, o := range p.Options {
 			texts[o.Text]++
 		}
-		for _, o := range shuffled.Options {
+		for i, o := range presented {
+			if o.Key != string(rune('A'+i)) {
+				return false
+			}
 			texts[o.Text]--
 		}
 		for _, n := range texts {
@@ -119,7 +137,8 @@ func TestShufflePermutationProperty(t *testing.T) {
 				return false
 			}
 		}
-		return UnshuffleResponse(mapping, shuffled.Answer) == "C"
+		key, ok := UnshuffleResponse(p, perm, presentedKey(presented, "gamma"))
+		return ok && key == "C"
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -64,8 +64,8 @@ func (r *AdaptiveSessionRecord) validate() error {
 	return nil
 }
 
-// cloneAdaptive deep-copies a record so stores never share slices with
-// callers.
+// cloneAdaptive deep-copies a record so the store never shares slices with
+// the caller that wrote it.
 func cloneAdaptive(r *AdaptiveSessionRecord) *AdaptiveSessionRecord {
 	cp := *r
 	cp.Administered = append([]string(nil), r.Administered...)

@@ -357,7 +357,9 @@ func ignoreRedo(err, redo error) error {
 // poisoned). Every mutation — including Rollback, whose record depends on
 // the apply result — goes through this one function, so the protocol
 // (closed check, apply, enqueue, commit wait) cannot drift between
-// operations. apply returns the record to journal.
+// operations. apply returns the record to journal, which mutate drops when
+// apply also returns an error. The record may point at the caller's value:
+// it is encoded here, before mutate returns.
 //
 // When ctx carries a trace span, the commit records a "wal.commit" child
 // annotated with the WAL op, sync policy and the batch size the committer
@@ -619,10 +621,12 @@ func (j *Journal) compactCommitter() error {
 			j.mCompactDur.Observe(time.Since(start))
 		}()
 	}
-	// The scan holds the ordering lock: writers are quiesced for the
-	// in-memory clone of the bank (no file I/O), which makes the snapshot
-	// a consistent cut containing exactly the mutations stamped with the
-	// pre-bump epoch. The epoch advances atomically with the scan so every
+	// The scan holds the ordering lock: writers are quiesced while it
+	// collects pointers to the stored values (no copy, no file I/O), which
+	// makes the snapshot a consistent cut containing exactly the mutations
+	// stamped with the pre-bump epoch. Stored values are never modified, so
+	// encoding them after the lock is released writes what the scan saw.
+	// The epoch advances atomically with the scan so every
 	// later mutation is stamped with the new epoch and replays on top of
 	// the snapshot. Advancing the in-memory epoch even though the snapshot
 	// write below may still fail is harmless: replay filters on
@@ -758,40 +762,28 @@ func (j *Journal) AddProblem(p *item.Problem) error {
 // request's span tree gains the wal.commit span and its phase children.
 func (j *Journal) AddProblemCtx(ctx context.Context, p *item.Problem) error {
 	return j.mutate(ctx, func() (walRecord, error) {
-		if err := j.backend.AddProblem(p); err != nil {
-			return walRecord{}, err
-		}
-		return walRecord{Op: opAddProblem, Problem: p.Clone()}, nil
+		return walRecord{Op: opAddProblem, Problem: p}, j.backend.AddProblem(p)
 	})
 }
 
 // UpdateProblem replaces the stored problem and journals the change.
 func (j *Journal) UpdateProblem(p *item.Problem) error {
 	return j.mutate(context.Background(), func() (walRecord, error) {
-		if err := j.backend.UpdateProblem(p); err != nil {
-			return walRecord{}, err
-		}
-		return walRecord{Op: opUpdateProblem, Problem: p.Clone()}, nil
+		return walRecord{Op: opUpdateProblem, Problem: p}, j.backend.UpdateProblem(p)
 	})
 }
 
 // DeleteProblem removes the problem and journals the deletion.
 func (j *Journal) DeleteProblem(id string) error {
 	return j.mutate(context.Background(), func() (walRecord, error) {
-		if err := j.backend.DeleteProblem(id); err != nil {
-			return walRecord{}, err
-		}
-		return walRecord{Op: opDeleteProblem, ID: id}, nil
+		return walRecord{Op: opDeleteProblem, ID: id}, j.backend.DeleteProblem(id)
 	})
 }
 
 // AddExam stores the exam and journals it.
 func (j *Journal) AddExam(e *ExamRecord) error {
 	return j.mutate(context.Background(), func() (walRecord, error) {
-		if err := j.backend.AddExam(e); err != nil {
-			return walRecord{}, err
-		}
-		return walRecord{Op: opAddExam, Exam: cloneExam(e)}, nil
+		return walRecord{Op: opAddExam, Exam: e}, j.backend.AddExam(e)
 	})
 }
 
@@ -799,30 +791,21 @@ func (j *Journal) AddExam(e *ExamRecord) error {
 // (snapshot loading only; replay mirrors the tolerance in apply).
 func (j *Journal) putExamUnchecked(e *ExamRecord) error {
 	return j.mutate(context.Background(), func() (walRecord, error) {
-		if err := j.backend.putExamUnchecked(e); err != nil {
-			return walRecord{}, err
-		}
-		return walRecord{Op: opAddExam, Exam: cloneExam(e)}, nil
+		return walRecord{Op: opAddExam, Exam: e}, j.backend.putExamUnchecked(e)
 	})
 }
 
 // UpdateExam replaces the stored exam record and journals the change.
 func (j *Journal) UpdateExam(e *ExamRecord) error {
 	return j.mutate(context.Background(), func() (walRecord, error) {
-		if err := j.backend.UpdateExam(e); err != nil {
-			return walRecord{}, err
-		}
-		return walRecord{Op: opUpdateExam, Exam: cloneExam(e)}, nil
+		return walRecord{Op: opUpdateExam, Exam: e}, j.backend.UpdateExam(e)
 	})
 }
 
 // DeleteExam removes the exam and journals the deletion.
 func (j *Journal) DeleteExam(id string) error {
 	return j.mutate(context.Background(), func() (walRecord, error) {
-		if err := j.backend.DeleteExam(id); err != nil {
-			return walRecord{}, err
-		}
-		return walRecord{Op: opDeleteExam, ID: id}, nil
+		return walRecord{Op: opDeleteExam, ID: id}, j.backend.DeleteExam(id)
 	})
 }
 
@@ -836,20 +819,14 @@ func (j *Journal) PutAdaptiveSession(rec *AdaptiveSessionRecord) error {
 // WAL commit parents under the respond/finish span.
 func (j *Journal) PutAdaptiveSessionCtx(ctx context.Context, rec *AdaptiveSessionRecord) error {
 	return j.mutate(ctx, func() (walRecord, error) {
-		if err := j.backend.PutAdaptiveSession(rec); err != nil {
-			return walRecord{}, err
-		}
-		return walRecord{Op: opPutAdaptive, Session: cloneAdaptive(rec)}, nil
+		return walRecord{Op: opPutAdaptive, Session: rec}, j.backend.PutAdaptiveSession(rec)
 	})
 }
 
 // DeleteAdaptiveSession removes the record and journals the deletion.
 func (j *Journal) DeleteAdaptiveSession(id string) error {
 	return j.mutate(context.Background(), func() (walRecord, error) {
-		if err := j.backend.DeleteAdaptiveSession(id); err != nil {
-			return walRecord{}, err
-		}
-		return walRecord{Op: opDeleteAdaptive, ID: id}, nil
+		return walRecord{Op: opDeleteAdaptive, ID: id}, j.backend.DeleteAdaptiveSession(id)
 	})
 }
 
@@ -858,13 +835,9 @@ func (j *Journal) DeleteAdaptiveSession(id string) error {
 // even when an intervening compaction folded the history away.
 func (j *Journal) Rollback(id string) (*item.Problem, error) {
 	var p *item.Problem
-	err := j.mutate(context.Background(), func() (walRecord, error) {
-		var rerr error
-		p, rerr = j.backend.Rollback(id)
-		if rerr != nil {
-			return walRecord{}, rerr
-		}
-		return walRecord{Op: opRollback, ID: id, Problem: p.Clone()}, nil
+	err := j.mutate(context.Background(), func() (_ walRecord, err error) {
+		p, err = j.backend.Rollback(id)
+		return walRecord{Op: opRollback, ID: id, Problem: p}, err
 	})
 	if err != nil {
 		return nil, err
@@ -874,7 +847,7 @@ func (j *Journal) Rollback(id string) (*item.Problem, error) {
 
 // Reads delegate to the backend.
 
-// Problem returns a copy of the stored problem.
+// Problem returns the stored problem.
 func (j *Journal) Problem(id string) (*item.Problem, error) { return j.backend.Problem(id) }
 
 // ProblemCount returns the number of stored problems.
@@ -883,16 +856,16 @@ func (j *Journal) ProblemCount() int { return j.backend.ProblemCount() }
 // ProblemIDs returns all problem IDs, sorted.
 func (j *Journal) ProblemIDs() []string { return j.backend.ProblemIDs() }
 
-// Problems returns copies of the identified problems.
+// Problems returns the identified problems.
 func (j *Journal) Problems(ids []string) ([]*item.Problem, error) { return j.backend.Problems(ids) }
 
-// Exam returns a copy of the stored exam record.
+// Exam returns the stored exam record.
 func (j *Journal) Exam(id string) (*ExamRecord, error) { return j.backend.Exam(id) }
 
 // ExamIDs returns all exam IDs, sorted.
 func (j *Journal) ExamIDs() []string { return j.backend.ExamIDs() }
 
-// AdaptiveSession returns a copy of the stored adaptive-session record.
+// AdaptiveSession returns the stored adaptive-session record.
 func (j *Journal) AdaptiveSession(id string) (*AdaptiveSessionRecord, error) {
 	return j.backend.AdaptiveSession(id)
 }
@@ -900,7 +873,7 @@ func (j *Journal) AdaptiveSession(id string) (*AdaptiveSessionRecord, error) {
 // AdaptiveSessionIDs returns all adaptive-session IDs, sorted.
 func (j *Journal) AdaptiveSessionIDs() []string { return j.backend.AdaptiveSessionIDs() }
 
-// Search returns copies of matching problems ordered by ID.
+// Search returns the matching problems ordered by ID.
 func (j *Journal) Search(q Query) []*item.Problem { return j.backend.Search(q) }
 
 // Subjects returns the distinct subjects present in the bank, sorted.

@@ -102,16 +102,16 @@ func (s *Sharded) UpdateProblem(p *item.Problem) error {
 	return nil
 }
 
-// Problem returns a copy of the stored problem.
+// Problem returns the stored problem.
 func (s *Sharded) Problem(id string) (*item.Problem, error) {
 	sh := s.shard(id)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	p, ok := sh.problems[id]
+	sh.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrProblemNotFound, id)
 	}
-	return p.Clone(), nil
+	return p, nil
 }
 
 // DeleteProblem removes a problem and its history.
@@ -155,8 +155,8 @@ func (s *Sharded) ProblemIDs() []string {
 	return ids
 }
 
-// Problems returns copies of the identified problems, erroring on the first
-// missing ID.
+// Problems returns the identified problems, erroring on the first missing
+// ID.
 func (s *Sharded) Problems(ids []string) ([]*item.Problem, error) {
 	out := make([]*item.Problem, 0, len(ids))
 	for _, id := range ids {
@@ -174,20 +174,11 @@ func (s *Sharded) Problems(ids []string) ([]*item.Problem, error) {
 // consistency window).
 func (s *Sharded) AddExam(e *ExamRecord) error {
 	for _, pid := range e.ProblemIDs {
-		if !s.hasProblem(pid) {
+		if _, err := s.Problem(pid); err != nil {
 			return fmt.Errorf("bank: exam %s references %w: %s", e.ID, ErrProblemNotFound, pid)
 		}
 	}
 	return s.putExamUnchecked(e)
-}
-
-// hasProblem reports existence without the deep clone Problem() performs.
-func (s *Sharded) hasProblem(id string) bool {
-	sh := s.shard(id)
-	sh.mu.RLock()
-	_, ok := sh.problems[id]
-	sh.mu.RUnlock()
-	return ok
 }
 
 // putExamUnchecked stores the exam without reference validation — the
@@ -222,7 +213,7 @@ func (s *Sharded) UpdateExam(e *ExamRecord) error {
 		return fmt.Errorf("%w: %s", ErrExamNotFound, e.ID)
 	}
 	for _, pid := range e.ProblemIDs {
-		if !s.hasProblem(pid) {
+		if _, err := s.Problem(pid); err != nil {
 			return fmt.Errorf("bank: exam %s references %w: %s", e.ID, ErrProblemNotFound, pid)
 		}
 	}
@@ -236,16 +227,16 @@ func (s *Sharded) UpdateExam(e *ExamRecord) error {
 	return nil
 }
 
-// Exam returns a copy of the stored exam record.
+// Exam returns the stored exam record.
 func (s *Sharded) Exam(id string) (*ExamRecord, error) {
 	sh := s.shard(id)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	e, ok := sh.exams[id]
+	sh.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrExamNotFound, id)
 	}
-	return cloneExam(e), nil
+	return e, nil
 }
 
 // DeleteExam removes an exam record.
@@ -276,7 +267,8 @@ func (s *Sharded) ExamIDs() []string {
 	return ids
 }
 
-// PutAdaptiveSession stores (or replaces) an adaptive-session record.
+// PutAdaptiveSession stores a copy of an adaptive-session record, replacing
+// any record with its ID.
 func (s *Sharded) PutAdaptiveSession(rec *AdaptiveSessionRecord) error {
 	if err := rec.validate(); err != nil {
 		return err
@@ -288,16 +280,16 @@ func (s *Sharded) PutAdaptiveSession(rec *AdaptiveSessionRecord) error {
 	return nil
 }
 
-// AdaptiveSession returns a copy of the stored adaptive-session record.
+// AdaptiveSession returns the stored adaptive-session record.
 func (s *Sharded) AdaptiveSession(id string) (*AdaptiveSessionRecord, error) {
 	sh := s.shard(id)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
 	rec, ok := sh.adaptive[id]
+	sh.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrAdaptiveSessionNotFound, id)
 	}
-	return cloneAdaptive(rec), nil
+	return rec, nil
 }
 
 // DeleteAdaptiveSession removes an adaptive-session record.
@@ -327,11 +319,7 @@ func (s *Sharded) AdaptiveSessionIDs() []string {
 	return ids
 }
 
-// Search returns copies of matching problems ordered by ID for determinism.
-// Matching collects the stored pointers (safe: every mutation replaces the
-// pointer, never mutates in place) and only the post-sort, post-limit
-// survivors are cloned — a Limit query over a large bank never deep-copies
-// the losers.
+// Search returns the matching problems ordered by ID for determinism.
 func (s *Sharded) Search(q Query) []*item.Problem {
 	var matched []*item.Problem
 	for i := range s.shards {
@@ -348,11 +336,7 @@ func (s *Sharded) Search(q Query) []*item.Problem {
 	if q.Limit > 0 && len(matched) > q.Limit {
 		matched = matched[:q.Limit]
 	}
-	out := make([]*item.Problem, len(matched))
-	for i, p := range matched {
-		out[i] = p.Clone()
-	}
-	return out
+	return matched
 }
 
 // Subjects returns the distinct subjects present in the bank, sorted.
@@ -390,18 +374,12 @@ func (s *Sharded) CountByStyle() map[item.Style]int {
 	return out
 }
 
-// History returns a problem's superseded versions, oldest first, as deep
-// copies.
+// History returns a problem's superseded versions, oldest first.
 func (s *Sharded) History(id string) []Revision {
 	sh := s.shard(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	revs := sh.history[id]
-	out := make([]Revision, len(revs))
-	for i, r := range revs {
-		out[i] = Revision{Version: r.Version, Problem: r.Problem.Clone()}
-	}
-	return out
+	return append([]Revision(nil), sh.history[id]...)
 }
 
 // Rollback restores the most recent superseded version of a problem,
@@ -425,7 +403,7 @@ func (s *Sharded) Rollback(id string) (*item.Problem, error) {
 	})
 	sh.problems[id] = last.Problem
 	s.gen.Add(1)
-	return last.Problem.Clone(), nil
+	return last.Problem, nil
 }
 
 // Version returns the problem's current version number (1 for never

@@ -17,8 +17,12 @@ import (
 // in-memory implementation (New gives the single-shard profile) and a
 // *Journal wraps it with write-ahead durability.
 //
-// All implementations copy on the way in and on the way out: callers never
-// share memory with the store, so a returned problem can be mutated freely.
+// A write stores its own copy of the value it is given, so the caller may
+// go on editing its value afterwards. A read returns the stored value
+// itself, shared with the store and with every other reader: nobody
+// modifies a stored value. To change one, copy it (item.Problem.Clone for a
+// problem), edit the copy and write it; the write replaces the stored
+// value, and a reader still holding the old one keeps that version.
 type Storage interface {
 	// Problems.
 	AddProblem(p *item.Problem) error

@@ -830,9 +830,10 @@ func (e *Engine) Snapshots(sessionID string) ([]delivery.Snapshot, error) {
 
 // restore rehydrates one persisted session into the registry. Finished
 // sessions need no pool — they register for status queries with their
-// persisted estimates, and their record (the store's copy, which the
-// session holds) enters the exam's ledger. Active sessions take the exam's
-// pool as Start does and re-derive theta/SE from the response stream.
+// persisted estimates, and their record (the stored one, which the session
+// shares) enters the exam's ledger. Active sessions take the exam's pool
+// as Start does and re-derive theta/SE from the response stream onto a
+// copy of the record.
 // Once the record is accepted, its start and hand-outs are counted on the
 // ledger through the calls Start and selectNext make.
 func (e *Engine) restore(rec *bank.AdaptiveSessionRecord) error {
@@ -858,9 +859,13 @@ func (e *Engine) restore(rec *bank.AdaptiveSessionRecord) error {
 			})
 		}
 		if len(s.responses) > 0 {
-			if rec.Theta, rec.SE, err = adaptive.EstimateEAP(s.responses); err != nil {
+			// The stored record is shared with every reader: re-derive
+			// the estimate on the session's own copy.
+			own := *rec
+			if own.Theta, own.SE, err = adaptive.EstimateEAP(s.responses); err != nil {
 				return err
 			}
+			s.rec = &own
 		}
 		if pool.problem(rec.PendingID) == nil {
 			return fmt.Errorf("pending item %q not in pool", rec.PendingID)

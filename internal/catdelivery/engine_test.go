@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -14,10 +15,21 @@ import (
 
 	"mineassess/internal/adaptive"
 	"mineassess/internal/bank"
+	"mineassess/internal/bank/banktest"
 	"mineassess/internal/events"
 	"mineassess/internal/item"
 	"mineassess/internal/simulate"
 )
+
+// withParams returns a copy of the stored exam record rec, with its own
+// parameter map, that gives pid the parameters params. The store shares
+// rec with every reader, so a test edits such a copy.
+func withParams(rec *bank.ExamRecord, pid string, params simulate.IRTParams) *bank.ExamRecord {
+	next := *rec
+	next.ItemParams = maps.Clone(rec.ItemParams)
+	next.ItemParams[pid] = params
+	return &next
+}
 
 // calibratedExam authors n multiple-choice problems (correct answer "A")
 // with difficulties spread over [-spread, spread] and stores them as a
@@ -95,7 +107,7 @@ func newMC(id string) (*item.Problem, error) {
 }
 
 func TestSETargetStopsBeforeMaxItems(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 60, 2.0, 3)
 	e, err := NewEngine(store, nil, 8)
 	if err != nil {
@@ -116,7 +128,7 @@ func TestSETargetStopsBeforeMaxItems(t *testing.T) {
 }
 
 func TestMaxItemsStops(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 20, 1.2, 2)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -140,7 +152,7 @@ func TestMaxItemsStops(t *testing.T) {
 // TestPoolExhaustionBeforeSETarget: a tiny weak pool cannot reach an
 // aggressive SE target; the session must stop with pool-exhausted, not spin.
 func TestPoolExhaustionBeforeSETarget(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "tiny", 3, 0.5, 1)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -161,7 +173,7 @@ func TestPoolExhaustionBeforeSETarget(t *testing.T) {
 }
 
 func TestSingleItemPool(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "one", 1, 1.5, 0)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -180,7 +192,7 @@ func TestSingleItemPool(t *testing.T) {
 // the EAP estimate finite and inside the quadrature bounds (the divergence
 // guard MLE would need is built into EAP's standard-normal prior).
 func TestAllCorrectAllIncorrectStreams(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 15, 1.8, 2)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -223,7 +235,7 @@ func TestAllCorrectAllIncorrectStreams(t *testing.T) {
 }
 
 func TestSubmitErrors(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 5, 1.5, 1)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -270,7 +282,7 @@ func TestSubmitErrors(t *testing.T) {
 }
 
 func TestUncalibratedExamRejected(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	p, err := newMC("plain-q1")
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +306,7 @@ func TestUncalibratedExamRejected(t *testing.T) {
 // be handed to every session; exposure rates stay at or near the cap with
 // the least-exposed fallback keeping sessions progressing.
 func TestExposureCapSpreadsItems(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 30, 1.5, 2)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -355,7 +367,7 @@ func TestRestartRestoresActiveSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	calibratedExam(t, j, "pool", 12, 1.6, 2)
-	e1, err := NewEngine(j, nil, 0)
+	e1, err := NewEngine(banktest.Guard(t, j), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +395,7 @@ func TestRestartRestoresActiveSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	e2, err := NewEngine(j2, nil, 0)
+	e2, err := NewEngine(banktest.Guard(t, j2), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,10 +434,77 @@ func TestRestartRestoresActiveSession(t *testing.T) {
 	}
 }
 
+// TestRestoreLeavesStoredRecord: restore re-derives an active sitting's
+// estimate from the exam's current parameters on its own copy of the
+// record. The stored record, which the bank shares with every reader,
+// keeps the estimate it was persisted with.
+func TestRestoreLeavesStoredRecord(t *testing.T) {
+	dir := t.TempDir()
+	j, err := bank.OpenJournal(dir, bank.NewSharded(4), bank.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calibratedExam(t, j, "pool", 10, 1.5, 1)
+	e1, err := NewEngine(banktest.Guard(t, j), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, view, err := e1.Start(context.Background(), "pool", "hana", Config{MaxItems: 5}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := e1.SubmitResponse(context.Background(), s.ID, view.ProblemID, "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shift every difficulty, as a recalibration between the persist and
+	// the restart would.
+	rec, err := j.Exam("pool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid, params := range rec.ItemParams {
+		params.B++
+		rec = withParams(rec, pid, params)
+	}
+	if err := j.UpdateExam(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := bank.OpenJournal(dir, bank.NewSharded(4), bank.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	store := banktest.Guard(t, j2)
+	e2, err := NewEngine(store, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := e2.Status(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Theta == prog.Theta {
+		t.Fatalf("restored theta %v did not move with the shifted parameters", st.Theta)
+	}
+	stored, err := store.AdaptiveSession(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored.Theta != prog.Theta || stored.SE != prog.SE {
+		t.Errorf("stored estimate = (%v, %v) after restore, want the persisted (%v, %v)",
+			stored.Theta, stored.SE, prog.Theta, prog.SE)
+	}
+}
+
 // TestRecalibrateFeedbackLoop: sessions from an easier-than-authored item
 // pull its stored difficulty down.
 func TestRecalibrateFeedbackLoop(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 8, 1.5, 1.5)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -486,7 +565,7 @@ func TestRecalibrateFeedbackLoop(t *testing.T) {
 // sessions; run under -race. The exam's ledger, the registry and the
 // storage backend are all on the contended path.
 func TestConcurrentAdaptiveSessions(t *testing.T) {
-	store := bank.NewSharded(8)
+	store := banktest.Guard(t, bank.NewSharded(8))
 	calibratedExam(t, store, "pool", 40, 1.5, 2)
 	e, err := NewEngine(store, nil, 4)
 	if err != nil {
@@ -543,7 +622,7 @@ func TestConcurrentAdaptiveSessions(t *testing.T) {
 // TestRestoreTolerance: persisted sessions whose exam was deleted must not
 // crash-loop engine construction; finished sessions restore without a pool.
 func TestRestoreTolerance(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 6, 1.5, 1)
 	e1, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -579,7 +658,7 @@ func TestRestoreTolerance(t *testing.T) {
 // TestPurgeFinished: the retention pass drops finished sessions from both
 // registry and storage while active ones keep running.
 func TestPurgeFinished(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 8, 1.5, 1)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -635,7 +714,7 @@ func (f *flakyDeleteStore) DeleteAdaptiveSession(id string) error {
 // error, and the failed session remains purgeable once the backend
 // recovers.
 func TestPurgeFinishedContinuesPastErrors(t *testing.T) {
-	inner := bank.NewSharded(4)
+	inner := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, inner, "pool", 8, 1.5, 1)
 	store := &flakyDeleteStore{Storage: inner}
 	e, err := NewEngine(store, nil, 0)
@@ -689,7 +768,7 @@ func (f *failingStore) PutAdaptiveSession(rec *bank.AdaptiveSessionRecord) error
 // session exactly as before the submit, so the client's retry of the same
 // item succeeds instead of hitting ITEM_NOT_PENDING.
 func TestSubmitRollsBackOnPersistFailure(t *testing.T) {
-	inner := bank.NewSharded(4)
+	inner := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, inner, "pool", 6, 1.5, 1)
 	store := &failingStore{Storage: inner}
 	e, err := NewEngine(store, nil, 0)
@@ -742,7 +821,7 @@ func TestSubmitRollsBackOnPersistFailure(t *testing.T) {
 // disable the SE rule, so Start must reject it with a typed error — both
 // explicitly and when MaxItems defaults to the pool size.
 func TestMinItemsAboveMaxRejected(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 5, 1.5, 1)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -762,7 +841,7 @@ func TestMinItemsAboveMaxRejected(t *testing.T) {
 // TestPurgeForgetsMonitor: the monitor ring lives on its session, so a
 // purged session's snapshots are gone with it.
 func TestPurgeForgetsMonitor(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 4, 1.5, 1)
 	e, err := NewEngine(store, nil, 8)
 	if err != nil {
@@ -784,7 +863,7 @@ func TestPurgeForgetsMonitor(t *testing.T) {
 // the next sequence number, the ring keeps only the newest
 // monitorCapacity, and an unknown session is ErrSessionNotFound.
 func TestSnapshotsSequenceAndBound(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 8, 1.5, 1)
 	e, err := NewEngine(store, nil, 3)
 	if err != nil {
@@ -828,7 +907,7 @@ func TestSnapshotsSequenceAndBound(t *testing.T) {
 // reach the next Start, while sittings in flight keep their pool.
 func TestInfoGridCacheSharedAndInvalidated(t *testing.T) {
 	ctx := context.Background()
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "gx", 40, 1.2, 2.5)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -860,7 +939,7 @@ func TestInfoGridCacheSharedAndInvalidated(t *testing.T) {
 	}
 	refit := rec.ItemParams["gx-q001"]
 	refit.B += 0.5
-	rec.ItemParams["gx-q001"] = refit
+	rec = withParams(rec, "gx-q001", refit)
 	if err := store.UpdateExam(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -880,6 +959,7 @@ func TestInfoGridCacheSharedAndInvalidated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p = p.Clone()
 	p.Question = "edited"
 	if err := store.UpdateProblem(p); err != nil {
 		t.Fatal(err)
@@ -917,7 +997,7 @@ func TestInfoGridCacheSharedAndInvalidated(t *testing.T) {
 // sitting.
 func TestFailedFinishLeavesSessionUnchanged(t *testing.T) {
 	ctx := context.Background()
-	inner := bank.NewSharded(4)
+	inner := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, inner, "pool", 6, 1.5, 1)
 	store := &failingStore{Storage: inner}
 	e, err := NewEngine(store, nil, 0)
@@ -1043,7 +1123,7 @@ func TestEachFinishedSittingDrainsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	calibratedExam(t, j, "pool", 8, 1.5, 1)
-	e1, err := NewEngine(j, nil, 0)
+	e1, err := NewEngine(banktest.Guard(t, j), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1084,7 +1164,7 @@ func TestEachFinishedSittingDrainsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	e2, err := NewEngine(j2, nil, 0)
+	e2, err := NewEngine(banktest.Guard(t, j2), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1125,7 +1205,7 @@ func respondAll(t *testing.T, e *Engine, sessionID string, view *ItemView) []ste
 // should see.
 func TestRecalibrateRebuildsGridForNextStart(t *testing.T) {
 	ctx := context.Background()
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 8, 1.5, 1.5)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -1155,7 +1235,7 @@ func TestRecalibrateRebuildsGridForNextStart(t *testing.T) {
 
 	reference := func(refit *bank.ExamRecord) []step {
 		t.Helper()
-		store := bank.NewSharded(4)
+		store := banktest.Guard(t, bank.NewSharded(4))
 		calibratedExam(t, store, "pool", 8, 1.5, 1.5)
 		if refit != nil {
 			if err := store.UpdateExam(refit); err != nil {

@@ -2,6 +2,7 @@ package catdelivery
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"mineassess/internal/adaptive"
@@ -126,13 +127,17 @@ func (e *Engine) Recalibrate(examID string, minObs int) (*adaptive.PoolCalibrati
 	}
 	cal := adaptive.CalibratePool(rec.ItemParams, obs, minObs)
 	if len(cal.Updated) > 0 {
+		// The stored record is shared with every reader: refit a copy with
+		// its own parameter map.
+		next := *rec
+		next.ItemParams = maps.Clone(rec.ItemParams)
 		for pid, params := range cal.Updated {
-			rec.ItemParams[pid] = params
+			next.ItemParams[pid] = params
 		}
 		// The write moves the bank's generation, so the next Start builds
 		// the exam's pool and information grid from the refit parameters;
 		// in-flight sessions keep their start-time pool.
-		if err := e.store.UpdateExam(rec); err != nil {
+		if err := e.store.UpdateExam(&next); err != nil {
 			return nil, err
 		}
 	}

@@ -12,6 +12,7 @@ import (
 
 	"mineassess/internal/adaptive"
 	"mineassess/internal/bank"
+	"mineassess/internal/bank/banktest"
 )
 
 // TestLedgerOnlyForRegisteredSittings: a start that registers no sitting
@@ -20,7 +21,7 @@ import (
 // first registered sitting makes its exam's ledger.
 func TestLedgerOnlyForRegisteredSittings(t *testing.T) {
 	ctx := context.Background()
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 5, 1.5, 1)
 	p, err := newMC("plain-q1")
 	if err != nil {
@@ -83,7 +84,7 @@ type sitting struct {
 // those sittings made. CI runs it repeatedly under -race.
 func TestLedgersUnderConcurrentSittings(t *testing.T) {
 	ctx := context.Background()
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "capped", 20, 1.5, 2)
 	calibratedExam(t, store, "open", 20, 1.5, 2)
 	e, err := NewEngine(store, nil, 0)

@@ -12,6 +12,7 @@ import (
 
 	"mineassess/internal/adaptive"
 	"mineassess/internal/bank"
+	"mineassess/internal/bank/banktest"
 )
 
 // cachedPools lists the exams whose pools the engine caches, sorted.
@@ -61,7 +62,7 @@ func (h *examHookStore) Exam(id string) (*bank.ExamRecord, error) {
 // the next start rebuild.
 func TestPoolCacheHoldsOneGeneration(t *testing.T) {
 	ctx := context.Background()
-	inner := bank.NewSharded(4)
+	inner := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, inner, "pa", 10, 1.5, 1)
 	calibratedExam(t, inner, "pb", 10, 1.5, 1)
 	store := &examHookStore{Storage: inner}
@@ -100,6 +101,7 @@ func TestPoolCacheHoldsOneGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p = p.Clone()
 		p.Question = text
 		if err := inner.UpdateProblem(p); err != nil {
 			t.Fatal(err)
@@ -152,7 +154,7 @@ func TestPoolCacheHoldsOneGeneration(t *testing.T) {
 // information grid. A parameter change builds a new grid.
 func TestPoolKeepsGridAcrossUnrelatedWrites(t *testing.T) {
 	ctx := context.Background()
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 20, 1.5, 2)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -188,6 +190,7 @@ func TestPoolKeepsGridAcrossUnrelatedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	edited = edited.Clone()
 	edited.Question = "edited"
 	if err := store.UpdateProblem(edited); err != nil {
 		t.Fatal(err)
@@ -206,8 +209,7 @@ func TestPoolKeepsGridAcrossUnrelatedWrites(t *testing.T) {
 	}
 	refit := rec.ItemParams["pool-q001"]
 	refit.B += 0.5
-	rec.ItemParams["pool-q001"] = refit
-	if err := store.UpdateExam(rec); err != nil {
+	if err := store.UpdateExam(withParams(rec, "pool-q001", refit)); err != nil {
 		t.Fatal(err)
 	}
 	if fourth := start("d"); fourth.pool.grid == first.pool.grid {
@@ -222,7 +224,7 @@ func TestPoolKeepsGridAcrossUnrelatedWrites(t *testing.T) {
 // text. CI runs it repeatedly under -race.
 func TestPoolRebuildRacesSittings(t *testing.T) {
 	ctx := context.Background()
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pool", 30, 1.5, 1.5)
 	e, err := NewEngine(store, nil, 0)
 	if err != nil {
@@ -288,6 +290,7 @@ func TestPoolRebuildRacesSittings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p = p.Clone()
 		last = fmt.Sprintf("edit %d of %s", k, edited)
 		p.Question = last
 		if err := store.UpdateProblem(p); err != nil {
@@ -365,7 +368,7 @@ func (g *gatedExamStore) Exam(id string) (*bank.ExamRecord, error) {
 func TestPoolBuiltOncePerGeneration(t *testing.T) {
 	ctx := context.Background()
 	const n = 16
-	inner := bank.NewSharded(4)
+	inner := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, inner, "pool", 100, 1.5, 2)
 	store := &gatedExamStore{Storage: inner, want: n, all: make(chan struct{})}
 	e, err := NewEngine(store, nil, 0)
@@ -421,7 +424,7 @@ func TestPoolBuiltOncePerGeneration(t *testing.T) {
 // one generation move, so a deleted exam's pool does not pile up.
 func TestPoolReusesGridsAcrossExams(t *testing.T) {
 	ctx := context.Background()
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	calibratedExam(t, store, "pa", 50, 1.5, 2)
 	calibratedExam(t, store, "pb", 50, 1.5, 2)
 	e, err := NewEngine(store, nil, 0)

@@ -8,6 +8,7 @@ import (
 
 	"mineassess/internal/adaptive"
 	"mineassess/internal/bank"
+	"mineassess/internal/bank/banktest"
 	"mineassess/internal/simulate"
 )
 
@@ -57,7 +58,7 @@ func oracleRow(pool *examPool, l *examLedger, rec *bank.AdaptiveSessionRecord) i
 // information ties) and which lists one problem twice, so ties, the cap's
 // least-exposed fallback and pool exhaustion all occur.
 func TestSelectMatchesOracle(t *testing.T) {
-	store := bank.NewSharded(4)
+	store := banktest.Guard(t, bank.NewSharded(4))
 	const distinct = 24
 	params := make(map[string]simulate.IRTParams, distinct)
 	var ids []string

@@ -132,10 +132,11 @@ func (p *Pipeline) Analyze(res *analysis.ExamResult, opts analysis.Options) (*an
 func (p *Pipeline) ApplyMeasurements(a *analysis.ExamAnalysis) (int, error) {
 	updated := 0
 	for _, q := range a.Questions {
-		prob, err := p.store.Problem(q.ProblemID)
+		stored, err := p.store.Problem(q.ProblemID)
 		if err != nil {
 			return updated, err
 		}
+		prob := stored.Clone() // the stored problem is shared with every reader
 		prob.Difficulty = q.P
 		prob.Discrimination = q.D
 		if err := p.store.UpdateProblem(prob); err != nil {

@@ -7,15 +7,17 @@ import (
 
 	"mineassess/internal/analysis"
 	"mineassess/internal/bank"
+	"mineassess/internal/bank/banktest"
 	"mineassess/internal/cognition"
 	"mineassess/internal/item"
 	"mineassess/internal/simulate"
 )
 
-// seedPipeline authors a 12-question exam over 3 concepts.
+// seedPipeline authors a 12-question exam over 3 concepts, in a store
+// guarded against in-place edits of its values.
 func seedPipeline(t *testing.T) (*Pipeline, string, []cognition.Concept) {
 	t.Helper()
-	p := New()
+	p := NewWith(banktest.Guard(t, bank.New()))
 	concepts := cognition.NumberedConcepts(3)
 	var ids []string
 	levels := cognition.Levels()
@@ -141,7 +143,7 @@ func TestPipelineQTIRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := New()
+	p2 := NewWith(banktest.Guard(t, bank.New()))
 	ids, err := p2.ImportQTI(raw)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mineassess/internal/bank"
+	"mineassess/internal/bank/banktest"
 	"mineassess/internal/cognition"
 	"mineassess/internal/item"
 	"mineassess/internal/scorm"
@@ -156,7 +157,7 @@ func shardedExamFixture(t *testing.T) (bank.Storage, string) {
 	if err := s.AddExam(rec); err != nil {
 		t.Fatal(err)
 	}
-	return s, rec.ID
+	return banktest.Guard(t, s), rec.ID
 }
 
 // TestEngineStressAcrossShards drives the full session lifecycle —

@@ -7,12 +7,13 @@ import (
 	"time"
 
 	"mineassess/internal/bank"
+	"mineassess/internal/bank/banktest"
 	"mineassess/internal/cognition"
 	"mineassess/internal/item"
 )
 
-// essayExamFixture: one essay + one MC problem.
-func essayExamFixture(t *testing.T) (*bank.Sharded, string) {
+// essayExamFixture: one essay + one MC problem, in a guarded store.
+func essayExamFixture(t *testing.T) (bank.Storage, string) {
 	t.Helper()
 	s := bank.New()
 	essay := &item.Problem{ID: "essay1", Style: item.Essay,
@@ -32,7 +33,7 @@ func essayExamFixture(t *testing.T) (*bank.Sharded, string) {
 	if err := s.AddExam(rec); err != nil {
 		t.Fatal(err)
 	}
-	return s, rec.ID
+	return banktest.Guard(t, s), rec.ID
 }
 
 func TestManualGradingWorkflow(t *testing.T) {

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -86,10 +87,10 @@ type answer struct {
 	spent    time.Duration
 }
 
-// Session is one learner's sitting of one exam. ID, ExamID, StudentID and
-// Order are fixed at Start and safe to read without locking; all other
-// state — including the SCORM API, its data model and the monitor ring —
-// is guarded by mu.
+// Session is one learner's sitting of one exam. ID, ExamID, StudentID,
+// Order, problems and perms are fixed at Start and safe to read without
+// locking; all other state — including the SCORM API, its data model and
+// the monitor ring — is guarded by mu.
 // Engine operations and RTEExec take the lock; the raw RTE accessor is the
 // single-threaded escape hatch (see its comment).
 type Session struct {
@@ -107,13 +108,31 @@ type Session struct {
 	activeSpent time.Duration // running time excluding pauses
 	limit       time.Duration // 0 = unlimited
 	answers     map[string]answer
-	problems    map[string]*item.Problem
-	// optionMaps maps, per shuffled problem, the presented option key back
-	// to the authored key (RandomOrder exams shuffle options per sitting).
-	optionMaps map[string]map[string]string
-	api        *scorm.API
-	data       *scorm.DataModel
-	monitor    Monitor
+	// problems are the exam's problems as the bank stores them, shared with
+	// every other reader and never modified.
+	problems map[string]*item.Problem
+	// perms holds the option permutation of each problem a RandomOrder
+	// sitting presents with its options in its own order (see
+	// authoring.ShuffleOptions); nil on other sittings.
+	perms   map[string][]int
+	api     *scorm.API
+	data    *scorm.DataModel
+	monitor Monitor
+}
+
+// PresentedOptions returns, for each problem whose options this sitting
+// presents in its own order, those options as presented: keyed A, B, C,
+// ... in presentation order. Answers use these keys. It is nil when the
+// sitting presents every problem's options as authored.
+func (s *Session) PresentedOptions() map[string][]item.Option {
+	if len(s.perms) == 0 {
+		return nil
+	}
+	out := make(map[string][]item.Option, len(s.perms))
+	for id, perm := range s.perms {
+		out[id] = authoring.PresentOptions(s.problems[id], perm)
+	}
+	return out
 }
 
 // snapshotStatus summarizes the session. Callers hold s.mu.
@@ -234,7 +253,7 @@ func (e *Engine) all() []*Session {
 // Start opens a session for the student on the exam, computing the
 // presentation order with the given seed (used only for RandomOrder exams).
 // All assembly work happens before the session is published, so Start holds
-// no lock while reading the bank or shuffling options. A traced ctx gains an
+// no lock while reading the bank or permuting options. A traced ctx gains an
 // engine.start child span whose subtree includes the session.started bus
 // publish; ctx does not cancel the operation.
 func (e *Engine) Start(ctx context.Context, examID, studentID string, seed int64) (_ *Session, err error) {
@@ -254,35 +273,35 @@ func (e *Engine) Start(ctx context.Context, examID, studentID string, seed int64
 		return nil, err
 	}
 	byID := make(map[string]*item.Problem, len(problems))
-	optionMaps := make(map[string]map[string]string)
+	var perms map[string][]int
+	var rng *rand.Rand // one source for the sitting, re-seeded per problem
 	for i, p := range problems {
-		// RandomOrder exams also shuffle each problem's options so
-		// neighbouring learners see different letters; responses are mapped
-		// back to authored keys when results are collected.
-		if rec.Display == item.RandomOrder && len(p.Options) > 1 {
-			shuffled, mapping, err := authoring.ShuffleOptions(p, seed+int64(i)*2654435761)
-			if err != nil {
-				return nil, fmt.Errorf("delivery: shuffle %s: %w", p.ID, err)
-			}
-			p = shuffled
-			optionMaps[p.ID] = mapping
-		}
 		byID[p.ID] = p
+		// RandomOrder exams also permute each problem's options so
+		// neighbouring learners see different letters; Answer maps the
+		// presented key back to the authored one.
+		if rec.Display == item.RandomOrder && len(p.Options) > 1 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(seed))
+				perms = make(map[string][]int, len(problems))
+			}
+			perms[p.ID] = authoring.ShuffleOptions(p, seed+int64(i)*2654435761, rng)
+		}
 	}
 
 	now := e.now()
 	s := &Session{
-		ID:         fmt.Sprintf("sess-%06d", e.nextID.Add(1)),
-		ExamID:     examID,
-		StudentID:  studentID,
-		Order:      order,
-		state:      StateRunning,
-		startedAt:  now,
-		lastEvent:  now,
-		limit:      time.Duration(rec.TestTimeSeconds) * time.Second,
-		answers:    make(map[string]answer, len(order)),
-		problems:   byID,
-		optionMaps: optionMaps,
+		ID:        fmt.Sprintf("sess-%06d", e.nextID.Add(1)),
+		ExamID:    examID,
+		StudentID: studentID,
+		Order:     order,
+		state:     StateRunning,
+		startedAt: now,
+		lastEvent: now,
+		limit:     time.Duration(rec.TestTimeSeconds) * time.Second,
+		answers:   make(map[string]answer, len(order)),
+		problems:  byID,
+		perms:     perms,
 	}
 	s.data = scorm.NewDataModel(studentID, studentID)
 	s.api = scorm.NewAPI(s.data, nil)
@@ -361,7 +380,11 @@ func (e *Engine) Answer(ctx context.Context, sessionID, problemID, response stri
 	if _, dup := s.answers[problemID]; dup {
 		return fmt.Errorf("%w: %s", ErrAlreadyAnswered, problemID)
 	}
+	response, presented := authoring.UnshuffleResponse(p, s.perms[problemID], response)
 	credit, gradable := p.Grade(response)
+	if !presented {
+		credit = 0
+	}
 	spent := now.Sub(s.lastEvent)
 	s.activeSpent += spent
 	s.lastEvent = now
@@ -515,11 +538,11 @@ func (s *Session) result() analysis.StudentResult {
 			r.Credit = a.credit
 			r.TimeSpent = a.spent
 			// Choice answers keep their option key; questionnaire answers
-			// keep the collected response for frequency analysis. Shuffled
-			// sittings map presented keys back to authored keys so option
-			// tables aggregate correctly across sittings.
+			// keep the collected response for frequency analysis. Answer
+			// stored the authored key, so option tables aggregate correctly
+			// across sittings that presented the options in other orders.
 			if p.CorrectKey() != "" || p.Style == item.Questionnaire {
-				r.Option = authoring.UnshuffleResponse(s.optionMaps[pid], a.response)
+				r.Option = a.response
 			}
 		}
 		res.Responses = append(res.Responses, r)

@@ -9,6 +9,7 @@ import (
 
 	"mineassess/internal/analysis"
 	"mineassess/internal/bank"
+	"mineassess/internal/bank/banktest"
 	"mineassess/internal/cognition"
 	"mineassess/internal/item"
 	"mineassess/internal/scorm"
@@ -26,8 +27,9 @@ func newFakeClock() *fakeClock {
 func (c *fakeClock) Now() time.Time          { return c.t }
 func (c *fakeClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
-// examFixture stores 4 MC problems and an exam with a 10-minute limit.
-func examFixture(t *testing.T, resumable bool) (*bank.Sharded, string) {
+// examFixture stores 4 MC problems and an exam with a 10-minute limit, in
+// a store guarded against in-place edits of its values.
+func examFixture(t *testing.T, resumable bool) (bank.Storage, string) {
 	t.Helper()
 	s := bank.New()
 	var ids []string
@@ -49,7 +51,7 @@ func examFixture(t *testing.T, resumable bool) (*bank.Sharded, string) {
 	if err := s.AddExam(rec); err != nil {
 		t.Fatal(err)
 	}
-	return s, rec.ID
+	return banktest.Guard(t, s), rec.ID
 }
 
 func TestSessionLifecycle(t *testing.T) {
@@ -374,8 +376,9 @@ func TestStartErrors(t *testing.T) {
 	}
 }
 
-// TestRandomOrderShufflesOptions: a RandomOrder exam presents shuffled
-// options per sitting, yet collected results report authored keys.
+// TestRandomOrderShufflesOptions: a RandomOrder exam presents options in a
+// per-sitting order; the presented correct key earns credit, and collected
+// results report the authored key.
 func TestRandomOrderShufflesOptions(t *testing.T) {
 	store, _ := examFixture(t, false)
 	rec := &bank.ExamRecord{ID: "rand", Title: "Shuffled",
@@ -386,41 +389,107 @@ func TestRandomOrderShufflesOptions(t *testing.T) {
 	clock := newFakeClock()
 	eng := NewEngine(store, clock.Now, 0)
 
-	// Find a seed where q1's options actually moved (A no longer correct).
+	// Find a seed that presents q1's correct option "w" under another key
+	// than its authored A.
 	var sess *Session
+	var shuffledKey string
 	for seed := int64(1); seed < 50; seed++ {
 		s, err := eng.Start(context.Background(), "rand", fmt.Sprintf("stu%d", seed), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.problems["q1"].Answer != "A" {
-			sess = s
+		presented := s.PresentedOptions()
+		if len(presented) != 4 {
+			t.Fatalf("seed %d presents %d problems' options, want 4", seed, len(presented))
+		}
+		for _, o := range presented["q1"] {
+			if o.Text == "w" && o.Key != "A" {
+				sess, shuffledKey = s, o.Key
+			}
+		}
+		if sess != nil {
 			break
 		}
 	}
 	if sess == nil {
-		t.Fatal("no seed shuffled q1's answer away from A in 50 tries")
+		t.Fatal("no seed moved q1's correct option away from A in 50 tries")
 	}
-	shuffledKey := sess.problems["q1"].Answer
-	// Answer q1 with the shuffled correct key: full credit.
+	// Answer q1 with the presented correct key, and q2 with A, which is
+	// wrong unless the sitting presents q2's correct option first.
 	if err := eng.Answer(context.Background(), sess.ID, "q1", shuffledKey); err != nil {
 		t.Fatal(err)
 	}
+	if err := eng.Answer(context.Background(), sess.ID, "q2", "A"); err != nil {
+		t.Fatal(err)
+	}
+	q2Correct := sess.PresentedOptions()["q2"][0].Text == "w"
 	res, err := eng.Finish(context.Background(), sess.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range res.Responses {
-		if r.ProblemID != "q1" {
-			continue
+		switch r.ProblemID {
+		case "q1":
+			if !r.Correct() {
+				t.Error("shuffled correct answer should earn credit")
+			}
+			// The collected option must be the authored key A.
+			if r.Option != "A" {
+				t.Errorf("collected option = %q, want authored key A", r.Option)
+			}
+		case "q2":
+			if r.Correct() != q2Correct {
+				t.Errorf("q2 answered A: correct = %v, want %v", r.Correct(), q2Correct)
+			}
 		}
-		if !r.Correct() {
-			t.Error("shuffled correct answer should earn credit")
+	}
+}
+
+// TestRandomOrderGradesOnlyPresentedKeys: a sitting that permutes a
+// problem's options grades only the keys it presented. An authored key it
+// never showed earns nothing, and the result reports the response given.
+func TestRandomOrderGradesOnlyPresentedKeys(t *testing.T) {
+	s := bank.New()
+	p := &item.Problem{ID: "k1", Style: item.MultipleChoice, Question: "?",
+		Level: cognition.Knowledge, Answer: "y", Options: []item.Option{
+			{Key: "x", Text: "wrong"}, {Key: "y", Text: "right"}, {Key: "z", Text: "also wrong"}}}
+	if err := s.AddProblem(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddExam(&bank.ExamRecord{ID: "keys", ProblemIDs: []string{"k1"},
+		Display: item.RandomOrder}); err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(banktest.Guard(t, s), newFakeClock().Now, 0)
+	answer := func(seed int64, response func(*Session) string) analysis.Response {
+		t.Helper()
+		sess, err := eng.Start(context.Background(), "keys", "stu", seed)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The collected option must be the authored key A.
-		if r.Option != "A" {
-			t.Errorf("collected option = %q, want authored key A", r.Option)
+		if err := eng.Answer(context.Background(), sess.ID, "k1", response(sess)); err != nil {
+			t.Fatal(err)
 		}
+		res, err := eng.Finish(context.Background(), sess.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Responses[0]
+	}
+	if r := answer(1, func(*Session) string { return "y" }); r.Credit != 0 || r.Option != "y" {
+		t.Errorf("unpresented authored key: credit %v, option %q; want 0 and the response y", r.Credit, r.Option)
+	}
+	presented := func(sess *Session) string {
+		for _, o := range sess.PresentedOptions()["k1"] {
+			if o.Text == "right" {
+				return o.Key
+			}
+		}
+		t.Fatal("the correct option is not presented")
+		return ""
+	}
+	if r := answer(2, presented); r.Credit != 1 || r.Option != "y" {
+		t.Errorf("presented correct key: credit %v, option %q; want 1 and the authored key y", r.Credit, r.Option)
 	}
 }
 
@@ -431,11 +500,15 @@ func TestFixedOrderDoesNotShuffleOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.problems["q1"].Answer != "A" {
-		t.Error("fixed-order exam must keep authored option order")
+	if sess.perms != nil || sess.PresentedOptions() != nil {
+		t.Errorf("fixed-order exam permutes options: %v", sess.perms)
 	}
-	if len(sess.optionMaps) != 0 {
-		t.Errorf("fixed-order exam has option maps: %v", sess.optionMaps)
+	stored, err := store.Problem("q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.problems["q1"] != stored {
+		t.Error("a sitting must keep the stored problem, not a copy")
 	}
 }
 

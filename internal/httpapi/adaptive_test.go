@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mineassess/internal/bank"
+	"mineassess/internal/bank/banktest"
 	"mineassess/internal/catdelivery"
 	"mineassess/internal/cognition"
 	"mineassess/internal/delivery"
@@ -19,8 +20,9 @@ import (
 )
 
 // calibratedFixture stores n auto-gradable MC problems (answer "A") with
-// IRT parameters as exam "cat1".
-func calibratedFixture(t *testing.T, n int) *bank.Sharded {
+// IRT parameters as exam "cat1", in a store guarded against in-place edits
+// of its values.
+func calibratedFixture(t *testing.T, n int) bank.Storage {
 	t.Helper()
 	s := bank.New()
 	params := make(map[string]simulate.IRTParams, n)
@@ -47,7 +49,7 @@ func calibratedFixture(t *testing.T, n int) *bank.Sharded {
 		ProblemIDs: ids[:2]}); err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return banktest.Guard(t, s)
 }
 
 // adaptiveServer wires a calibrated bank plus both engines.

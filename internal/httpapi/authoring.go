@@ -190,6 +190,13 @@ func (s *Server) createExam(w http.ResponseWriter, r *http.Request, _ string) {
 		badRequest(w, "invalid display order %d", int(rec.Display))
 		return
 	}
+	// A problem listed twice would be delivered and scored twice. The rule
+	// is an exam draft's; the bank itself accepts such a record, so a
+	// journal that already holds one still replays.
+	if err := authoring.NewExamDraft(rec.ID, rec.Title).Add(rec.ProblemIDs...); err != nil {
+		writeAuthoringError(w, err)
+		return
+	}
 	if err := s.store.AddExam(&rec); err != nil {
 		// A dangling problem reference is a payload defect, not a lookup on
 		// a problem resource — report it as validation, not 404.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mineassess/internal/bank"
+	"mineassess/internal/bank/banktest"
 	"mineassess/internal/cognition"
 	"mineassess/internal/item"
 )
@@ -24,7 +25,7 @@ func mustProblem(t *testing.T, id string, concept string, level cognition.Level)
 }
 
 func TestProblemCRUD(t *testing.T) {
-	srv, _ := serverOver(t, bank.New())
+	srv, _ := serverOver(t, banktest.Guard(t, bank.New()))
 	base := srv.URL
 
 	// Create.
@@ -88,7 +89,7 @@ func TestProblemCRUD(t *testing.T) {
 }
 
 func TestExamCRUD(t *testing.T) {
-	store := bank.New()
+	store := banktest.Guard(t, bank.New())
 	srv, _ := serverOver(t, store)
 	base := srv.URL
 	for i, id := range []string{"p1", "p2"} {
@@ -135,8 +136,29 @@ func TestExamCRUD(t *testing.T) {
 	wantEnvelope(t, code, raw, CodeExamNotFound)
 }
 
+// TestCreateExamRejectsDuplicateProblem: an exam that lists a problem twice
+// would deliver and score it twice, so POST /v1/exams refuses it as a
+// draft would, and stores nothing.
+func TestCreateExamRejectsDuplicateProblem(t *testing.T) {
+	store := banktest.Guard(t, bank.New())
+	srv, _ := serverOver(t, store)
+	for _, id := range []string{"p1", "p2"} {
+		if err := store.AddProblem(mustProblem(t, id, "c1", cognition.Knowledge)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dup := &bank.ExamRecord{ID: "dup", ProblemIDs: []string{"p1", "p2", "p1"}}
+	code, raw := doJSON(t, http.MethodPost, srv.URL+"/v1/exams", dup, nil)
+	wantEnvelope(t, code, raw, CodeValidation)
+	if !strings.Contains(string(raw), "p1") {
+		t.Errorf("envelope does not name the repeated problem: %s", raw)
+	}
+	code, raw = doJSON(t, http.MethodGet, srv.URL+"/v1/exams/dup", nil, nil)
+	wantEnvelope(t, code, raw, CodeExamNotFound)
+}
+
 func TestAssembleExam(t *testing.T) {
-	store := bank.New()
+	store := banktest.Guard(t, bank.New())
 	srv, _ := serverOver(t, store)
 	base := srv.URL
 	for _, id := range []string{"k1", "k2", "k3"} {

@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"mineassess/internal/analysis"
 	"mineassess/internal/bank"
+	"mineassess/internal/bank/banktest"
 	"mineassess/internal/cognition"
 	"mineassess/internal/delivery"
 	"mineassess/internal/item"
@@ -33,8 +35,9 @@ func newFakeClock() *fakeClock {
 func (c *fakeClock) Now() time.Time          { return c.t }
 func (c *fakeClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
 
-// examFixture stores 4 MC problems and an exam with a 10-minute limit.
-func examFixture(t *testing.T, resumable bool) (*bank.Sharded, string) {
+// examFixture stores 4 MC problems and an exam with a 10-minute limit, in
+// a store guarded against in-place edits of its values.
+func examFixture(t *testing.T, resumable bool) (bank.Storage, string) {
 	t.Helper()
 	s := bank.New()
 	var ids []string
@@ -57,11 +60,12 @@ func examFixture(t *testing.T, resumable bool) (*bank.Sharded, string) {
 	if err := s.AddExam(rec); err != nil {
 		t.Fatal(err)
 	}
-	return s, rec.ID
+	return banktest.Guard(t, s), rec.ID
 }
 
-// essayExamFixture: one essay + one MC problem, no time limit.
-func essayExamFixture(t *testing.T) (*bank.Sharded, string) {
+// essayExamFixture: one essay + one MC problem, no time limit, in a guarded
+// store.
+func essayExamFixture(t *testing.T) (bank.Storage, string) {
 	t.Helper()
 	s := bank.New()
 	essay := &item.Problem{ID: "essay1", Style: item.Essay,
@@ -81,7 +85,7 @@ func essayExamFixture(t *testing.T) (*bank.Sharded, string) {
 	if err := s.AddExam(rec); err != nil {
 		t.Fatal(err)
 	}
-	return s, rec.ID
+	return banktest.Guard(t, s), rec.ID
 }
 
 // testServer wires the fixture bank into an HTTP test server.
@@ -165,6 +169,95 @@ func startV1(t *testing.T, base, examID, student string) StartSessionResponse {
 		t.Fatalf("start: code %d, body %s", code, raw)
 	}
 	return sr
+}
+
+// TestContractRandomOrderPresentsOptions: a random-order sitting presents
+// each problem's options in its own order, and the start response shows
+// them. Answering every question with the presented key of its correct
+// option earns full credit, and the results report the authored keys. A
+// fixed-order start body carries no options field.
+func TestContractRandomOrderPresentsOptions(t *testing.T) {
+	s := bank.New()
+	var ids []string
+	for i := 0; i < 10; i++ {
+		p, err := item.NewMultipleChoice(fmt.Sprintf("r%02d", i), "?",
+			[]string{"w", "x", "y", "z"}, i%4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddProblem(p); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, p.ID)
+	}
+	for _, rec := range []*bank.ExamRecord{
+		{ID: "shuffled", ProblemIDs: ids, Display: item.RandomOrder},
+		{ID: "fixed", ProblemIDs: ids, Display: item.FixedOrder},
+	} {
+		if err := s.AddExam(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, _ := serverOver(t, banktest.Guard(t, s))
+
+	var sr StartSessionResponse
+	code, raw := doJSON(t, http.MethodPost, srv.URL+"/v1/exams/shuffled/sessions",
+		StartSessionRequest{StudentID: "rosa", Seed: 7}, &sr)
+	if code != http.StatusOK {
+		t.Fatalf("start: %d %s", code, raw)
+	}
+	if len(sr.Options) != len(ids) {
+		t.Fatalf("start response presents options for %d problems, want %d: %s", len(sr.Options), len(ids), raw)
+	}
+	moved := 0
+	authored := make(map[string]string) // problem ID -> authored correct key
+	for _, pid := range sr.Order {
+		var p item.Problem
+		if code, raw := doJSON(t, http.MethodGet, srv.URL+"/v1/problems/"+pid, nil, &p); code != http.StatusOK {
+			t.Fatalf("get %s: %d %s", pid, code, raw)
+		}
+		var correct string
+		for _, o := range p.Options {
+			if o.Key == p.Answer {
+				correct = o.Text
+			}
+		}
+		key := ""
+		for _, o := range sr.Options[pid] {
+			if o.Text == correct {
+				key = o.Key
+			}
+		}
+		if key != p.Answer {
+			moved++
+		}
+		authored[pid] = p.Answer
+		if code, raw := doJSON(t, http.MethodPost, srv.URL+"/v1/sessions/"+sr.SessionID+":answer",
+			AnswerRequest{ProblemID: pid, Response: key}, nil); code != http.StatusOK {
+			t.Fatalf("answer %s: %d %s", pid, code, raw)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("seed 7 presented every correct option under its authored key")
+	}
+	var res analysis.StudentResult
+	if code, raw := doJSON(t, http.MethodPost, srv.URL+"/v1/sessions/"+sr.SessionID+":finish", nil, &res); code != http.StatusOK {
+		t.Fatalf("finish: %d %s", code, raw)
+	}
+	if len(res.Responses) != len(ids) {
+		t.Fatalf("finish reports %d responses, want %d", len(res.Responses), len(ids))
+	}
+	for _, r := range res.Responses {
+		if want := authored[r.ProblemID]; !r.Correct() || r.Option != want {
+			t.Errorf("%s: correct = %v, option %q; want full credit under authored key %s", r.ProblemID, r.Correct(), r.Option, want)
+		}
+	}
+
+	code, raw = doJSON(t, http.MethodPost, srv.URL+"/v1/exams/fixed/sessions",
+		StartSessionRequest{StudentID: "sam", Seed: 7}, nil)
+	if code != http.StatusOK || strings.Contains(string(raw), `"options"`) {
+		t.Errorf("fixed-order start = %d %s, want no options field", code, raw)
+	}
 }
 
 // TestContractSessionLifecycle walks the happy path of every session route.

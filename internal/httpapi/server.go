@@ -311,7 +311,9 @@ func (s *Server) startSession(w http.ResponseWriter, r *http.Request, examID str
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, StartSessionResponse{SessionID: sess.ID, Order: sess.Order})
+	writeJSON(w, http.StatusOK, StartSessionResponse{
+		SessionID: sess.ID, Order: sess.Order, Options: sess.PresentedOptions(),
+	})
 }
 
 // postRTE bridges the SCORM API over HTTP for SCO content.

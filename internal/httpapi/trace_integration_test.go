@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"mineassess/internal/bank"
+	"mineassess/internal/bank/banktest"
 	"mineassess/internal/catdelivery"
 	"mineassess/internal/cognition"
 	"mineassess/internal/delivery"
@@ -34,18 +35,19 @@ func tracedStack(t *testing.T) (*httptest.Server, *trace.Tracer) {
 	}
 	t.Cleanup(func() { _ = j.Close() })
 	seedCalibrated(t, j, 6)
+	store := banktest.Guard(t, j)
 
 	tracer := trace.New(trace.Options{SampleEvery: 1, Recent: 64, Retain: 64})
 	bus := events.NewBus(events.Options{})
 	t.Cleanup(bus.Close)
-	eng := delivery.NewEngine(j, nil, 0)
+	eng := delivery.NewEngine(store, nil, 0)
 	eng.SetEventBus(bus)
-	cat, err := catdelivery.NewEngine(j, nil, 8)
+	cat, err := catdelivery.NewEngine(store, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cat.SetEventBus(bus)
-	srv := httptest.NewServer(NewServer(eng, j, Options{
+	srv := httptest.NewServer(NewServer(eng, store, Options{
 		Adaptive: cat, Events: bus, Tracer: tracer,
 	}))
 	t.Cleanup(srv.Close)

@@ -22,10 +22,14 @@ type StartSessionRequest struct {
 }
 
 // StartSessionResponse reports the opened session and its presentation
-// order.
+// order. On a random-order exam, Options holds each problem whose options
+// the sitting presents in its own order, mapped to those options as
+// presented: answers use these keys, not the authored ones. It is omitted
+// when the sitting presents every problem's options as authored.
 type StartSessionResponse struct {
-	SessionID string   `json:"sessionId"`
-	Order     []string `json:"order"`
+	SessionID string              `json:"sessionId"`
+	Order     []string            `json:"order"`
+	Options   map[string][]Option `json:"options,omitempty"`
 }
 
 // AnswerRequest records one response (POST /v1/sessions/{id}:answer and
