@@ -16,7 +16,7 @@ import (
 // separation between the high group (18-20 fillers correct), the middle
 // (8-15) and the low group (0-3), so the two scored questions (at most 2
 // extra points) can never move a student across a group boundary.
-func workedClassExam(t *testing.T) *ExamResult {
+func workedClassExam(t testing.TB) *ExamResult {
 	t.Helper()
 
 	q2, err := item.NewMultipleChoice("no2", "Worked question no. 2",

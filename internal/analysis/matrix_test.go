@@ -23,7 +23,7 @@ const (
 // teacherClass builds a seeded class of students sitting questions
 // four-option multiple-choice questions, each answering every question with
 // a probability of success that rises with the student's index.
-func teacherClass(t *testing.T, students, questions int, seed int64) *ExamResult {
+func teacherClass(t testing.TB, students, questions int, seed int64) *ExamResult {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	e := &ExamResult{ExamID: "teacher"}

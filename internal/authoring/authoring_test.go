@@ -3,6 +3,7 @@ package authoring
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -190,7 +191,7 @@ func TestExamDraftFinalizeErrors(t *testing.T) {
 func TestPresentationOrderFixed(t *testing.T) {
 	rec := &bank.ExamRecord{ID: "e", ProblemIDs: []string{"a", "b", "c"},
 		Display: item.FixedOrder}
-	got, err := PresentationOrder(rec, 99)
+	got, err := PresentationOrder(rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,18 +210,18 @@ func TestPresentationOrderRandomDeterministicPerSeed(t *testing.T) {
 		ids[i] = fmt.Sprintf("p%02d", i)
 	}
 	rec := &bank.ExamRecord{ID: "e", ProblemIDs: ids, Display: item.RandomOrder}
-	a, err := PresentationOrder(rec, 7)
+	a, err := PresentationOrder(rec, seeded(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := PresentationOrder(rec, 7)
+	b, err := PresentationOrder(rec, seeded(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("same seed must give the same order")
 	}
-	c, err := PresentationOrder(rec, 8)
+	c, err := PresentationOrder(rec, seeded(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestPresentationOrderKeepsGroupsContiguous(t *testing.T) {
 		Groups:     []bank.ExamGroup{{Name: "pair", ProblemIDs: []string{"b", "c"}}},
 	}
 	for seed := int64(0); seed < 20; seed++ {
-		order, err := PresentationOrder(rec, seed)
+		order, err := PresentationOrder(rec, seeded(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +258,7 @@ func TestPresentationOrderKeepsGroupsContiguous(t *testing.T) {
 
 func TestPresentationOrderInvalidDisplay(t *testing.T) {
 	rec := &bank.ExamRecord{ID: "e", ProblemIDs: []string{"a"}}
-	if _, err := PresentationOrder(rec, 0); err == nil {
+	if _, err := PresentationOrder(rec, seeded(0)); err == nil {
 		t.Error("zero display order should fail")
 	}
 }
@@ -362,6 +363,9 @@ func TestCoverageTableSkipsUnclassified(t *testing.T) {
 	}
 }
 
+// seeded returns a source seeded as a sitting seeds it.
+func seeded(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
 func indexOf(xs []string, x string) int {
 	for i, v := range xs {
 		if v == x {
@@ -369,4 +373,69 @@ func indexOf(xs []string, x string) int {
 		}
 	}
 	return -1
+}
+
+// blockShuffleOracle is shuffledOrder as it was before it shuffled block
+// indices: it built a group map, an emitted-group map, one []string block
+// per ungrouped problem and its own source. Kept to pin every seed's order.
+func blockShuffleOracle(rec *bank.ExamRecord, seed int64) []string {
+	grouped := make(map[string]int) // problem ID -> group index
+	for gi, g := range rec.Groups {
+		for _, id := range g.ProblemIDs {
+			grouped[id] = gi
+		}
+	}
+	var blocks [][]string
+	emitted := make(map[int]bool)
+	for _, id := range rec.ProblemIDs {
+		if gi, ok := grouped[id]; ok {
+			if !emitted[gi] {
+				emitted[gi] = true
+				blocks = append(blocks, append([]string(nil), rec.Groups[gi].ProblemIDs...))
+			}
+			continue
+		}
+		blocks = append(blocks, []string{id})
+	}
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(blocks), func(i, j int) {
+		blocks[i], blocks[j] = blocks[j], blocks[i]
+	})
+	out := make([]string, 0, len(rec.ProblemIDs))
+	for _, b := range blocks {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// TestShuffledOrderMatchesOracle: over 1,000 seeds, a RandomOrder exam's
+// order is the one the block-list shuffle gave, with and without groups
+// (including a problem listed in two groups and a group whose members are
+// not adjacent in authored order).
+func TestShuffledOrderMatchesOracle(t *testing.T) {
+	ids := make([]string, 40)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("p%02d", i)
+	}
+	recs := map[string]*bank.ExamRecord{
+		"ungrouped": {ID: "e", ProblemIDs: ids, Display: item.RandomOrder},
+		"grouped": {ID: "e", ProblemIDs: ids, Display: item.RandomOrder, Groups: []bank.ExamGroup{
+			{Name: "pair", ProblemIDs: []string{"p03", "p04"}},
+			{Name: "spread", ProblemIDs: []string{"p30", "p10", "p20"}},
+			{Name: "overlap", ProblemIDs: []string{"p04", "p39"}},
+		}},
+		"one":   {ID: "e", ProblemIDs: ids[:1], Display: item.RandomOrder},
+		"empty": {ID: "e", Display: item.RandomOrder},
+	}
+	for name, rec := range recs {
+		for seed := int64(0); seed < 1000; seed++ {
+			got, err := PresentationOrder(rec, seeded(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := blockShuffleOracle(rec, seed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, seed %d: order %v, want %v", name, seed, got, want)
+			}
+		}
+	}
 }

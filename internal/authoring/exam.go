@@ -106,15 +106,16 @@ func (d *ExamDraft) Finalize(store bank.Storage) (*bank.ExamRecord, error) {
 }
 
 // PresentationOrder computes the order in which a learner sees the exam's
-// problems. FixedOrder returns the authored order; RandomOrder shuffles
-// deterministically from the seed (one seed per sitting), keeping each
+// problems. FixedOrder returns the authored order and ignores rng (it may
+// be nil); RandomOrder shuffles with rng, which the caller seeds with the
+// sitting's seed so a seed always gives the same order, keeping each
 // presentation group contiguous in its authored internal order.
-func PresentationOrder(rec *bank.ExamRecord, seed int64) ([]string, error) {
+func PresentationOrder(rec *bank.ExamRecord, rng *rand.Rand) ([]string, error) {
 	switch rec.Display {
 	case item.FixedOrder:
 		return append([]string(nil), rec.ProblemIDs...), nil
 	case item.RandomOrder:
-		return shuffledOrder(rec, seed), nil
+		return shuffledOrder(rec, rng), nil
 	default:
 		return nil, fmt.Errorf("authoring: exam %s has invalid display order %d",
 			rec.ID, int(rec.Display))
@@ -122,34 +123,45 @@ func PresentationOrder(rec *bank.ExamRecord, seed int64) ([]string, error) {
 }
 
 // shuffledOrder shuffles blocks: each group is a block; ungrouped problems
-// are singleton blocks. Blocks are shuffled, not their contents, so an
-// instructor's curated sequences survive randomization.
-func shuffledOrder(rec *bank.ExamRecord, seed int64) []string {
+// are singleton blocks, in authored order. Blocks are shuffled, not their
+// contents, so an instructor's curated sequences survive randomization.
+// Without groups every block is one problem, so the order is a shuffled
+// copy of the problem list. With groups the blocks are codes: i >= 0 is
+// ungrouped problem i, -1-g is group g. A problem listed in several groups
+// belongs to the last.
+func shuffledOrder(rec *bank.ExamRecord, rng *rand.Rand) []string {
+	if len(rec.Groups) == 0 {
+		out := make([]string, len(rec.ProblemIDs))
+		copy(out, rec.ProblemIDs)
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
 	grouped := make(map[string]int) // problem ID -> group index
 	for gi, g := range rec.Groups {
 		for _, id := range g.ProblemIDs {
 			grouped[id] = gi
 		}
 	}
-	var blocks [][]string
-	emitted := make(map[int]bool)
-	for _, id := range rec.ProblemIDs {
-		if gi, ok := grouped[id]; ok {
-			if !emitted[gi] {
-				emitted[gi] = true
-				blocks = append(blocks, append([]string(nil), rec.Groups[gi].ProblemIDs...))
-			}
-			continue
+	blocks := make([]int, 0, len(rec.ProblemIDs))
+	emitted := make([]bool, len(rec.Groups))
+	for i, id := range rec.ProblemIDs {
+		gi, ok := grouped[id]
+		switch {
+		case !ok:
+			blocks = append(blocks, i)
+		case !emitted[gi]:
+			emitted[gi] = true
+			blocks = append(blocks, -1-gi)
 		}
-		blocks = append(blocks, []string{id})
 	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(blocks), func(i, j int) {
-		blocks[i], blocks[j] = blocks[j], blocks[i]
-	})
+	rng.Shuffle(len(blocks), func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
 	out := make([]string, 0, len(rec.ProblemIDs))
 	for _, b := range blocks {
-		out = append(out, b...)
+		if b >= 0 {
+			out = append(out, rec.ProblemIDs[b])
+		} else {
+			out = append(out, rec.Groups[-1-b].ProblemIDs...)
+		}
 	}
 	return out
 }

@@ -14,14 +14,19 @@ import (
 // 40-question exam in heap allocations: the order, the problem list and
 // index, the sitting with its answer map, SCORM data model and monitor
 // ring, and its registration. The sitting shares the bank's problems
-// instead of copying them. A reading may exceed it by 20% plus half an
-// allocation of noise.
+// instead of copying them. randomStartAllocs is the same Start on a
+// RandomOrder exam, which adds the sitting's one source, the shuffled
+// order and one option permutation per problem. A reading may exceed
+// either by 20% plus half an allocation of noise.
 const (
-	startAllocs       = 18
-	startAllocCeiling = startAllocs*1.2 + 0.5
+	startAllocs             = 18
+	startAllocCeiling       = startAllocs*1.2 + 0.5
+	randomStartAllocs       = 63
+	randomStartAllocCeiling = randomStartAllocs*1.2 + 0.5
 )
 
-// TestStartAllocs pins the allocations of a warm fixed-order Start.
+// TestStartAllocs pins the allocations of a warm fixed-order Start and of
+// a warm random-order one.
 func TestStartAllocs(t *testing.T) {
 	store := bank.NewSharded(0)
 	ids := make([]string, 40)
@@ -40,11 +45,20 @@ func TestStartAllocs(t *testing.T) {
 		Display: item.FixedOrder, TestTimeSeconds: 600}); err != nil {
 		t.Fatal(err)
 	}
+	if err := store.AddExam(&bank.ExamRecord{ID: "random", ProblemIDs: ids,
+		Display: item.RandomOrder, TestTimeSeconds: 600}); err != nil {
+		t.Fatal(err)
+	}
 	eng := NewEngine(store, nil, 64)
 	got := startAllocsPerRun(t, eng, "exam")
 	t.Logf("warm fixed-order Start, 40 questions: %.2f allocs/op (ceiling %.1f)", got, startAllocCeiling)
 	if got > startAllocCeiling {
 		t.Errorf("warm Start allocates %.2f per op, ceiling %.1f", got, startAllocCeiling)
+	}
+	got = startAllocsPerRun(t, eng, "random")
+	t.Logf("warm random-order Start, 40 questions: %.2f allocs/op (ceiling %.1f)", got, randomStartAllocCeiling)
+	if got > randomStartAllocCeiling {
+		t.Errorf("warm random-order Start allocates %.2f per op, ceiling %.1f", got, randomStartAllocCeiling)
 	}
 }
 

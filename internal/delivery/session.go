@@ -264,7 +264,13 @@ func (e *Engine) Start(ctx context.Context, examID, studentID string, seed int64
 	if err != nil {
 		return nil, err
 	}
-	order, err := authoring.PresentationOrder(rec, seed)
+	// A RandomOrder sitting draws its order and its option permutations
+	// from one source, seeded with the sitting's seed.
+	var rng *rand.Rand
+	if rec.Display == item.RandomOrder {
+		rng = rand.New(rand.NewSource(seed))
+	}
+	order, err := authoring.PresentationOrder(rec, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -274,15 +280,13 @@ func (e *Engine) Start(ctx context.Context, examID, studentID string, seed int64
 	}
 	byID := make(map[string]*item.Problem, len(problems))
 	var perms map[string][]int
-	var rng *rand.Rand // one source for the sitting, re-seeded per problem
 	for i, p := range problems {
 		byID[p.ID] = p
 		// RandomOrder exams also permute each problem's options so
 		// neighbouring learners see different letters; Answer maps the
 		// presented key back to the authored one.
-		if rec.Display == item.RandomOrder && len(p.Options) > 1 {
-			if rng == nil {
-				rng = rand.New(rand.NewSource(seed))
+		if rng != nil && len(p.Options) > 1 {
+			if perms == nil {
 				perms = make(map[string][]int, len(problems))
 			}
 			perms[p.ID] = authoring.ShuffleOptions(p, seed+int64(i)*2654435761, rng)
@@ -527,12 +531,18 @@ func (s *Session) scoreLocked() (score, max float64) {
 	return score, max
 }
 
-// result converts the session into an analysis row. Callers hold s.mu.
+// result converts the session into an analysis row, built at its final
+// size: one response per problem in presentation order (none, and a nil
+// list, for an exam without problems). Callers hold s.mu.
 func (s *Session) result() analysis.StudentResult {
 	res := analysis.StudentResult{StudentID: s.StudentID}
-	for _, pid := range s.Order {
+	if len(s.Order) > 0 {
+		res.Responses = make([]analysis.Response, len(s.Order))
+	}
+	for i, pid := range s.Order {
 		p := s.problems[pid]
-		r := analysis.Response{StudentID: s.StudentID, ProblemID: pid}
+		r := &res.Responses[i]
+		r.StudentID, r.ProblemID = s.StudentID, pid
 		if a, ok := s.answers[pid]; ok {
 			r.Answered = true
 			r.Credit = a.credit
@@ -545,7 +555,6 @@ func (s *Session) result() analysis.StudentResult {
 				r.Option = a.response
 			}
 		}
-		res.Responses = append(res.Responses, r)
 	}
 	return res
 }
@@ -591,10 +600,11 @@ func (e *Engine) RTEExec(sessionID string, fn func(api *scorm.API)) error {
 }
 
 // CollectResults assembles the full response matrix of an exam from every
-// finished or expired session, ready for analysis. Sessions are visited
-// shard by shard and locked one at a time — collection never blocks the
-// whole engine, so learners on other exams keep answering while an
-// instructor exports results.
+// finished or expired session, ready for analysis; a running sitting past
+// its time limit is expired first. Sessions are visited shard by shard and
+// locked one at a time — collection never blocks the whole engine, so
+// learners on other exams keep answering while an instructor exports
+// results.
 func (e *Engine) CollectResults(examID string) (*analysis.ExamResult, error) {
 	rec, err := e.store.Exam(examID)
 	if err != nil {
@@ -609,11 +619,16 @@ func (e *Engine) CollectResults(examID string) (*analysis.ExamResult, error) {
 		Problems: problems,
 		TestTime: time.Duration(rec.TestTimeSeconds) * time.Second,
 	}
+	now := e.now()
 	for _, s := range e.all() {
 		if s.ExamID != examID {
 			continue
 		}
 		s.mu.Lock()
+		// A sitting past its limit expires here, as SessionSummaries
+		// expires it, so an abandoned sitting reaches the export
+		// without anyone reading it first.
+		_ = e.checkTime(context.Background(), s, now)
 		if s.state == StateFinished || s.state == StateExpired {
 			out.Students = append(out.Students, s.result())
 		}

@@ -11,6 +11,7 @@ import (
 	"mineassess/internal/bank"
 	"mineassess/internal/bank/banktest"
 	"mineassess/internal/cognition"
+	"mineassess/internal/events"
 	"mineassess/internal/item"
 	"mineassess/internal/scorm"
 )
@@ -356,6 +357,84 @@ func TestCollectResultsSkipsOpenSessions(t *testing.T) {
 	}
 	if len(res.Students) != 0 {
 		t.Errorf("open sessions must not appear in results: %d", len(res.Students))
+	}
+}
+
+// TestCollectResultsExpiresAbandonedSittings: a 10-minute sitting
+// abandoned after one answer reaches the export once its limit has passed,
+// without anyone reading it first, as an expired row holding its one
+// answer beside the sitting that finished. A second export publishes no
+// second session.expired.
+func TestCollectResultsExpiresAbandonedSittings(t *testing.T) {
+	store, examID := examFixture(t, false)
+	clock := newFakeClock()
+	eng := NewEngine(store, clock.Now, 0)
+	bus := events.NewBus(events.Options{Now: clock.Now})
+	defer bus.Close()
+	eng.SetEventBus(bus)
+	ctx := context.Background()
+
+	done, err := eng.Start(ctx, examID, "finisher", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 1; q <= 4; q++ {
+		clock.Advance(time.Minute)
+		if err := eng.Answer(ctx, done.ID, fmt.Sprintf("q%d", q), "A"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.Finish(ctx, done.ID); err != nil {
+		t.Fatal(err)
+	}
+	gone, err := eng.Start(ctx, examID, "quitter", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Minute)
+	if err := eng.Answer(ctx, gone.ID, "q1", "A"); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(2 * time.Hour)
+
+	for export := 1; export <= 2; export++ {
+		res, err := eng.CollectResults(examID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Students) != 2 {
+			t.Fatalf("export %d holds %d students, want the finished and the abandoned sitting", export, len(res.Students))
+		}
+		for _, st := range res.Students {
+			want := 4
+			if st.StudentID == "quitter" {
+				want = 1
+				if r := st.Responses[0]; r.ProblemID != "q1" || !r.Correct() {
+					t.Errorf("export %d: the abandoned sitting's answer is %+v, want q1 correct", export, r)
+				}
+			}
+			if got := st.AnsweredCount(); got != want || len(st.Responses) != 4 {
+				t.Errorf("export %d: %s has %d of %d responses answered, want %d of 4",
+					export, st.StudentID, got, len(st.Responses), want)
+			}
+		}
+	}
+	if st, err := eng.Status(gone.ID); err != nil || st.State != StateExpired {
+		t.Errorf("abandoned sitting status = %+v, %v; want expired", st, err)
+	}
+	sub := bus.Subscribe(events.SubscribeOptions{ExamID: examID, Replay: true})
+	defer sub.Close()
+	expired := 0
+	for _, ev := range sub.Take(nil) {
+		if ev.Type == events.SessionExpired {
+			expired++
+			if ev.SessionID != gone.ID || ev.Answered != 1 {
+				t.Errorf("session.expired for %s with %d answered, want %s with 1", ev.SessionID, ev.Answered, gone.ID)
+			}
+		}
+	}
+	if expired != 1 {
+		t.Errorf("two exports published %d session.expired events, want 1", expired)
 	}
 }
 

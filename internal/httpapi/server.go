@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"mineassess/internal/analysis"
 	"mineassess/internal/bank"
 	"mineassess/internal/catdelivery"
 	"mineassess/internal/delivery"
@@ -165,7 +166,7 @@ func (s *Server) table() []row {
 		// Administration, metrics and live streams (stream.go).
 		{"GET", "/v1/exams/{id}/grades", s.listGrades},
 		{"POST", "/v1/grades", s.assignGrade},
-		{"GET", "/v1/exams/{id}/results", getJSON(s.engine.CollectResults)},
+		{"GET", "/v1/exams/{id}/results", s.exportResults},
 		{"GET", "/v1/metrics", s.getMetrics},
 		{"GET", "/v1/exams/{id}/live", streaming(s.examLive)},
 		{"GET", "/v1/events:stream", streaming(s.eventStream)},
@@ -189,7 +190,7 @@ func (s *Server) table() []row {
 		{"GET", "/api/admin/sessions", examParam(s.listSessions)},
 		{"GET", "/api/admin/grades", examParam(s.listGrades)},
 		{"POST", "/api/admin/grades", s.assignGrade},
-		{"GET", "/api/admin/results", examParam(getJSON(s.engine.CollectResults))},
+		{"GET", "/api/admin/results", examParam(s.exportResults)},
 	}
 }
 
@@ -367,6 +368,20 @@ func (s *Server) listSessions(w http.ResponseWriter, _ *http.Request, examID str
 		sums = []delivery.Status{} // JSON [] for empty, never null
 	}
 	writeJSON(w, http.StatusOK, sums)
+}
+
+// exportResults serves an exam's results export. analysis.EncodeResult
+// writes it one student at a time, so the body goes out chunked and no
+// buffer holds the whole export; its bytes are writeJSON's.
+func (s *Server) exportResults(w http.ResponseWriter, _ *http.Request, examID string) {
+	res, err := s.engine.CollectResults(examID)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = analysis.EncodeResult(w, res)
 }
 
 // listGrades serves the manual-grading worklist for one exam.

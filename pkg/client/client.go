@@ -134,6 +134,17 @@ func New(baseURL string, opts ...Option) *Client {
 // value is decoded, and a body closed before its end costs the keep-alive
 // connection.
 func (c *Client) do(method, path string, in, out any) error {
+	if out == nil {
+		return c.send(method, path, in, nil)
+	}
+	return c.send(method, path, in, func(r io.Reader) error {
+		return json.NewDecoder(r).Decode(out)
+	})
+}
+
+// send is do with the decode left to the caller: decode reads the body of
+// a 2xx response that has one (nil discards it).
+func (c *Client) send(method, path string, in any, decode func(io.Reader) error) error {
 	var body io.Reader
 	if in != nil {
 		raw, err := json.Marshal(in)
@@ -160,8 +171,8 @@ func (c *Client) do(method, path string, in, out any) error {
 	if resp.StatusCode >= 400 {
 		return decodeAPIError(resp)
 	}
-	if out != nil && resp.StatusCode != http.StatusNoContent {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if decode != nil && resp.StatusCode != http.StatusNoContent {
+		if err := decode(resp.Body); err != nil {
 			return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
 		}
 	}
@@ -414,13 +425,20 @@ func (c *Client) AssignGrade(sessionID, problemID string, credit float64) error 
 		api.GradeRequest{SessionID: sessionID, ProblemID: problemID, Credit: credit}, nil)
 }
 
-// Results exports the exam's collected response matrix for analysis.
+// Results exports the exam's collected response matrix for analysis. The
+// export is read one student at a time (analysis.DecodeResult), so what
+// the SDK buffers does not grow with the class.
 func (c *Client) Results(examID string) (*analysis.ExamResult, error) {
-	var out analysis.ExamResult
-	if err := c.do(http.MethodGet, "/v1/exams/"+url.PathEscape(examID)+"/results", nil, &out); err != nil {
+	var out *analysis.ExamResult
+	err := c.send(http.MethodGet, "/v1/exams/"+url.PathEscape(examID)+"/results", nil,
+		func(r io.Reader) (err error) {
+			out, err = analysis.DecodeResult(r)
+			return err
+		})
+	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	return out, nil
 }
 
 // Metrics fetches the server's metrics snapshot.
