@@ -8,6 +8,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Result persistence: sittings are written as JSON so analyses can be rerun
@@ -22,12 +23,23 @@ import (
 // the same size however large the class is.
 const encodeFlushBytes = 32 << 10
 
+// encodeBufs lends EncodeResult its buffer, so an export allocates none. A
+// buffer that a huge student grew past encodeKeepBytes goes to the
+// collector instead, so the pool holds only buffers of about the size every
+// export needs.
+var encodeBufs = sync.Pool{New: func() any {
+	return bytes.NewBuffer(make([]byte, 0, 2*encodeFlushBytes))
+}}
+
+const encodeKeepBytes = 4 * 2 * encodeFlushBytes
+
 // EncodeResult writes exactly the bytes json.NewEncoder(w).Encode(e) writes,
 // but encodes one student at a time into one reused buffer and writes it on
 // every encodeFlushBytes, so no buffer ever holds the whole result. What it
 // wrote before an error stays written.
 func EncodeResult(w io.Writer, e *ExamResult) error {
-	buf := bytes.NewBuffer(make([]byte, 0, 2*encodeFlushBytes))
+	buf := encodeBufs.Get().(*bytes.Buffer)
+	defer releaseEncodeBuf(buf)
 	enc := json.NewEncoder(buf)
 	// put appends v's encoding without the newline Encode ends it with,
 	// and writes the buffer on once it passes encodeFlushBytes.
@@ -73,6 +85,16 @@ func EncodeResult(w io.Writer, e *ExamResult) error {
 	buf.WriteString("}\n")
 	_, err := w.Write(buf.Bytes())
 	return err
+}
+
+// releaseEncodeBuf returns an EncodeResult buffer to the pool, unless it
+// grew past encodeKeepBytes.
+func releaseEncodeBuf(buf *bytes.Buffer) {
+	if buf.Cap() > encodeKeepBytes {
+		return
+	}
+	buf.Reset()
+	encodeBufs.Put(buf)
 }
 
 // DecodeResult reads the value json.NewDecoder(r).Decode(&ExamResult{})

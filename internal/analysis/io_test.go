@@ -104,8 +104,9 @@ func smallResult(t testing.TB) *ExamResult {
 
 // TestEncodeResultMatchesEncoder: EncodeResult writes the bytes
 // json.NewEncoder(w).Encode writes, for a class larger than its flush size,
-// with and without a time limit, with no ended sitting or no problems, and
-// for text encoding/json escapes.
+// with and without a time limit, with no ended sitting or no problems, for
+// text encoding/json escapes, and for a student too large for the buffer
+// it reuses.
 func TestEncodeResultMatchesEncoder(t *testing.T) {
 	timed := workedClassExam(t)
 	timed.TestTime = 10 * time.Minute
@@ -113,6 +114,9 @@ func TestEncodeResultMatchesEncoder(t *testing.T) {
 	negative.TestTime = -time.Second
 	noRows := smallResult(t)
 	noRows.Students[1].Responses = nil
+	// One student larger than the buffer EncodeResult keeps for reuse.
+	hugeStudent := smallResult(t)
+	hugeStudent.Students[0].Responses[0].Option = strings.Repeat("x", 2*encodeKeepBytes)
 	cases := map[string]*ExamResult{
 		"worked class":     workedClassExam(t),
 		"teacher class":    teacherClass(t, 250, 40, 1),
@@ -122,6 +126,7 @@ func TestEncodeResultMatchesEncoder(t *testing.T) {
 		"no students":      {ExamID: "e", Problems: timed.Problems, Students: []StudentResult{}},
 		"nil responses":    noRows,
 		"escaped text":     htmlResult(t),
+		"huge student":     hugeStudent,
 		"zero":             {},
 	}
 	for name, e := range cases {
@@ -269,6 +274,34 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		if err == nil && !reflect.DeepEqual(*got, want) {
 			t.Fatalf("DecodeResult = %+v, encoding/json = %+v, input %q", *got, want, data)
+		}
+	})
+}
+
+// FuzzReadResult: for any input, ReadResult either fails or returns a
+// result that passes Validate again; it never panics.
+func FuzzReadResult(f *testing.F) {
+	var compact bytes.Buffer
+	if err := EncodeResult(&compact, smallResult(f)); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		compact.String(),
+		`{"problems":[null],"students":[{}]}`,
+		`{"problems":[{"id":"p1"},null],"students":[null]}`,
+		`{"problems":[{"id":"p1"},{"id":"p1"}],"students":[{}]}`,
+		`{"problems":[{"id":"p1"}],"students":[{"responses":[{"problemId":"p2"}]}]}`,
+		`{"problems":[{"id":"p1"}],"students":[{"responses":[{"problemId":"p1","credit":1.5}]}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := ReadResult(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := e.Validate(); err != nil {
+			t.Fatalf("ReadResult accepted %q, which then fails Validate: %v", data, err)
 		}
 	})
 }

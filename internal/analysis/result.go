@@ -108,7 +108,10 @@ func (e *ExamResult) Validate() error {
 		return ErrNoStudents
 	}
 	ids := make(map[string]struct{}, len(e.Problems))
-	for _, p := range e.Problems {
+	for i, p := range e.Problems {
+		if p == nil {
+			return fmt.Errorf("analysis: problem %d of exam %q is null", i, e.ExamID)
+		}
 		if _, dup := ids[p.ID]; dup {
 			return fmt.Errorf("analysis: duplicate problem %q in exam %q", p.ID, e.ExamID)
 		}

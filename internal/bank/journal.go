@@ -16,9 +16,10 @@ import (
 	"mineassess/internal/wal"
 )
 
-// errJournalClosed is returned by every operation on a closed or poisoned
-// journal.
-var errJournalClosed = errors.New("bank: journal is closed")
+// ErrJournalClosed is returned by every operation on a closed or poisoned
+// journal, and wraps the failure that poisoned it: the server has stopped
+// persisting, whatever the request was.
+var ErrJournalClosed = errors.New("bank: journal is closed")
 
 // Journal adds write-ahead durability to a Sharded backend. Instead of
 // rewriting the whole bank file on every change (Save is O(bank)), each
@@ -385,7 +386,7 @@ func (j *Journal) mutate(ctx context.Context, apply func() (walRecord, error)) e
 		j.mu.Unlock()
 		span.SetError()
 		span.End()
-		return errJournalClosed
+		return ErrJournalClosed
 	}
 	rec, err := apply()
 	if err != nil {
@@ -488,7 +489,7 @@ func (j *Journal) drainQueue() {
 			return
 		}
 		if poisoned {
-			failBatch(batch, errJournalClosed)
+			failBatch(batch, ErrJournalClosed)
 			continue
 		}
 		j.commitBatch(batch)
@@ -540,7 +541,7 @@ func (j *Journal) commitBatch(batch []*pendingCommit) {
 	}
 	if err != nil {
 		j.markPoisoned()
-		failBatch(batch[acked:], fmt.Errorf("bank: %w (journal now closed)", err))
+		failBatch(batch[acked:], fmt.Errorf("%w: %w", ErrJournalClosed, err))
 	}
 }
 
@@ -593,7 +594,7 @@ func (j *Journal) Compact() error {
 	j.mu.Lock()
 	if j.closed || j.poisoned {
 		j.mu.Unlock()
-		return errJournalClosed
+		return ErrJournalClosed
 	}
 	j.mu.Unlock()
 	req := make(chan error, 1)
@@ -601,7 +602,7 @@ func (j *Journal) Compact() error {
 	case j.compactReqs <- req:
 		return <-req
 	case <-j.committerDone:
-		return errJournalClosed
+		return ErrJournalClosed
 	}
 }
 
@@ -654,7 +655,7 @@ func (j *Journal) compactCommitter() error {
 		if j.poisoned {
 			j.unpauseLocked()
 			j.mu.Unlock()
-			return errJournalClosed
+			return ErrJournalClosed
 		}
 		if len(j.queue) != 0 {
 			if attempt+1 >= compactStallAfter {
@@ -682,7 +683,7 @@ func (j *Journal) compactCommitter() error {
 	}
 	if err := j.wal.Truncate(); err != nil {
 		j.markPoisoned()
-		return fmt.Errorf("bank: %w (journal now closed)", err)
+		return fmt.Errorf("%w: %w", ErrJournalClosed, err)
 	}
 	j.dirty = 0
 	j.mu.Lock()

@@ -3,10 +3,13 @@ package delivery
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"mineassess/internal/analysis"
 	"mineassess/internal/bank"
 	"mineassess/internal/bank/banktest"
 	"mineassess/internal/cognition"
@@ -305,4 +308,102 @@ func TestRTEConcurrentWithAnswers(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestConcurrentExportAndGrade races exports, which collect every ended
+// sitting's row and encode it, against manual grades, finishes and the
+// clock expiring the sittings left running, all on one timed exam. Under
+// -race it shows that no row is edited while an export reads it. Once the
+// race is over every sitting has ended and exports its last grade.
+func TestConcurrentExportAndGrade(t *testing.T) {
+	ctx := context.Background()
+	store, _ := essayExamFixture(t)
+	examID := addTimedEssayExam(t, store)
+	base := newFakeClock().Now()
+	var offset atomic.Int64
+	eng := NewEngine(store, func() time.Time { return base.Add(time.Duration(offset.Load())) }, 0)
+
+	const sittings = 16
+	ids := make([]string, sittings)
+	for i := range ids {
+		sess, err := eng.Start(ctx, examID, fmt.Sprintf("w%02d", i), int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Answer(ctx, sess.ID, "essay1", "an essay"); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Answer(ctx, sess.ID, "mc1", "A"); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = sess.ID
+	}
+
+	var exporters, work sync.WaitGroup
+	var done atomic.Bool
+	for x := 0; x < 2; x++ {
+		exporters.Add(1)
+		go func() {
+			defer exporters.Done()
+			for !done.Load() {
+				res, err := eng.CollectResults(examID)
+				if err == nil {
+					err = analysis.EncodeResult(io.Discard, res)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		work.Add(1)
+		go func() {
+			defer work.Done()
+			for round := 0; round < 20; round++ {
+				for _, id := range ids {
+					if err := eng.AssignGrade(id, "essay1", float64(round%4)/4); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	work.Add(2)
+	go func() { // finishes the even sittings
+		defer work.Done()
+		for i := 0; i < sittings; i += 2 {
+			if _, err := eng.Finish(ctx, ids[i]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // runs the clock past the limit: the sittings still running expire
+		defer work.Done()
+		offset.Add(int64(2 * time.Minute))
+	}()
+	work.Wait()
+	for _, id := range ids {
+		if err := eng.AssignGrade(id, "essay1", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Store(true)
+	exporters.Wait()
+
+	res, err := eng.CollectResults(examID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Students) != sittings {
+		t.Fatalf("collected %d sittings, want all %d ended", len(res.Students), sittings)
+	}
+	for _, s := range res.Students {
+		if r := s.Responses[0]; r.ProblemID != "essay1" || r.Credit != 1 {
+			t.Errorf("student %s exports %+v, want essay1 at its last grade 1", s.StudentID, r)
+		}
+	}
 }

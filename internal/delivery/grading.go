@@ -9,7 +9,9 @@ import (
 // Manual grading: essay answers cannot be auto-graded (item.Problem.Grade
 // reports ok=false), so instructors score them after the sitting. Grades
 // may be assigned on running or closed sessions; results collected after
-// grading reflect the assigned credit.
+// grading reflect the assigned credit. A grade on an ended sitting builds
+// its row anew, so a reply or export holding the earlier row still reads
+// what it read.
 
 // Errors for the grading workflow.
 var (
@@ -31,10 +33,7 @@ type PendingGrade struct {
 // are locked one at a time; the worklist never freezes active learners.
 func (e *Engine) PendingGrades(examID string) []PendingGrade {
 	var out []PendingGrade
-	for _, s := range e.all() {
-		if s.ExamID != examID {
-			continue
-		}
+	for _, s := range e.examSessions(examID) {
 		s.mu.Lock()
 		for _, pid := range s.Order {
 			a, ok := s.answers[pid]
@@ -74,6 +73,9 @@ func (e *Engine) AssignGrade(sessionID, problemID string, credit float64) error 
 	}
 	a.credit = credit
 	s.answers[problemID] = a
+	if s.row != nil {
+		s.row = s.result() // replaced, never edited: the old row is shared
+	}
 	return nil
 }
 
@@ -83,10 +85,7 @@ func (e *Engine) AssignGrade(sessionID, problemID string, credit float64) error 
 func (e *Engine) SessionSummaries(examID string) []Status {
 	now := e.now()
 	var out []Status
-	for _, s := range e.all() {
-		if s.ExamID != examID {
-			continue
-		}
+	for _, s := range e.examSessions(examID) {
 		s.mu.Lock()
 		_ = e.checkTime(context.Background(), s, now)
 		st := s.snapshotStatus(now)

@@ -3,6 +3,8 @@ package delivery
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -135,5 +137,95 @@ func TestSessionSummaries(t *testing.T) {
 	}
 	if got := eng.SessionSummaries("other"); len(got) != 0 {
 		t.Errorf("other exam summaries = %v", got)
+	}
+}
+
+// addTimedEssayExam stores the essay fixture's problems as a second exam
+// with a one-minute limit.
+func addTimedEssayExam(t *testing.T, store bank.Storage) string {
+	t.Helper()
+	rec := &bank.ExamRecord{ID: "timedessay", Title: "Timed essay exam",
+		ProblemIDs: []string{"essay1", "mc1"}, Display: item.FixedOrder, TestTimeSeconds: 60}
+	if err := store.AddExam(rec); err != nil {
+		t.Fatal(err)
+	}
+	return rec.ID
+}
+
+// TestResultRowSharedAndReplaced: a sitting builds its result row once,
+// when it ends, and hands that row out shared. Finish, a re-finish and
+// CollectResults return one row, the same backing array; an expired
+// sitting's row exists from its expiry; and a grade after the end replaces
+// the row, so the row an earlier reply holds still reads what it read while
+// the next export carries the new credit.
+func TestResultRowSharedAndReplaced(t *testing.T) {
+	ctx := context.Background()
+	store, examID := essayExamFixture(t)
+	timedID := addTimedEssayExam(t, store)
+	clock := newFakeClock()
+	eng := NewEngine(store, clock.Now, 0)
+
+	sess, err := eng.Start(ctx, examID, "alice", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Second)
+	if err := eng.Answer(ctx, sess.ID, "essay1", "an essay"); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := eng.Finish(ctx, sess.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := eng.Finish(ctx, sess.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected, err := eng.CollectResults(examID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(collected.Students) != 1 {
+		t.Fatalf("collected %d students, want 1", len(collected.Students))
+	}
+	first := &reply.Responses[0]
+	if &again.Responses[0] != first || &collected.Students[0].Responses[0] != first {
+		t.Error("Finish, a re-finish and CollectResults built separate rows, want one shared row")
+	}
+
+	late, err := eng.Start(ctx, timedID, "bob", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Hour)
+	if st, err := eng.Status(late.ID); err != nil || st.State != StateExpired {
+		t.Fatalf("status = %+v, %v; want expired", st, err)
+	}
+	late.mu.Lock()
+	expiredRow := late.row
+	late.mu.Unlock()
+	if expiredRow == nil {
+		t.Fatal("the expired sitting has no row")
+	}
+	if res, err := eng.Finish(ctx, late.ID); err != nil || res != expiredRow {
+		t.Errorf("Finish of the expired sitting = %p, %v; want the row built at expiry %p", res, err, expiredRow)
+	}
+
+	before := slices.Clone(reply.Responses)
+	if err := eng.AssignGrade(sess.ID, "essay1", 0.75); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(reply.Responses, before) {
+		t.Errorf("a grade edited the row an earlier Finish returned: %+v, was %+v", reply.Responses, before)
+	}
+	regraded, err := eng.CollectResults(examID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := regraded.Students[0].Responses[0]; r.ProblemID != "essay1" || r.Credit != 0.75 {
+		t.Errorf("the export after the grade carries %+v, want essay1 at credit 0.75", r)
+	}
+	if &regraded.Students[0].Responses[0] == first {
+		t.Error("the export after the grade reads the old row")
 	}
 }

@@ -20,7 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,7 +115,11 @@ type Session struct {
 	// perms holds the option permutation of each problem a RandomOrder
 	// sitting presents with its options in its own order (see
 	// authoring.ShuffleOptions); nil on other sittings.
-	perms   map[string][]int
+	perms map[string][]int
+	// row is the sitting's result, built when it ends (see end) and nil
+	// until then. It is shared with every caller that received it, so it
+	// is replaced, never modified.
+	row     *analysis.StudentResult
 	api     *scorm.API
 	data    *scorm.DataModel
 	monitor Monitor
@@ -242,11 +247,18 @@ func (e *Engine) session(id string) (*Session, error) {
 	return s, nil
 }
 
-// all returns every registered session sorted by ID (see shardmap.Map.Values
-// for the scan guarantee).
-func (e *Engine) all() []*Session {
-	out := e.sessions.Values()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+// examSessions returns the exam's registered sessions sorted by ID (see
+// shardmap.Map.Values for the scan guarantee). It filters the registry's
+// snapshot in place before sorting it, so the sort sees only this exam.
+func (e *Engine) examSessions(examID string) []*Session {
+	all := e.sessions.Values()
+	out := all[:0]
+	for _, s := range all {
+		if s.ExamID == examID {
+			out = append(out, s)
+		}
+	}
+	slices.SortFunc(out, func(a, b *Session) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -344,7 +356,7 @@ func (e *Engine) checkTime(ctx context.Context, s *Session, now time.Time) error
 	if s.limit > 0 && s.state == StateRunning && s.elapsedActive(now) >= s.limit {
 		s.activeSpent = s.limit
 		s.state = StateExpired
-		e.finishRTE(s)
+		e.end(s)
 		score, max := s.scoreLocked()
 		e.bus.Publish(trace.Detach(ctx), events.Event{
 			Type: events.SessionExpired, ExamID: s.ExamID, SessionID: s.ID,
@@ -450,7 +462,10 @@ func (e *Engine) Resume(sessionID string) error {
 }
 
 // Finish closes the session, grades it, and writes score and status into
-// the CMI data model. A traced ctx gains an engine.finish span.
+// the CMI data model. It returns the sitting's result row, the one it
+// built when the sitting ended: a re-finish returns the same row, and
+// CollectResults shares it. Callers must not modify it. A traced ctx gains
+// an engine.finish span.
 func (e *Engine) Finish(ctx context.Context, sessionID string) (_ *analysis.StudentResult, err error) {
 	ctx, sp := trace.StartSpan(ctx, "engine.finish")
 	defer sp.EndErr(&err)
@@ -468,13 +483,13 @@ func (e *Engine) Finish(ctx context.Context, sessionID string) (_ *analysis.Stud
 	case StateRunning:
 		s.activeSpent += now.Sub(s.lastEvent)
 		s.state = StateFinished
-		e.finishRTE(s)
+		e.end(s)
 		finished = true
 	case StateExpired:
 		// already closed by checkTime
 	case StatePaused:
 		s.state = StateFinished
-		e.finishRTE(s)
+		e.end(s)
 		finished = true
 	case StateFinished:
 		// idempotent: re-emit the result
@@ -489,13 +504,13 @@ func (e *Engine) Finish(ctx context.Context, sessionID string) (_ *analysis.Stud
 			Score: score, MaxScore: max, At: now,
 		})
 	}
-	res := s.result()
-	return &res, nil
+	return s.row, nil
 }
 
-// finishRTE writes score/status and finishes the RTE attempt. Callers hold
-// s.mu.
-func (e *Engine) finishRTE(s *Session) {
+// end closes a sitting that has just finished or expired: it writes
+// score/status, finishes the RTE attempt and builds the result row the
+// sitting keeps from now on. Callers hold s.mu.
+func (e *Engine) end(s *Session) {
 	score, max := s.scoreLocked()
 	if s.api.Running() {
 		if max > 0 {
@@ -514,6 +529,7 @@ func (e *Engine) finishRTE(s *Session) {
 			secs/3600, (secs%3600)/60, secs%60))
 		s.api.LMSFinish("")
 	}
+	s.row = s.result()
 }
 
 // scoreLocked totals earned and maximum weighted credit over the scored
@@ -531,11 +547,11 @@ func (s *Session) scoreLocked() (score, max float64) {
 	return score, max
 }
 
-// result converts the session into an analysis row, built at its final
+// result converts the session into a new analysis row, built at its final
 // size: one response per problem in presentation order (none, and a nil
 // list, for an exam without problems). Callers hold s.mu.
-func (s *Session) result() analysis.StudentResult {
-	res := analysis.StudentResult{StudentID: s.StudentID}
+func (s *Session) result() *analysis.StudentResult {
+	res := &analysis.StudentResult{StudentID: s.StudentID}
 	if len(s.Order) > 0 {
 		res.Responses = make([]analysis.Response, len(s.Order))
 	}
@@ -604,7 +620,9 @@ func (e *Engine) RTEExec(sessionID string, fn func(api *scorm.API)) error {
 // its time limit is expired first. Sessions are visited shard by shard and
 // locked one at a time — collection never blocks the whole engine, so
 // learners on other exams keep answering while an instructor exports
-// results.
+// results. Each student is the row its sitting built when it ended, shared
+// with Finish's callers and every other collection: callers must not
+// modify the rows.
 func (e *Engine) CollectResults(examID string) (*analysis.ExamResult, error) {
 	rec, err := e.store.Exam(examID)
 	if err != nil {
@@ -620,19 +638,22 @@ func (e *Engine) CollectResults(examID string) (*analysis.ExamResult, error) {
 		TestTime: time.Duration(rec.TestTimeSeconds) * time.Second,
 	}
 	now := e.now()
-	for _, s := range e.all() {
-		if s.ExamID != examID {
-			continue
-		}
+	sessions := e.examSessions(examID)
+	for _, s := range sessions {
 		s.mu.Lock()
 		// A sitting past its limit expires here, as SessionSummaries
 		// expires it, so an abandoned sitting reaches the export
 		// without anyone reading it first.
 		_ = e.checkTime(context.Background(), s, now)
-		if s.state == StateFinished || s.state == StateExpired {
-			out.Students = append(out.Students, s.result())
-		}
+		row := s.row
 		s.mu.Unlock()
+		if row == nil { // still running or paused
+			continue
+		}
+		if out.Students == nil { // nil, the export's null, until a sitting has ended
+			out.Students = make([]analysis.StudentResult, 0, len(sessions))
+		}
+		out.Students = append(out.Students, *row)
 	}
 	return out, nil
 }

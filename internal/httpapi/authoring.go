@@ -36,11 +36,12 @@ func checkResourceID(w http.ResponseWriter, id string) bool {
 }
 
 // writeAuthoringError maps store mutation failures: sentinel errors keep
-// their taxonomy codes; anything else from the bank layer is a validation
-// failure of the submitted payload, not a server fault.
+// their taxonomy codes, and a closed journal stays the server fault it is;
+// anything else from the bank layer is a validation failure of the
+// submitted payload.
 func writeAuthoringError(w http.ResponseWriter, err error) {
 	e := FromError(err)
-	if e.Code == CodeInternal {
+	if e.Code == CodeInternal && !errors.Is(err, bank.ErrJournalClosed) {
 		e = &Error{Code: CodeValidation, Message: err.Error()}
 	}
 	writeErr(w, e)

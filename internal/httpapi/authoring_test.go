@@ -1,15 +1,19 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"mineassess/internal/analysis"
 	"mineassess/internal/bank"
 	"mineassess/internal/bank/banktest"
 	"mineassess/internal/cognition"
 	"mineassess/internal/item"
+	"mineassess/internal/wal"
 )
 
 func mustProblem(t *testing.T, id string, concept string, level cognition.Level) *item.Problem {
@@ -209,5 +213,101 @@ func mustUnmarshal(t *testing.T, raw []byte, v any) {
 	t.Helper()
 	if err := json.Unmarshal(raw, v); err != nil {
 		t.Fatalf("unmarshal: %v\n%s", err, raw)
+	}
+}
+
+// journalServer serves a fresh engine over the journal in dir, in a
+// guarded store.
+func journalServer(t *testing.T, dir string) (*httptest.Server, *bank.Journal) {
+	t.Helper()
+	j, err := bank.OpenJournal(dir, bank.NewSharded(0), bank.JournalOptions{Sync: wal.SyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = j.Close() })
+	srv, _ := serverOver(t, banktest.Guard(t, j))
+	return srv, j
+}
+
+// TestQuestionnaireWithoutLevelRoundTrips: a questionnaire needs no
+// cognition level (§3.3 I). One authored without a level is stored and
+// journaled, reads back over GET, leaves the journal writing, survives a
+// close and reopen, and reaches the export of a sitting that answered it.
+func TestQuestionnaireWithoutLevelRoundTrips(t *testing.T) {
+	dir := t.TempDir()
+	srv, j := journalServer(t, dir)
+	survey := json.RawMessage(`{"id":"sv","style":"Questionnaire","question":"How was it?"}`)
+	if code, raw := doJSON(t, http.MethodPost, srv.URL+"/v1/problems", survey, nil); code != http.StatusCreated {
+		t.Fatalf("create questionnaire = %d %s", code, raw)
+	}
+	code, raw := doJSON(t, http.MethodGet, srv.URL+"/v1/problems/sv", nil, nil)
+	if code != http.StatusOK || strings.Contains(string(raw), `"level"`) {
+		t.Fatalf("get questionnaire = %d %s, want 200 without a level", code, raw)
+	}
+	// The journal still accepts writes.
+	if code, raw := doJSON(t, http.MethodPost, srv.URL+"/v1/problems",
+		mustProblem(t, "mc", "c1", cognition.Knowledge), nil); code != http.StatusCreated {
+		t.Fatalf("create after the questionnaire = %d %s", code, raw)
+	}
+	exam := &bank.ExamRecord{ID: "survey", Title: "Survey", ProblemIDs: []string{"mc", "sv"}}
+	if code, raw := doJSON(t, http.MethodPost, srv.URL+"/v1/exams", exam, nil); code != http.StatusCreated {
+		t.Fatalf("create exam = %d %s", code, raw)
+	}
+	sr := startV1(t, srv.URL, exam.ID, "alice")
+	for pid, resp := range map[string]string{"mc": "A", "sv": "Fine"} {
+		if code, raw := doJSON(t, http.MethodPost, srv.URL+"/v1/sessions/"+sr.SessionID+":answer",
+			AnswerRequest{ProblemID: pid, Response: resp}, nil); code != http.StatusOK {
+			t.Fatalf("answer %s = %d %s", pid, code, raw)
+		}
+	}
+	if code, raw := doJSON(t, http.MethodPost, srv.URL+"/v1/sessions/"+sr.SessionID+":finish", nil, nil); code != http.StatusOK {
+		t.Fatalf("finish = %d %s", code, raw)
+	}
+	code, raw = doJSON(t, http.MethodGet, srv.URL+"/v1/exams/survey/results", nil, nil)
+	if code != http.StatusOK {
+		t.Fatalf("export = %d %s", code, raw)
+	}
+	res, err := analysis.ReadResult(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("export %s: %v", raw, err)
+	}
+	if p := res.Problem("sv"); p == nil || p.Style != item.Questionnaire || p.Level != 0 {
+		t.Errorf("exported questionnaire = %+v", p)
+	}
+	if r := res.Students[0].Responses[1]; r.ProblemID != "sv" || r.Option != "Fine" {
+		t.Errorf("exported questionnaire response = %+v", r)
+	}
+
+	srv.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := bank.OpenJournal(dir, bank.NewSharded(0), bank.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	p, err := reopened.Problem("sv")
+	if err != nil || p.Style != item.Questionnaire || p.Level != 0 || p.Question != "How was it?" {
+		t.Fatalf("reopened questionnaire = %+v, %v", p, err)
+	}
+	if _, err := reopened.Exam("survey"); err != nil {
+		t.Fatalf("reopened exam: %v", err)
+	}
+}
+
+// TestClosedJournalAnswersInternal: once the journal has stopped
+// persisting, a valid write is the server's failure, 500 INTERNAL with the
+// message redacted, not the client's 400.
+func TestClosedJournalAnswersInternal(t *testing.T) {
+	srv, j := journalServer(t, t.TempDir())
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	code, raw := doJSON(t, http.MethodPost, srv.URL+"/v1/problems",
+		mustProblem(t, "p1", "c1", cognition.Knowledge), nil)
+	wantEnvelope(t, code, raw, CodeInternal)
+	if strings.Contains(string(raw), "journal") {
+		t.Errorf("envelope %s leaks the internal error", raw)
 	}
 }

@@ -85,6 +85,9 @@ func statusOf(c Code) int {
 func FromError(err error) *Error {
 	code := CodeInternal
 	switch {
+	case errors.Is(err, bank.ErrJournalClosed):
+		// The server has stopped persisting: its fault, whatever the
+		// request, so the code stays INTERNAL and the message redacted.
 	case errors.Is(err, delivery.ErrSessionNotFound):
 		code = CodeSessionNotFound
 	case errors.Is(err, bank.ErrExamNotFound):

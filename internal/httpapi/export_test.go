@@ -20,11 +20,13 @@ import (
 )
 
 // exportKB is the recorded cost of one results export of 250 finished
-// 40-question sittings, in KB allocated, with a GC before the call: the
-// rows built at their final size and the encoder's one reused buffer. A
-// reading may exceed it by 20% plus half a KB of noise.
+// 40-question sittings, in KB allocated, with a GC before the call. The
+// sittings built their rows when they ended, so the export allocates the
+// student list and, when the GC emptied the pools they come from, the
+// encoder's 64 KB buffer and encoding/json's scratch: a pool miss, the most
+// a call costs. A reading may exceed it by 20% plus half a KB of noise.
 const (
-	exportKB        = 860
+	exportKB        = 100
 	exportKBCeiling = exportKB*1.2 + 0.5
 )
 

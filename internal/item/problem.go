@@ -3,6 +3,7 @@ package item
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"mineassess/internal/cognition"
@@ -41,7 +42,8 @@ type Problem struct {
 	// two-way specification table.
 	ConceptID string `json:"conceptId"`
 	// Level is the Bloom cognition level the question exercises (§3.1).
-	Level cognition.Level `json:"level"`
+	// Only scored styles need one; an unset level is omitted from the JSON.
+	Level cognition.Level `json:"level,omitempty"`
 
 	Question string `json:"question"`
 	Hint     string `json:"hint,omitempty"`
@@ -94,7 +96,8 @@ var (
 	ErrEmptyBlank       = errors.New("item: completion blank needs at least one accepted answer")
 	ErrNoPairs          = errors.New("item: match needs at least two pairs")
 	ErrDuplicatePairKey = errors.New("item: duplicate match left side")
-	ErrInvalidLevel     = errors.New("item: scored problems need a valid cognition level")
+	ErrInvalidLevel     = errors.New("item: scored problems need a valid cognition level, others a valid one or none")
+	ErrNotFinite        = errors.New("item: points, difficulty and discrimination must be finite")
 )
 
 // NewMultipleChoice builds a multiple-choice problem with options keyed
@@ -170,8 +173,15 @@ func (p *Problem) Validate() error {
 	if strings.TrimSpace(p.Question) == "" {
 		return fmt.Errorf("%w (problem %s)", ErrEmptyQuestion, p.ID)
 	}
-	if p.Style.Scored() && !p.Level.Valid() {
+	if (p.Style.Scored() || p.Level != 0) && !p.Level.Valid() {
 		return fmt.Errorf("%w (problem %s)", ErrInvalidLevel, p.ID)
+	}
+	// JSON has no NaN or infinity, so a problem holding one could be
+	// stored but never encoded.
+	for _, f := range [...]float64{p.Points, p.Difficulty, p.Discrimination} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("%w (problem %s)", ErrNotFinite, p.ID)
+		}
 	}
 	switch p.Style {
 	case MultipleChoice:

@@ -1,7 +1,9 @@
 package item
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -74,10 +76,55 @@ func TestValidateMissingLevel(t *testing.T) {
 	if err := p.Validate(); !errors.Is(err, ErrInvalidLevel) {
 		t.Errorf("err = %v, want ErrInvalidLevel", err)
 	}
-	// Questionnaires are unscored and need no level.
+	// Questionnaires are unscored and need no level, but one they carry
+	// must be valid.
 	q := &Problem{ID: "s1", Style: Questionnaire, Question: "How was the course?"}
 	if err := q.Validate(); err != nil {
 		t.Errorf("questionnaire without level should validate: %v", err)
+	}
+	q.Level = cognition.Evaluation + 1
+	if err := q.Validate(); !errors.Is(err, ErrInvalidLevel) {
+		t.Errorf("questionnaire with level %d: err = %v, want ErrInvalidLevel", q.Level, err)
+	}
+}
+
+// TestEveryValidProblemEncodes: what Validate accepts json.Marshal can
+// encode and decode back. A questionnaire without a level omits it, and a
+// level that is set encodes by name; Validate refuses the NaN and infinite
+// numbers JSON cannot hold.
+func TestEveryValidProblemEncodes(t *testing.T) {
+	for _, p := range []*Problem{
+		{ID: "s1", Style: Questionnaire, Question: "How was the course?"},
+		{ID: "s2", Style: Questionnaire, Question: "How was the course?", Level: cognition.Evaluation},
+		validMC(t),
+	} {
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.ID, err)
+		}
+		if got := strings.Contains(string(raw), `"level"`); got != (p.Level != 0) {
+			t.Errorf("%s (level %d) encodes as %s", p.ID, p.Level, raw)
+		}
+		var back Problem
+		if err := json.Unmarshal(raw, &back); err != nil || back.Level != p.Level || back.Style != p.Style {
+			t.Errorf("%s decodes to %+v, %v", p.ID, back, err)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, set := range map[string]func(*Problem){
+			"points":         func(p *Problem) { p.Points = f },
+			"difficulty":     func(p *Problem) { p.Difficulty = f },
+			"discrimination": func(p *Problem) { p.Discrimination = f },
+		} {
+			p := validMC(t)
+			set(p)
+			if err := p.Validate(); !errors.Is(err, ErrNotFinite) {
+				t.Errorf("%s %v: err = %v, want ErrNotFinite", name, f, err)
+			}
+		}
 	}
 }
 
