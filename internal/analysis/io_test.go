@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -279,7 +280,8 @@ func FuzzDecodeResult(f *testing.F) {
 }
 
 // FuzzReadResult: for any input, ReadResult either fails or returns a
-// result that passes Validate again; it never panics.
+// result that passes Validate again and that WriteResult writes back; it
+// never panics.
 func FuzzReadResult(f *testing.F) {
 	var compact bytes.Buffer
 	if err := EncodeResult(&compact, smallResult(f)); err != nil {
@@ -292,6 +294,7 @@ func FuzzReadResult(f *testing.F) {
 		`{"problems":[{"id":"p1"},{"id":"p1"}],"students":[{}]}`,
 		`{"problems":[{"id":"p1"}],"students":[{"responses":[{"problemId":"p2"}]}]}`,
 		`{"problems":[{"id":"p1"}],"students":[{"responses":[{"problemId":"p1","credit":1.5}]}]}`,
+		`{"problems":[{"id":"p1"}],"students":[{}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -302,6 +305,9 @@ func FuzzReadResult(f *testing.F) {
 		}
 		if err := e.Validate(); err != nil {
 			t.Fatalf("ReadResult accepted %q, which then fails Validate: %v", data, err)
+		}
+		if err := WriteResult(io.Discard, e); err != nil {
+			t.Fatalf("ReadResult accepted %q, which WriteResult cannot write: %v", data, err)
 		}
 	})
 }

@@ -112,6 +112,9 @@ func (e *ExamResult) Validate() error {
 		if p == nil {
 			return fmt.Errorf("analysis: problem %d of exam %q is null", i, e.ExamID)
 		}
+		if !p.Style.Valid() {
+			return fmt.Errorf("analysis: problem %q of exam %q has no valid style", p.ID, e.ExamID)
+		}
 		if _, dup := ids[p.ID]; dup {
 			return fmt.Errorf("analysis: duplicate problem %q in exam %q", p.ID, e.ExamID)
 		}

@@ -180,7 +180,8 @@ type JournalOptions struct {
 	Sync         wal.SyncPolicy
 	// Obs, when non-nil, receives the journal's metrics (commit latency per
 	// sync policy, batch-size distribution, fsync count, WAL bytes,
-	// compaction passes/duration). Nil leaves the hot paths uninstrumented.
+	// compaction passes/duration, and whether a failure poisoned it). Nil
+	// leaves the hot paths uninstrumented.
 	Obs *obs.Registry
 }
 
@@ -232,6 +233,16 @@ func OpenJournal(dir string, backend *Sharded, opts JournalOptions) (*Journal, e
 			"Compaction passes, successful or not (pair with journal_compact_seconds).")
 		j.mCompactDur = reg.Histogram("journal_compact_seconds",
 			"Duration of one compaction pass.", obs.Latency)
+		reg.GaugeFunc("journal_poisoned",
+			"1 once a failed WAL commit or truncation has stopped the journal (writes fail until restart), else 0.",
+			func() float64 {
+				j.mu.Lock()
+				defer j.mu.Unlock()
+				if j.poisoned {
+					return 1
+				}
+				return 0
+			})
 	}
 	if _, err := os.Stat(snapshotPath); err == nil {
 		snap, err := readSnapshotFile(snapshotPath)

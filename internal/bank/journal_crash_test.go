@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"mineassess/internal/obs"
 	"mineassess/internal/wal"
 )
 
@@ -270,6 +271,43 @@ func TestJournalPoisonedAfterWriteFailure(t *testing.T) {
 	}
 	if _, err := back.Problem("doomed"); err == nil {
 		t.Error("unjournaled mutation resurrected")
+	}
+}
+
+// TestJournalPoisonedGauge: journal_poisoned reads 0 while the WAL takes
+// writes and 1 once a failed write has stopped the journal.
+func TestJournalPoisonedGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	j, err := OpenJournal(t.TempDir(), NewSharded(4), JournalOptions{
+		CompactEvery: 1_000_000, Sync: wal.SyncGroup, Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	poisoned := func() float64 {
+		t.Helper()
+		for _, s := range reg.Snapshot() {
+			if s.Name == "journal_poisoned" {
+				return s.Value
+			}
+		}
+		t.Fatal("no journal_poisoned series registered")
+		return 0
+	}
+	pw := newPowerCutWAL(t, j)
+	if err := j.AddProblem(confMC(t, "ok")); err != nil {
+		t.Fatal(err)
+	}
+	if v := poisoned(); v != 0 {
+		t.Fatalf("journal_poisoned = %v before any failure, want 0", v)
+	}
+	pw.FailNextWrite()
+	if err := j.AddProblem(confMC(t, "doomed")); err == nil {
+		t.Fatal("write through failing WAL succeeded")
+	}
+	if v := poisoned(); v != 1 {
+		t.Fatalf("journal_poisoned = %v after a failed write, want 1", v)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"mineassess/internal/events"
+	"mineassess/internal/livestats"
 	"mineassess/internal/trace"
 )
 
@@ -225,19 +226,33 @@ func (s *Server) tryStats(w http.ResponseWriter, examID string, delivered uint64
 	if !ok || snap.Seq > delivered || (*statsSent && snap.Seq == *statsSeq) {
 		return false, true
 	}
-	if err := writeSSE(w, "stats", 0, snap); err != nil {
+	if err := writeStats(w, snap); err != nil {
 		return false, false
 	}
 	*statsSeq, *statsSent = snap.Seq, true
 	return true, true
 }
 
+// frameBuf is one SSE frame under assembly. Its encoder writes into the
+// frame itself, so a stats snapshot's JSON lands in place, with no copy of
+// its own.
+type frameBuf struct {
+	b   []byte
+	enc *json.Encoder
+}
+
+func (f *frameBuf) Write(p []byte) (int, error) {
+	f.b = append(f.b, p...)
+	return len(p), nil
+}
+
 // framePool recycles SSE frame assembly buffers across writes and
 // connections: with the event's JSON encoding cached at publish time, a
 // frame write is pure appends into a pooled buffer plus one w.Write.
 var framePool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
+	f := &frameBuf{b: make([]byte, 0, 512)}
+	f.enc = json.NewEncoder(f)
+	return f
 }}
 
 // writeFrame serializes one bus event as an SSE frame under a per-frame
@@ -254,8 +269,8 @@ func writeFrame(w http.ResponseWriter, e events.Event, id idFn, root trace.Span)
 	if e.Type == events.TypeGap {
 		sp.SetGap()
 	}
-	bp := framePool.Get().(*[]byte)
-	buf := (*bp)[:0]
+	f := framePool.Get().(*frameBuf)
+	buf := f.b[:0]
 	buf = append(buf, "event: "...)
 	buf = append(buf, e.Type...)
 	buf = append(buf, '\n')
@@ -270,8 +285,8 @@ func writeFrame(w http.ResponseWriter, e events.Event, id idFn, root trace.Span)
 		buf = append(buf, '\n', '\n')
 		_, err = w.Write(buf)
 	}
-	*bp = buf
-	framePool.Put(bp)
+	f.b = buf
+	framePool.Put(f)
 	if err != nil {
 		sp.SetError()
 	}
@@ -279,20 +294,19 @@ func writeFrame(w http.ResponseWriter, e events.Event, id idFn, root trace.Span)
 	return err
 }
 
-// writeSSE writes one frame: event name, optional id, one-line JSON data.
-func writeSSE(w http.ResponseWriter, event string, id uint64, v any) error {
-	if _, err := fmt.Fprintf(w, "event: %s\n", event); err != nil {
+// writeStats writes one stats frame: the event name, no id (stats frames
+// do not advance Last-Event-ID) and the snapshot's JSON, exactly as
+// json.Marshal encodes it, as the data line. The encoder's trailing newline
+// ends the data line. The frame goes out in one call; a failed encode
+// writes nothing.
+func writeStats(w http.ResponseWriter, snap *livestats.ExamLiveStats) error {
+	f := framePool.Get().(*frameBuf)
+	defer framePool.Put(f)
+	f.b = append(f.b[:0], "event: stats\ndata: "...)
+	if err := f.enc.Encode(snap); err != nil {
 		return err
 	}
-	if id > 0 {
-		if _, err := fmt.Fprintf(w, "id: %d\n", id); err != nil {
-			return err
-		}
-	}
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "data: %s\n\n", raw)
+	f.b = append(f.b, '\n')
+	_, err := w.Write(f.b)
 	return err
 }

@@ -340,7 +340,9 @@ func (a *Aggregator) Seq(examID string) (uint64, bool) {
 }
 
 // Snapshot returns the exam's current statistics, or false when no events
-// for it have been seen. Safe concurrently with folding.
+// for it have been seen. Safe concurrently with folding. The snapshot is
+// built at its final size: Items holds one entry per item, and every
+// PointBiserial points into one slice of the same length.
 func (a *Aggregator) Snapshot(examID string) (*ExamLiveStats, bool) {
 	if a == nil {
 		return nil, false
@@ -360,21 +362,26 @@ func (a *Aggregator) Snapshot(examID string) (*ExamLiveStats, bool) {
 		Responses:        ex.resps,
 		ScoreHistogram:   append([]int(nil), ex.hist[:]...),
 	}
+	if len(ex.order) > 0 { // an exam with no items yet encodes "items":null
+		out.Items = make([]ItemStats, len(ex.order))
+	}
+	pbs := make([]float64, len(ex.order))
 	sumPQ := 0.0
-	for _, pid := range ex.order {
+	for i, pid := range ex.order {
 		it := ex.items[pid]
-		st := ItemStats{ProblemID: pid, Attempts: it.attempts, Correct: it.correct}
+		st := &out.Items[i]
+		st.ProblemID, st.Attempts, st.Correct = pid, it.attempts, it.correct
 		if it.attempts > 0 {
 			st.P = float64(it.correct) / float64(it.attempts)
 		}
 		if r, ok := it.pointBiserial(); ok {
-			st.PointBiserial = &r
+			pbs[i] = r
+			st.PointBiserial = &pbs[i]
 		}
 		if ex.n > 0 {
 			p := it.sumX / float64(ex.n)
 			sumPQ += p * (1 - p)
 		}
-		out.Items = append(out.Items, st)
 	}
 	if ex.n > 0 {
 		mean := ex.sumS / float64(ex.n)

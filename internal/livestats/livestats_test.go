@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"mineassess/internal/analysis"
 	"mineassess/internal/events"
 	"mineassess/internal/item"
+	"mineassess/internal/race"
 	"mineassess/internal/stats"
 )
 
@@ -328,6 +330,81 @@ func TestPurgeIdleDropsOnlyQuiescentExams(t *testing.T) {
 	var nilAgg *Aggregator
 	if got := nilAgg.PurgeIdle(); got != 0 {
 		t.Fatalf("nil aggregator PurgeIdle = %d, want 0", got)
+	}
+}
+
+// snapshotAllocs and snapshotKB are the recorded cost of one Snapshot of a
+// 40-item exam after 60 finished sittings, every point-biserial and KR-20
+// set: the snapshot, its items, one slice holding the point-biserials, the
+// histogram and KR-20. A reading may exceed either by 20% plus half a unit
+// of noise.
+const (
+	snapshotAllocs       = 5
+	snapshotAllocCeiling = snapshotAllocs*1.2 + 0.5
+	snapshotKB           = 2.52
+	snapshotKBCeiling    = snapshotKB*1.2 + 0.5
+)
+
+// classSittings simulates n sittings of the given items, answered by
+// learners of normally distributed ability against items of rising
+// difficulty, so every item varies and discriminates.
+func classSittings(items []string, n int) []sittingSpec {
+	rng := rand.New(rand.NewSource(1))
+	specs := make([]sittingSpec, n)
+	for s := range specs {
+		theta := rng.NormFloat64()
+		correct := make(map[string]bool)
+		for i, pid := range items {
+			b := float64(i-len(items)/2) / 10
+			if rng.Float64() < 1/(1+math.Exp(b-theta)) {
+				correct[pid] = true
+			}
+		}
+		specs[s] = sittingSpec{fmt.Sprintf("s%03d", s), correct}
+	}
+	return specs
+}
+
+// TestSnapshotAllocs pins what one Snapshot of a 40-item exam allocates.
+// The count holds under the race detector too; the bytes only for normal
+// builds (see internal/race).
+func TestSnapshotAllocs(t *testing.T) {
+	bus := events.NewBus(events.Options{})
+	defer bus.Close()
+	a := New(bus)
+	defer a.Close()
+	items := make([]string, 40)
+	for i := range items {
+		items[i] = fmt.Sprintf("q%02d", i)
+	}
+	snap := waitSeq(t, a, "ex", driveSittings(bus, "ex", items, classSittings(items, 60)))
+	if snap.KR20 == nil {
+		t.Fatal("KR-20 unset; the pin covers a snapshot with it set")
+	}
+	for _, it := range snap.Items {
+		if it.PointBiserial == nil {
+			t.Fatalf("item %s has no point-biserial; the pin covers a snapshot with every one set", it.ProblemID)
+		}
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, ok := a.Snapshot("ex"); !ok {
+			t.Fatal("snapshot missing")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	t.Logf("Snapshot of 40 items after 60 sittings: %.2f allocs, %.2f KB (ceilings %.1f, %.2f KB)",
+		allocs, kb, snapshotAllocCeiling, snapshotKBCeiling)
+	if allocs > snapshotAllocCeiling {
+		t.Errorf("a Snapshot allocates %.2f times, ceiling %.1f", allocs, snapshotAllocCeiling)
+	}
+	if kb > snapshotKBCeiling && !race.Enabled {
+		t.Errorf("a Snapshot allocates %.2f KB, ceiling %.2f KB", kb, snapshotKBCeiling)
 	}
 }
 

@@ -25,13 +25,13 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 
 	"mineassess/pkg/api"
 )
@@ -45,7 +45,8 @@ type StreamFrame struct {
 	// Event is the SSE event name: an api.EventType value, or
 	// api.StatsEventName for statistics frames.
 	Event string
-	// Data is the frame's JSON payload.
+	// Data is the frame's JSON payload: the caller's own copy, which Next
+	// never reuses.
 	Data []byte
 }
 
@@ -79,10 +80,19 @@ type EventStream struct {
 	ctx  context.Context
 	body io.ReadCloser
 	br   *bufio.Reader
-	// pending holds parsed-but-unconsumed lines: the SSE spec terminates
-	// lines with CR, LF or CRLF, and a bare CR splits one LF-delimited read
-	// into several protocol lines.
-	pending []string
+	// line joins a chunk longer than br's buffer; shorter chunks are read
+	// in place.
+	line []byte
+	// rest is what follows the first bare CR of the chunk read last, and
+	// split says it is there: the SSE spec terminates lines with CR, LF or
+	// CRLF, so one LF-delimited chunk may hold several protocol lines. rest
+	// points into br's buffer or line, which no read touches until it is
+	// used up.
+	rest  []byte
+	split bool
+	// data gathers the current frame's data lines; each frame gets its own
+	// copy.
+	data []byte
 }
 
 // StreamEvents subscribes to every event on the server
@@ -130,60 +140,85 @@ func (c *Client) stream(ctx context.Context, path, lastEventID string) (*EventSt
 // skips keep-alive comments transparently.
 func (s *EventStream) Next() (*StreamFrame, error) {
 	f := &StreamFrame{}
-	var data []string
+	s.data = s.data[:0]
+	dataLines := 0
 	for {
 		line, err := s.readLine()
 		if err != nil {
 			// Context cancellation surfaces as a closed-body read error;
 			// report the cancellation itself, which is what the caller acts
-			// on.
+			// on. A frame cut off by the error is dropped.
 			if cerr := s.ctx.Err(); cerr != nil {
 				return nil, cerr
-			}
-			if err == io.EOF && len(data) == 0 {
-				return nil, io.EOF
 			}
 			return nil, err
 		}
 		switch {
-		case line == "":
-			if f.Event == "" && len(data) == 0 {
+		case len(line) == 0:
+			if f.Event == "" && dataLines == 0 {
 				continue // stray separator / heartbeat boundary
 			}
-			f.Data = []byte(strings.Join(data, "\n"))
+			f.Data = make([]byte, len(s.data))
+			copy(f.Data, s.data)
 			return f, nil
-		case strings.HasPrefix(line, ":"):
+		case line[0] == ':':
 			// keep-alive comment
-		case strings.HasPrefix(line, "event:"):
-			f.Event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "id:"):
-			f.ID = strings.TrimSpace(strings.TrimPrefix(line, "id:"))
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimSpace(strings.TrimPrefix(line, "data:")))
+		case bytes.HasPrefix(line, fieldEvent):
+			f.Event = string(bytes.TrimSpace(line[len(fieldEvent):]))
+		case bytes.HasPrefix(line, fieldID):
+			f.ID = string(bytes.TrimSpace(line[len(fieldID):]))
+		case bytes.HasPrefix(line, fieldData):
+			if dataLines > 0 {
+				s.data = append(s.data, '\n')
+			}
+			s.data = append(s.data, bytes.TrimSpace(line[len(fieldData):])...)
+			dataLines++
 		}
 	}
 }
 
-// readLine returns the next SSE protocol line. The spec accepts CR, LF
-// and CRLF as terminators; reading LF-delimited chunks and splitting on
-// the CRs inside keeps a stray "\r" out of the ID field — where it would
-// otherwise travel back to the server inside the Last-Event-ID header on
-// reconnect.
-func (s *EventStream) readLine() (string, error) {
-	if len(s.pending) > 0 {
-		line := s.pending[0]
-		s.pending = s.pending[1:]
-		return line, nil
+var (
+	fieldEvent = []byte("event:")
+	fieldID    = []byte("id:")
+	fieldData  = []byte("data:")
+	cr         = []byte("\r")
+)
+
+// readLine returns the next SSE protocol line, valid until the next call.
+// The spec accepts CR, LF and CRLF as terminators; reading LF-delimited
+// chunks and splitting on the CRs inside keeps a stray "\r" out of the ID
+// field — where it would otherwise travel back to the server inside the
+// Last-Event-ID header on reconnect.
+func (s *EventStream) readLine() ([]byte, error) {
+	if !s.split {
+		raw, err := s.readRaw()
+		if err != nil {
+			return nil, err
+		}
+		raw = raw[:len(raw)-1] // the '\n'
+		s.rest = bytes.TrimSuffix(raw, cr)
 	}
-	raw, err := s.br.ReadString('\n')
-	if err != nil {
-		return "", err
+	line, rest, found := bytes.Cut(s.rest, cr)
+	s.rest, s.split = rest, found
+	return line, nil
+}
+
+// readRaw returns the next LF-terminated chunk, '\n' included. A chunk
+// that fits br's buffer is returned in place; a longer one is joined in
+// s.line. Either stays valid until the next read.
+func (s *EventStream) readRaw() ([]byte, error) {
+	raw, err := s.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return raw, err
 	}
-	raw = strings.TrimSuffix(raw, "\n")
-	raw = strings.TrimSuffix(raw, "\r")
-	parts := strings.Split(raw, "\r")
-	s.pending = parts[1:]
-	return parts[0], nil
+	s.line = append(s.line[:0], raw...)
+	for {
+		raw, err = s.br.ReadSlice('\n')
+		s.line = append(s.line, raw...)
+		if err != bufio.ErrBufferFull {
+			return s.line, err
+		}
+	}
 }
 
 // Close releases the connection. Safe to call concurrently with a blocked

@@ -1,15 +1,19 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
+	"mineassess/internal/race"
 	"mineassess/pkg/api"
 )
 
@@ -198,5 +202,92 @@ func TestStreamHeadersAndErrors(t *testing.T) {
 	}
 	if gotLast != "42" || gotLearner != "bob" {
 		t.Fatalf("headers: last=%q learner=%q", gotLast, gotLearner)
+	}
+}
+
+// The recorded cost of one warm Next, in heap allocations: the frame, its
+// event name, its id if it has one, and its own copy of the payload. A
+// stats frame may also allocate statsFrameOverKB beyond its payload (the
+// frame and name, and the size class of the copy). A reading may exceed
+// each by 20% plus half a unit of noise.
+const (
+	statsFrameAllocs       = 3
+	statsFrameAllocCeiling = statsFrameAllocs*1.2 + 0.5
+	statsFrameOverKB       = 0.43
+	statsFrameOverCeiling  = statsFrameOverKB*1.2 + 0.5
+	eventFrameAllocs       = 4
+	eventFrameAllocCeiling = eventFrameAllocs*1.2 + 0.5
+)
+
+// nextCost returns the mean bytes and allocations of one warm Next over a
+// stream that repeats frame.
+func nextCost(t *testing.T, frame []byte) (kb, allocs float64) {
+	t.Helper()
+	const warm, runs = 4, 200
+	s := streamOver(bytes.Repeat(frame, warm+runs), 4096)
+	next := func() {
+		if _, err := s.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		next()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		next()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024,
+		float64(after.Mallocs-before.Mallocs) / runs
+}
+
+// TestStreamNextAllocs pins what Next allocates per frame: a 40-item stats
+// frame, whose data line is longer than the reader's 4 KB buffer, and an
+// event frame. The counts hold under the race detector too; the bytes only
+// for normal builds (see internal/race).
+func TestStreamNextAllocs(t *testing.T) {
+	kr := 0.8734615384615385
+	snap := api.ExamLiveStats{ExamID: "fixed", Seq: 4321, ActiveSessions: 3, FinishedSessions: 60,
+		Responses: 2520, ScoreHistogram: make([]int, 10), MeanScore: 21.25, ScoreSD: 6.031249191, KR20: &kr}
+	pbs := make([]float64, 40)
+	for i := range pbs {
+		pbs[i] = 0.05 + float64(i)/97
+		snap.Items = append(snap.Items, api.ItemLiveStats{ProblemID: fmt.Sprintf("p%04d", 17*i),
+			Attempts: 63, Correct: 31 + i%7, P: float64(31+i%7) / 63, PointBiserial: &pbs[i]})
+	}
+	payload, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := append(append([]byte("event: stats\ndata: "), payload...), "\n\n"...)
+	if len(stats) <= 4096 {
+		t.Fatalf("the stats frame is %d B; it must not fit the reader's 4 KB buffer", len(stats))
+	}
+	kb, allocs := nextCost(t, stats)
+	overKB := kb - float64(len(payload))/1024
+	t.Logf("stats frame of %d B: %.2f KB (%.2f KB beyond its payload), %.2f allocs per frame (ceilings %.2f KB, %.1f)",
+		len(stats), kb, overKB, allocs, statsFrameOverCeiling, statsFrameAllocCeiling)
+	if overKB > statsFrameOverCeiling && !race.Enabled {
+		t.Errorf("a stats frame allocates %.2f KB beyond its %d-byte payload, ceiling %.2f KB", overKB, len(payload), statsFrameOverCeiling)
+	}
+	if allocs > statsFrameAllocCeiling {
+		t.Errorf("a stats frame allocates %.2f times, ceiling %.1f", allocs, statsFrameAllocCeiling)
+	}
+
+	ev, err := json.Marshal(api.Event{Type: api.EventResponseSubmitted, Seq: 4322, GlobalSeq: 98765,
+		At: time.Date(2026, 3, 14, 9, 26, 53, 589793238, time.UTC), ExamID: "fixed",
+		SessionID: "s-0123456789abcdef", StudentID: "learner-00042", ProblemID: "p0170", Correct: true,
+		Credit: 1, Answered: 18, Total: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	event := []byte(fmt.Sprintf("event: %s\nid: 4322\ndata: %s\n\n", api.EventResponseSubmitted, ev))
+	kb, allocs = nextCost(t, event)
+	t.Logf("event frame of %d B: %.2f KB, %.2f allocs per frame (ceiling %.1f)", len(event), kb, allocs, eventFrameAllocCeiling)
+	if allocs > eventFrameAllocCeiling {
+		t.Errorf("an event frame allocates %.2f times, ceiling %.1f", allocs, eventFrameAllocCeiling)
 	}
 }
