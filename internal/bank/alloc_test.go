@@ -12,7 +12,7 @@ import (
 // batch submit, committer write) in heap allocations. A reading may exceed
 // it by 20% plus half an allocation of noise.
 const (
-	journalCommitAllocs       = 11
+	journalCommitAllocs       = 9
 	journalCommitAllocCeiling = journalCommitAllocs*1.2 + 0.5
 )
 

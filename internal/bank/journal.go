@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -28,17 +29,18 @@ var ErrJournalClosed = errors.New("bank: journal is closed")
 // mutations accumulate, the journal folds the WAL into a fresh snapshot and
 // truncates it, bounding both recovery time and log growth.
 //
-// Write path (group commit): a mutation applies to the backend and enqueues
-// its record under a short ordering lock — the only serialization point —
-// then marshals its record OUTSIDE the lock and blocks until a dedicated
-// committer goroutine has made it durable. The committer drains the queue
-// in order, coalescing everything queued since its last pass into one
-// batched write plus (policy permitting) one fsync, and wakes every waiter
-// in the batch afterwards. Concurrent writers therefore overlap their
-// marshaling and share fsyncs instead of serializing apply + marshal +
-// write + sync through one critical section; reads delegate straight to
-// the backend and take no journal lock at all, so the backend's concurrency
-// (per-shard locks for *Sharded) is preserved.
+// Write path (group commit): a mutation encodes its record first, outside
+// any lock, so a value that cannot be encoded fails its own write and
+// changes nothing. It then applies to the backend and enqueues the record
+// under a short ordering lock — the only serialization point — and blocks
+// until a dedicated committer goroutine has made it durable. The committer
+// drains the queue in order, coalescing everything queued since its last
+// pass into one batched write plus (policy permitting) one fsync, and wakes
+// every waiter in the batch afterwards. Concurrent writers therefore
+// overlap their encoding and share fsyncs instead of serializing apply +
+// encode + write + sync through one critical section; reads delegate
+// straight to the backend and take no journal lock at all, so the backend's
+// concurrency (per-shard locks for *Sharded) is preserved.
 //
 // Durability is governed by wal.SyncPolicy, and the WAL file itself is a
 // wal.File:
@@ -58,10 +60,11 @@ var ErrJournalClosed = errors.New("bank: journal is closed")
 //
 // Compaction runs on the committer goroutine, off every mutation's call
 // path: the backend scan takes the ordering lock (memory-speed, writers
-// briefly quiesced — this is what makes the snapshot a consistent cut),
-// the epoch advances with the scan, and the snapshot file I/O, rename and
-// WAL truncation happen with no lock held. Mutations submitted during the
-// file I/O queue up and commit in the next batch.
+// briefly quiesced — this is what makes the snapshot a consistent cut) and,
+// with it, takes the queue and advances the epoch. The taken records commit
+// first; only then do the snapshot file I/O, rename and WAL truncation
+// happen, with no lock held. Mutations submitted during the file I/O queue
+// up and commit in the next batch.
 //
 // Revision history follows the bank file's long-standing semantics: Save
 // never persisted history, so compaction folds superseded revisions into the
@@ -81,10 +84,8 @@ type Journal struct {
 	// flags and epoch. It is never held across file I/O.
 	mu         sync.Mutex
 	queue      []*pendingCommit
-	closed     bool // Close called; no further mutations
-	poisoned   bool // WAL can no longer be trusted; see commitBatch
-	paused     bool // compaction is stalling writers; see compactCommitter
-	pauseCond  *sync.Cond
+	closed     bool  // Close called; no further mutations
+	poisoned   bool  // WAL can no longer be trusted; see commitBatch
 	epoch      int64 // counts compactions; see the epoch comment below
 	compactErr error // last automatic-compaction failure (see CompactError)
 
@@ -118,14 +119,18 @@ type Journal struct {
 // crash between the snapshot rename and the WAL truncation is harmless:
 // replay skips records from epochs the snapshot already contains instead of
 // re-applying them.
+//
+// The queue only ever holds records of the current epoch: apply + enqueue
+// and a compaction's scan + queue take + epoch bump all happen under mu. So
+// a writer need not know its record's epoch: it encodes the record at epoch
+// zero, and the committer stamps the epoch it reads together with the queue
+// (see appendRecord).
 
 // pendingCommit is one enqueued mutation waiting for the committer. The
-// writer fills payload (or marshalErr) and closes ready; the committer
-// fills err and closes done.
+// writer fills line before enqueueing it; the committer fills err and
+// closes done.
 type pendingCommit struct {
-	ready      chan struct{}
-	payload    []byte
-	marshalErr error
+	line []byte // the record encoded at epoch zero (see encodeRecord)
 
 	done chan struct{}
 	err  error
@@ -156,7 +161,8 @@ type walRecord struct {
 	Session *AdaptiveSessionRecord `json:"session,omitempty"`
 	ID      string                 `json:"id,omitempty"`
 	// Epoch is the journal epoch the record was written under (see
-	// Journal.epoch).
+	// Journal.epoch). It must stay the last field and omitempty: appendRecord
+	// splices it into a record encoded without it.
 	Epoch int64 `json:"epoch,omitempty"`
 }
 
@@ -220,7 +226,6 @@ func OpenJournal(dir string, backend *Sharded, opts JournalOptions) (*Journal, e
 		quit:          make(chan struct{}),
 		committerDone: make(chan struct{}),
 	}
-	j.pauseCond = sync.NewCond(&j.mu)
 	if reg := opts.Obs; reg != nil {
 		j.mCommit = reg.Histogram("journal_commit_seconds",
 			"Latency of one journaled mutation from apply to durable ack.",
@@ -359,19 +364,39 @@ func ignoreRedo(err, redo error) error {
 	return err
 }
 
-// mutate applies one mutation to the backend and submits its record for
-// group commit. Apply + enqueue happen under the ordering lock so WAL order
-// always matches backend apply order and a compaction snapshot can never
-// include a mutation whose record would then replay on top of it; the
-// expensive parts — JSON marshal, the WAL write, the fsync — happen outside
-// the lock, concurrently across writers. mutate returns only once the
-// record is durable under the journal's SyncPolicy (or the journal is
-// poisoned). Every mutation — including Rollback, whose record depends on
-// the apply result — goes through this one function, so the protocol
-// (closed check, apply, enqueue, commit wait) cannot drift between
-// operations. apply returns the record to journal, which mutate drops when
-// apply also returns an error. The record may point at the caller's value:
-// it is encoded here, before mutate returns.
+// mutate journals one write whose record the caller can build up front: it
+// encodes rec, then applies the write and commits the record (see commit).
+// The record may point at the caller's value. Encoding happens before the
+// write applies and outside the ordering lock, so a value that cannot be
+// encoded fails its own write, leaves the backend unchanged and leaves the
+// journal open.
+func (j *Journal) mutate(ctx context.Context, rec walRecord, apply func() error) error {
+	line, err := encodeRecord(rec)
+	if err != nil {
+		return err
+	}
+	return j.commit(ctx, rec.Op, func() ([]byte, error) { return line, apply() })
+}
+
+// encodeRecord encodes rec, whose epoch is zero, as the queue holds it.
+func encodeRecord(rec walRecord) ([]byte, error) {
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("bank: encode %s record: %w", rec.Op, err)
+	}
+	return line, nil
+}
+
+// commit applies one write to the backend and submits its record for group
+// commit. apply runs under the ordering lock: it applies the write and
+// returns the record encoded at epoch zero, or an error after which nothing
+// is journaled. Apply + enqueue happen under that lock so WAL order always
+// matches backend apply order and a compaction's scan takes every applied
+// record with it; the WAL write and the fsync happen outside the lock,
+// shared across writers. commit returns only once the record is durable
+// under the journal's SyncPolicy (or the journal is poisoned). Every
+// mutation goes through this one function, so the protocol (closed check,
+// apply, enqueue, commit wait) cannot drift between operations.
 //
 // When ctx carries a trace span, the commit records a "wal.commit" child
 // annotated with the WAL op, sync policy and the batch size the committer
@@ -380,34 +405,27 @@ func ignoreRedo(err, redo error) error {
 // ack — the committer goroutine itself never touches the trace, so the
 // single-writer WAL pipeline stays trace-free. Untraced calls take the
 // exact pre-trace path: one nil check.
-func (j *Journal) mutate(ctx context.Context, apply func() (walRecord, error)) error {
+func (j *Journal) commit(ctx context.Context, op string, apply func() ([]byte, error)) error {
 	span := trace.FromContext(ctx).Child("wal.commit")
 	var start time.Time
 	if j.mCommit != nil {
 		start = time.Now()
 	}
 	j.mu.Lock()
-	// A compaction that could not observe an empty queue stalls new
-	// mutations for the length of one backend scan (see compactCommitter);
-	// Wait releases the lock, so stalled writers cost nothing.
-	for j.paused && !j.closed && !j.poisoned {
-		j.pauseCond.Wait()
-	}
 	if j.closed || j.poisoned {
 		j.mu.Unlock()
 		span.SetError()
 		span.End()
 		return ErrJournalClosed
 	}
-	rec, err := apply()
+	line, err := apply()
 	if err != nil {
 		j.mu.Unlock()
 		span.SetError()
 		span.End()
 		return err
 	}
-	rec.Epoch = j.epoch
-	p := &pendingCommit{ready: make(chan struct{}), done: make(chan struct{})}
+	p := &pendingCommit{line: line, done: make(chan struct{})}
 	if span.Valid() {
 		p.enqueuedAt = time.Now()
 	}
@@ -415,19 +433,12 @@ func (j *Journal) mutate(ctx context.Context, apply func() (walRecord, error)) e
 	j.mu.Unlock()
 
 	j.kickCommitter()
-	raw, merr := json.Marshal(rec)
-	if merr != nil {
-		p.marshalErr = merr
-	} else {
-		p.payload = append(raw, '\n')
-	}
-	close(p.ready)
 	<-p.done
 	if j.mCommit != nil && p.err == nil {
 		j.mCommit.ObserveTraced(time.Since(start), span.TraceIDHex())
 	}
 	if span.Valid() {
-		span.SetStr("wal.op", rec.Op)
+		span.SetStr("wal.op", op)
 		span.SetStr("wal.policy", string(j.policy))
 		span.SetInt("wal.batch", int64(p.batchSize))
 		if p.err != nil {
@@ -469,9 +480,6 @@ func (j *Journal) committer() {
 			j.drainQueue()
 			j.maybeCompact()
 		case req := <-j.compactReqs:
-			// Mutations acknowledged before the Compact call must be in
-			// the WAL (and thus the snapshot's backend state) first.
-			j.drainQueue()
 			req <- j.compactCommitter()
 		case <-j.quit:
 			j.drainQueue()
@@ -492,9 +500,8 @@ func (j *Journal) drainQueue() {
 		// one batch; an idle journal pays a few hundred nanoseconds.
 		runtime.Gosched()
 		j.mu.Lock()
-		batch := j.queue
+		batch, epoch, poisoned := j.queue, j.epoch, j.poisoned
 		j.queue = nil
-		poisoned := j.poisoned
 		j.mu.Unlock()
 		if len(batch) == 0 {
 			return
@@ -503,57 +510,64 @@ func (j *Journal) drainQueue() {
 			failBatch(batch, ErrJournalClosed)
 			continue
 		}
-		j.commitBatch(batch)
+		_ = j.commitBatch(batch, epoch) // a failure is returned to the batch's writers
 	}
 }
 
-// commitBatch writes one batch to the WAL and acknowledges its waiters
-// once the batch is durable (see wal.File.Commit for what each policy
-// writes and syncs). Records commit up to the first one that failed to
-// marshal. A write or sync failure poisons the journal — the backend now
+// commitBatch writes one batch to the WAL under epoch and acknowledges its
+// waiters once the batch is durable (see wal.File.Commit for what each
+// policy writes and syncs); the batch is acknowledged whole or failed
+// whole. A write or sync failure poisons the journal — the backend now
 // holds mutations the WAL does not, so rather than let memory and disk
-// diverge further, every unacknowledged waiter in the batch errors and
-// every subsequent mutation errors until the process restarts and replays
-// the WAL (which drops the unjournaled mutations).
-func (j *Journal) commitBatch(batch []*pendingCommit) {
+// diverge further, every waiter in the batch errors and every subsequent
+// mutation errors until the process restarts and replays the WAL (which
+// drops the unjournaled mutations).
+func (j *Journal) commitBatch(batch []*pendingCommit, epoch int64) error {
 	j.mBatch.ObserveValue(int64(len(batch)))
 	batchStart := time.Now()
 	buf, ends := j.buf[:0], j.ends[:0]
-	var marshalErr error
 	for _, p := range batch {
-		<-p.ready
-		if p.marshalErr != nil {
-			marshalErr = p.marshalErr
-			break
-		}
-		buf = append(buf, p.payload...)
+		buf = appendRecord(buf, p.line, epoch)
 		ends = append(ends, len(buf))
 	}
 	j.buf, j.ends = buf, ends
-	acked := 0
 	err := j.wal.Commit(buf, ends, func(i int, written, synced time.Time) {
 		p := batch[i]
 		if !p.enqueuedAt.IsZero() { // phase stamps for traced waiters only
 			p.batchStart, p.writeDone, p.syncDone = batchStart, written, synced
-			p.batchSize = int32(len(ends))
+			p.batchSize = int32(len(batch))
 		}
 		close(p.done)
-		acked++
 	})
-	if acked > 0 {
-		j.mWALBytes.Add(int64(ends[acked-1]))
-		j.dirty += acked
-		if j.policy == wal.SyncGroup {
-			j.mFsync.Inc()
-		}
-	}
-	if err == nil && marshalErr != nil {
-		err = fmt.Errorf("marshal wal record: %w", marshalErr)
-	}
 	if err != nil {
 		j.markPoisoned()
-		failBatch(batch[acked:], fmt.Errorf("%w: %w", ErrJournalClosed, err))
+		err = fmt.Errorf("%w: %w", ErrJournalClosed, err)
+		failBatch(batch, err)
+		return err
 	}
+	j.mWALBytes.Add(int64(len(buf)))
+	j.dirty += len(batch)
+	if j.policy == wal.SyncGroup {
+		j.mFsync.Inc()
+	}
+	return nil
+}
+
+// appendRecord appends to buf the WAL line of a record that encodeRecord
+// encoded at epoch zero, as written under epoch: exactly json.Marshal's
+// encoding of the record with that epoch, plus the newline. Epoch is
+// walRecord's last field and is omitted at zero, so that encoding is line
+// with `,"epoch":N` before its closing brace.
+func appendRecord(buf, line []byte, epoch int64) []byte {
+	if epoch == 0 {
+		buf = append(buf, line...)
+	} else {
+		buf = append(buf, line[:len(line)-1]...)
+		buf = append(buf, `,"epoch":`...)
+		buf = strconv.AppendInt(buf, epoch, 10)
+		buf = append(buf, '}')
+	}
+	return append(buf, '\n')
 }
 
 // failBatch wakes waiters with an error without writing anything.
@@ -598,9 +612,9 @@ func (j *Journal) CompactError() error {
 }
 
 // Compact folds the WAL into a fresh snapshot and truncates it. Safe to call
-// at any time; the work runs on the committer goroutine after everything
-// already queued has committed. Automatic compaction happens every
-// CompactEvery mutations.
+// at any time; the work runs on the committer goroutine and the snapshot
+// holds every mutation applied before its scan. Automatic compaction
+// happens every CompactEvery mutations.
 func (j *Journal) Compact() error {
 	j.mu.Lock()
 	if j.closed || j.poisoned {
@@ -619,12 +633,12 @@ func (j *Journal) Compact() error {
 
 // compactCommitter writes the snapshot, syncs it, and empties the WAL. It
 // runs only on the committer goroutine (or after the committer has exited,
-// in Close), which owns the WAL handle — so no record can land in the WAL
-// between the backend scan and the truncation, and every truncated record
-// is provably folded into the published snapshot. A snapshot failure leaves
-// the WAL fully intact (retryable); a failure truncating the WAL after the
-// snapshot poisons the journal, since the append handle can no longer be
-// trusted.
+// in Close), which owns the WAL handle — so the only records written
+// between the backend scan and the truncation are the ones the scan took,
+// and every truncated record is provably folded into the published
+// snapshot. A snapshot failure leaves the WAL fully intact (retryable); a
+// failure committing the taken records or truncating the WAL poisons the
+// journal, since the append handle can no longer be trusted.
 func (j *Journal) compactCommitter() error {
 	if j.mCompactDur != nil {
 		start := time.Now()
@@ -635,60 +649,39 @@ func (j *Journal) compactCommitter() error {
 	}
 	// The scan holds the ordering lock: writers are quiesced while it
 	// collects pointers to the stored values (no copy, no file I/O), which
-	// makes the snapshot a consistent cut containing exactly the mutations
-	// stamped with the pre-bump epoch. Stored values are never modified, so
-	// encoding them after the lock is released writes what the scan saw.
-	// The epoch advances atomically with the scan so every
-	// later mutation is stamped with the new epoch and replays on top of
-	// the snapshot. Advancing the in-memory epoch even though the snapshot
-	// write below may still fail is harmless: replay filters on
-	// rec.Epoch >= snapshot.WalEpoch, and the on-disk snapshot's epoch
-	// only ever lags the in-memory one.
-	//
-	// The scan may only run while the commit queue is EMPTY under the
-	// lock: an applied-but-uncommitted mutation would be captured by the
-	// scan, and if its batch write then failed, the published snapshot
-	// would durably resurrect a mutation whose caller was told it failed.
-	// Draining first and re-checking under the lock closes that window —
-	// with the queue empty, every applied mutation is already in the WAL.
-	//
-	// Saturated writers can refill the queue faster than drainQueue empties
-	// it, starving the scan (and growing the WAL) indefinitely. After a few
-	// optimistic passes the loop sets paused, which parks new mutations on
-	// pauseCond before they can apply or enqueue; one more drain then
-	// provably empties the queue, the scan runs, and the broadcast releases
-	// the writers. The stall spans only the in-memory backend scan, never
-	// the snapshot file I/O below.
-	var snap *snapshot
-	for attempt := 0; ; attempt++ {
-		j.drainQueue()
-		j.mu.Lock()
-		if j.poisoned {
-			j.unpauseLocked()
-			j.mu.Unlock()
-			return ErrJournalClosed
-		}
-		if len(j.queue) != 0 {
-			if attempt+1 >= compactStallAfter {
-				j.paused = true
-			}
-			j.mu.Unlock()
-			continue
-		}
-		var err error
-		snap, err = buildSnapshot(j.backend)
-		if err != nil {
-			j.unpauseLocked()
-			j.mu.Unlock()
+	// makes the snapshot a consistent cut. Stored values are never
+	// modified, so encoding them after the lock is released writes what the
+	// scan saw. The cut may include applied mutations still on the queue:
+	// the scan takes them with it and the epoch advances, so the queue keeps
+	// only later mutations, stamped with the new epoch to replay on top of
+	// the snapshot. Advancing the in-memory epoch even though a write below
+	// may still fail is harmless: replay filters on
+	// rec.Epoch >= snapshot.WalEpoch, and the on-disk snapshot's epoch only
+	// ever lags the in-memory one.
+	j.mu.Lock()
+	if j.poisoned {
+		j.mu.Unlock()
+		return ErrJournalClosed
+	}
+	snap, err := buildSnapshot(j.backend)
+	if err != nil {
+		j.mu.Unlock()
+		return err
+	}
+	taken, epoch := j.queue, j.epoch
+	j.queue = nil
+	j.epoch++
+	snap.WalEpoch = j.epoch
+	j.mu.Unlock()
+
+	// The snapshot is published only once the taken records are durable
+	// under the old epoch, so it never holds a mutation whose caller was
+	// told it failed.
+	if len(taken) != 0 {
+		if err := j.commitBatch(taken, epoch); err != nil {
 			return err
 		}
-		j.epoch++
-		snap.WalEpoch = j.epoch
-		j.unpauseLocked()
-		j.mu.Unlock()
-		break
 	}
-
 	if _, err := writeSnapshotFile(snap, j.snapshotPath); err != nil {
 		return err
 	}
@@ -703,23 +696,10 @@ func (j *Journal) compactCommitter() error {
 	return nil
 }
 
-// compactStallAfter is the number of optimistic drain-and-check passes a
-// compaction makes before stalling writers to guarantee progress.
-const compactStallAfter = 3
-
-// unpauseLocked releases writers stalled by a compaction. Callers hold mu.
-func (j *Journal) unpauseLocked() {
-	if j.paused {
-		j.paused = false
-		j.pauseCond.Broadcast()
-	}
-}
-
 // markPoisoned flags the journal unusable; the WAL stays open until Close.
 func (j *Journal) markPoisoned() {
 	j.mu.Lock()
 	j.poisoned = true
-	j.pauseCond.Broadcast()
 	j.mu.Unlock()
 }
 
@@ -736,7 +716,6 @@ func (j *Journal) Close() error {
 	j.mu.Lock()
 	wasClosed := j.closed
 	j.closed = true
-	j.pauseCond.Broadcast()
 	j.mu.Unlock()
 	j.stopCommitter()
 	if wasClosed {
@@ -762,8 +741,8 @@ func (j *Journal) Dir() string { return j.dir }
 // Sync reports the journal's sync policy.
 func (j *Journal) Sync() wal.SyncPolicy { return j.policy }
 
-// Mutations: backend apply + commit-queue submit under the ordering lock,
-// durable acknowledgment via the committer (see mutate).
+// Mutations: encode, then backend apply + commit-queue submit under the
+// ordering lock, then durable acknowledgment via the committer (see commit).
 
 // AddProblem validates, stores and journals the problem.
 func (j *Journal) AddProblem(p *item.Problem) error {
@@ -773,52 +752,45 @@ func (j *Journal) AddProblem(p *item.Problem) error {
 // AddProblemCtx is AddProblem carrying a request context so a traced
 // request's span tree gains the wal.commit span and its phase children.
 func (j *Journal) AddProblemCtx(ctx context.Context, p *item.Problem) error {
-	return j.mutate(ctx, func() (walRecord, error) {
-		return walRecord{Op: opAddProblem, Problem: p}, j.backend.AddProblem(p)
-	})
+	return j.mutate(ctx, walRecord{Op: opAddProblem, Problem: p},
+		func() error { return j.backend.AddProblem(p) })
 }
 
 // UpdateProblem replaces the stored problem and journals the change.
 func (j *Journal) UpdateProblem(p *item.Problem) error {
-	return j.mutate(context.Background(), func() (walRecord, error) {
-		return walRecord{Op: opUpdateProblem, Problem: p}, j.backend.UpdateProblem(p)
-	})
+	return j.mutate(context.Background(), walRecord{Op: opUpdateProblem, Problem: p},
+		func() error { return j.backend.UpdateProblem(p) })
 }
 
 // DeleteProblem removes the problem and journals the deletion.
 func (j *Journal) DeleteProblem(id string) error {
-	return j.mutate(context.Background(), func() (walRecord, error) {
-		return walRecord{Op: opDeleteProblem, ID: id}, j.backend.DeleteProblem(id)
-	})
+	return j.mutate(context.Background(), walRecord{Op: opDeleteProblem, ID: id},
+		func() error { return j.backend.DeleteProblem(id) })
 }
 
 // AddExam stores the exam and journals it.
 func (j *Journal) AddExam(e *ExamRecord) error {
-	return j.mutate(context.Background(), func() (walRecord, error) {
-		return walRecord{Op: opAddExam, Exam: e}, j.backend.AddExam(e)
-	})
+	return j.mutate(context.Background(), walRecord{Op: opAddExam, Exam: e},
+		func() error { return j.backend.AddExam(e) })
 }
 
 // putExamUnchecked journals an exam inserted without reference validation
 // (snapshot loading only; replay mirrors the tolerance in apply).
 func (j *Journal) putExamUnchecked(e *ExamRecord) error {
-	return j.mutate(context.Background(), func() (walRecord, error) {
-		return walRecord{Op: opAddExam, Exam: e}, j.backend.putExamUnchecked(e)
-	})
+	return j.mutate(context.Background(), walRecord{Op: opAddExam, Exam: e},
+		func() error { return j.backend.putExamUnchecked(e) })
 }
 
 // UpdateExam replaces the stored exam record and journals the change.
 func (j *Journal) UpdateExam(e *ExamRecord) error {
-	return j.mutate(context.Background(), func() (walRecord, error) {
-		return walRecord{Op: opUpdateExam, Exam: e}, j.backend.UpdateExam(e)
-	})
+	return j.mutate(context.Background(), walRecord{Op: opUpdateExam, Exam: e},
+		func() error { return j.backend.UpdateExam(e) })
 }
 
 // DeleteExam removes the exam and journals the deletion.
 func (j *Journal) DeleteExam(id string) error {
-	return j.mutate(context.Background(), func() (walRecord, error) {
-		return walRecord{Op: opDeleteExam, ID: id}, j.backend.DeleteExam(id)
-	})
+	return j.mutate(context.Background(), walRecord{Op: opDeleteExam, ID: id},
+		func() error { return j.backend.DeleteExam(id) })
 }
 
 // PutAdaptiveSession stores the adaptive-session record and journals it.
@@ -830,26 +802,35 @@ func (j *Journal) PutAdaptiveSession(rec *AdaptiveSessionRecord) error {
 // the CAT engine's persist step uses it (via an interface probe) so the
 // WAL commit parents under the respond/finish span.
 func (j *Journal) PutAdaptiveSessionCtx(ctx context.Context, rec *AdaptiveSessionRecord) error {
-	return j.mutate(ctx, func() (walRecord, error) {
-		return walRecord{Op: opPutAdaptive, Session: rec}, j.backend.PutAdaptiveSession(rec)
-	})
+	return j.mutate(ctx, walRecord{Op: opPutAdaptive, Session: rec},
+		func() error { return j.backend.PutAdaptiveSession(rec) })
 }
 
 // DeleteAdaptiveSession removes the record and journals the deletion.
 func (j *Journal) DeleteAdaptiveSession(id string) error {
-	return j.mutate(context.Background(), func() (walRecord, error) {
-		return walRecord{Op: opDeleteAdaptive, ID: id}, j.backend.DeleteAdaptiveSession(id)
-	})
+	return j.mutate(context.Background(), walRecord{Op: opDeleteAdaptive, ID: id},
+		func() error { return j.backend.DeleteAdaptiveSession(id) })
 }
 
 // Rollback restores the previous problem revision and journals the
 // operation. The record carries the restored state so replay stays correct
-// even when an intervening compaction folded the history away.
+// even when an intervening compaction folded the history away. Only the
+// backend knows that state, so the record is encoded under the ordering
+// lock: every backend write holds it, so the newest revision History lists
+// is the one the backend's Rollback then restores.
 func (j *Journal) Rollback(id string) (*item.Problem, error) {
 	var p *item.Problem
-	err := j.mutate(context.Background(), func() (_ walRecord, err error) {
+	err := j.commit(context.Background(), opRollback, func() ([]byte, error) {
+		rec := walRecord{Op: opRollback, ID: id}
+		if revs := j.backend.History(id); len(revs) != 0 {
+			rec.Problem = revs[len(revs)-1].Problem
+		}
+		line, err := encodeRecord(rec)
+		if err != nil {
+			return nil, err
+		}
 		p, err = j.backend.Rollback(id)
-		return walRecord{Op: opRollback, ID: id, Problem: p}, err
+		return line, err
 	})
 	if err != nil {
 		return nil, err

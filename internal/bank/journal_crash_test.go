@@ -3,6 +3,7 @@ package bank
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"testing"
@@ -308,6 +309,47 @@ func TestJournalPoisonedGauge(t *testing.T) {
 	}
 	if v := poisoned(); v != 1 {
 		t.Fatalf("journal_poisoned = %v after a failed write, want 1", v)
+	}
+}
+
+// TestJournalUnencodableWriteFailsAlone: a record that cannot be encoded
+// (a NaN theta) fails its own write before the write applies. The journal
+// stays open and unpoisoned, and a restart replays only the good write.
+func TestJournalUnencodableWriteFailsAlone(t *testing.T) {
+	reg := obs.NewRegistry()
+	dir := t.TempDir()
+	j, err := OpenJournal(dir, NewSharded(4), JournalOptions{
+		CompactEvery: 1_000_000, Sync: wal.SyncGroup, Obs: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = j.PutAdaptiveSession(&AdaptiveSessionRecord{ID: "cat-nan", ExamID: "pool",
+		State: AdaptiveStateActive, MaxItems: 5, Theta: math.NaN(), PendingID: "q1"})
+	if err == nil || errors.Is(err, ErrJournalClosed) {
+		t.Fatalf("put of a NaN theta = %v, want an encode error", err)
+	}
+	if _, err := j.AdaptiveSession("cat-nan"); !errors.Is(err, ErrAdaptiveSessionNotFound) {
+		t.Errorf("unencodable record was applied: %v", err)
+	}
+	poisoned := -1.0
+	for _, s := range reg.Snapshot() {
+		if s.Name == "journal_poisoned" {
+			poisoned = s.Value
+		}
+	}
+	if poisoned != 0 {
+		t.Errorf("journal_poisoned = %v after an encode failure, want 0 (-1: not registered)", poisoned)
+	}
+	if err := j.AddProblem(confMC(t, "after")); err != nil {
+		t.Fatalf("write after an encode failure: %v", err)
+	}
+	back := crashReopen(t, j)
+	if _, err := back.Problem("after"); err != nil {
+		t.Errorf("good write lost: %v", err)
+	}
+	if ids := back.AdaptiveSessionIDs(); len(ids) != 0 {
+		t.Errorf("replayed sessions %v, want none", ids)
 	}
 }
 

@@ -2,6 +2,7 @@ package bank
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -138,6 +139,71 @@ func TestJournalWALAppendOnly(t *testing.T) {
 	}
 	if got := strings.Count(string(raw), "\n"); got != 20 {
 		t.Errorf("wal lines = %d, want 20", got)
+	}
+}
+
+// TestJournalWALLineEncoding: for every op, each line the committer writes
+// is exactly json.Marshal of the record with the journal's epoch plus a
+// newline, so splicing the epoch into a record encoded without it keeps
+// the WAL byte-identical to encoding it whole.
+func TestJournalWALLineEncoding(t *testing.T) {
+	for _, epoch := range []int64{0, 1, 1 << 40} {
+		t.Run(fmt.Sprint(epoch), func(t *testing.T) {
+			j, err := OpenJournal(t.TempDir(), NewSharded(2), JournalOptions{CompactEvery: 1_000_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.mu.Lock()
+			j.epoch = epoch
+			j.mu.Unlock()
+			p1, p2 := confMC(t, "p1"), confMC(t, "p2")
+			p1v2 := confMC(t, "p1")
+			p1v2.Question = "revised"
+			exam := &ExamRecord{ID: "e", ProblemIDs: []string{"p1"}}
+			exam2 := &ExamRecord{ID: "e", ProblemIDs: []string{"p1", "p2"}, Title: "E & <b>"}
+			sess := &AdaptiveSessionRecord{ID: "cat-1", ExamID: "e", State: AdaptiveStateActive,
+				MaxItems: 5, Administered: []string{"p2"}, Correct: []bool{true}, Theta: -0.25,
+				PendingID: "p1"}
+			steps := []struct {
+				do   func() error
+				want walRecord
+			}{
+				{func() error { return j.AddProblem(p1) }, walRecord{Op: opAddProblem, Problem: p1}},
+				{func() error { return j.AddProblem(p2) }, walRecord{Op: opAddProblem, Problem: p2}},
+				{func() error { return j.UpdateProblem(p1v2) }, walRecord{Op: opUpdateProblem, Problem: p1v2}},
+				{func() error { _, err := j.Rollback("p1"); return err }, walRecord{Op: opRollback, ID: "p1", Problem: p1}},
+				{func() error { return j.AddExam(exam) }, walRecord{Op: opAddExam, Exam: exam}},
+				{func() error { return j.UpdateExam(exam2) }, walRecord{Op: opUpdateExam, Exam: exam2}},
+				{func() error { return j.PutAdaptiveSession(sess) }, walRecord{Op: opPutAdaptive, Session: sess}},
+				{func() error { return j.DeleteAdaptiveSession("cat-1") }, walRecord{Op: opDeleteAdaptive, ID: "cat-1"}},
+				{func() error { return j.DeleteExam("e") }, walRecord{Op: opDeleteExam, ID: "e"}},
+				{func() error { return j.DeleteProblem("p2") }, walRecord{Op: opDeleteProblem, ID: "p2"}},
+			}
+			for _, s := range steps {
+				if err := s.do(); err != nil {
+					t.Fatalf("%s: %v", s.want.Op, err)
+				}
+			}
+			crashStop(j)
+			raw, err := os.ReadFile(j.walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := bytes.SplitAfter(raw, []byte("\n"))
+			if len(lines) != len(steps)+1 || len(lines[len(steps)]) != 0 {
+				t.Fatalf("wal holds %d lines, want %d", len(lines)-1, len(steps))
+			}
+			for i, s := range steps {
+				s.want.Epoch = epoch
+				want, err := json.Marshal(s.want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want = append(want, '\n'); !bytes.Equal(lines[i], want) {
+					t.Errorf("%s line:\n got %s want %s", s.want.Op, lines[i], want)
+				}
+			}
+		})
 	}
 }
 
@@ -283,10 +349,12 @@ func TestJournalCorruptRecord(t *testing.T) {
 	}
 }
 
-// TestCompactProgressesUnderSaturatedWriters proves the starvation fix:
-// with writers continuously refilling the commit queue, an explicit
-// Compact() must still complete (the bounded optimistic drain gives way to
-// a brief writer stall) instead of spinning until the writers stop.
+// TestCompactProgressesUnderSaturatedWriters: with writers continuously
+// refilling the commit queue, an explicit Compact() must still complete
+// (its scan takes the queue instead of waiting for it to empty), the
+// writers must keep going, and a crash afterwards must replay every
+// acknowledged write exactly once, whether it committed before, with or
+// after the compaction.
 func TestCompactProgressesUnderSaturatedWriters(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir, NewSharded(8), JournalOptions{CompactEvery: 1_000_000})
@@ -296,7 +364,8 @@ func TestCompactProgressesUnderSaturatedWriters(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var acked atomic.Int64
-	for w := 0; w < 8; w++ {
+	ackedIDs := make([][]string, 8) // one slice per writer, read after wg.Wait
+	for w := range ackedIDs {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -306,9 +375,12 @@ func TestCompactProgressesUnderSaturatedWriters(t *testing.T) {
 					return
 				default:
 				}
-				if err := j.AddProblem(confMC(t, fmt.Sprintf("w%d-%d", w, i))); err != nil {
-					return // journal closed by the test epilogue
+				id := fmt.Sprintf("w%d-%d", w, i)
+				if err := j.AddProblem(confMC(t, id)); err != nil {
+					t.Errorf("AddProblem(%s): %v", id, err)
+					return
 				}
+				ackedIDs[w] = append(ackedIDs[w], id)
 				acked.Add(1)
 			}
 		}(w)
@@ -330,7 +402,7 @@ func TestCompactProgressesUnderSaturatedWriters(t *testing.T) {
 	if _, err := os.Stat(j.snapshotPath); err != nil {
 		t.Errorf("compaction reported success but no snapshot exists: %v", err)
 	}
-	// Writers must resume after the stall and the journal must stay usable.
+	// The journal must stay usable after the compaction.
 	before := acked.Load()
 	deadline := time.Now().Add(10 * time.Second)
 	for acked.Load() == before && time.Now().Before(deadline) {
@@ -341,8 +413,21 @@ func TestCompactProgressesUnderSaturatedWriters(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if err := j.Close(); err != nil {
-		t.Errorf("Close: %v", err)
+
+	back := crashReopen(t, j) // snapshot + WAL, no closing compaction
+	n := 0
+	for _, ids := range ackedIDs {
+		for _, id := range ids {
+			n++
+			if _, err := back.Problem(id); err != nil {
+				t.Errorf("acknowledged %s lost: %v", id, err)
+			} else if v := back.Version(id); v != 1 {
+				t.Errorf("%s replayed at version %d, want 1", id, v)
+			}
+		}
+	}
+	if got := back.ProblemCount(); got != n {
+		t.Errorf("recovered %d problems, want the %d acknowledged", got, n)
 	}
 }
 

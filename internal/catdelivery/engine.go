@@ -37,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -124,15 +125,15 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: MinItems must not be negative, got %d",
 			adaptive.ErrInvalidConfig, c.MinItems)
 	}
-	if c.TargetSE < 0 {
-		return fmt.Errorf("%w: TargetSE must not be negative, got %v",
+	if !(c.TargetSE >= 0) || math.IsInf(c.TargetSE, 1) { // NaN fails the first test
+		return fmt.Errorf("%w: TargetSE must be finite and not negative, got %v",
 			adaptive.ErrInvalidConfig, c.TargetSE)
 	}
 	if c.RandomesqueK < 0 {
 		return fmt.Errorf("%w: RandomesqueK must not be negative, got %d",
 			adaptive.ErrInvalidConfig, c.RandomesqueK)
 	}
-	if c.MaxExposure < 0 || c.MaxExposure > 1 {
+	if !(c.MaxExposure >= 0 && c.MaxExposure <= 1) { // NaN fails too
 		return fmt.Errorf("%w: MaxExposure %v outside [0,1]",
 			adaptive.ErrInvalidConfig, c.MaxExposure)
 	}

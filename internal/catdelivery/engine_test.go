@@ -244,8 +244,11 @@ func TestSubmitErrors(t *testing.T) {
 	if _, _, err := e.Start(context.Background(), "ghost", "x", Config{}, 1); !errors.Is(err, bank.ErrExamNotFound) {
 		t.Errorf("unknown exam = %v", err)
 	}
-	if _, _, err := e.Start(context.Background(), "pool", "x", Config{MaxItems: -1}, 1); !errors.Is(err, adaptive.ErrInvalidConfig) {
-		t.Errorf("bad config = %v", err)
+	for _, cfg := range []Config{{MaxItems: -1}, {TargetSE: math.NaN()}, {TargetSE: math.Inf(1)},
+		{MaxExposure: math.NaN()}} {
+		if _, _, err := e.Start(context.Background(), "pool", "x", cfg, 1); !errors.Is(err, adaptive.ErrInvalidConfig) {
+			t.Errorf("bad config %+v = %v", cfg, err)
+		}
 	}
 	if _, err := e.SubmitResponse(context.Background(), "cat-999999", "q", "A"); !errors.Is(err, ErrSessionNotFound) {
 		t.Errorf("unknown session = %v", err)

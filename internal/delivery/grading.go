@@ -56,7 +56,7 @@ func (e *Engine) PendingGrades(examID string) []PendingGrade {
 // response. Only answered, not-auto-graded responses accept a grade;
 // re-grading is allowed (the last grade wins).
 func (e *Engine) AssignGrade(sessionID, problemID string, credit float64) error {
-	if credit < 0 || credit > 1 {
+	if !(credit >= 0 && credit <= 1) { // NaN fails too
 		return fmt.Errorf("%w: %v", ErrInvalidCredit, credit)
 	}
 	s, err := e.lock(sessionID)

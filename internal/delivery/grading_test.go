@@ -3,6 +3,7 @@ package delivery
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -94,8 +95,10 @@ func TestAssignGradeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.AssignGrade(sess.ID, "essay1", 1.5); !errors.Is(err, ErrInvalidCredit) {
-		t.Errorf("credit 1.5 = %v", err)
+	for _, credit := range []float64{1.5, -0.5, math.NaN(), math.Inf(1)} {
+		if err := eng.AssignGrade(sess.ID, "essay1", credit); !errors.Is(err, ErrInvalidCredit) {
+			t.Errorf("credit %v = %v", credit, err)
+		}
 	}
 	if err := eng.AssignGrade(sess.ID, "essay1", 0.5); !errors.Is(err, ErrNotAnswered) {
 		t.Errorf("unanswered = %v", err)
